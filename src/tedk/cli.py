@@ -45,7 +45,10 @@ def _setup_logging() -> None:
 
 def _load(path: str, fmt: str, interner: LabelInterner) -> LabeledForest:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     if fmt == "json":
         return parse_json_text(text, interner)
     return parse_paren_text(text, interner)

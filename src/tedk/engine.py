@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alignment import _match_mask
+from .errors import ContractError
 from .forest import LabeledForest, LabelInterner
 from .hashing import random_base
 from .oracle import INF
@@ -113,7 +114,10 @@ def run(F: LabeledForest, G: LabeledForest, cfg: EngineConfig,
         if not (covered_f[marked_f].all() and covered_g[marked_g].all()):
             return None
         Fi, Gi = partial_reduce(rp.f, rp.g, M, k, interner)
-        assert max(Fi.height(), Gi.height()) <= h + 1
+        height = max(Fi.height(), Gi.height())
+        if height > h + 1:
+            raise ContractError(f"partial reduction left height {height} "
+                                f"> {h + 1}")
         return shallow_ted(Fi, Gi, h + 1, k, interner, base, audit=cfg.audit)
 
     if cfg.threads > 1:

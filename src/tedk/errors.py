@@ -23,3 +23,7 @@ class NoAlignmentError(ValueError):
 
 class CrossingMatchingError(ValueError):
     """A node-pair set is not a non-crossing matching of the two forests."""
+
+
+class ContractError(RuntimeError):
+    """An internal size or height bound of the pipeline does not hold."""

@@ -419,7 +419,12 @@ def serialize_paren(F: LabeledForest, interner: LabelInterner) -> str:
 
 def parse_json_text(text: str, interner: LabelInterner) -> LabeledForest:
     """JSON format: array of {"label": str, "children": [...]} trees."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("JSON nesting too deep") from None
     if not isinstance(data, list):
         raise ParseError("top level must be an array of trees")
     codes: list[int] = []

@@ -3,10 +3,19 @@
 The recurrence works on pre-order spans: a subforest is a contiguous id range
 [i..e) that is a union of complete sibling trees.  Deleting the leftmost root
 keeps the range contiguous ([i+1..e)), and matching the leftmost roots splits
-both ranges at the subtree ends.  Values saturate at k+1, and a state whose
-size difference already exceeds k is cut without recursion, which keeps the
-explored region near the diagonal.  This module is the correctness oracle for
-everything else, so it stays deliberately simple.
+both ranges at the subtree ends.  Values saturate at a cap (k+1 for a
+threshold query), and a state whose size difference already reaches the cap
+is cut without recursion, which keeps the explored region near the diagonal.
+
+Each state solves its match-roots branch first.  A distance is at least the
+size difference of its two forests, so the delete and insert branches are
+bounded below by the state's size difference alone (2 when the sizes are
+equal).  When the match branch is within that bound, it is the exact
+(capped) value and the delete and insert states are never explored.  On
+similar forests almost every state ends there, so the explored region
+follows the edits rather than the whole size-difference band.  This module
+is the correctness oracle for everything else, so it stays one recurrence
+with no heuristics that could change a value.
 """
 
 from __future__ import annotations
@@ -30,7 +39,17 @@ def _label_multiset_bound(F: LabeledForest, G: LabeledForest) -> int:
 
 
 def _ted_dp(F: LabeledForest, G: LabeledForest, cap: int) -> int:
-    """min(cap, ted(F, G)) via saturating leftmost-root DP."""
+    """min(cap, ted(F, G)) via saturating leftmost-root DP, match branch first.
+
+    A state (fi, fe, gi, ge) first solves the match-roots branch
+    sub = [labels differ] + D(children) + D(right siblings).  With
+    dd = (fe - fi) - (ge - gi), deleting the left root of F leaves size
+    difference dd - 1 and inserting that of G leaves dd + 1; a distance is at
+    least its size difference and stored values are min(cap, .), so both
+    branches cost at least min(cap + 1, L) with L = 2 if dd == 0 else |dd|.
+    Hence when sub <= L the state's value is min(sub, cap) exactly, and the
+    delete and insert states are never pushed.
+    """
     endf = F.subtree_end.tolist()
     endg = G.subtree_end.tolist()
     labf = F.labels.tolist()
@@ -39,6 +58,7 @@ def _ted_dp(F: LabeledForest, G: LabeledForest, cap: int) -> int:
     memo: dict[tuple[int, int, int, int], int] = {}
     root = (0, nf, 0, ng)
     stack = [root]
+    push = stack.append
     while stack:
         s = stack[-1]
         if s in memo:
@@ -53,26 +73,38 @@ def _ted_dp(F: LabeledForest, G: LabeledForest, cap: int) -> int:
             memo[s] = min(fe - fi, cap)
             stack.pop()
             continue
-        if abs((fe - fi) - (ge - gi)) >= cap:
+        dd = (fe - fi) - (ge - gi)
+        if abs(dd) >= cap:
             memo[s] = cap
             stack.pop()
             continue
         fend, gend = endf[fi], endg[gi]
-        deps = ((fi + 1, fe, gi, ge),
-                (fi, fe, gi + 1, ge),
-                (fi + 1, fend, gi + 1, gend),
-                (fend, fe, gend, ge))
-        ready = True
-        for d in deps:
-            if d not in memo:
-                if ready:
-                    ready = False
-                stack.append(d)
-        if not ready:
+        kids = (fi + 1, fend, gi + 1, gend)
+        right = (fend, fe, gend, ge)
+        r1 = memo.get(kids)
+        r2 = memo.get(right)
+        if r1 is None or r2 is None:
+            if r1 is None:
+                push(kids)
+            if r2 is None:
+                push(right)
             continue
-        sub = (1 if labf[fi] != labg[gi] else 0) + memo[deps[2]] + memo[deps[3]]
-        val = min(1 + memo[deps[0]], 1 + memo[deps[1]], sub, cap)
-        memo[s] = val
+        sub = r1 + r2 + (labf[fi] != labg[gi])
+        if sub <= (abs(dd) or 2):
+            memo[s] = sub if sub < cap else cap
+            stack.pop()
+            continue
+        dele = (fi + 1, fe, gi, ge)
+        ins = (fi, fe, gi + 1, ge)
+        r3 = memo.get(dele)
+        r4 = memo.get(ins)
+        if r3 is None or r4 is None:
+            if r3 is None:
+                push(dele)
+            if r4 is None:
+                push(ins)
+            continue
+        memo[s] = min(1 + r3, 1 + r4, sub, cap)
         stack.pop()
     return memo[root]
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .alignment import common_matching_core
-from .errors import CrossingMatchingError, NoAlignmentError
+from .errors import ContractError, CrossingMatchingError, NoAlignmentError
 from .forest import LabeledForest, LabelInterner
 from .horizontal import sync_reductions
 from .labeling import JointLabeling, lookahead_refine
@@ -69,6 +69,8 @@ def shallow_ted(F: LabeledForest, G: LabeledForest, h: int, k: int,
     except CrossingMatchingError:
         return INF
     F2, G2 = partial_reduce(F1, G1, M, k, interner)
-    # residual stays within the partial-matching size accounting
-    assert F2.n + G2.n <= (k + 2) * (5 * (F1.n + G1.n - 2 * len(M)) + 4)
+    bound = (k + 2) * (5 * (F1.n + G1.n - 2 * len(M)) + 4)
+    if F2.n + G2.n > bound:
+        raise ContractError(f"residual of {F2.n + G2.n} nodes exceeds the "
+                            f"partial-matching size bound {bound}")
     return ted_threshold(F2, G2, k)

@@ -88,6 +88,23 @@ def test_json_format(tmp_path, capsys):
     assert code == 0 and out.split("\t")[0] == "0"
 
 
+def test_malformed_json_exits_2(tmp_path, capsys):
+    ok = tmp_path / "ok.json"
+    ok.write_text('[{"label": "a"}]\n')
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('[{"label": "a", "children": [\n')
+    depth = 5000
+    deep = tmp_path / "deep.json"
+    deep.write_text('[{"label": "a", "children": ' * depth + "[]" + "}]" * depth)
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'[{"label": "\xe9"}]')
+    for bad in (truncated, deep, not_utf8):
+        code, out, err = run_cli(capsys, "compute", str(bad), str(ok),
+                                 "--k", "1", "--format", "json")
+        assert code == 2 and out == ""
+        assert "parse error" in err and "Traceback" not in err
+
+
 def test_bench_csv(tmp_path, capsys):
     a = tmp_path / "a.paren"
     run_cli(capsys, "gen", "--n", "50", "--height", "4", "--sigma", "2",

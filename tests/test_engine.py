@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import tedk.engine
 from tedk.engine import EngineConfig, mark_levels, run, ted_bounded
-from tedk.forest import LabeledForest
+from tedk.errors import ContractError
+from tedk.forest import LabeledForest, parse_paren_text
 from tedk.generate import alphabet, apply_random_edits, planted_pair, random_forest
 from tedk.oracle import INF, ted_threshold
 
@@ -19,7 +21,6 @@ def test_trivial_cases(interner, rng):
 
 
 def test_empty_forests(interner):
-    from tedk.forest import parse_paren_text
     empty = parse_paren_text("", interner)
     leaf = parse_paren_text("(a)", interner)
     assert ted_bounded(empty, empty, EngineConfig(k=1, seed=0), interner) == 0
@@ -142,3 +143,17 @@ def test_report_timings(interner, rng):
     rep = run(F, F, EngineConfig(k=2, seed=0), interner)
     assert rep.value == 0
     assert "reduction_ms" in rep.timings and "anchor_ms" in rep.timings
+
+
+def test_round_height_contract(interner, rng, monkeypatch):
+    # a sampling round whose reduced forests exceed height h + 1 is a broken
+    # contract, reported even under python -O
+    syms = alphabet(interner, 2)
+    F = random_forest(rng, 25, 10, syms, branch=0.85)
+    G = apply_random_edits(rng, F, 1, syms)
+    hcap = max(2, min(F.height(), G.height()) - 1)
+    tall = parse_paren_text("(a" * (hcap + 2) + ")" * (hcap + 2), interner)
+    monkeypatch.setattr(tedk.engine, "partial_reduce",
+                        lambda *args: (tall, tall))
+    with pytest.raises(ContractError):
+        run(F, G, EngineConfig(k=1, seed=5, height_cap=hcap), interner)

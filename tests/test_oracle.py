@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tedk._naive import (optimal_tree_alignments, ted_brute,
                          ted_brute_constrained)
 from tedk.alignment import eval_alignment, is_tree_alignment
-from tedk.generate import alphabet, apply_random_edits, random_forest
-from tedk.oracle import INF, ted_constrained, ted_exact, ted_threshold
+from tedk.forest import LabeledForest, LabelInterner
+from tedk.generate import (alphabet, apply_random_edits, plant_horizontal,
+                           plant_vertical, random_forest)
+from tedk.oracle import (INF, _ted_dp, ted_constrained, ted_exact,
+                         ted_threshold)
 
 from conftest import forest
 
@@ -113,3 +117,77 @@ def test_constrained_matches_brute(interner, rng):
         M = np.array(pairs, dtype=np.int64)
         assert ted_constrained(F, G, M, interner) == ted_brute_constrained(F, G, M)
         done += 1
+
+
+def _ted_dp_unpruned(F: LabeledForest, G: LabeledForest, cap: int) -> int:
+    """min(cap, ted(F, G)) by the leftmost-root recurrence over every state
+    in the size-difference band, always taking all three branches."""
+    endf, endg = F.subtree_end.tolist(), G.subtree_end.tolist()
+    labf, labg = F.labels.tolist(), G.labels.tolist()
+    memo: dict = {}
+
+    def d(fi, fe, gi, ge):
+        s = (fi, fe, gi, ge)
+        if s not in memo:
+            if fi == fe or gi == ge:
+                memo[s] = min(fe - fi + ge - gi, cap)
+            elif abs((fe - fi) - (ge - gi)) >= cap:
+                memo[s] = cap
+            else:
+                fend, gend = endf[fi], endg[gi]
+                memo[s] = min(
+                    1 + d(fi + 1, fe, gi, ge),
+                    1 + d(fi, fe, gi + 1, ge),
+                    (labf[fi] != labg[gi]) + d(fi + 1, fend, gi + 1, gend)
+                    + d(fend, fe, gend, ge),
+                    cap)
+        return memo[s]
+
+    return d(0, F.n, 0, G.n)
+
+
+@st.composite
+def small_forest_pairs(draw):
+    """(F, G) of at most 11 nodes each: random, edited or planted."""
+    it = LabelInterner()
+    syms = alphabet(it, draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    F = random_forest(rng, draw(st.integers(0, 6)), draw(st.integers(1, 4)),
+                      syms)
+    kind = draw(st.sampled_from(["random", "edited", "horizontal",
+                                 "vertical"]))
+    if kind == "random":
+        return F, random_forest(rng, draw(st.integers(0, 6)), 3, syms)
+    if kind == "horizontal":
+        F = plant_horizontal(rng, F, 1, syms, reps=draw(st.integers(1, 2)))
+    elif kind == "vertical":
+        F = plant_vertical(rng, F, 1, syms, reps=draw(st.integers(1, 2)))
+    G = apply_random_edits(rng, F, draw(st.integers(0, 3)), syms)
+    if draw(st.booleans()):
+        F, G = G, F
+    return F, G
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_forest_pairs())
+def test_dp_matches_brute(pair):
+    F, G = pair
+    want = ted_brute(F, G)
+    for cap in (1, 2, 3, F.n + G.n + 1):
+        assert _ted_dp(F, G, cap) == min(want, cap)
+
+
+def test_dp_matches_unpruned_recurrence(interner, rng):
+    # the match-first skip never changes a value, at any cap
+    syms_pool = [alphabet(interner, s) for s in (1, 2, 4)]
+    for t in range(120):
+        syms = syms_pool[t % 3]
+        F = random_forest(rng, int(rng.integers(0, 60)),
+                          int(rng.integers(1, 9)), syms)
+        if t % 2:
+            G = apply_random_edits(rng, F, int(rng.integers(0, 6)), syms)
+        else:
+            G = random_forest(rng, int(rng.integers(0, 60)),
+                              int(rng.integers(1, 9)), syms)
+        for cap in (1, 2, 3, 5, F.n + G.n + 1):
+            assert _ted_dp(F, G, cap) == _ted_dp_unpruned(F, G, cap)

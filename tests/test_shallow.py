@@ -1,5 +1,7 @@
 import pytest
 
+import tedk.shallow
+from tedk.errors import ContractError
 from tedk.generate import alphabet, apply_random_edits, planted_pair, random_forest
 from tedk.oracle import INF, ted_threshold
 from tedk.shallow import shallow_ted
@@ -65,3 +67,15 @@ def test_no_false_infinity(interner, rng):
         h = max(F.height(), G.height(), 1)
         if shallow_ted(F, G, h, k, interner, BASE + t) == INF:
             assert ted_threshold(F, G, k) == INF
+
+
+def test_residual_size_contract(interner, rng, monkeypatch):
+    # a residual larger than the partial-matching accounting allows is a
+    # broken contract, reported even under python -O
+    syms = alphabet(interner, 2)
+    F = random_forest(rng, 30, 5, syms)
+    big = random_forest(rng, 2000, 5, syms)
+    monkeypatch.setattr(tedk.shallow, "partial_reduce",
+                        lambda *args: (big, big))
+    with pytest.raises(ContractError):
+        shallow_ted(F, F, F.height(), 2, interner, BASE)
