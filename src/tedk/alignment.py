@@ -164,6 +164,26 @@ def _lce(X: np.ndarray, Y: np.ndarray, Xl: list, Yl: list, x: int, y: int) -> in
     return n
 
 
+def _mismatch_run(X: np.ndarray, Y: np.ndarray, row: list, w: int,
+                  most: int) -> int:
+    """Largest t <= most such that X[x + s] != Y[x + j + s] for every step
+    s in 1..t and every diagonal j in [-w..w], where x = row[j + w]."""
+    t = 0
+    chunk = 16
+    while t < most:
+        step = min(chunk, most - t)
+        ok = np.ones(step, dtype=bool)
+        for j in range(-w, w + 1):
+            x = row[j + w] + t + 1
+            ok &= X[x:x + step] != Y[x + j:x + j + step]
+        bad = np.flatnonzero(~ok)
+        if len(bad):
+            return t + int(bad[0])
+        t += step
+        chunk *= 2
+    return t
+
+
 def greedy_bounded_align(X, Y, k: int, w: int) -> Alignment | None:
     """A greedy witness of cost <= k and width <= w, or None if none exists.
 
@@ -172,6 +192,15 @@ def greedy_bounded_align(X, Y, k: int, w: int) -> Alignment | None:
     clamped, and a free "stay" candidate keeps each column monotone, so the
     traceback can follow exact furthest values.  Deterministic: on ties the
     predecessor preference is deletion, then insertion, then substitution.
+
+    Away from the sequence ends, the next cost level is the current one
+    advanced by the same relative choices, so its values depend only on the
+    current values up to a common shift.  When a level is its predecessor
+    shifted by +1 and slid nowhere, the following levels are it shifted by
+    +1, +2, ... with the same choices for as long as every diagonal keeps
+    meeting a mismatch; such a run of levels is filled in directly.  Long
+    runs of mismatches (a relabeled ancestor chain) then cost little per
+    level.
     """
     X, Y = as_codes(X), as_codes(Y)
     if w < 0 or k < w:
@@ -183,11 +212,14 @@ def greedy_bounded_align(X, Y, k: int, w: int) -> Alignment | None:
     Xl, Yl = X.tolist(), Y.tolist()
     k_eff = min(k, nx + ny)
     width = 2 * w + 1
+    end = min(nx, ny - w)  # least sequence limit over the band
     reach: list[list[int]] = []   # furthest x per diagonal, NEG if unreachable
     starts: list[list[int]] = []  # pre-slide x of the recorded predecessor
     ops: list[list[int]] = []     # 0 stay/seed, 1 del, 2 ins, 3 sub
+    shift: list[int] = []         # level i's values are reach[i] + shift[i]
     found = -1
-    for i in range(k_eff + 1):
+    i = 0
+    while i <= k_eff:
         row = [_NEG] * width
         row_s = [_NEG] * width
         row_op = [0] * width
@@ -220,9 +252,27 @@ def greedy_bounded_align(X, Y, k: int, w: int) -> Alignment | None:
         reach.append(row)
         starts.append(row_s)
         ops.append(row_op)
+        shift.append(0)
         if row[delta + w] >= nx:
             found = i
             break
+        if (i and row == row_s and min(prev) >= 0
+                and all(x - p == 1 for x, p in zip(row, prev))):
+            run = _mismatch_run(X, Y, row, w,
+                                min(k_eff - i, end - max(row) - 1))
+            if run:
+                # levels i+1 .. i+run-1 share this row's lists with a
+                # shift; the last one is built, as the next level reads it
+                reach.extend([row] * (run - 1))
+                starts.extend([row] * (run - 1))
+                ops.extend([row_op] * run)
+                shift.extend(range(1, run))
+                last = [x + run for x in row]
+                reach.append(last)
+                starts.append(last)
+                shift.append(0)
+                i += run
+        i += 1
     if found < 0:
         return None
 
@@ -230,12 +280,21 @@ def greedy_bounded_align(X, Y, k: int, w: int) -> Alignment | None:
     # Each visited cell contributes the diagonal segment [s..x]; the edit
     # step between consecutive cells is exactly the one-unit gap between
     # segment endpoints, so concatenating the segments yields the alignment.
+    # A substitution inside a run of shifted levels leads to the same
+    # choice on the level below, so the path goes straight down the diagonal
+    # to the level the run was built from, as one segment.
     descs: list[tuple[int, int, int]] = []  # (s, x, j), collected backwards
     i, j, x = found, delta, nx
     while True:
-        while i > 0 and reach[i - 1][j + w] >= x:
+        while i > 0 and reach[i - 1][j + w] + shift[i - 1] >= x:
             i -= 1
-        s = starts[i][j + w]
+        if shift[i] and ops[i][j + w] == 3:
+            i -= shift[i]
+            s = reach[i][j + w] + 1
+            descs.append((s, x, j))
+            x = s - 1
+            continue
+        s = starts[i][j + w] + shift[i]
         descs.append((s, x, j))
         x = s
         if i == 0:
@@ -247,16 +306,12 @@ def greedy_bounded_align(X, Y, k: int, w: int) -> Alignment | None:
             i, j = i - 1, j - 1
         else:            # substitution at (x-1, x+j-1)
             i, x = i - 1, x - 1
-    total = sum(b - a + 1 for (a, b, _) in descs)
-    xs = np.empty(total, dtype=np.int64)
-    ys = np.empty(total, dtype=np.int64)
-    pos = total
-    for (a, b, jj) in descs:
-        ln = b - a + 1
-        pos -= ln
-        seg = np.arange(a, b + 1, dtype=np.int64)
-        xs[pos:pos + ln] = seg
-        ys[pos:pos + ln] = seg + jj
+    a, b, jj = np.array(descs[::-1], dtype=np.int64).T
+    lens = b - a + 1
+    firsts = np.cumsum(lens) - lens  # output index of each segment's start
+    xs = np.arange(int(lens.sum()), dtype=np.int64)
+    xs += np.repeat(a - firsts, lens)
+    ys = xs + np.repeat(jj, lens)
     return Alignment(np.stack([xs, ys], axis=1))
 
 

@@ -10,12 +10,13 @@ is cut without recursion, which keeps the explored region near the diagonal.
 Each state solves its match-roots branch first.  A distance is at least the
 size difference of its two forests, so the delete and insert branches are
 bounded below by the state's size difference alone (2 when the sizes are
-equal).  When the match branch is within that bound, it is the exact
-(capped) value and the delete and insert states are never explored.  On
-similar forests almost every state ends there, so the explored region
-follows the edits rather than the whole size-difference band.  This module
-is the correctness oracle for everything else, so it stays one recurrence
-with no heuristics that could change a value.
+equal, and also 2 at a size difference of 1 unless the branch that leaves
+equal sizes leaves equal forests).  When the match branch is within that
+bound, it is the exact (capped) value and the delete and insert states are
+never explored.  On similar forests almost every state ends there, so the
+explored region follows the edits rather than the whole size-difference
+band.  This module is the correctness oracle for everything else, so it
+stays one recurrence with no heuristics that could change a value.
 """
 
 from __future__ import annotations
@@ -47,14 +48,23 @@ def _ted_dp(F: LabeledForest, G: LabeledForest, cap: int) -> int:
     difference dd - 1 and inserting that of G leaves dd + 1; a distance is at
     least its size difference and stored values are min(cap, .), so both
     branches cost at least min(cap + 1, L) with L = 2 if dd == 0 else |dd|.
-    Hence when sub <= L the state's value is min(sub, cap) exactly, and the
-    delete and insert states are never pushed.
+    When |dd| == 1 one branch leaves equal sizes, and its distance is 0 only
+    if its two forests are equal (same pre-order labels and subtree sizes),
+    so L is 2 when they differ.  Hence when sub <= L the state's value is
+    min(sub, cap) exactly, and the delete and insert states are never pushed.
     """
     endf = F.subtree_end.tolist()
     endg = G.subtree_end.tolist()
     labf = F.labels.tolist()
     labg = G.labels.tolist()
     nf, ng = F.n, G.n
+    # a forest is its pre-order sequence of (label, subtree size), so the
+    # node ranges [a..a+m) of F and [b..b+m) of G hold equal forests iff
+    # these bytes agree from 16a and from 16b on
+    shape_f = np.stack([F.labels, F.subtree_end - np.arange(nf)], axis=1)
+    shape_g = np.stack([G.labels, G.subtree_end - np.arange(ng)], axis=1)
+    bytes_f = shape_f.astype(np.int64).tobytes()
+    bytes_g = shape_g.astype(np.int64).tobytes()
     memo: dict[tuple[int, int, int, int], int] = {}
     root = (0, nf, 0, ng)
     stack = [root]
@@ -90,7 +100,12 @@ def _ted_dp(F: LabeledForest, G: LabeledForest, cap: int) -> int:
                 push(right)
             continue
         sub = r1 + r2 + (labf[fi] != labg[gi])
-        if sub <= (abs(dd) or 2):
+        low = abs(dd) or 2
+        if sub == 2 and low == 1:
+            a, b = (fi + 1, gi) if dd == 1 else (fi, gi + 1)
+            if bytes_f[16 * a:16 * fe] != bytes_g[16 * b:16 * ge]:
+                low = 2
+        if sub <= low:
             memo[s] = sub if sub < cap else cap
             stack.pop()
             continue

@@ -126,6 +126,95 @@ def test_greedy_align_deterministic(rng):
         assert A == B
 
 
+_NEG = -(1 << 60)
+
+
+def _greedy_align_rowwise(X, Y, k, w):
+    """greedy_bounded_align computed one cost level and one diagonal at a
+    time, with a plain LCE loop: the reference for its mismatch-run path."""
+    X, Y = as_codes(X).tolist(), as_codes(Y).tolist()
+    nx, ny = len(X), len(Y)
+    delta = ny - nx
+    if abs(delta) > w:
+        return None
+    reach, starts, ops = [], [], []
+    for i in range(min(k, nx + ny) + 1):
+        row, row_s, row_op = ([_NEG] * (2 * w + 1), [_NEG] * (2 * w + 1),
+                              [0] * (2 * w + 1))
+        for j in range(-min(i, w), min(i, w) + 1):
+            limit = min(nx, ny - j)
+            if i == 0:
+                s, op = 0, 0
+            else:
+                prev = reach[i - 1]
+                s, op = _NEG, 0
+                dele = prev[j + 1 + w] + 1 if j + 1 <= w else _NEG
+                ins = prev[j - 1 + w] if j - 1 >= -w else _NEG
+                for c, o, lo in ((dele, 1, 1), (ins, 2, 0),
+                                 (prev[j + w] + 1, 3, 1)):
+                    if c > s and lo <= c <= limit:
+                        s, op = c, o
+                if prev[j + w] >= s:
+                    s, op = prev[j + w], 0
+                if s < 0:
+                    continue
+            x = s
+            while x < limit and X[x] == Y[x + j]:
+                x += 1
+            row[j + w], row_s[j + w], row_op[j + w] = x, s, op
+        reach.append(row)
+        starts.append(row_s)
+        ops.append(row_op)
+        if row[delta + w] >= nx:
+            break
+    else:
+        return None
+    pairs = []
+    i, j, x = len(reach) - 1, delta, nx
+    while True:
+        while i > 0 and reach[i - 1][j + w] >= x:
+            i -= 1
+        s = starts[i][j + w]
+        pairs.extend((t, t + j) for t in range(x, s - 1, -1))
+        x = s
+        if i == 0:
+            break
+        op = ops[i][j + w]
+        if op == 1:
+            i, j, x = i - 1, j + 1, x - 1
+        elif op == 2:
+            i, j = i - 1, j - 1
+        else:
+            i, x = i - 1, x - 1
+    return Alignment(np.array(pairs[::-1], dtype=np.int64))
+
+
+def test_greedy_align_mismatch_runs_match_rowwise(rng):
+    # long stretches where every diagonal mismatches (a relabeled block,
+    # possibly of another length), ending anywhere, under budgets that also
+    # run out inside a stretch
+    for t in range(300):
+        n = int(rng.integers(0, 300))
+        X = rng.integers(0, 1 + t % 3, n)
+        a = int(rng.integers(0, n + 1))
+        b = int(rng.integers(a, n + 1))
+        size = max(0, b - a + int(rng.integers(-3, 4)))
+        Y = np.concatenate([X[:a], rng.integers(10, 13 + t % 4, size), X[b:]])
+        if t % 2:
+            X, Y = Y, X
+        for _ in range(int(rng.integers(0, 3))):
+            at = int(rng.integers(0, len(Y) + 1))
+            Y = (np.insert(Y, at, rng.integers(0, 3)) if rng.random() < 0.5
+                 or len(Y) == 0 else np.delete(Y, min(at, len(Y) - 1)))
+        w = int(rng.integers(0, 4))
+        for k in (w, w + int(rng.integers(0, 40)), w + n + len(Y)):
+            A = greedy_bounded_align(X, Y, k, w)
+            B = _greedy_align_rowwise(X, Y, k, w)
+            assert (A is None) == (B is None)
+            if A is not None:
+                assert A == B
+
+
 def test_is_greedy_examples():
     # deleting equal leading characters is not greedy
     A = Alignment(np.array([(0, 0), (1, 0), (2, 1), (2, 2)]))
