@@ -6,6 +6,10 @@ parenthesis.  Node ids are dense pre-order integers (the rank of the opening
 parenthesis), which makes the opening position monotone in the node id and
 keeps every derived index a plain numpy array.  Instances are immutable after
 construction and safe to share across threads.
+
+Level ancestors (the parent, the ancestor d levels up, the nearest marked
+ancestor) all come from one stable sort and one binary search,
+`last_at_level`, with no loop over depths.
 """
 
 from __future__ import annotations
@@ -46,13 +50,6 @@ class LabelInterner:
                     self._texts.append(text)
         return sym
 
-    def intern_many(self, texts) -> np.ndarray:
-        """Vectorized interning: unique texts once, then a table lookup."""
-        uniq, inverse = np.unique(np.asarray(texts, dtype=object), return_inverse=True)
-        lut = np.fromiter((self.intern(t) for t in uniq), dtype=np.int64,
-                          count=len(uniq))
-        return lut[inverse]
-
     def fresh(self, hint: str = "fresh") -> int:
         return self.fresh_block(1, hint)
 
@@ -74,25 +71,6 @@ class LabelInterner:
 
     def __contains__(self, text: str) -> bool:
         return text in self._by_text
-
-
-class Label:
-    """An interned label: dense symbol plus the original token, if any."""
-
-    __slots__ = ("symbol", "text")
-
-    def __init__(self, symbol: int, text: str | None = None):
-        self.symbol = symbol
-        self.text = text
-
-    def __eq__(self, other):
-        return isinstance(other, Label) and other.symbol == self.symbol
-
-    def __hash__(self):
-        return hash(self.symbol)
-
-    def __repr__(self):
-        return f"Label({self.symbol}, {self.text!r})"
 
 
 class ParenSeq:
@@ -136,12 +114,26 @@ class PositionIndex:
         self.node_at = node_at
 
 
-def group_by_depth(depth: np.ndarray) -> list[np.ndarray]:
-    """ids_at[d] = sorted node ids at depth d, in O(n log n) total."""
-    maxd = int(depth.max()) + 1 if len(depth) else 0
-    order = np.argsort(depth, kind="stable")
-    bounds = np.searchsorted(depth[order], np.arange(maxd + 1))
-    return [order[bounds[d]:bounds[d + 1]] for d in range(maxd)]
+def last_at_level(level: np.ndarray, q_level, q_pos) -> np.ndarray:
+    """For each query (L, x): the last index i < x with level[i] == L, else -1.
+
+    One stable argsort of `level` and one `searchsorted` on the key
+    ``level * (len + 1) + index`` answer every query at once.  With `level` a
+    pre-order depth and L = depth(x) - l, the answer is the ancestor of x l
+    levels up: pre-order puts no other depth-L node between that ancestor and
+    x, since such a node would lie in the ancestor's subtree, below depth L.
+    """
+    level = np.asarray(level, dtype=np.int64)
+    q_level = np.asarray(q_level, dtype=np.int64)
+    q_pos = np.asarray(q_pos, dtype=np.int64)
+    if len(level) == 0:
+        return np.full(q_pos.shape, -1, dtype=np.int64)
+    scale = len(level) + 1
+    order = np.argsort(level, kind="stable")
+    keys = level[order] * scale + order
+    at = np.searchsorted(keys, q_level * scale + q_pos) - 1
+    found = order[np.maximum(at, 0)]
+    return np.where((at >= 0) & (level[found] == q_level), found, -1)
 
 
 def _pair_parens(codes: np.ndarray):
@@ -240,21 +232,9 @@ class LabeledForest:
         return self._parent
 
     def _compute_parent(self) -> np.ndarray:
-        n = self.n
-        parent = np.full(n, VIRTUAL_ROOT, dtype=np.int64)
-        depth = self.depth
-        maxd = int(depth.max()) + 1 if n else 0
-        if n == 0 or maxd <= 1:
-            return parent
-        ids_at = group_by_depth(depth)
-        for d in range(1, maxd):
-            ids = ids_at[d]
-            if len(ids) == 0:
-                continue
-            ups = ids_at[d - 1]
-            idx = np.searchsorted(ups, ids) - 1
-            parent[ids] = ups[idx]
-        return parent
+        """Each node's ancestor one level up (VIRTUAL_ROOT = -1 for roots)."""
+        return last_at_level(self.depth, self.depth - 1,
+                             np.arange(self.n, dtype=np.int64))
 
     @property
     def roots(self) -> np.ndarray:
@@ -352,6 +332,15 @@ class LabeledForest:
 
 # -- text and JSON formats ---------------------------------------------------
 
+def check_label(text: str) -> None:
+    """Raise ParseError unless `text` is a label token, [A-Za-z0-9_]+ (ASCII).
+
+    Both input formats accept exactly these labels, so every parsed forest
+    can be written back as paren text."""
+    if not text.isascii() or not text.replace("_", "a").isalnum():
+        raise ParseError(f"bad label token {text!r}")
+
+
 def parse_paren_text(text: str, interner: LabelInterner) -> LabeledForest:
     """Parse ``Forest := Tree*``, ``Tree := "(" label Forest ")"``.
 
@@ -377,8 +366,7 @@ def parse_paren_text(text: str, interner: LabelInterner) -> LabeledForest:
     if len(label_toks):
         uniq, inverse = np.unique(label_toks, return_inverse=True)
         for t in uniq:
-            if not t.replace("_", "a").isalnum() or not t.isascii():
-                raise ParseError(f"bad label token {t!r}")
+            check_label(t)
         lut = np.fromiter((interner.intern(t) for t in uniq), dtype=np.int64,
                           count=len(uniq))
         syms = lut[inverse]
@@ -418,7 +406,9 @@ def serialize_paren(F: LabeledForest, interner: LabelInterner) -> str:
 
 
 def parse_json_text(text: str, interner: LabelInterner) -> LabeledForest:
-    """JSON format: array of {"label": str, "children": [...]} trees."""
+    """JSON format: array of {"label": str, "children": [...]} trees.
+
+    Labels follow the paren-text token rule (`check_label`)."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -428,6 +418,7 @@ def parse_json_text(text: str, interner: LabelInterner) -> LabeledForest:
     if not isinstance(data, list):
         raise ParseError("top level must be an array of trees")
     codes: list[int] = []
+    checked: set[str] = set()
     stack = [(t, False) for t in reversed(data)]
     while stack:
         node, closing = stack.pop()
@@ -436,7 +427,11 @@ def parse_json_text(text: str, interner: LabelInterner) -> LabeledForest:
             continue
         if not isinstance(node, dict) or "label" not in node:
             raise ParseError("tree objects need a 'label' field")
-        sym = interner.intern(str(node["label"]))
+        text = str(node["label"])
+        if text not in checked:
+            check_label(text)
+            checked.add(text)
+        sym = interner.intern(text)
         codes.append(sym << 1)
         stack.append(((sym << 1) | 1, True))
         children = node.get("children", [])

@@ -95,21 +95,6 @@ class HashedSeq:
         sub = mulmod_vec(self.H[i], self.pw[j - i])
         return (hi + (np.uint64(M61) - sub)) % np.uint64(M61)
 
-    def power_fp(self, i: int, j: int, reps: int) -> int:
-        """Fingerprint of the substring [i..j) concatenated `reps` times."""
-        fp = self.substring(i, j)
-        length = j - i
-        out, out_len = 0, 0
-        piece, piece_len = fp, length
-        while reps:
-            if reps & 1:
-                out = (out * pow(self.base, piece_len, M61) + piece) % M61
-                out_len += piece_len
-            piece = (piece * pow(self.base, piece_len, M61) + piece) % M61
-            piece_len *= 2
-            reps >>= 1
-        return out
-
 
 def concat_fp(base: int, fp_a: int, len_a: int, fp_b: int, len_b: int) -> int:
     """fp(A·B) from fp(A) and fp(B): fp(A)*base^|B| + fp(B) mod 2^61-1."""

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ContractError
 from .forest import OPEN, LabeledForest
 from .indexes import Run, compute_runs
 
@@ -119,8 +120,10 @@ def sync_reductions(F: LabeledForest, G: LabeledForest, k: int):
     parts_g: list[np.ndarray] = []
     i = 0
     for occ in occs:
-        assert occ.e >= 14 * k
-        assert occ.i >= i, "horizontal reduction sites must not overlap"
+        if occ.e < 14 * k:
+            raise ContractError("horizontal reduction site below 14k repetitions")
+        if occ.i < i:
+            raise ContractError("horizontal reduction sites must not overlap")
         parts_f.append(sf[i:occ.i])
         parts_g.append(sg[i:occ.i])
         i = occ.i + occ.p * (occ.e - 14 * k)

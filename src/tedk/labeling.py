@@ -3,7 +3,9 @@
 A joint labeling is a pair of per-forest symbol arrays drawn from one shared
 class space.  Look-ahead refinement gives two nodes the same class exactly
 when their depth-limited labeled subtrees print the same string (realized by
-Karp-Rabin fingerprints of fragment concatenations, one shared random base);
+Karp-Rabin fingerprints of fragment concatenations, one shared random base;
+the fragments are cut at each node's descendants d levels below, found for all
+nodes at once by one sort and one binary search, `forest.last_at_level`);
 compatibility refinement merges nodes reachable through chains of
 cross-forest pairs whose parenthesis positions lie within a window w.
 """
@@ -16,8 +18,8 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .alignment import Alignment, eval_alignment
-from .forest import LabeledForest, OPEN, group_by_depth
+from .errors import ContractError
+from .forest import LabeledForest, OPEN, last_at_level
 from .hashing import M61, HashedSeq, concat_fp, mulmod_vec
 
 
@@ -53,28 +55,15 @@ def _level_descendant_cuts(F: LabeledForest, d: int):
     """For each node v: pre-order list of descendants exactly d levels below.
 
     Returns (owner, node) arrays sorted by (owner, node); owner lists realize
-    the ancestor-array traversal without recursion.
+    the ancestor-array traversal without recursion.  Each node's owner is its
+    ancestor d levels up, from one `last_at_level` query.
     """
-    depth = F.depth
-    maxd = int(depth.max()) + 1 if F.n else 0
-    owners = []
-    members = []
-    if maxd > d:
-        by_depth = group_by_depth(depth)
-        for t in range(d, maxd):
-            nodes = by_depth[t]
-            if len(nodes) == 0:
-                continue
-            pool = by_depth[t - d]
-            anc = pool[np.searchsorted(pool, nodes) - 1]
-            owners.append(anc)
-            members.append(nodes)
-    if not owners:
+    if F.height() <= d:
         e = np.empty(0, dtype=np.int64)
         return e, e.copy()
-    owner = np.concatenate(owners)
-    member = np.concatenate(members)
-    order = np.lexsort((member, owner))
+    member = np.flatnonzero(F.depth >= d)
+    owner = last_at_level(F.depth, F.depth[member] - d, member)
+    order = np.argsort(owner, kind="stable")
     return owner[order], member[order]
 
 
@@ -153,7 +142,8 @@ def lookahead_refine(F: LabeledForest, G: LabeledForest, lab: JointLabeling,
                             _subtree_fingerprints(G, codes_g, d, base2))
         if not (refines(out, out2) and refines(out2, out)):
             raise AssertionError("fingerprint collision detected in look-ahead classes")
-    assert refines(out, lab) or F.n + G.n == 0
+    if not refines(out, lab):
+        raise ContractError("look-ahead classes do not refine the input labeling")
     return out
 
 
@@ -193,31 +183,6 @@ def compat_refine(F: LabeledForest, G: LabeledForest, lab: JointLabeling,
     _, comp = connected_components(graph, directed=False)
     comp = comp.astype(np.int64)
     out = JointLabeling(comp[:nf], comp[nf:])
-    assert refines(out, lab) or total == 0
+    if not refines(out, lab):
+        raise ContractError("compatibility classes do not refine the input labeling")
     return out
-
-
-def alignment_forest_cost(A: Alignment, F: LabeledForest, G: LabeledForest,
-                          lab: JointLabeling) -> float:
-    """Cost of A read on the `lab`-refined prints, in tree-edit units (ed/2)."""
-    stats = eval_alignment(A, F.paren(lab.f).codes, G.paren(lab.g).codes)
-    return stats.cost / 2
-
-
-def lookahead_cost_bound_check(F: LabeledForest, G: LabeledForest,
-                               lab: JointLabeling, d: int, A: Alignment,
-                               base: int) -> bool:
-    """Refined cost of a tree alignment is at most d times the base cost."""
-    refined = lookahead_refine(F, G, lab, d, base)
-    return (alignment_forest_cost(A, F, G, refined)
-            <= d * alignment_forest_cost(A, F, G, lab))
-
-
-def compat_cost_equal_check(F: LabeledForest, G: LabeledForest,
-                            lab: JointLabeling, w: int, A: Alignment) -> bool:
-    """Width-<=w alignments cost the same under the w-compatibility classes."""
-    if A.width() > w:
-        raise ValueError("alignment width exceeds w")
-    refined = compat_refine(F, G, lab, w)
-    return (alignment_forest_cost(A, F, G, refined)
-            == alignment_forest_cost(A, F, G, lab))

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CrossingMatchingError
-from .forest import CLOSE, LabeledForest, LabelInterner
+from .errors import ContractError, CrossingMatchingError
+from .forest import CLOSE, LabeledForest, LabelInterner, last_at_level
 
 
 def as_matching(M) -> np.ndarray:
@@ -46,36 +46,38 @@ def validate_matching(F: LabeledForest, G: LabeledForest, M) -> np.ndarray:
     return M
 
 
+def _leaves(F: LabeledForest, nodes: np.ndarray) -> bool:
+    return bool((F.c[nodes] == F.o[nodes] + 1).all())
+
+
+def _complement(n: int, drop: np.ndarray) -> np.ndarray:
+    """Sorted ids in [0, n) not in `drop` (a boolean mask, O(n))."""
+    keep = np.ones(n, dtype=bool)
+    keep[drop] = False
+    return np.flatnonzero(keep)
+
+
 def _marked_class(F: LabeledForest, marked: np.ndarray) -> np.ndarray:
     """class_of[u]: 0 if u has no marked proper ancestor, else 1 + the index
     (into `marked`, in the given order) of the nearest marked proper ancestor.
+
+    Ranked in pre-order, the marked nodes form a sequence whose level is the
+    marked nesting depth; u's nearest marked ancestor is the last marked node
+    before u one marked level above u (`last_at_level`).
     """
     n = F.n
     cls = np.zeros(n, dtype=np.int64)
-    m = len(marked)
-    if m == 0 or n == 0:
+    if len(marked) == 0 or n == 0:
         return cls
-    mo = np.sort(F.o[marked])
-    mc = np.sort(F.c[marked])
+    rank = np.argsort(marked, kind="stable")
+    ranked = marked[rank]
     # number of marked proper ancestors of u = marked intervals open at o(u)
-    opens_before = np.searchsorted(mo, F.o)
-    closes_before = np.searchsorted(mc, F.o)
+    opens_before = np.searchsorted(ranked, np.arange(n))
+    closes_before = np.searchsorted(np.sort(F.c[marked]), F.o)
     md = opens_before - closes_before
-    # marked nesting depth of each marked node (proper ancestors only)
-    md_marked = md[marked]
-    index_of = np.empty(n, dtype=np.int64)
-    index_of[marked] = np.arange(m)
-    for level in range(int(md_marked.max()) + 1 if m else 0):
-        nodes = np.flatnonzero(md == level + 1)
-        if len(nodes) == 0:
-            continue
-        anc_pool = marked[md_marked == level]
-        pool_o = F.o[anc_pool]
-        order = np.argsort(pool_o)
-        anc_pool = anc_pool[order]
-        pool_o = pool_o[order]
-        at = np.searchsorted(pool_o, F.o[nodes], side="right") - 1
-        cls[nodes] = index_of[anc_pool[at]] + 1
+    nodes = np.flatnonzero(md > 0)
+    at = last_at_level(md[ranked], md[nodes] - 1, opens_before[nodes])
+    cls[nodes] = rank[at] + 1
     return cls
 
 
@@ -136,10 +138,10 @@ def reduce_height(F: LabeledForest, G: LabeledForest, M,
         np.stack([newf[M[:, 0]], newg[M[:, 1]]], axis=1),
         np.stack([seps_f, seps_g], axis=1),
     ])
-    assert F2.n == F.n + m and G2.n == G.n + m
-    # matched nodes must now all be leaves
-    assert (F2.c[M2[:, 0]] == F2.o[M2[:, 0]] + 1).all()
-    assert (G2.c[M2[:, 1]] == G2.o[M2[:, 1]] + 1).all()
+    if F2.n != F.n + m or G2.n != G.n + m:
+        raise ContractError("reduce_height must add one separator per pair")
+    if not (_leaves(F2, M2[:, 0]) and _leaves(G2, M2[:, 1])):
+        raise ContractError("reduce_height left a matched node with children")
     return F2, G2, M2
 
 
@@ -149,8 +151,7 @@ def prune_redundant(F: LabeledForest, G: LabeledForest, M):
     The surviving matching satisfies |M'| <= (2/5)(|F'| + |G'| + 1).
     """
     M = as_matching(M)
-    if len(M) and not ((F.c[M[:, 0]] == F.o[M[:, 0]] + 1).all()
-                       and (G.c[M[:, 1]] == G.o[M[:, 1]] + 1).all()):
+    if not (_leaves(F, M[:, 0]) and _leaves(G, M[:, 1])):
         raise ValueError("prune_redundant needs a leaves-only matching")
     if len(M) == 0:
         return F, G, M
@@ -172,8 +173,8 @@ def prune_redundant(F: LabeledForest, G: LabeledForest, M):
     else:
         drop_f = M[redundant, 0]
         drop_g = M[redundant, 1]
-        keep_f = np.setdiff1d(np.arange(F.n), drop_f)
-        keep_g = np.setdiff1d(np.arange(G.n), drop_g)
+        keep_f = _complement(F.n, drop_f)
+        keep_g = _complement(G.n, drop_g)
         F2 = F.induced(keep_f)
         G2 = G.induced(keep_g)
         remap_f = np.full(F.n, -1, dtype=np.int64)
@@ -182,7 +183,8 @@ def prune_redundant(F: LabeledForest, G: LabeledForest, M):
         remap_g[keep_g] = np.arange(len(keep_g))
         kept = M[~redundant]
         M2 = np.stack([remap_f[kept[:, 0]], remap_g[kept[:, 1]]], axis=1)
-    assert 5 * len(M2) <= 2 * (F2.n + G2.n + 1)
+    if 5 * len(M2) > 2 * (F2.n + G2.n + 1):
+        raise ContractError("pruned matching exceeds (2/5)(|F'| + |G'| + 1)")
     return F2, G2, M2
 
 
@@ -193,8 +195,7 @@ def gadget(F: LabeledForest, G: LabeledForest, M, k: int,
     m = len(M)
     if m == 0:
         return F, G
-    if not ((F.c[M[:, 0]] == F.o[M[:, 0]] + 1).all()
-            and (G.c[M[:, 1]] == G.o[M[:, 1]] + 1).all()):
+    if not (_leaves(F, M[:, 0]) and _leaves(G, M[:, 1])):
         raise ValueError("gadget needs a leaves-only matching")
     slots = k + 1
     base = interner.fresh_block(m * slots, "gad")
@@ -218,8 +219,10 @@ def gadget(F: LabeledForest, G: LabeledForest, M, k: int,
 
     F2 = attach(F, M[:, 0])
     G2 = attach(G, M[:, 1])
-    assert F2.n == F.n + slots * m and G2.n == G.n + slots * m
-    assert F2.height() <= F.height() + 1 and G2.height() <= G.height() + 1
+    if F2.n != F.n + slots * m or G2.n != G.n + slots * m:
+        raise ContractError("gadget must add k+1 children per pair")
+    if F2.height() > F.height() + 1 or G2.height() > G.height() + 1:
+        raise ContractError("gadget raised a forest's height by more than 1")
     return F2, G2
 
 

@@ -17,6 +17,7 @@ from math import gcd
 
 import numpy as np
 
+from .errors import ContractError
 from .forest import LabeledForest
 from .indexes import LcaIndex, OrsIndex
 from .horizontal import filter_runs
@@ -75,13 +76,15 @@ def compute_q(F: LabeledForest, k: int):
         opens = span[is_open[r.i:r.j]]
         good = opens[(r.j - opens) >= need * r.p]
         if len(good):
-            assert (end_arr[good] == good).all(), "position anchored twice"
+            if (end_arr[good] != good).any():
+                raise ContractError("position anchored twice")
             q_arr[good] = r.p
             end_arr[good] = r.j
         closes = span[~is_open[r.i:r.j]]
         good = closes[(closes - (r.i - 1)) >= need * r.p]
         if len(good):
-            assert (end_arr[good] == good).all(), "position anchored twice"
+            if (end_arr[good] != good).any():
+                raise ContractError("position anchored twice")
             q_arr[good] = r.p
             end_arr[good] = r.i - 1
     return q_arr, end_arr
@@ -122,7 +125,8 @@ def compute_contexts(F: LabeledForest, k: int) -> list[ContextOcc]:
         if lca is None:
             lca = LcaIndex(F)
         vstar = lca.lca(int(node_at[pl]), int(node_at[pr]))
-        assert vstar is not None
+        if vstar is None:
+            raise ContractError("context power endpoints have no common ancestor")
         e = min((j_l - ou) // cl_len,
                 (cu - j_r) // cr_len,
                 (cu - ou + 1) // (cl_len + cr_len),
@@ -210,8 +214,10 @@ def vert_sync_reductions(F: LabeledForest, G: LabeledForest, k: int):
     parts_g: list[np.ndarray] = []
     i_f = i_g = 0
     for (lf, lg, q, e) in sites:
-        assert e >= 14 * k
-        assert lf >= i_f and lg >= i_g, "vertical reduction sites must not overlap"
+        if e < 14 * k:
+            raise ContractError("vertical reduction site below 14k layers")
+        if lf < i_f or lg < i_g:
+            raise ContractError("vertical reduction sites must not overlap")
         parts_f.append(sf[i_f:lf])
         parts_g.append(sg[i_g:lg])
         i_f = lf + q * (e - 14 * k)

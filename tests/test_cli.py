@@ -105,6 +105,17 @@ def test_malformed_json_exits_2(tmp_path, capsys):
         assert "parse error" in err and "Traceback" not in err
 
 
+def test_bad_json_label_exits_2(tmp_path, capsys):
+    ok = tmp_path / "ok.json"
+    ok.write_text('[{"label": "a"}]\n')
+    bad = tmp_path / "space.json"
+    bad.write_text('[{"label": "a b"}]\n')
+    code, out, err = run_cli(capsys, "compute", str(bad), str(ok),
+                             "--k", "1", "--format", "json")
+    assert code == 2 and out == ""
+    assert "bad label token" in err and "Traceback" not in err
+
+
 def test_bench_csv(tmp_path, capsys):
     a = tmp_path / "a.paren"
     run_cli(capsys, "gen", "--n", "50", "--height", "4", "--sigma", "2",

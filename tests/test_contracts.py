@@ -1,0 +1,78 @@
+"""Internal contracts are explicit checks that raise ContractError.
+
+Each test breaks one producer so that a contract no longer holds and checks
+that the consumer reports it; the checks are plain `if`/`raise`, so they run
+under ``python -O`` too.
+"""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import tedk
+import tedk.horizontal
+import tedk.labeling
+import tedk.partial
+import tedk.vertical
+from tedk.errors import ContractError
+from tedk.horizontal import HSyncOcc, sync_reductions
+from tedk.labeling import JointLabeling, compat_refine, lookahead_refine
+from tedk.partial import reduce_height
+from tedk.vertical import VertOcc, vert_sync_reductions
+
+from conftest import forest
+
+SRC = Path(tedk.__file__).parent
+
+
+def test_no_assert_statements_in_package():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "_naive.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_labeling_refines_contract(interner, monkeypatch):
+    F = forest("(a(b)(c))", interner)
+    lab = JointLabeling.base(F, F)
+    merged = np.zeros(F.n, dtype=np.int64)
+    monkeypatch.setattr(tedk.labeling, "_dense_joint",
+                        lambda fp_f, fp_g: JointLabeling(merged, merged))
+    with pytest.raises(ContractError):
+        lookahead_refine(F, F, lab, 2, 0x1234567)
+    monkeypatch.setattr(tedk.labeling, "connected_components",
+                        lambda graph, directed: (1, np.zeros(2 * F.n)))
+    with pytest.raises(ContractError):
+        compat_refine(F, F, lab, 2)
+
+
+def test_partial_leaf_contract(interner, monkeypatch):
+    # without the marked classes, a matched inner node keeps its children
+    F = forest("(a(b))", interner)
+    monkeypatch.setattr(tedk.partial, "_marked_class",
+                        lambda H, marked: np.zeros(H.n, dtype=np.int64))
+    with pytest.raises(ContractError):
+        reduce_height(F, F, [[0, 0]], interner)
+
+
+def test_horizontal_overlap_contract(interner, monkeypatch):
+    F = forest("(a)" * 60, interner)
+    sites = [HSyncOcc(10, 2, 14), HSyncOcc(4, 2, 14)]
+    monkeypatch.setattr(tedk.horizontal, "sync_occurrences",
+                        lambda F, G, k: sites)
+    with pytest.raises(ContractError):
+        sync_reductions(F, F, 1)
+
+
+def test_vertical_exponent_contract(interner, monkeypatch):
+    F = forest("(a" * 30 + ")" * 30, interner)
+    monkeypatch.setattr(tedk.vertical, "vert_periods",
+                        lambda F, G, k: [VertOcc(0, 0, 2, 2, 13)])
+    with pytest.raises(ContractError):
+        vert_sync_reductions(F, F, 1)

@@ -1,14 +1,18 @@
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tedk._naive import naive_positions
 from tedk.errors import LabelMismatchError, ParseError, UnbalancedError
-from tedk.forest import (CLOSE, OPEN, LabeledForest, LabelInterner,
-                         parse_json_text, parse_paren_text, serialize_json,
-                         serialize_paren)
+from tedk.forest import (CLOSE, OPEN, VIRTUAL_ROOT, LabeledForest,
+                         LabelInterner, last_at_level, parse_json_text,
+                         parse_paren_text, serialize_json, serialize_paren)
 from tedk.generate import alphabet, random_forest
 
-from conftest import forest
+from conftest import deep_chain, forest, stack_walk
 
 
 def test_parse_single_node(interner):
@@ -124,6 +128,76 @@ def test_json_round_trip(interner, rng):
         assert again == F
     with pytest.raises(ParseError):
         parse_json_text('{"label": "a"}', interner)
+
+
+def test_json_labels_follow_paren_rule(interner):
+    for label in ("a b", "a(b)", "", "\u00e9", "$sep0", 1.5, "x-y"):
+        with pytest.raises(ParseError):
+            parse_json_text(json.dumps([{"label": label}]), interner)
+    F = parse_json_text('[{"label": "a_1", "children": [{"label": 7}]}]',
+                        interner)
+    assert serialize_paren(F, interner) == "(a_1(7))"
+
+
+_json_labels = st.one_of(st.from_regex(r"[A-Za-z0-9_]{1,3}", fullmatch=True),
+                         st.text(max_size=3), st.integers(-3, 30),
+                         st.booleans(), st.none())
+_json_forests = st.recursive(
+    st.just([]),
+    lambda kids: st.lists(st.fixed_dictionaries(
+        {"label": _json_labels, "children": kids}), max_size=3),
+    max_leaves=12)
+
+
+def _json_label_texts(trees):
+    for node in trees:
+        yield str(node["label"])
+        yield from _json_label_texts(node["children"])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_json_forests)
+def test_json_accepted_forests_round_trip_through_paren_text(trees):
+    interner = LabelInterner()
+    text = json.dumps(trees)
+    tokens_ok = all(re.fullmatch(r"[A-Za-z0-9_]+", t)
+                    for t in _json_label_texts(trees))
+    try:
+        F = parse_json_text(text, interner)
+    except ParseError:
+        assert not tokens_ok
+        return
+    assert tokens_ok
+    again = parse_paren_text(serialize_paren(F, interner), interner)
+    assert np.array_equal(again.codes, F.codes)
+
+
+def test_last_at_level_examples():
+    level = np.array([0, 1, 2, 1, 0, 1])
+    got = last_at_level(level, [0, 1, 1, 2, 0, 3, -1], [3, 3, 6, 6, 0, 6, 4])
+    assert got.tolist() == [0, 1, 5, 2, -1, -1, -1]
+    assert last_at_level(np.empty(0, dtype=np.int64), [0], [0]).tolist() == [-1]
+
+
+def _walk_parents(F):
+    parent = np.full(F.n, VIRTUAL_ROOT, dtype=np.int64)
+    for u, anc, _ in stack_walk(F.codes):
+        if anc:
+            parent[u] = anc[-1]
+    return parent
+
+
+def test_parent_matches_stack_walk(interner, rng):
+    syms = alphabet(interner, 3)
+    assert LabeledForest.from_codes([]).parent.tolist() == []
+    for _ in range(60):
+        F = random_forest(rng, int(rng.integers(1, 120)),
+                          int(rng.integers(1, 25)), syms,
+                          branch=float(rng.uniform(0.3, 0.95)))
+        assert np.array_equal(F.parent, _walk_parents(F))
+    F = deep_chain(rng, 20_200, syms)
+    assert F.height() == 20_200
+    assert np.array_equal(F.parent, _walk_parents(F))
 
 
 def test_children_and_roots(interner):

@@ -4,18 +4,38 @@ import pytest
 from tedk._naive import naive_compat_classes, optimal_tree_alignments, trimmed_print
 from tedk.alignment import Alignment, eval_alignment, is_greedy
 from tedk.generate import alphabet, apply_random_edits, random_forest
-from tedk.labeling import (JointLabeling, alignment_forest_cost,
-                           compat_cost_equal_check, compat_refine,
-                           lookahead_cost_bound_check, lookahead_refine,
-                           refines)
+from tedk.labeling import (JointLabeling, _level_descendant_cuts,
+                           compat_refine, lookahead_refine, refines)
 
-from conftest import forest
+from conftest import deep_chain, forest, stack_walk
 
 BASE = 0x1234567
 
 
 def same_partition(lab1, lab2):
     return refines(lab1, lab2) and refines(lab2, lab1)
+
+
+def alignment_forest_cost(A, F, G, lab):
+    """Cost of A read on the `lab`-refined prints, in tree-edit units (ed/2)."""
+    stats = eval_alignment(A, F.paren(lab.f).codes, G.paren(lab.g).codes)
+    return stats.cost / 2
+
+
+def lookahead_cost_bound_check(F, G, lab, d, A, base):
+    """Refined cost of a tree alignment is at most d times the base cost."""
+    refined = lookahead_refine(F, G, lab, d, base)
+    return (alignment_forest_cost(A, F, G, refined)
+            <= d * alignment_forest_cost(A, F, G, lab))
+
+
+def compat_cost_equal_check(F, G, lab, w, A):
+    """Width-<=w alignments cost the same under the w-compatibility classes."""
+    if A.width() > w:
+        raise ValueError("alignment width exceeds w")
+    refined = compat_refine(F, G, lab, w)
+    return (alignment_forest_cost(A, F, G, refined)
+            == alignment_forest_cost(A, F, G, lab))
 
 
 def test_lookahead_rejects_zero_depth(interner):
@@ -163,3 +183,24 @@ def test_optimum_alignment_greedy_under_full_lookahead(interner, rng):
         assert opts, "enumeration must find an optimum tree alignment"
         assert any(is_greedy(A, sf, sg) for A in opts)
         done += 1
+
+
+def _walk_cuts(F, d):
+    pairs = [(anc[-d], u) for u, anc, _ in stack_walk(F.codes) if len(anc) >= d]
+    pairs.sort()
+    return ([p[0] for p in pairs], [p[1] for p in pairs])
+
+
+def test_level_cuts_match_stack_walk(interner, rng):
+    syms = alphabet(interner, 3)
+    for _ in range(40):
+        F = random_forest(rng, int(rng.integers(0, 120)),
+                          int(rng.integers(1, 25)), syms,
+                          branch=float(rng.uniform(0.3, 0.95)))
+        for d in (1, 2, 3, 8, 16, F.height() + 1):
+            owner, member = _level_descendant_cuts(F, d)
+            assert (owner.tolist(), member.tolist()) == _walk_cuts(F, d)
+    F = deep_chain(rng, 20_200, syms)
+    for d in (1, 8, 16):
+        owner, member = _level_descendant_cuts(F, d)
+        assert (owner.tolist(), member.tolist()) == _walk_cuts(F, d)

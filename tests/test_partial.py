@@ -5,10 +5,10 @@ from tedk._naive import ted_brute_constrained
 from tedk.errors import CrossingMatchingError
 from tedk.generate import alphabet, apply_random_edits, random_forest
 from tedk.oracle import INF, ted_constrained, ted_threshold
-from tedk.partial import (gadget, partial_reduce, prune_redundant,
-                          reduce_height, validate_matching)
+from tedk.partial import (_marked_class, gadget, partial_reduce,
+                          prune_redundant, reduce_height, validate_matching)
 
-from conftest import forest
+from conftest import deep_chain, forest, stack_walk
 
 
 def random_matching(rng, F, G, tries=4):
@@ -202,3 +202,26 @@ def test_partial_reduce_height_contract(interner, rng):
         if G2.height() > 2:
             assert longest_free_path(G, M[:, 1]) >= G2.height() - 2
         done += 1
+
+
+def _walk_marked_class(F, marked):
+    index_of = {int(v): i for i, v in enumerate(marked)}
+    cls = [0] * F.n
+    for u, _, marked_anc in stack_walk(F.codes, marked):
+        if marked_anc:
+            cls[u] = index_of[marked_anc[-1]] + 1
+    return cls
+
+
+def test_marked_class_matches_stack_walk(interner, rng):
+    syms = alphabet(interner, 3)
+    for _ in range(60):
+        F = random_forest(rng, int(rng.integers(0, 120)),
+                          int(rng.integers(1, 25)), syms,
+                          branch=float(rng.uniform(0.3, 0.95)))
+        for m in (0, 1, int(rng.integers(0, F.n + 1)), F.n):
+            marked = rng.permutation(F.n)[:m].astype(np.int64)
+            assert _marked_class(F, marked).tolist() == _walk_marked_class(F, marked)
+    F = deep_chain(rng, 20_200, syms)
+    marked = rng.permutation(F.n)[:F.n // 3].astype(np.int64)
+    assert _marked_class(F, marked).tolist() == _walk_marked_class(F, marked)
