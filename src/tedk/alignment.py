@@ -96,9 +96,6 @@ class AlignmentStats:
     def match_set(self) -> set[tuple[int, int]]:
         return set(map(tuple, self.matches.tolist()))
 
-    def breakpoint_set(self) -> set[tuple[int, int]]:
-        return set(map(tuple, self.breakpoints.tolist()))
-
 
 def _match_mask(A: Alignment, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """mask over elements t in [0..m): step t is a match."""

@@ -58,6 +58,15 @@ def _fmt_value(v) -> str:
     return "INF" if v == INF else str(int(v))
 
 
+def _rounds(raw: str) -> int | str:
+    """--rounds value: 'auto' or an integer >= 1 (else a usage error)."""
+    if raw == "auto":
+        return raw
+    if not raw.isdigit() or int(raw) < 1:
+        raise argparse.ArgumentTypeError("expected 'auto' or an integer >= 1")
+    return int(raw)
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="tedk", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -65,7 +74,7 @@ def _build_parser() -> _Parser:
     def common(sp):
         sp.add_argument("--k", type=int, required=True)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--rounds", default="auto")
+        sp.add_argument("--rounds", type=_rounds, default="auto")
         sp.add_argument("--format", choices=("paren", "json"), default="paren")
         sp.add_argument("--threads", type=int, default=1)
 
@@ -108,15 +117,6 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _rounds_arg(raw) -> int | str:
-    if raw == "auto":
-        return "auto"
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(EXIT_USAGE)
-
-
 def _cmd_compute(args, exact_only: bool) -> int:
     interner = LabelInterner()
     if args.k < 0:
@@ -140,8 +140,7 @@ def _cmd_compute(args, exact_only: bool) -> int:
         if args.k == 0:
             value = ted_threshold(F, G, 0)
         else:
-            cfg = EngineConfig(k=args.k, seed=args.seed,
-                               rounds=_rounds_arg(args.rounds),
+            cfg = EngineConfig(k=args.k, seed=args.seed, rounds=args.rounds,
                                threads=args.threads)
             rep = engine_run(F, G, cfg, interner)
             value, rounds_run = rep.value, rep.rounds
@@ -197,8 +196,8 @@ def _cmd_bench(args) -> int:
     except (ParseError, OSError) as exc:
         sys.stderr.write(f"tedk: parse error: {exc}\n")
         return EXIT_PARSE
-    cfg = EngineConfig(k=args.k, seed=args.seed,
-                       rounds=_rounds_arg(args.rounds), threads=args.threads)
+    cfg = EngineConfig(k=args.k, seed=args.seed, rounds=args.rounds,
+                       threads=args.threads)
     t0 = time.perf_counter()
     rep = engine_run(F, G, cfg, interner)
     wall = 1e3 * (time.perf_counter() - t0)

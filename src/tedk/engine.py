@@ -44,7 +44,10 @@ class EngineConfig:
     def num_rounds(self, n_total: int) -> int:
         if self.rounds == "auto":
             return math.ceil(6 * math.log2(n_total + 4))
-        return int(self.rounds)
+        rounds = int(self.rounds)
+        if rounds < 1:
+            raise ValueError("rounds must be 'auto' or >= 1")
+        return rounds
 
 
 @dataclass

@@ -9,7 +9,9 @@ construction and safe to share across threads.
 
 Level ancestors (the parent, the ancestor d levels up, the nearest marked
 ancestor) all come from one stable sort and one binary search,
-`last_at_level`, with no loop over depths.
+`last_at_level`, with no loop over depths.  Likewise every parenthesis
+pairing in the package (forest construction, text parsing, the rotation test
+of horizontal periods) goes through `_pair_parens`.
 """
 
 from __future__ import annotations
@@ -202,23 +204,6 @@ class LabeledForest:
         """
         return LabeledForest(np.asarray(codes, dtype=np.int64))
 
-    @staticmethod
-    def from_nested(trees: list, interner: LabelInterner) -> "LabeledForest":
-        """Build from nested (label_text, [children...]) pairs (tests, JSON)."""
-        codes: list[int] = []
-        stack = [(t, False) for t in reversed(trees)]
-        while stack:
-            node, closing = stack.pop()
-            text, children = node
-            sym = interner.intern(text)
-            if closing:
-                codes.append((sym << 1) | 1)
-                continue
-            codes.append(sym << 1)
-            stack.append((node, True))
-            stack.extend((ch, False) for ch in reversed(children))
-        return LabeledForest.from_codes(np.asarray(codes, dtype=np.int64))
-
     # -- derived indexes ----------------------------------------------------
 
     @property
@@ -345,6 +330,10 @@ def parse_paren_text(text: str, interner: LabelInterner) -> LabeledForest:
     """Parse ``Forest := Tree*``, ``Tree := "(" label Forest ")"``.
 
     Labels are tokens matching [A-Za-z0-9_]+; whitespace separates siblings.
+    Checks run in this order, and the first that fails names the error:
+    token grammar (`ParseError`), a dangling "(" at the end
+    (`UnbalancedError`), label tokens (`ParseError`), nesting
+    (`UnbalancedError`).
     """
     toks = np.array(text.replace("(", " ( ").replace(")", " ) ").split(),
                     dtype=object)
@@ -372,25 +361,13 @@ def parse_paren_text(text: str, interner: LabelInterner) -> LabeledForest:
         syms = lut[inverse]
     else:
         syms = np.empty(0, dtype=np.int64)
+    # pair on the sides alone, then copy each open's label to its close
     sides = is_close[~is_label].astype(np.int64)
-    n_parens = len(sides)
-    # opening parens take their following label's symbol; closes get filled
-    # from the matching open by the constructor-level pairing
-    opens_mask = sides == 0
-    if int(opens_mask.sum()) != len(syms):
-        raise UnbalancedError("mismatched parenthesis count")
-    codes = np.empty(n_parens, dtype=np.int64)
-    codes[opens_mask] = syms << 1
-    # temporary close labels: resolve via the skeleton pairing
-    delta = 1 - 2 * sides
-    E = np.cumsum(delta)
-    if len(E) and (E[-1] != 0 or E.min() < 0):
-        raise UnbalancedError("mismatched parenthesis depth")
-    level = E + sides
-    order = np.argsort(level, kind="stable")
-    po, pc = order[0::2], order[1::2]
-    codes[pc] = codes[po] | 1
-    return LabeledForest(codes)
+    o, c, depth = _pair_parens(sides)
+    codes = np.empty(len(sides), dtype=np.int64)
+    codes[o] = syms << 1
+    codes[c] = (syms << 1) | 1
+    return LabeledForest(codes, (o, c, depth))
 
 
 def serialize_paren(F: LabeledForest, interner: LabelInterner) -> str:

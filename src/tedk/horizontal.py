@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
-from .forest import OPEN, LabeledForest
+from .errors import ContractError, ParseError
+from .forest import LabeledForest, _pair_parens
 from .indexes import Run, compute_runs
 
 
@@ -41,33 +41,18 @@ def min_balance_rotations(codes: np.ndarray) -> int | None:
     """Minimal forward rotations making the string a balanced,
     label-consistent parenthesis sequence; None if impossible.
 
-    One stack pass finds the last closing parenthesis that would be
-    unmatched; rotating just past it is the only candidate.
+    Rotating just past the first minimum of the prefix balance (0 when it
+    never drops below 0) is the smallest rotation whose balance stays >= 0:
+    an earlier cut leaves that minimum's unmatched close in front.  Every
+    such rotation pairs the same parentheses, so `_pair_parens` on this one
+    decides.
     """
     codes = np.asarray(codes, dtype=np.int64)
-    n = len(codes)
-    if n == 0:
-        return 0
-    last_unmatched_close = -1
-    depth = 0
-    for p in range(n):
-        if codes[p] & 1 == OPEN:
-            depth += 1
-        elif depth == 0:
-            last_unmatched_close = p
-        else:
-            depth -= 1
-    r = last_unmatched_close + 1
-    rotated = np.concatenate([codes[r:], codes[:r]])
-    sides = rotated & 1
-    delta = 1 - 2 * sides
-    E = np.cumsum(delta)
-    if E[-1] != 0 or E.min() < 0:
-        return None
-    level = E + sides
-    order = np.argsort(level, kind="stable")
-    po, pc = order[0::2], order[1::2]
-    if not np.array_equal(rotated[po] >> 1, rotated[pc] >> 1):
+    E = np.cumsum(1 - 2 * (codes & 1))
+    r = int(np.argmin(E)) + 1 if len(E) and E.min() < 0 else 0
+    try:
+        _pair_parens(np.concatenate([codes[r:], codes[:r]]))
+    except ParseError:
         return None
     return r
 

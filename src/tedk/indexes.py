@@ -7,6 +7,10 @@ while keeping the smallest detected period gives exactly the runs (for an
 interval of exponent >= 2 the smallest period divides every other detected
 period, so it is found at its own scan step).  The reduction pipeline only
 ever needs periods up to 4k, where this is O(nk) on numpy arrays.
+
+The orthogonal range successor keeps each key's points sorted by x and scans
+a query's x-window; its one caller asks only for windows of at most 4k+1
+points, so a query costs O(k) plus two binary searches, with no tree.
 """
 
 from __future__ import annotations
@@ -129,63 +133,16 @@ class LcaIndex:
         return int(F.parent[self.tour[pos]])
 
 
-class _MergeSortTree:
-    """Static segment tree over x-sorted points; per-block y-sorted lists."""
-
-    def __init__(self, xs: np.ndarray, ys: np.ndarray):
-        order = np.argsort(xs, kind="stable")
-        self.xs = xs[order]
-        self.order = order
-        self.n = len(xs)
-        ys = ys[order]
-        idx = np.arange(self.n, dtype=np.int64)
-        self.levels: list[tuple[np.ndarray, np.ndarray]] = [(ys.copy(), idx)]
-        size = 1
-        while size < self.n:
-            size *= 2
-            prev_y, prev_i = self.levels[-1]
-            new_y = prev_y.copy()
-            new_i = prev_i.copy()
-            for start in range(0, self.n, size):
-                stop = min(start + size, self.n)
-                seg = np.argsort(prev_y[start:stop], kind="stable")
-                new_y[start:stop] = prev_y[start:stop][seg]
-                new_i[start:stop] = prev_i[start:stop][seg]
-            self.levels.append((new_y, new_i))
-
-    def min_y_in_rect(self, x_lo, x_hi, y_lo, y_hi) -> int | None:
-        """Original index of the min-y point with x in [x_lo..x_hi],
-        y in [y_lo..y_hi]; None if the rectangle is empty."""
-        lo = int(np.searchsorted(self.xs, x_lo, side="left"))
-        hi = int(np.searchsorted(self.xs, x_hi, side="right"))
-        best_y = None
-        best_i = None
-        pos = lo
-        while pos < hi:
-            lvl = 0
-            while (lvl + 1 < len(self.levels)
-                   and pos % (1 << (lvl + 1)) == 0
-                   and pos + (1 << (lvl + 1)) <= hi):
-                lvl += 1
-            size = 1 << lvl
-            ys, idx = self.levels[lvl]
-            at = pos + int(np.searchsorted(ys[pos:pos + size], y_lo, side="left"))
-            if at < pos + size and ys[at] <= y_hi:
-                if best_y is None or int(ys[at]) < best_y:
-                    best_y = int(ys[at])
-                    best_i = int(idx[at])
-            pos += size
-        if best_i is None:
-            return None
-        return int(self.order[best_i])
-
-
 class OrsIndex:
     """Orthogonal range successor over per-context point sets.
 
     Each key owns points (x=open position, y=close position) with attached
-    node ids and payloads; a query returns the point with minimal y inside
-    the rectangle, or None when the key is absent or the rectangle empty.
+    node ids and payloads, kept sorted by x.  A query cuts out the x-window
+    with two binary searches and returns the min-y point of that window
+    inside the y-window, or None when the key is absent or no point fits.
+    The cost is the window's size: `vertical.vert_periods` puts one point per
+    node of G, so the x values are distinct opening positions and its
+    x-windows of width 4k+1 hold at most 4k+1 points.
     """
 
     def __init__(self) -> None:
@@ -203,8 +160,8 @@ class OrsIndex:
             by_key.setdefault(key, []).append(t)
         for key, members in by_key.items():
             sel = np.asarray(members, dtype=np.int64)
-            tree = _MergeSortTree(xs[sel], ys[sel])
-            idx._groups[key] = (tree, nodes[sel], payloads[sel])
+            sel = sel[np.argsort(xs[sel], kind="stable")]
+            idx._groups[key] = (xs[sel], ys[sel], nodes[sel], payloads[sel])
         return idx
 
     def query(self, key, x_lo: int, x_hi: int, y_lo: int, y_hi: int):
@@ -212,8 +169,12 @@ class OrsIndex:
         group = self._groups.get(key)
         if group is None:
             return None
-        tree, nodes, payloads = group
-        at = tree.min_y_in_rect(x_lo, x_hi, y_lo, y_hi)
-        if at is None:
+        xs, ys, nodes, payloads = group
+        lo = int(np.searchsorted(xs, x_lo, side="left"))
+        hi = int(np.searchsorted(xs, x_hi, side="right"))
+        win = ys[lo:hi]
+        fits = np.flatnonzero((win >= y_lo) & (win <= y_hi))
+        if len(fits) == 0:
             return None
+        at = lo + int(fits[np.argmin(win[fits])])
         return int(nodes[at]), int(payloads[at])

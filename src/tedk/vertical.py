@@ -6,8 +6,12 @@ level.  Detection anchors small-period high-exponent runs at each node's
 opening and closing parenthesis, derives the context period from the depth
 deltas, clips the exponent by run lengths, the subtree size, and the
 divergence point (LCA of the two run endpoints), then pairs occurrences
-across the forests with orthogonal-range-successor queries.  Reduction cuts
-matching layers down to 14k repetitions on both sides at once.
+across the forests with orthogonal-range-successor queries: each F
+occurrence takes the equal-context G occurrence of least closing position
+among those whose opening and closing positions both lie within 2k of its
+own.  The openings are distinct, so the opening window holds at most 4k+1
+G nodes (`indexes.OrsIndex` scans it).  Reduction cuts matching layers down
+to 14k repetitions on both sides at once.
 """
 
 from __future__ import annotations
@@ -21,20 +25,6 @@ from .errors import ContractError
 from .forest import LabeledForest
 from .indexes import LcaIndex, OrsIndex
 from .horizontal import filter_runs
-
-
-@dataclass(frozen=True)
-class QEntry:
-    """Per-position anchor: period and endpoint of the dominant run.
-
-    For an opening parenthesis the endpoint is the exclusive run end to the
-    right; for a closing parenthesis it is the position just before the run
-    start to the left.  The default (q=1, endpoint=own position) means no
-    qualifying run is anchored there.
-    """
-
-    q: int
-    endpoint: int
 
 
 @dataclass(frozen=True)

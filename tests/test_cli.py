@@ -32,6 +32,8 @@ def test_compute_inf_and_k0(tmp_path, capsys):
     b.write_text("(y)\n")
     code, out, _ = run_cli(capsys, "compute", str(a), str(b), "--k", "0")
     assert code == 0 and out.split("\t")[0] == "INF"
+    code, out, _ = run_cli(capsys, "compute", str(a), str(a), "--k", "0")
+    assert code == 0 and out.split("\t")[0] == "0"
     code, out, _ = run_cli(capsys, "compute", str(a), str(b), "--k", "1")
     assert code == 0 and out.split("\t")[0] == "1"
 
@@ -63,6 +65,23 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 3
     code, _, _ = run_cli(capsys, "nonsense")
     assert code == 3
+
+
+def test_rounds_flag_is_auto_or_positive(tmp_path, capsys):
+    a = tmp_path / "a.paren"
+    a.write_text("(a(b))\n")
+    for cmd in ("compute", "oracle", "bench"):
+        for bad in ("0", "-3", "x", ""):
+            code, out, err = run_cli(capsys, cmd, str(a), str(a), "--k", "1",
+                                     "--rounds", bad)
+            assert code == 3 and out == "" and "--rounds" in err
+    code, out, _ = run_cli(capsys, "compute", str(a), str(a), "--k", "1",
+                           "--rounds", "2")
+    assert code == 0 and out.split("\t")[0] == "0"
+
+
+def test_selftest_quick(capsys):
+    assert main(["selftest", "--level", "quick"]) == 0
 
 
 def test_compute_deterministic_output(tmp_path, capsys):

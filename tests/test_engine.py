@@ -126,6 +126,22 @@ def test_threads_smoke(interner, rng):
     assert one.value == two.value and one.kept == two.kept
 
 
+def test_rounds_below_one_rejected(interner, rng):
+    # zero sampling rounds would answer INF without looking at the forests
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            EngineConfig(k=1, rounds=bad).num_rounds(100)
+    assert EngineConfig(k=1, rounds=3).num_rounds(100) == 3
+    syms = alphabet(interner, 2)
+    F = random_forest(rng, 25, 10, syms, branch=0.85)
+    G = apply_random_edits(rng, F, 1, syms)
+    hcap = max(2, min(F.height(), G.height()) - 1)
+    assert run(F, G, EngineConfig(k=1, rounds=2, height_cap=hcap),
+               interner).rounds == 2  # the sampling path
+    with pytest.raises(ValueError):
+        run(F, G, EngineConfig(k=1, rounds=0, height_cap=hcap), interner)
+
+
 def test_audit_mode_sweep(interner, rng):
     # the dual-fingerprint collision audit stays silent on honest runs
     syms = alphabet(interner, 2)

@@ -37,6 +37,99 @@ def test_parse_unbalanced(interner):
         forest("(a(b) x)", interner)
 
 
+TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
+def stack_parse(text):
+    """Reference paren-text parser: a token scan, then a stack walk.
+
+    Returns (o, c, depth, label text per position) or raises the error class
+    of `parse_paren_text`, checking in its documented order: token grammar,
+    a dangling "(" at the end, label tokens, nesting.
+    """
+    toks = TOKEN.findall(text)
+    for t, tok in enumerate(toks):
+        if (tok not in ("(", ")")) != (t > 0 and toks[t - 1] == "("):
+            raise ParseError(f"unexpected token {tok!r}")
+    if toks and toks[-1] == "(":
+        raise UnbalancedError("dangling '('")
+    for tok in toks:
+        if tok not in ("(", ")") and not re.fullmatch(r"[A-Za-z0-9_]+", tok):
+            raise ParseError(f"bad label {tok!r}")
+    o, c, depth, labels, stack = [], [], [], [], []
+    for t, tok in enumerate(toks):
+        if tok == "(":
+            stack.append(len(o))
+            depth.append(len(stack) - 1)
+            o.append(len(labels))
+            c.append(-1)
+            labels.append(toks[t + 1])
+        elif tok == ")":
+            if not stack:
+                raise UnbalancedError("unmatched ')'")
+            u = stack.pop()
+            c[u] = len(labels)
+            labels.append(labels[o[u]])
+    if stack:
+        raise UnbalancedError("unclosed '('")
+    return o, c, depth, labels
+
+
+def random_token_text(rng, interner, syms):
+    """Paren text from random tokens, or a random forest with up to three
+    token edits (delete, insert, swap); labels include invalid ones."""
+    pool = ["(", ")", "(", ")", "a", "b", "x_1", "Z9", "a-b", "\u00e9", "$x"]
+    if rng.random() < 0.4:
+        toks = [pool[i] for i in rng.integers(len(pool),
+                                               size=int(rng.integers(0, 12)))]
+    else:
+        F = random_forest(rng, int(rng.integers(0, 12)), 4, syms)
+        toks = TOKEN.findall(serialize_paren(F, interner))
+        for _ in range(int(rng.integers(0, 4))):
+            kind, at = int(rng.integers(3)), int(rng.integers(len(toks) + 1))
+            if kind == 1 or not toks:
+                toks.insert(at, pool[int(rng.integers(len(pool)))])
+            elif kind == 0:
+                del toks[min(at, len(toks) - 1)]
+            else:
+                b = int(rng.integers(len(toks)))
+                a = min(at, len(toks) - 1)
+                toks[a], toks[b] = toks[b], toks[a]
+    seps = ["", " ", "\n", " \t"]
+    text = ""
+    for t, tok in enumerate(toks):
+        text += tok
+        if t + 1 < len(toks):
+            words = tok not in ("(", ")") and toks[t + 1] not in ("(", ")")
+            text += seps[int(rng.integers(1 if words else 0, len(seps)))]
+    return text
+
+
+def test_parse_matches_stack_parser(rng):
+    gen = LabelInterner()
+    syms = alphabet(gen, 3)
+    seen = set()
+    for _ in range(3000):
+        text = random_token_text(rng, gen, syms)
+        it = LabelInterner()
+        try:
+            want = stack_parse(text)
+        except ParseError as exc:
+            want = type(exc)
+        try:
+            F = parse_paren_text(text, it)
+            F.validate()
+            got = (F.o.tolist(), F.c.tolist(), F.depth.tolist(),
+                   [it.text(s) for s in (F.codes >> 1).tolist()])
+            assert (F.codes[F.o] & 1 == OPEN).all()
+            assert (F.codes[F.c] & 1 == CLOSE).all()
+        except ParseError as exc:
+            got = type(exc)
+        assert got == want, text
+        seen.add(want if isinstance(want, type) else "forest")
+    assert seen == {"forest", ParseError, UnbalancedError}
+
+
 def test_label_mismatch_from_codes(interner):
     a = interner.intern("a")
     b = interner.intern("b")

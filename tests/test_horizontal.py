@@ -44,6 +44,49 @@ def test_sigma_examples(interner):
     assert min_balance_rotations(enc("(]", interner)) is None
 
 
+def stack_balance_rotations(codes):
+    """Reference for `min_balance_rotations`: one stack pass finds the last
+    unmatched close; rotate just past it, then pair with a stack."""
+    codes = np.asarray(codes, dtype=np.int64).tolist()
+    last_unmatched_close = -1
+    depth = 0
+    for p, code in enumerate(codes):
+        if code & 1 == 0:
+            depth += 1
+        elif depth == 0:
+            last_unmatched_close = p
+        else:
+            depth -= 1
+    r = last_unmatched_close + 1
+    stack = []
+    for code in codes[r:] + codes[:r]:
+        if code & 1 == 0:
+            stack.append(code)
+        elif not stack or stack.pop() != code - 1:
+            return None
+    return None if stack else r
+
+
+def test_min_balance_rotations_match_stack_pass(interner, rng):
+    syms = alphabet(interner, 3)
+    found = 0
+    for _ in range(2000):
+        if rng.random() < 0.5:
+            m = int(rng.integers(0, 13))
+            codes = (rng.integers(0, 2, m) << 1) | rng.integers(0, 2, m)
+        else:
+            codes = random_forest(rng, int(rng.integers(0, 10)), 4,
+                                  syms).paren().codes
+            if len(codes):
+                codes = np.roll(codes, int(rng.integers(len(codes))))
+                if rng.random() < 0.3:
+                    codes[int(rng.integers(len(codes)))] ^= 2
+        want = stack_balance_rotations(codes)
+        assert min_balance_rotations(codes) == want, codes.tolist()
+        found += want is not None
+    assert 500 < found < 1900
+
+
 def test_sync_occurrences_identical_aperiodic(interner, rng):
     syms = alphabet(interner, 3)
     while True:

@@ -94,6 +94,37 @@ def test_ors_examples_and_oracle(rng):
                     ys[got[1]] == ys[want]  # ties broken arbitrarily
 
 
+def test_ors_distinct_x_windows_match_naive(rng):
+    # the shape of vertical.vert_periods' queries: distinct x (opening
+    # positions) and x-windows 4k+1 wide
+    hits = 0
+    for _ in range(200):
+        k = int(rng.integers(1, 4))
+        m = int(rng.integers(1, 80))
+        xs = rng.choice(200, size=m, replace=False)
+        ys = rng.integers(0, 200, m)
+        keys = [int(t) for t in rng.integers(0, 2, m)]
+        nodes = np.arange(m)
+        idx = OrsIndex.build(keys, xs, ys, nodes, 7 * nodes)
+        for _ in range(30):
+            key = int(rng.integers(0, 3))
+            x0 = int(rng.integers(-4 * k, 200))
+            y0, y1 = sorted(rng.integers(0, 201, 2).tolist())
+            got = idx.query(key, x0, x0 + 4 * k, y0, y1)
+            pts = [(x, y) if kk == key else (-1, -1)
+                   for x, y, kk in zip(xs.tolist(), ys.tolist(), keys)]
+            want = naive_ors(pts, x0, x0 + 4 * k, y0, y1)
+            if want is None:
+                assert got is None
+            else:
+                node, payload = got
+                assert payload == 7 * node
+                assert x0 <= xs[node] <= x0 + 4 * k and keys[node] == key
+                assert ys[node] == ys[want]
+                hits += 1
+    assert hits > 500
+
+
 def test_substring_fingerprints(rng):
     S = rng.integers(0, 4, 500)
     hs = HashedSeq(S, base=987654321)
