@@ -15,8 +15,8 @@ from .errors import (CrossingMatchingError, LabelMismatchError,
                      MalformedAlignmentError, NoAlignmentError, ParseError,
                      UnbalancedError)
 from .forest import (LabeledForest, LabelInterner, ParenSeq, PositionIndex,
-                     height, parse_json_text, parse_paren_text,
-                     serialize_json, serialize_paren)
+                     parse_json_text, parse_paren_text, serialize_json,
+                     serialize_paren)
 from .labeling import (JointLabeling, compat_refine, lookahead_refine,
                        refines)
 from .oracle import INF, ted_constrained, ted_exact, ted_threshold
@@ -32,7 +32,7 @@ __all__ = [
     "EngineConfig", "EngineReport", "mark_levels", "run", "ted_bounded",
     "CrossingMatchingError", "LabelMismatchError", "MalformedAlignmentError",
     "NoAlignmentError", "ParseError", "UnbalancedError",
-    "LabeledForest", "LabelInterner", "ParenSeq", "PositionIndex", "height",
+    "LabeledForest", "LabelInterner", "ParenSeq", "PositionIndex",
     "parse_json_text", "parse_paren_text", "serialize_json", "serialize_paren",
     "JointLabeling", "compat_refine", "lookahead_refine", "refines",
     "INF", "ted_constrained", "ted_exact", "ted_threshold",

@@ -117,10 +117,18 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _k_below(k: int, least: int) -> bool:
+    """Report --k below `least` as a usage error: compute and oracle answer
+    k = 0 through the exact DP, bench times the engine, which needs k >= 1."""
+    if k >= least:
+        return False
+    sys.stderr.write(f"tedk: error: --k must be >= {least}\n")
+    return True
+
+
 def _cmd_compute(args, exact_only: bool) -> int:
     interner = LabelInterner()
-    if args.k < 0:
-        sys.stderr.write("tedk: error: --k must be non-negative\n")
+    if _k_below(args.k, 0):
         return EXIT_USAGE
     try:
         F = _load(args.fileF, args.format, interner)
@@ -190,6 +198,8 @@ def _cmd_selftest(args) -> int:
 
 def _cmd_bench(args) -> int:
     interner = LabelInterner()
+    if _k_below(args.k, 1):
+        return EXIT_USAGE
     try:
         F = _load(args.fileF, args.format, interner)
         G = _load(args.fileG, args.format, interner)

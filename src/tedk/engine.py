@@ -38,16 +38,18 @@ class EngineConfig:
     threads: int = 1
     audit: bool = False
 
+    def __post_init__(self) -> None:
+        if self.rounds != "auto" and not (
+                isinstance(self.rounds, int) and self.rounds >= 1):
+            raise ValueError("rounds must be 'auto' or an integer >= 1")
+
     def cap(self) -> int:
         return self.height_cap if self.height_cap is not None else 19716 * self.k ** 4
 
     def num_rounds(self, n_total: int) -> int:
         if self.rounds == "auto":
             return math.ceil(6 * math.log2(n_total + 4))
-        rounds = int(self.rounds)
-        if rounds < 1:
-            raise ValueError("rounds must be 'auto' or >= 1")
-        return rounds
+        return self.rounds
 
 
 @dataclass

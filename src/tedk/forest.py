@@ -432,6 +432,3 @@ def serialize_json(F: LabeledForest, interner: LabelInterner) -> str:
         holders[u] = node["children"]
     return json.dumps(out)
 
-
-def height(F: LabeledForest) -> int:
-    return F.height()

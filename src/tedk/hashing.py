@@ -2,8 +2,10 @@
 
 One random base is drawn per run from the engine's seeded RNG and shared by
 every sequence that has to be comparable (both forests, refined labelings,
-context keys).  Scalar queries use exact Python integers; bulk table
-construction is vectorized with a 128-bit-safe uint64 multiply-mod.
+context keys).  Tables and queries are vectorized with a 128-bit-safe uint64
+multiply-mod; one doubling routine builds both power tables (the base and
+its inverse), and sums mod 2^61-1 add the 32-bit halves of their terms
+separately, then fold them.
 """
 
 from __future__ import annotations
@@ -41,61 +43,46 @@ def random_base(rng: np.random.Generator) -> int:
     return int(rng.integers(1 << 10, M61 - 2))
 
 
+def _powers(x: int, n: int) -> np.ndarray:
+    """x^0, x^1, ..., x^(n-1) mod 2^61-1: each doubling step multiplies the
+    filled prefix by x^size."""
+    pw = np.empty(n, dtype=np.uint64)
+    pw[:1] = 1
+    size = 1
+    while size < n:
+        m = min(size, n - size)
+        pw[size:size + m] = mulmod_vec(pw[:m], np.uint64(pow(x, size, M61)))
+        size *= 2
+    return pw
+
+
+def sum_mod(terms: np.ndarray, add) -> np.ndarray:
+    """`add` (a summing function such as np.cumsum) of uint64 terms below
+    2^61, mod 2^61-1: the 32-bit halves are summed apart so that uint64 does
+    not overflow, then folded."""
+    lo = add(terms & np.uint64(_MASK32)) % np.uint64(M61)
+    hi = add(terms >> np.uint64(32)) % np.uint64(M61)
+    out = mulmod_vec(hi, np.uint64((1 << 32) % M61)) + lo
+    return np.where(out >= np.uint64(M61), out - np.uint64(M61), out)
+
+
 class HashedSeq:
     """Prefix-hash tables over one integer sequence; O(1) substring queries."""
 
     def __init__(self, codes: np.ndarray, base: int):
-        self.n = len(codes)
+        self.n = n = len(codes)
         self.base = base % M61
         digits = (np.asarray(codes, dtype=np.uint64) + np.uint64(1)) % np.uint64(M61)
-        n = self.n
-        # powers of the base via vectorized doubling
-        pw = np.empty(n + 1, dtype=np.uint64)
-        pw[0] = 1
-        size = 1
-        while size < n + 1:
-            m = min(size, n + 1 - size)
-            step = mulmod_vec(pw[size - 1], np.uint64(self.base))
-            pw[size:size + m] = mulmod_vec(pw[:m], step)
-            size *= 2
-        self.pw = pw
+        self.pw = _powers(self.base, n + 1)
         # H[i] = hash of prefix [0..i):  sum_{j<i} digit_j * base^(i-1-j)
-        # computed as cumsum(digit_j * inv^j) * base^(i-1), with the cumsum
-        # split into 32-bit halves to stay inside uint64.
-        if n:
-            inv = pow(self.base, M61 - 2, M61)
-            ipw = np.empty(n, dtype=np.uint64)
-            ipw[0] = 1
-            size = 1
-            while size < n:
-                m = min(size, n - size)
-                ipw[size:size + m] = mulmod_vec(ipw[:m], mulmod_vec(ipw[size - 1], np.uint64(inv)))
-                size *= 2
-            terms = mulmod_vec(digits, ipw)
-            lo = np.cumsum(terms & np.uint64(_MASK32))
-            hi = np.cumsum(terms >> np.uint64(32))
-            cs = (mulmod_vec(hi % np.uint64(M61), np.uint64((1 << 32) % M61))
-                  + lo % np.uint64(M61))
-            cs = np.where(cs >= np.uint64(M61), cs - np.uint64(M61), cs)
-            H = np.empty(n + 1, dtype=np.uint64)
-            H[0] = 0
-            H[1:] = mulmod_vec(cs, pw[:n])
-        else:
-            H = np.zeros(1, dtype=np.uint64)
+        # computed as cumsum(digit_j * inv^j) * base^(i-1)
+        terms = mulmod_vec(digits, _powers(pow(self.base, M61 - 2, M61), n))
+        H = np.zeros(n + 1, dtype=np.uint64)
+        H[1:] = mulmod_vec(sum_mod(terms, np.cumsum), self.pw[:n])
         self.H = H
 
-    def substring(self, i: int, j: int) -> int:
-        """Fingerprint of positions [i..j); the empty range hashes to 0."""
-        hi = int(self.H[j])
-        lo = int(self.H[i])
-        return (hi - lo * int(self.pw[j - i])) % M61
-
     def substring_vec(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Fingerprints of positions [i..j) per pair; empty ranges hash to 0."""
         hi = self.H[j]
         sub = mulmod_vec(self.H[i], self.pw[j - i])
         return (hi + (np.uint64(M61) - sub)) % np.uint64(M61)
-
-
-def concat_fp(base: int, fp_a: int, len_a: int, fp_b: int, len_b: int) -> int:
-    """fp(A·B) from fp(A) and fp(B): fp(A)*base^|B| + fp(B) mod 2^61-1."""
-    return (fp_a * pow(base, len_b, M61) + fp_b) % M61

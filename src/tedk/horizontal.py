@@ -5,7 +5,8 @@ both parenthesis sequences is a repeated block of sibling subtrees; cutting
 both occurrences down to 14k repetitions preserves every distance up to k.
 The detection pass merges the two filtered run lists by end position and
 checks period equality up to rotation plus rotatability into a balanced
-string.
+string.  `cut_sites`, shared with the vertical reduction, removes the
+surplus copies of every site from both code strings in one pass.
 """
 
 from __future__ import annotations
@@ -92,28 +93,39 @@ def sync_occurrences(F: LabeledForest, G: LabeledForest, k: int) -> list[HSyncOc
     return out
 
 
+def cut_sites(F: LabeledForest, G: LabeledForest, sites, k: int):
+    """Cut each (at_f, at_g, length, e) site down to 14k repetitions.
+
+    A site is a block of `length` codes repeated e times from position at_f
+    of F's code string and at_g of G's; the first e - 14k copies go on both
+    sides.  Sites come sorted and must not overlap.  Both outputs are rebuilt
+    through `LabeledForest.from_codes`, also when there is no site.
+    """
+    sf = F.paren().codes
+    sg = G.paren().codes
+    parts_f: list[np.ndarray] = []
+    parts_g: list[np.ndarray] = []
+    i_f = i_g = 0
+    for at_f, at_g, length, e in sites:
+        if e < 14 * k:
+            raise ContractError("reduction site below 14k repetitions")
+        if at_f < i_f or at_g < i_g:
+            raise ContractError("reduction sites must not overlap")
+        parts_f.append(sf[i_f:at_f])
+        parts_g.append(sg[i_g:at_g])
+        i_f = at_f + length * (e - 14 * k)
+        i_g = at_g + length * (e - 14 * k)
+    parts_f.append(sf[i_f:])
+    parts_g.append(sg[i_g:])
+    return (LabeledForest.from_codes(np.concatenate(parts_f)),
+            LabeledForest.from_codes(np.concatenate(parts_g)))
+
+
 def sync_reductions(F: LabeledForest, G: LabeledForest, k: int):
     """Cut every synchronized horizontal occurrence to 14k repetitions.
 
     Returns (F', G') with ted_{<=k} unchanged and no balanced string Q of
     length <= 4k whose (18k)-th power has 2k-synchronized occurrences.
     """
-    occs = sync_occurrences(F, G, k)
-    sf = F.paren().codes
-    sg = G.paren().codes
-    parts_f: list[np.ndarray] = []
-    parts_g: list[np.ndarray] = []
-    i = 0
-    for occ in occs:
-        if occ.e < 14 * k:
-            raise ContractError("horizontal reduction site below 14k repetitions")
-        if occ.i < i:
-            raise ContractError("horizontal reduction sites must not overlap")
-        parts_f.append(sf[i:occ.i])
-        parts_g.append(sg[i:occ.i])
-        i = occ.i + occ.p * (occ.e - 14 * k)
-    parts_f.append(sf[i:])
-    parts_g.append(sg[i:])
-    F2 = LabeledForest.from_codes(np.concatenate(parts_f) if parts_f else sf)
-    G2 = LabeledForest.from_codes(np.concatenate(parts_g) if parts_g else sg)
-    return F2, G2
+    return cut_sites(F, G, [(t.i, t.i, t.p, t.e)
+                            for t in sync_occurrences(F, G, k)], k)

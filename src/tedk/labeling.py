@@ -3,11 +3,13 @@
 A joint labeling is a pair of per-forest symbol arrays drawn from one shared
 class space.  Look-ahead refinement gives two nodes the same class exactly
 when their depth-limited labeled subtrees print the same string (realized by
-Karp-Rabin fingerprints of fragment concatenations, one shared random base;
-the fragments are cut at each node's descendants d levels below, found for all
-nodes at once by one sort and one binary search, `forest.last_at_level`);
-compatibility refinement merges nodes reachable through chains of
-cross-forest pairs whose parenthesis positions lie within a window w.
+Karp-Rabin fingerprints with one shared random base).  A trimmed print is the
+node's print with the subtrees of its descendants d levels below cut out;
+those cuts are found for all nodes at once by one sort and one binary search
+(`forest.last_at_level`), and one vectorized pass hashes every remaining
+fragment and combines each node's fragments.  Compatibility refinement
+merges nodes reachable through chains of cross-forest pairs whose
+parenthesis positions lie within a window w.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import ContractError
 from .forest import LabeledForest, OPEN, last_at_level
-from .hashing import M61, HashedSeq, concat_fp, mulmod_vec
+from .hashing import M61, HashedSeq, mulmod_vec, sum_mod
 
 
 @dataclass(frozen=True)
@@ -69,47 +71,37 @@ def _level_descendant_cuts(F: LabeledForest, d: int):
 
 def _subtree_fingerprints(F: LabeledForest, codes: np.ndarray, d: int,
                           base: int) -> np.ndarray:
-    """fp of the depth-<d trimmed subtree print, per node."""
+    """fp of the depth-<d trimmed subtree print, per node.
+
+    A node v with cuts w_1..w_m (pre-order) prints the fragments
+    [o(v), o(w_1)), [c(w_1)+1, o(w_2)), ..., [c(w_m)+1, c(v)+1); all n + m
+    fragments are hashed in one pass.  A node without cuts is its single
+    fragment; for the others fp(v) = sum of fp(f) * base^(length of v's
+    fragments after f), summed per node mod 2^61-1.
+    """
     hs = HashedSeq(codes, base)
-    n = F.n
-    if n == 0:
-        return np.empty(0, dtype=np.uint64)
     owner, member = _level_descendant_cuts(F, d)
-    fp = np.zeros(n, dtype=np.uint64)
-    if len(owner) == 0:
-        # no cuts anywhere: the trimmed subtree is the whole subtree
-        return hs.substring_vec(F.o, F.c + 1)
-    has_cut = np.zeros(n, dtype=bool)
-    has_cut[owner] = True
-    plain = np.flatnonzero(~has_cut)
-    fp[plain] = hs.substring_vec(F.o[plain], F.c[plain] + 1)
-    o = F.o
-    c = F.c
-    bounds = np.searchsorted(owner, np.arange(n + 1))
-    counts = np.diff(bounds)
-    single = np.flatnonzero(counts == 1)
-    if len(single):
-        # one cut: two fragments, composed with one vectorized concat
-        wnode = member[bounds[single]]
-        a = hs.substring_vec(o[single], o[wnode])
-        b = hs.substring_vec(c[wnode] + 1, c[single] + 1)
-        blen = (c[single] + 1) - (c[wnode] + 1)
-        fp[single] = (mulmod_vec(a, hs.pw[blen]) + b) % np.uint64(M61)
-    for v in np.flatnonzero(counts >= 2).tolist():
-        cuts = member[bounds[v]:bounds[v + 1]]
-        acc, acc_len = 0, 0
-        at = int(o[v])
-        for wnode in cuts.tolist():
-            frag_end = int(o[wnode])
-            acc = concat_fp(hs.base, acc, acc_len,
-                            hs.substring(at, frag_end), frag_end - at)
-            acc_len += frag_end - at
-            at = int(c[wnode]) + 1
-        frag_end = int(c[v]) + 1
-        acc = concat_fp(hs.base, acc, acc_len,
-                        hs.substring(at, frag_end), frag_end - at)
-        acc_len += frag_end - at
-        fp[v] = acc
+    m = len(owner)
+    counts = np.bincount(owner, minlength=F.n)
+    first = np.arange(F.n) + (np.cumsum(counts) - counts)
+    closed = owner + np.arange(m)  # the fragment each cut ends
+    starts = np.empty(F.n + m, dtype=np.int64)
+    ends = np.empty(F.n + m, dtype=np.int64)
+    starts[first] = F.o
+    starts[closed + 1] = F.c[member] + 1
+    ends[closed] = F.o[member]
+    ends[first + counts] = F.c + 1
+    frag = hs.substring_vec(starts, ends)
+    fp = frag[first]
+    # the fragments of the nodes with cuts, each node's run from `head` on
+    cut = np.flatnonzero(counts)
+    sizes = counts[cut] + 1
+    head = np.cumsum(sizes) - sizes
+    sel = np.repeat(first[cut] - head, sizes) + np.arange(len(cut) + m)
+    total = np.cumsum(ends[sel] - starts[sel])
+    after = np.repeat(total[head + sizes - 1], sizes) - total
+    terms = mulmod_vec(frag[sel], hs.pw[after])
+    fp[cut] = sum_mod(terms, lambda x: np.add.reduceat(x, head))
     return fp
 
 

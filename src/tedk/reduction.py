@@ -29,12 +29,9 @@ class ReducedPair:
 
     f: LabeledForest
     g: LabeledForest
-    lam_lookahead: JointLabeling
-    lam_refined: JointLabeling
     seq_f: np.ndarray
     seq_g: np.ndarray
     anchor: Alignment | None
-    base: int
 
 
 def reduce_and_anchor(F: LabeledForest, G: LabeledForest, k: int, base: int,
@@ -57,4 +54,4 @@ def reduce_and_anchor(F: LabeledForest, G: LabeledForest, k: int, base: int,
     if timings is not None:
         timings["reduction_ms"] = timings.get("reduction_ms", 0.0) + 1e3 * (t1 - t0)
         timings["anchor_ms"] = timings.get("anchor_ms", 0.0) + 1e3 * (t2 - t1)
-    return ReducedPair(F2, G2, lam_look, lam_refined, seq_f, seq_g, anchor, base)
+    return ReducedPair(F2, G2, seq_f, seq_g, anchor)

@@ -19,7 +19,7 @@ from .forest import LabeledForest, LabelInterner
 from .horizontal import sync_reductions
 from .labeling import JointLabeling, lookahead_refine
 from .oracle import INF, ted_threshold
-from .partial import partial_reduce, validate_matching
+from .partial import partial_reduce
 
 
 def lift_position_matching(F: LabeledForest, G: LabeledForest,
@@ -64,11 +64,10 @@ def shallow_ted(F: LabeledForest, G: LabeledForest, h: int, k: int,
     allowed_loss = 15 * (18 * k) * (2 * h * k) ** 2 * (2 * k)
     if len(M) < F1.n - allowed_loss:
         return INF
-    try:
-        validate_matching(F1, G1, M)
+    try:  # reduce_height rejects a crossing or label-mismatched matching
+        F2, G2 = partial_reduce(F1, G1, M, k, interner)
     except CrossingMatchingError:
         return INF
-    F2, G2 = partial_reduce(F1, G1, M, k, interner)
     bound = (k + 2) * (5 * (F1.n + G1.n - 2 * len(M)) + 4)
     if F2.n + G2.n > bound:
         raise ContractError(f"residual of {F2.n + G2.n} nodes exceeds the "

@@ -10,8 +10,10 @@ across the forests with orthogonal-range-successor queries: each F
 occurrence takes the equal-context G occurrence of least closing position
 among those whose opening and closing positions both lie within 2k of its
 own.  The openings are distinct, so the opening window holds at most 4k+1
-G nodes (`indexes.OrsIndex` scans it).  Reduction cuts matching layers down
-to 14k repetitions on both sides at once.
+G nodes (`indexes.OrsIndex` scans it).  Reduction turns each pair into two
+sites, the left parts from the openings and the right parts up to the
+closings, and cuts them down to 14k layers on both sides at once with the
+horizontal reduction's `cut_sites`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .errors import ContractError
 from .forest import LabeledForest
 from .indexes import LcaIndex, OrsIndex
-from .horizontal import filter_runs
+from .horizontal import cut_sites, filter_runs
 
 
 @dataclass(frozen=True)
@@ -198,22 +200,4 @@ def vert_sync_reductions(F: LabeledForest, G: LabeledForest, k: int):
         sites.append((int(F.c[t.u_f]) - t.q_r * t.e + 1,
                       int(G.c[t.u_g]) - t.q_r * t.e + 1, t.q_r, t.e))
     sites.sort()
-    sf = F.paren().codes
-    sg = G.paren().codes
-    parts_f: list[np.ndarray] = []
-    parts_g: list[np.ndarray] = []
-    i_f = i_g = 0
-    for (lf, lg, q, e) in sites:
-        if e < 14 * k:
-            raise ContractError("vertical reduction site below 14k layers")
-        if lf < i_f or lg < i_g:
-            raise ContractError("vertical reduction sites must not overlap")
-        parts_f.append(sf[i_f:lf])
-        parts_g.append(sg[i_g:lg])
-        i_f = lf + q * (e - 14 * k)
-        i_g = lg + q * (e - 14 * k)
-    parts_f.append(sf[i_f:])
-    parts_g.append(sg[i_g:])
-    F2 = LabeledForest.from_codes(np.concatenate(parts_f))
-    G2 = LabeledForest.from_codes(np.concatenate(parts_g))
-    return F2, G2
+    return cut_sites(F, G, sites, k)

@@ -146,6 +146,17 @@ def test_bench_csv(tmp_path, capsys):
     assert row.split(",")[0] == "100"
 
 
+def test_k_below_range_exits_3(tmp_path, capsys):
+    # bench times the engine, which has no k = 0 path; compute answers k = 0
+    a = tmp_path / "a.paren"
+    a.write_text("(a(b))\n")
+    for cmd, bad in (("bench", "-1"), ("bench", "0"), ("compute", "-1"),
+                     ("oracle", "-1")):
+        code, out, err = run_cli(capsys, cmd, str(a), str(a), "--k", bad)
+        assert code == 3 and out == ""
+        assert "--k must be" in err and "Traceback" not in err
+
+
 def test_log_env_smoke(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TEDK_LOG", "INFO")
     a = tmp_path / "a.paren"

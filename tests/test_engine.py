@@ -140,6 +140,12 @@ def test_rounds_below_one_rejected(interner, rng):
                interner).rounds == 2  # the sampling path
     with pytest.raises(ValueError):
         run(F, G, EngineConfig(k=1, rounds=0, height_cap=hcap), interner)
+    # a shallow instance never asks for the round count; the config still
+    # refuses a bad one
+    S = parse_paren_text("(a(b))", interner)
+    for bad in (0, -3, "3", 2.0, None):
+        with pytest.raises(ValueError):
+            run(S, S, EngineConfig(k=1, rounds=bad), interner)
 
 
 def test_audit_mode_sweep(interner, rng):

@@ -3,7 +3,7 @@ import numpy as np
 from tedk._naive import naive_lca, naive_ors, naive_runs
 from tedk.alignment import as_codes
 from tedk.generate import alphabet, random_forest
-from tedk.hashing import HashedSeq, concat_fp
+from tedk.hashing import M61, HashedSeq, sum_mod
 from tedk.indexes import LcaIndex, OrsIndex, compute_runs
 
 from conftest import forest
@@ -125,10 +125,21 @@ def test_ors_distinct_x_windows_match_naive(rng):
     assert hits > 500
 
 
+def substring(hs: HashedSeq, i: int, j: int) -> int:
+    """Fingerprint of positions [i..j) in exact integers; the empty range
+    hashes to 0."""
+    return (int(hs.H[j]) - int(hs.H[i]) * int(hs.pw[j - i])) % M61
+
+
+def concat_fp(base: int, fp_a: int, len_a: int, fp_b: int, len_b: int) -> int:
+    """fp(A·B) from fp(A) and fp(B): fp(A)*base^|B| + fp(B) mod 2^61-1."""
+    return (fp_a * pow(base, len_b, M61) + fp_b) % M61
+
+
 def test_substring_fingerprints(rng):
     S = rng.integers(0, 4, 500)
     hs = HashedSeq(S, base=987654321)
-    assert hs.substring(3, 3) == 0
+    assert substring(hs, 3, 3) == 0
     # equal text -> equal fingerprint; for random queries agree with compare
     i = rng.integers(0, 400, 100_000)
     ln = rng.integers(0, 100, 100_000)
@@ -150,7 +161,7 @@ def test_substring_fingerprints(rng):
 
 def power_fp(hs: HashedSeq, i: int, j: int, reps: int) -> int:
     """Fingerprint of the substring [i..j) concatenated `reps` times."""
-    out, out_len, piece, piece_len = 0, 0, hs.substring(i, j), j - i
+    out, out_len, piece, piece_len = 0, 0, substring(hs, i, j), j - i
     while reps:
         if reps & 1:
             out = concat_fp(hs.base, out, out_len, piece, piece_len)
@@ -166,4 +177,25 @@ def test_power_fingerprint(rng):
     hs = HashedSeq(S, base=31337)
     tiled = np.tile(S[5:9], 7)
     hs2 = HashedSeq(np.concatenate([S[:5], tiled]), base=31337)
-    assert power_fp(hs, 5, 9, 7) == hs2.substring(5, 5 + 28)
+    assert power_fp(hs, 5, 9, 7) == substring(hs2, 5, 5 + 28)
+
+
+def test_prefix_and_power_tables_match_integers(rng):
+    # H[i+1] = H[i]*b + (code+1) and pw[i] = b^i, mod 2^61-1 in Python ints
+    lengths = [0, 1, 2] + [2 ** j + s for j in range(1, 11) for s in (-1, 1)]
+    lengths += rng.integers(0, 3000, 40).tolist()
+    for n in lengths:
+        base = int(rng.integers(1 << 10, M61 - 2))
+        codes = rng.integers(0, 1 << 40, n)
+        hs = HashedSeq(codes, base)
+        H, pw = [0], [1]
+        for code in codes.tolist():
+            H.append((H[-1] * base + code + 1) % M61)
+            pw.append(pw[-1] * base % M61)
+        assert hs.H.tolist() == H
+        assert hs.pw.tolist() == pw
+        assert substring(hs, 0, n) == H[-1]
+    # halves whose folded sum lands in [M61, 2*M61): the result is reduced
+    terms = [2 ** 60 + 2 ** 32 - 1, 2 ** 60 - 1]
+    got = sum_mod(np.array(terms, dtype=np.uint64), np.cumsum)
+    assert got.tolist() == [terms[0], sum(terms) % M61]

@@ -4,10 +4,13 @@ import pytest
 from tedk._naive import naive_compat_classes, optimal_tree_alignments, trimmed_print
 from tedk.alignment import Alignment, eval_alignment, is_greedy
 from tedk.generate import alphabet, apply_random_edits, random_forest
+from tedk.hashing import M61, HashedSeq, mulmod_vec
 from tedk.labeling import (JointLabeling, _level_descendant_cuts,
-                           compat_refine, lookahead_refine, refines)
+                           _subtree_fingerprints, compat_refine,
+                           lookahead_refine, refines)
 
 from conftest import deep_chain, forest, stack_walk
+from test_indexes import concat_fp, substring
 
 BASE = 0x1234567
 
@@ -204,3 +207,70 @@ def test_level_cuts_match_stack_walk(interner, rng):
     for d in (1, 8, 16):
         owner, member = _level_descendant_cuts(F, d)
         assert (owner.tolist(), member.tolist()) == _walk_cuts(F, d)
+
+
+def three_path_fingerprints(F, codes, d, base):
+    """Reference trimmed-print fingerprints: whole subtrees for nodes without
+    cuts, one vectorized concatenation for nodes with one cut, and a scalar
+    fold over the fragments of each node with two or more cuts."""
+    hs = HashedSeq(codes, base)
+    n = F.n
+    if n == 0:
+        return np.empty(0, dtype=np.uint64)
+    owner, member = _level_descendant_cuts(F, d)
+    fp = np.zeros(n, dtype=np.uint64)
+    if len(owner) == 0:
+        return hs.substring_vec(F.o, F.c + 1)
+    has_cut = np.zeros(n, dtype=bool)
+    has_cut[owner] = True
+    plain = np.flatnonzero(~has_cut)
+    fp[plain] = hs.substring_vec(F.o[plain], F.c[plain] + 1)
+    o, c = F.o, F.c
+    bounds = np.searchsorted(owner, np.arange(n + 1))
+    counts = np.diff(bounds)
+    single = np.flatnonzero(counts == 1)
+    if len(single):
+        wnode = member[bounds[single]]
+        a = hs.substring_vec(o[single], o[wnode])
+        b = hs.substring_vec(c[wnode] + 1, c[single] + 1)
+        blen = (c[single] + 1) - (c[wnode] + 1)
+        fp[single] = (mulmod_vec(a, hs.pw[blen]) + b) % np.uint64(M61)
+    for v in np.flatnonzero(counts >= 2).tolist():
+        acc, acc_len = 0, 0
+        at = int(o[v])
+        for wnode in member[bounds[v]:bounds[v + 1]].tolist():
+            acc = concat_fp(hs.base, acc, acc_len,
+                            substring(hs, at, int(o[wnode])), int(o[wnode]) - at)
+            acc_len += int(o[wnode]) - at
+            at = int(c[wnode]) + 1
+        acc = concat_fp(hs.base, acc, acc_len,
+                        substring(hs, at, int(c[v]) + 1), int(c[v]) + 1 - at)
+        fp[v] = acc
+    return fp
+
+
+def test_fingerprints_match_three_path_reference(interner, rng):
+    syms = alphabet(interner, 3)
+    multi = 0
+
+    def check(F, d):
+        nonlocal multi
+        base = int(rng.integers(1 << 10, M61 - 2))
+        codes = F.paren(rng.integers(0, 50, F.n)).codes
+        got = _subtree_fingerprints(F, codes, d, base)
+        assert got.dtype == np.uint64
+        assert got.tolist() == three_path_fingerprints(F, codes, d, base).tolist()
+        owner, _ = _level_descendant_cuts(F, d)
+        multi += int((np.bincount(owner, minlength=F.n) >= 2).sum())
+
+    for _ in range(60):
+        F = random_forest(rng, int(rng.integers(0, 150)),
+                          int(rng.integers(1, 25)), syms,
+                          branch=float(rng.uniform(0.3, 0.95)))
+        for d in (1, 2, 3, 8, 16, F.height(), F.height() + 1):
+            if d >= 1:
+                check(F, d)
+    F = deep_chain(rng, 20_200, syms)
+    for d in (1, 8, 16, F.height(), F.height() + 1):
+        check(F, d)
+    assert multi > 1000

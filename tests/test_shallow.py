@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import tedk.shallow
@@ -79,3 +80,14 @@ def test_residual_size_contract(interner, rng, monkeypatch):
                         lambda *args: (big, big))
     with pytest.raises(ContractError):
         shallow_ted(F, F, F.height(), 2, interner, BASE)
+
+
+def test_crossing_shared_matching_gives_inf(interner, monkeypatch):
+    # the partial reduction's own matching check rejects a crossing shared
+    # matching; shallow_ted reports that as distance > k
+    F = forest("(a)(a)", interner)
+    crossing = np.array([[0, 2], [1, 3], [2, 0], [3, 1]], dtype=np.int64)
+    monkeypatch.setattr(tedk.shallow, "common_matching_core",
+                        lambda *args: crossing)
+    assert len(tedk.shallow.lift_position_matching(F, F, crossing)) == 2
+    assert shallow_ted(F, F, 1, 1, interner, BASE) == INF
