@@ -46,14 +46,6 @@ class Alignment:
         r = np.arange(n + 1, dtype=np.int64)
         return Alignment(np.stack([r, r], axis=1))
 
-    @property
-    def xs(self) -> np.ndarray:
-        return self.pairs[:, 0]
-
-    @property
-    def ys(self) -> np.ndarray:
-        return self.pairs[:, 1]
-
     def check_valid(self, nx: int, ny: int) -> None:
         p = self.pairs
         if len(p) == 0 or p[0, 0] != 0 or p[0, 1] != 0:

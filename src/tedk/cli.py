@@ -58,13 +58,17 @@ def _fmt_value(v) -> str:
     return "INF" if v == INF else str(int(v))
 
 
+def _positive(raw: str) -> int:
+    """--threads value, and --rounds other than 'auto': an integer >= 1
+    (else a usage error)."""
+    if not raw.isdigit() or int(raw) < 1:
+        raise argparse.ArgumentTypeError("expected an integer >= 1")
+    return int(raw)
+
+
 def _rounds(raw: str) -> int | str:
     """--rounds value: 'auto' or an integer >= 1 (else a usage error)."""
-    if raw == "auto":
-        return raw
-    if not raw.isdigit() or int(raw) < 1:
-        raise argparse.ArgumentTypeError("expected 'auto' or an integer >= 1")
-    return int(raw)
+    return raw if raw == "auto" else _positive(raw)
 
 
 def _build_parser() -> _Parser:
@@ -76,7 +80,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--rounds", type=_rounds, default="auto")
         sp.add_argument("--format", choices=("paren", "json"), default="paren")
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=_positive, default=1)
 
     c = sub.add_parser("compute", help="bounded distance via the main engine")
     c.add_argument("fileF")
@@ -167,7 +171,8 @@ def _cmd_compute(args, exact_only: bool) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.n < 0 or args.sigma < 1 or (args.n > 0 and args.height < 1):
+    if (args.n < 0 or args.sigma < 1 or (args.n > 0 and args.height < 1)
+            or args.plant_k < 1 or args.edits < 0):
         sys.stderr.write("tedk: error: bad gen parameters\n")
         return EXIT_USAGE
     interner = LabelInterner()

@@ -42,9 +42,8 @@ class EngineConfig:
         if self.rounds != "auto" and not (
                 isinstance(self.rounds, int) and self.rounds >= 1):
             raise ValueError("rounds must be 'auto' or an integer >= 1")
-
-    def cap(self) -> int:
-        return self.height_cap if self.height_cap is not None else 19716 * self.k ** 4
+        if not (isinstance(self.threads, int) and self.threads >= 1):
+            raise ValueError("threads must be an integer >= 1")
 
     def num_rounds(self, n_total: int) -> int:
         if self.rounds == "auto":
@@ -62,10 +61,10 @@ class EngineReport:
 
 
 def mark_levels(F: LabeledForest, r: int, h: int) -> np.ndarray:
-    """Ids of nodes whose depth is congruent to r modulo h (roots at 0)."""
+    """Mask of the nodes whose depth is congruent to r modulo h (roots at 0)."""
     if not 0 <= r < h:
         raise ValueError("residue out of range")
-    return np.flatnonzero(F.depth % h == r)
+    return F.depth % h == r
 
 
 def _anchor_node_pairs(rp: ReducedPair) -> np.ndarray:
@@ -79,13 +78,15 @@ def run(F: LabeledForest, G: LabeledForest, cfg: EngineConfig,
     """Full engine run with per-phase timings."""
     if cfg.k < 1:
         raise ValueError("threshold must be >= 1")
-    k = cfg.k
+    # ted(F, G) <= |F| + |G|, so a larger k changes no answer; the clamp
+    # keeps the 4k+1-wide passes and the height cap sized by the input
+    k = min(cfg.k, max(1, F.n + G.n))
     timings: dict = {}
     rng0 = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=(cfg.seed, 0xBA5E))))
     base = random_base(rng0)
     rp = reduce_and_anchor(F, G, k, base, audit=cfg.audit, timings=timings)
-    h = cfg.cap()
+    h = cfg.height_cap if cfg.height_cap is not None else 19716 * k ** 4
     report = EngineReport(value=INF, h=h, timings=timings)
     if rp.anchor is None:
         return report
@@ -106,8 +107,8 @@ def run(F: LabeledForest, G: LabeledForest, cfg: EngineConfig,
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(entropy=(cfg.seed, 1 + i))))
         r = int(rng.integers(h))
-        marked_f = rp.f.depth % h == r
-        marked_g = rp.g.depth % h == r
+        marked_f = mark_levels(rp.f, r, h)
+        marked_g = mark_levels(rp.g, r, h)
         sel = marked_f[pairs[:, 0]] | marked_g[pairs[:, 1]]
         M = pairs[sel]
         if len(M) * h > 4 * (nf + ng):

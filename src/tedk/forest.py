@@ -9,7 +9,9 @@ construction and safe to share across threads.
 
 Level ancestors (the parent, the ancestor d levels up, the nearest marked
 ancestor) all come from one stable sort and one binary search,
-`last_at_level`, with no loop over depths.  Likewise every parenthesis
+`last_at_level`, with no loop over depths.  The same sorted keys
+(`level_search`) give LCA depths by a binary search over levels
+(`lca_depth`), so no ancestor table is built.  Likewise every parenthesis
 pairing in the package (forest construction, text parsing, the rotation test
 of horizontal periods) goes through `_pair_parens`.
 """
@@ -116,26 +118,62 @@ class PositionIndex:
         self.node_at = node_at
 
 
-def last_at_level(level: np.ndarray, q_level, q_pos) -> np.ndarray:
-    """For each query (L, x): the last index i < x with level[i] == L, else -1.
+def level_search(level: np.ndarray):
+    """Sort `level` once and return ``last(q_level, q_pos)``, which gives for
+    each query (L, x) the last index i < x with level[i] == L, else -1.
 
-    One stable argsort of `level` and one `searchsorted` on the key
-    ``level * (len + 1) + index`` answer every query at once.  With `level` a
-    pre-order depth and L = depth(x) - l, the answer is the ancestor of x l
-    levels up: pre-order puts no other depth-L node between that ancestor and
-    x, since such a node would lie in the ancestor's subtree, below depth L.
+    One stable argsort of `level` builds the sorted key
+    ``level * (len + 1) + index``; each call is one `searchsorted` on it.
+    With `level` a pre-order depth and L = depth(x) - l, the answer is the
+    ancestor of x l levels up: pre-order puts no other depth-L node between
+    that ancestor and x, since such a node would lie in the ancestor's
+    subtree, below depth L.
     """
     level = np.asarray(level, dtype=np.int64)
-    q_level = np.asarray(q_level, dtype=np.int64)
-    q_pos = np.asarray(q_pos, dtype=np.int64)
-    if len(level) == 0:
-        return np.full(q_pos.shape, -1, dtype=np.int64)
     scale = len(level) + 1
     order = np.argsort(level, kind="stable")
     keys = level[order] * scale + order
-    at = np.searchsorted(keys, q_level * scale + q_pos) - 1
-    found = order[np.maximum(at, 0)]
-    return np.where((at >= 0) & (level[found] == q_level), found, -1)
+
+    def last(q_level, q_pos) -> np.ndarray:
+        q_level = np.asarray(q_level, dtype=np.int64)
+        q_pos = np.asarray(q_pos, dtype=np.int64)
+        if len(level) == 0:
+            return np.full(q_pos.shape, -1, dtype=np.int64)
+        at = np.searchsorted(keys, q_level * scale + q_pos) - 1
+        found = order[np.maximum(at, 0)]
+        return np.where((at >= 0) & (level[found] == q_level), found, -1)
+
+    return last
+
+
+def last_at_level(level: np.ndarray, q_level, q_pos) -> np.ndarray:
+    """One-shot `level_search`: answers queries (L, x) with one sort."""
+    return level_search(level)(q_level, q_pos)
+
+
+def lca_depth(depth: np.ndarray, a, b, lo=-1) -> np.ndarray:
+    """Depth of the lowest common ancestor of each node pair (a, b), -1 for
+    nodes of different trees; `depth` is the pre-order depth array.
+
+    `lo` is a depth at which each pair already shares an ancestor (-1 is the
+    virtual root).  Ancestors that coincide at level L coincide above it, so
+    a binary search finds the largest such L between `lo` and the shallower
+    node's depth: log2(height) rounds, each two queries to one sorted
+    `level_search` (the level-L ancestor of x is the last depth-L node at or
+    before x in pre-order).
+    """
+    depth = np.asarray(depth, dtype=np.int64)
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    ancestor = level_search(depth)
+    lo = np.full(a.shape, lo, dtype=np.int64)
+    hi = np.minimum(depth[a], depth[b])
+    while (lo < hi).any():
+        mid = (lo + hi + 1) // 2  # == lo once lo == hi: that pair stays put
+        same = ancestor(mid, a + 1) == ancestor(mid, b + 1)
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid - 1)
+    return lo
 
 
 def _pair_parens(codes: np.ndarray):
@@ -271,9 +309,6 @@ class LabeledForest:
         if self._height is None:
             self._height = int(self.depth.max()) + 1 if self.n else 0
         return self._height
-
-    def subtree(self, v: int) -> "LabeledForest":
-        return LabeledForest(self.codes[self.o[v]:self.c[v] + 1])
 
     def subtree_trimmed(self, v: int, d: int) -> "LabeledForest":
         """The subtree rooted at v restricted to depth-from-v < d."""

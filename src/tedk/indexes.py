@@ -1,4 +1,4 @@
-"""Shared indexes: maximal runs, LCA, orthogonal range successor.
+"""Shared indexes: maximal runs and orthogonal range successor.
 
 Runs are found by a per-period vectorized scan: for each period p the
 positions with S[i] == S[i+p] form stretches, every stretch of length >= p
@@ -73,64 +73,6 @@ def compute_runs(S: np.ndarray, max_period: int | None = None,
     runs = [Run(i, j, p) for (i, j), p in best.items()]
     runs.sort()
     return runs
-
-
-class LcaIndex:
-    """Sparse minimum table over the parenthesis-position depth array.
-
-    The minimum-depth position strictly between o(u) and o(v) identifies a
-    child of the LCA; the ancestor cases are resolved from the o/c intervals
-    directly.  Queries across different trees of the forest return None.
-    """
-
-    def __init__(self, forest) -> None:
-        self.forest = forest
-        n = forest.n
-        if n == 0:
-            self.table = None
-            return
-        node_at = forest.position_index().node_at
-        self.tour = node_at
-        depths = forest.depth[node_at]
-        self.depths = depths
-        m = len(depths)
-        k = m.bit_length()
-        table = [np.arange(m, dtype=np.int64)]
-        for lvl in range(1, k):
-            half = 1 << (lvl - 1)
-            prev = table[-1]
-            width = m - (1 << lvl) + 1
-            if width <= 0:
-                break
-            left = prev[:width]
-            right = prev[half:half + width]
-            table.append(np.where(depths[left] <= depths[right], left, right))
-        self.table = table
-        roots = forest.roots
-        self.root_of = roots[np.searchsorted(
-            roots, np.arange(n), side="right") - 1]
-
-    def _argmin_depth(self, a: int, b: int) -> int:
-        """Position of minimum depth in tour positions [a..b]."""
-        lvl = (b - a + 1).bit_length() - 1
-        row = self.table[lvl]
-        x = int(row[a])
-        y = int(row[b - (1 << lvl) + 1])
-        return x if self.depths[x] <= self.depths[y] else y
-
-    def lca(self, u: int, v: int) -> int | None:
-        F = self.forest
-        if self.root_of[u] != self.root_of[v]:
-            return None
-        if u == v:
-            return u
-        ou, ov = int(F.o[u]), int(F.o[v])
-        if ou > ov:
-            u, v, ou, ov = v, u, ov, ou
-        if F.c[u] > ov:  # u is an ancestor of v
-            return u
-        pos = self._argmin_depth(ou, ov)
-        return int(F.parent[self.tour[pos]])
 
 
 class OrsIndex:

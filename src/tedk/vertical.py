@@ -5,7 +5,9 @@ at a node means e nested layers whose flanking subtrees repeat level by
 level.  Detection anchors small-period high-exponent runs at each node's
 opening and closing parenthesis, derives the context period from the depth
 deltas, clips the exponent by run lengths, the subtree size, and the
-divergence point (LCA of the two run endpoints), then pairs occurrences
+divergence point (LCA of the two run endpoints), all in one vectorized pass
+over the nodes; the LCA depths come from a binary search over level
+ancestors (`forest.lca_depth`), with no LCA table.  It then pairs occurrences
 across the forests with orthogonal-range-successor queries: each F
 occurrence takes the equal-context G occurrence of least closing position
 among those whose opening and closing positions both lie within 2k of its
@@ -19,13 +21,12 @@ horizontal reduction's `cut_sites`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
 from .errors import ContractError
-from .forest import LabeledForest
-from .indexes import LcaIndex, OrsIndex
+from .forest import LabeledForest, lca_depth
+from .indexes import OrsIndex
 from .horizontal import cut_sites, filter_runs
 
 
@@ -83,49 +84,49 @@ def compute_q(F: LabeledForest, k: int):
 
 
 def compute_contexts(F: LabeledForest, k: int) -> list[ContextOcc]:
-    """Maximal small context powers per node, in opening-position order."""
-    if F.n == 0:
-        return []
+    """Maximal small context powers per node, in opening-position order.
+
+    One vectorized pass over the nodes u whose opening and closing positions
+    both anchor a run: the context's layer depth d is the lcm of the depth
+    steps of the two runs' periods, and the exponent is the least of the two
+    run lengths, the subtree size and the layers above the divergence point,
+    the LCA of the nodes at the runs' far endpoints (clipped into sub(u); a
+    run escaping the subtree is already capped by the size bound).
+    """
     q_arr, end_arr = compute_q(F, k)
-    o, c = F.o, F.c
     pos = F.position_index()
     D, node_at = pos.D, pos.node_at
-    oq = q_arr[o]
-    oend = end_arr[o]
-    cq = q_arr[c]
-    cend = end_arr[c]
-    cand = (oend != o) & (cend != c) & ((c - o) >= np.maximum(oq, cq))
-    out: list[ContextOcc] = []
-    lca: LcaIndex | None = None
-    for u in np.flatnonzero(cand).tolist():
-        ou, cu = int(o[u]), int(c[u])
-        q_l, j_l = int(oq[u]), int(oend[u])
-        q_r, j_r = int(cq[u]), int(cend[u])
-        d_l = int(D[ou + q_l] - D[ou])
-        d_r = int(D[cu - q_r] - D[cu])
-        if d_l < 1 or d_r < 1:
-            continue
-        d = d_l // gcd(d_l, d_r) * d_r
-        cl_len = q_l * (d // d_l)
-        cr_len = q_r * (d // d_r)
-        if cl_len > 4 * k or cr_len > 4 * k:
-            continue
-        # nodes at the run endpoints, clipped into sub(u); a run escaping the
-        # subtree is already capped by the size ratio below
-        pl = min(j_l - 1, cu)
-        pr = max(j_r + 1, ou)
-        if lca is None:
-            lca = LcaIndex(F)
-        vstar = lca.lca(int(node_at[pl]), int(node_at[pr]))
-        if vstar is None:
-            raise ContractError("context power endpoints have no common ancestor")
-        e = min((j_l - ou) // cl_len,
-                (cu - j_r) // cr_len,
-                (cu - ou + 1) // (cl_len + cr_len),
-                int(D[o[vstar]] - D[ou] + 1) // d)
-        if e >= 16 * k:
-            out.append(ContextOcc(u, cl_len, cr_len, e))
-    return out
+    o, c = F.o, F.c
+    u = np.flatnonzero((end_arr[o] != o) & (end_arr[c] != c)
+                       & ((c - o) >= np.maximum(q_arr[o], q_arr[c])))
+    ou, cu = o[u], c[u]
+    d_l = D[ou + q_arr[ou]] - D[ou]
+    d_r = D[cu - q_arr[cu]] - D[cu]
+    d = np.lcm(d_l, d_r)
+    # a step below 1 is no context; its row is dropped, the divisor guard
+    # only keeps the division defined
+    cl_len = q_arr[ou] * (d // np.maximum(d_l, 1))
+    cr_len = q_arr[cu] * (d // np.maximum(d_r, 1))
+    keep = ((d_l >= 1) & (d_r >= 1) & (cl_len <= 4 * k)
+            & (cr_len <= 4 * k))
+    if not keep.any():
+        return []
+    u, ou, cu, d, cl_len, cr_len = (
+        x[keep] for x in (u, ou, cu, d, cl_len, cr_len))
+    j_l, j_r = end_arr[ou], end_arr[cu]
+    pl = np.minimum(j_l - 1, cu)
+    pr = np.maximum(j_r + 1, ou)
+    if ((pl < ou) | (pr > cu)).any():
+        raise ContractError("context power endpoints outside the subtree")
+    top = F.depth[u]
+    v_depth = lca_depth(F.depth, node_at[pl], node_at[pr], lo=top)
+    e = np.minimum.reduce([(j_l - ou) // cl_len,
+                           (cu - j_r) // cr_len,
+                           (cu - ou + 1) // (cl_len + cr_len),
+                           (v_depth - top + 1) // d])
+    keep = e >= 16 * k
+    return [ContextOcc(*t) for t in zip(u[keep].tolist(), cl_len[keep].tolist(),
+                                        cr_len[keep].tolist(), e[keep].tolist())]
 
 
 def _context_key(codes: np.ndarray, o: int, c: int, q_l: int, q_r: int) -> bytes:

@@ -68,16 +68,21 @@ def test_exit_codes(tmp_path, capsys):
 
 
 def test_rounds_flag_is_auto_or_positive(tmp_path, capsys):
+    # --threads takes the same integers >= 1, without 'auto'
     a = tmp_path / "a.paren"
     a.write_text("(a(b))\n")
     for cmd in ("compute", "oracle", "bench"):
-        for bad in ("0", "-3", "x", ""):
-            code, out, err = run_cli(capsys, cmd, str(a), str(a), "--k", "1",
-                                     "--rounds", bad)
-            assert code == 3 and out == "" and "--rounds" in err
+        for flag in ("--rounds", "--threads"):
+            for bad in ("0", "-3", "x", ""):
+                code, out, err = run_cli(capsys, cmd, str(a), str(a), "--k",
+                                         "1", flag, bad)
+                assert code == 3 and out == "" and flag in err
     code, out, _ = run_cli(capsys, "compute", str(a), str(a), "--k", "1",
-                           "--rounds", "2")
+                           "--rounds", "2", "--threads", "2")
     assert code == 0 and out.split("\t")[0] == "0"
+    code, _, err = run_cli(capsys, "compute", str(a), str(a), "--k", "1",
+                           "--threads", "auto")
+    assert code == 3 and "--threads" in err
 
 
 def test_selftest_quick(capsys):
@@ -146,6 +151,16 @@ def test_bench_csv(tmp_path, capsys):
     assert row.split(",")[0] == "100"
 
 
+def test_huge_k_answers_exactly(tmp_path, capsys):
+    a = tmp_path / "a.paren"
+    b = tmp_path / "b.paren"
+    a.write_text("(a(b)(c))\n")
+    b.write_text("(a(c))\n")
+    code, out, err = run_cli(capsys, "compute", str(a), str(b), "--k",
+                             "99999999999999999999")
+    assert code == 0 and out.split("\t")[0] == "1" and err == ""
+
+
 def test_k_below_range_exits_3(tmp_path, capsys):
     # bench times the engine, which has no k = 0 path; compute answers k = 0
     a = tmp_path / "a.paren"
@@ -173,3 +188,18 @@ def test_gen_planted(tmp_path, capsys):
     assert code == 0
     text = a.read_text()
     assert text.count("(") > 40  # planting grew the forest
+
+
+def test_gen_bad_plant_k_and_edits_exit_3(tmp_path, capsys):
+    a = tmp_path / "a.paren"
+    b = tmp_path / "b.paren"
+    for extra in (("--plant", "vertical", "--plant-k", "-1"),
+                  ("--plant", "horizontal", "--plant-k", "0"),
+                  ("--out2", str(b), "--edits", "-1")):
+        code, out, err = run_cli(capsys, "gen", "--n", "50", "--out", str(a),
+                                 *extra)
+        assert code == 3 and "bad gen parameters" in err
+    assert not a.exists() and not b.exists()
+    code, _, _ = run_cli(capsys, "gen", "--n", "50", "--out", str(a),
+                         "--out2", str(b), "--edits", "0")
+    assert code == 0 and a.read_text() == b.read_text()

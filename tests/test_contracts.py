@@ -20,7 +20,7 @@ from tedk.errors import ContractError
 from tedk.horizontal import HSyncOcc, sync_reductions
 from tedk.labeling import JointLabeling, compat_refine, lookahead_refine
 from tedk.partial import reduce_height
-from tedk.vertical import VertOcc, vert_sync_reductions
+from tedk.vertical import VertOcc, compute_contexts, vert_sync_reductions
 
 from conftest import forest
 
@@ -76,3 +76,19 @@ def test_vertical_exponent_contract(interner, monkeypatch):
                         lambda F, G, k: [VertOcc(0, 0, 2, 2, 13)])
     with pytest.raises(ContractError):
         vert_sync_reductions(F, F, 1)
+
+
+def test_vertical_endpoint_contract(interner, monkeypatch):
+    # an opening anchored to a run that ends before it points outside sub(u)
+    F = forest("(a" * 30 + ")" * 30, interner)
+    real = tedk.vertical.compute_q
+
+    def backward(F, k):
+        q, end = real(F, k)
+        end[0] = -5
+        return q, end
+
+    assert compute_contexts(F, 1)
+    monkeypatch.setattr(tedk.vertical, "compute_q", backward)
+    with pytest.raises(ContractError):
+        compute_contexts(F, 1)

@@ -6,7 +6,7 @@ from tedk.engine import EngineConfig, mark_levels, run, ted_bounded
 from tedk.errors import ContractError
 from tedk.forest import LabeledForest, parse_paren_text
 from tedk.generate import alphabet, apply_random_edits, planted_pair, random_forest
-from tedk.oracle import INF, ted_threshold
+from tedk.oracle import INF, ted_exact, ted_threshold
 
 
 def test_trivial_cases(interner, rng):
@@ -31,10 +31,10 @@ def test_empty_forests(interner):
 def test_mark_levels(interner, rng):
     syms = alphabet(interner, 2)
     F = random_forest(rng, 30, 6, syms)
-    assert mark_levels(F, 0, 100).tolist() == F.roots.tolist()
-    assert len(mark_levels(F, 0, 1)) == F.n
+    assert np.flatnonzero(mark_levels(F, 0, 100)).tolist() == F.roots.tolist()
+    assert mark_levels(F, 0, 1).all() and len(mark_levels(F, 0, 1)) == F.n
     for r in range(4):
-        got = set(mark_levels(F, r, 4).tolist())
+        got = set(np.flatnonzero(mark_levels(F, r, 4)).tolist())
         want = {u for u in range(F.n) if F.depth[u] % 4 == r}
         assert got == want
     with pytest.raises(ValueError):
@@ -124,6 +124,21 @@ def test_threads_smoke(interner, rng):
     one = run(F, G, EngineConfig(k=1, seed=5, height_cap=hcap, threads=1), interner)
     two = run(F, G, EngineConfig(k=1, seed=5, height_cap=hcap, threads=2), interner)
     assert one.value == two.value and one.kept == two.kept
+    for bad in (0, -3, "2", 2.0, None):
+        with pytest.raises(ValueError):
+            EngineConfig(k=1, threads=bad)
+
+
+def test_huge_k_is_clamped_to_input_size(interner, rng):
+    # ted <= |F| + |G|, so that size answers any larger k exactly; the passes
+    # of width 4k+1 and the height cap are sized by it
+    syms = alphabet(interner, 2)
+    for t in range(8):
+        F = random_forest(rng, int(rng.integers(0, 4)), 3, syms)
+        G = random_forest(rng, int(rng.integers(0, 4)), 3, syms)
+        rep = run(F, G, EngineConfig(k=10**20, seed=t), interner)
+        assert rep.value == ted_exact(F, G)
+        assert rep.h == 19716 * max(1, F.n + G.n) ** 4
 
 
 def test_rounds_below_one_rejected(interner, rng):

@@ -4,7 +4,8 @@ from tedk._naive import naive_lca, naive_ors, naive_runs
 from tedk.alignment import as_codes
 from tedk.generate import alphabet, random_forest
 from tedk.hashing import M61, HashedSeq, sum_mod
-from tedk.indexes import LcaIndex, OrsIndex, compute_runs
+from tedk.forest import lca_depth
+from tedk.indexes import OrsIndex, compute_runs
 
 from conftest import forest
 
@@ -55,18 +56,21 @@ def test_filtered_run_overlap_bound(rng):
 
 def test_lca_examples_and_oracle(interner, rng):
     F = forest("(a(b(c)(d))(e))(f)", interner)
-    idx = LcaIndex(F)
-    assert idx.lca(2, 2) == 2
-    assert idx.lca(1, 3) == 1      # ancestor case
-    assert idx.lca(2, 4) == 0
-    assert idx.lca(2, 5) is None   # different trees
+    # same node, ancestor case, siblings' parent, different trees
+    assert lca_depth(F.depth, [2, 1, 2, 2], [2, 3, 4, 5]).tolist() == [2, 1, 0, -1]
+    assert lca_depth(F.depth, [2, 3], [3, 2], lo=1).tolist() == [1, 1]
+    assert lca_depth(F.depth, [], []).tolist() == []
     syms = alphabet(interner, 2)
-    for _ in range(15):
-        F = random_forest(rng, int(rng.integers(1, 40)), 5, syms)
-        idx = LcaIndex(F)
-        for _ in range(40):
-            u, v = rng.integers(0, F.n, 2)
-            assert idx.lca(int(u), int(v)) == naive_lca(F, int(u), int(v))
+    for t in range(40):
+        F = random_forest(rng, int(rng.integers(1, 80)), int(rng.integers(1, 30)),
+                          syms, branch=0.3 + 0.65 * rng.random())
+        a, b = rng.integers(0, F.n, (2, 60))
+        want = [-1 if w is None else int(F.depth[w])
+                for w in (naive_lca(F, int(x), int(y)) for x, y in zip(a, b))]
+        assert lca_depth(F.depth, a, b).tolist() == want
+        # any known common-ancestor depth may seed the search
+        lo = np.minimum(want, rng.integers(-1, 3, 60))
+        assert lca_depth(F.depth, a, b, lo=lo).tolist() == want
 
 
 def test_ors_examples_and_oracle(rng):

@@ -1,12 +1,14 @@
+from math import gcd
+
 import numpy as np
 
-from tedk._naive import context_power_nodes, synced_context_powers
+from tedk._naive import context_power_nodes, naive_lca, synced_context_powers
 from tedk.generate import alphabet, planted_pair, random_forest
 from tedk.oracle import ted_threshold
-from tedk.vertical import (compute_contexts, compute_q, vert_periods,
-                           vert_sync_reductions)
+from tedk.vertical import (ContextOcc, compute_contexts, compute_q,
+                           vert_periods, vert_sync_reductions)
 
-from conftest import forest
+from conftest import deep_chain, forest
 
 
 def chain(label, depth, interner):
@@ -103,6 +105,76 @@ def test_compute_contexts_divergence_clip(interner):
     while context_power_nodes(F, 1, 1, e + 1).count(0):
         e += 1
     assert got == e
+
+
+def loop_contexts(F, k):
+    """Per-node loop form of `compute_contexts`, with the divergence LCA
+    taken by `naive_lca` (the reference for the vectorized pass)."""
+    if F.n == 0:
+        return []
+    q_arr, end_arr = (x.tolist() for x in compute_q(F, k))
+    pos = F.position_index()
+    D, node_at = pos.D.tolist(), pos.node_at.tolist()
+    out = []
+    for u, (ou, cu) in enumerate(zip(F.o.tolist(), F.c.tolist())):
+        q_l, j_l = q_arr[ou], end_arr[ou]
+        q_r, j_r = q_arr[cu], end_arr[cu]
+        if j_l == ou or j_r == cu or cu - ou < max(q_l, q_r):
+            continue
+        d_l = D[ou + q_l] - D[ou]
+        d_r = D[cu - q_r] - D[cu]
+        if d_l < 1 or d_r < 1:
+            continue
+        d = d_l * d_r // gcd(d_l, d_r)
+        cl_len = q_l * (d // d_l)
+        cr_len = q_r * (d // d_r)
+        if cl_len > 4 * k or cr_len > 4 * k:
+            continue
+        v = naive_lca(F, node_at[min(j_l - 1, cu)], node_at[max(j_r + 1, ou)])
+        e = min((j_l - ou) // cl_len, (cu - j_r) // cr_len,
+                (cu - ou + 1) // (cl_len + cr_len),
+                (int(F.depth[v]) - int(F.depth[u]) + 1) // d)
+        if e >= 16 * k:
+            out.append(ContextOcc(u, cl_len, cr_len, e))
+    return out
+
+
+def diverging_towers(rng, interner):
+    """A spine over two sibling spines of the same layers, so the divergence
+    point can be what clips the exponent.  Spine labels repeat every one or
+    two levels, and a leaf hangs before the spine child every a-th level and
+    after it every b-th level (0: never), so the two sides' layer depths can
+    differ and their lcm is the context's."""
+    labs = "st"[:int(rng.integers(1, 3))]
+    a, b = (int(x) for x in rng.integers(0, 4, 2))
+
+    def spine(depth):
+        opens = closes = ""
+        for t in range(depth):
+            opens += "(" + labs[t % len(labs)] + ("(x)" if a and t % a == 0 else "")
+            closes = ("(y)" if b and t % b == 0 else "") + ")" + closes
+        return opens, closes
+    (o0, c0), (o1, c1), (o2, c2) = (spine(int(d)) for d in rng.integers(0, 130, 3))
+    return forest(o0 + o1 + c1 + o2 + c2 + c0, interner)
+
+
+def test_compute_contexts_matches_loop(interner, rng):
+    divergence = "(a" * 21 + "(a" * 30 + ")" * 30 + "(a" * 28 + ")" * 28 + ")" * 21
+    cases = [(forest(divergence, interner), 1),
+             (deep_chain(rng, 20_200, alphabet(interner, 2)), 1),
+             (deep_chain(rng, 400, alphabet(interner, 1)), 1)]
+    for t in range(1000):
+        k = 1 + t % 2
+        F, G, _ = planted_pair(rng, int(rng.integers(0, 300)), k, 2, interner,
+                               kind=("vertical", "mixed")[t // 2 % 2])
+        cases += [(F, k), (G, k)]
+    cases += [(diverging_towers(rng, interner), 1 + t % 2) for t in range(300)]
+    nonempty = 0
+    for F, k in cases:
+        want = loop_contexts(F, k)
+        assert compute_contexts(F, k) == want
+        nonempty += bool(want)
+    assert nonempty > 2000
 
 
 def test_vert_periods_planted_and_suppression(interner):
