@@ -8,18 +8,16 @@ reduction), partial-matching reductions (partial), the height-bounded solver
 """
 
 from .alignment import (Alignment, AlignmentStats, common_matching_core,
-                        eval_alignment, greedy_bounded_align, is_greedy,
-                        is_tree_alignment, sym_diff_size)
+                        eval_alignment, greedy_bounded_align, is_greedy)
 from .engine import EngineConfig, EngineReport, mark_levels, run, ted_bounded
 from .errors import (CrossingMatchingError, LabelMismatchError,
                      MalformedAlignmentError, NoAlignmentError, ParseError,
                      UnbalancedError)
-from .forest import (LabeledForest, LabelInterner, ParenSeq, PositionIndex,
-                     parse_json_text, parse_paren_text, serialize_json,
-                     serialize_paren)
+from .forest import (LabeledForest, LabelInterner, parse_json_text,
+                     parse_paren_text, serialize_json, serialize_paren)
 from .labeling import (JointLabeling, compat_refine, lookahead_refine,
                        refines)
-from .oracle import INF, ted_constrained, ted_exact, ted_threshold
+from .oracle import INF, ted_exact, ted_threshold
 from .partial import gadget, partial_reduce, prune_redundant, reduce_height
 from .reduction import ReducedPair, reduce_and_anchor
 from .shallow import shallow_ted
@@ -28,14 +26,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alignment", "AlignmentStats", "common_matching_core", "eval_alignment",
-    "greedy_bounded_align", "is_greedy", "is_tree_alignment", "sym_diff_size",
+    "greedy_bounded_align", "is_greedy",
     "EngineConfig", "EngineReport", "mark_levels", "run", "ted_bounded",
     "CrossingMatchingError", "LabelMismatchError", "MalformedAlignmentError",
     "NoAlignmentError", "ParseError", "UnbalancedError",
-    "LabeledForest", "LabelInterner", "ParenSeq", "PositionIndex",
-    "parse_json_text", "parse_paren_text", "serialize_json", "serialize_paren",
+    "LabeledForest", "LabelInterner", "parse_json_text", "parse_paren_text",
+    "serialize_json", "serialize_paren",
     "JointLabeling", "compat_refine", "lookahead_refine", "refines",
-    "INF", "ted_constrained", "ted_exact", "ted_threshold",
+    "INF", "ted_exact", "ted_threshold",
     "gadget", "partial_reduce", "prune_redundant", "reduce_height",
     "ReducedPair", "reduce_and_anchor", "shallow_ted",
 ]

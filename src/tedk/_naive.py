@@ -197,7 +197,7 @@ def context_power_nodes(F: LabeledForest, q_l: int, q_r: int, e: int):
     """Nodes where some context (|C_L|=q_l, |C_R|=q_r) has an e-th power,
     straight from the definition: prefix C_L^e, suffix C_R^e, balanced core.
     A per-period equality prefilter keeps the candidate set small."""
-    S = F.paren().codes
+    S = F.codes
     out = []
     sides = S & 1
     excess = np.cumsum(1 - 2 * sides)
@@ -254,7 +254,7 @@ def synced_context_powers(F: LabeledForest, G: LabeledForest, s: int, e: int,
             vs = context_power_nodes(G, q_l, q_r, e)
             if not us or not vs:
                 continue
-            SF, SG = F.paren().codes, G.paren().codes
+            SF, SG = F.codes, G.codes
             for u in us:
                 for v in vs:
                     if (abs(int(F.o[u]) - int(G.o[v])) <= s

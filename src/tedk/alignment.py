@@ -1,5 +1,7 @@
-"""String alignments: evaluation, banded greedy search, alignment algebra.
+"""String alignments: evaluation, banded greedy search, shared matches.
 
+The strings are int64 code arrays, such as a forest's `codes` or its
+`relabeled_codes` under a refined labeling; plain strings are accepted too.
 An alignment is the monotone sequence of index pairs (x_t, y_t) from (0,0) to
 (|X|,|Y|) with unit steps.  The bounded search is the diagonal-band variant of
 the k-differences wavefront: for each cost level and each diagonal in
@@ -17,15 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MalformedAlignmentError, NoAlignmentError
-from .forest import LabeledForest, ParenSeq
 
 _NEG = -(1 << 60)
 
 
 def as_codes(seq) -> np.ndarray:
-    """Accept ParenSeq, numpy arrays, lists, or plain strings."""
-    if isinstance(seq, ParenSeq):
-        return seq.codes
+    """Accept numpy arrays, lists, or plain strings."""
     if isinstance(seq, str):
         return np.frombuffer(seq.encode("utf-32-le"), dtype=np.uint32).astype(np.int64)
     return np.asarray(seq, dtype=np.int64)
@@ -40,11 +39,6 @@ class Alignment:
         self.pairs = np.asarray(pairs, dtype=np.int64)
         if self.pairs.ndim != 2 or self.pairs.shape[1] != 2:
             raise MalformedAlignmentError("pairs must be an (m+1, 2) array")
-
-    @staticmethod
-    def identity(n: int) -> "Alignment":
-        r = np.arange(n + 1, dtype=np.int64)
-        return Alignment(np.stack([r, r], axis=1))
 
     def check_valid(self, nx: int, ny: int) -> None:
         p = self.pairs
@@ -62,9 +56,6 @@ class Alignment:
         if len(self.pairs) == 0:
             return 0
         return int(np.abs(self.pairs[:, 0] - self.pairs[:, 1]).max())
-
-    def pair_set(self) -> set[tuple[int, int]]:
-        return set(map(tuple, self.pairs.tolist()))
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -84,9 +75,6 @@ class AlignmentStats:
     width: int
     matches: np.ndarray      # (m, 2) pairs (x_t, y_t) that are matches
     breakpoints: np.ndarray  # the remaining elements
-
-    def match_set(self) -> set[tuple[int, int]]:
-        return set(map(tuple, self.matches.tolist()))
 
 
 def _match_mask(A: Alignment, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -302,45 +290,6 @@ def greedy_bounded_align(X, Y, k: int, w: int) -> Alignment | None:
     xs += np.repeat(a - firsts, lens)
     ys = xs + np.repeat(jj, lens)
     return Alignment(np.stack([xs, ys], axis=1))
-
-
-def is_tree_alignment(A: Alignment, F: LabeledForest, G: LabeledForest) -> bool:
-    """Check the per-node consistency conditions of a tree alignment."""
-    X, Y = F.paren().codes, G.paren().codes
-    A.check_valid(len(X), len(Y))
-    p = A.pairs
-    dx = np.diff(p[:, 0])
-    dy = np.diff(p[:, 1])
-    diag = (dx == 1) & (dy == 1)
-    x_to_y = np.full(len(X), -1, dtype=np.int64)
-    y_to_x = np.full(len(Y), -1, dtype=np.int64)
-    x_to_y[p[:-1, 0][diag]] = p[:-1, 1][diag]
-    y_to_x[p[:-1, 1][diag]] = p[:-1, 0][diag]
-
-    def side_ok(H_from, H_to, pos_map) -> bool:
-        yo = pos_map[H_from.o]
-        yc = pos_map[H_from.c]
-        both_deleted = (yo < 0) & (yc < 0)
-        aligned = (yo >= 0) & (yc >= 0)
-        if not (both_deleted | aligned).all():
-            return False
-        if not aligned.any():
-            return True
-        node_at = H_to.position_index().node_at
-        v = node_at[np.maximum(yo[aligned], 0)]
-        ok = (H_to.o[v] == yo[aligned]) & (H_to.c[v] == yc[aligned])
-        return bool(ok.all())
-
-    return side_ok(F, G, x_to_y) and side_ok(G, F, y_to_x)
-
-
-def sym_diff_size(A: Alignment, B: Alignment) -> int:
-    """|A triangle B| over the element pair sets."""
-    big = 1 << 32
-    a = A.pairs[:, 0] * big + A.pairs[:, 1]
-    b = B.pairs[:, 0] * big + B.pairs[:, 1]
-    inter = len(np.intersect1d(a, b))
-    return len(a) + len(b) - 2 * inter
 
 
 def common_matching_core(X, Y, k: int, w: int, e: int) -> np.ndarray:

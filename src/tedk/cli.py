@@ -1,7 +1,8 @@
 """Command-line front end: compute, oracle, gen, selftest, bench.
 
 compute prints one machine-parseable line `<distance|INF>\t<k>\t<seed>\t<rounds>`
-and exits 0 on success, 2 on parse errors, 3 on bad flags.
+(oracle prints the same line with seed and rounds 0) and exits 0 on success,
+2 on parse errors, 3 on bad flags.
 """
 
 from __future__ import annotations
@@ -58,12 +59,17 @@ def _fmt_value(v) -> str:
     return "INF" if v == INF else str(int(v))
 
 
-def _positive(raw: str) -> int:
-    """--threads value, and --rounds other than 'auto': an integer >= 1
+def _natural(raw: str, least: int = 0) -> int:
+    """--seed value, and with least=1 `_positive`'s: an integer >= `least`
     (else a usage error)."""
-    if not raw.isdigit() or int(raw) < 1:
-        raise argparse.ArgumentTypeError("expected an integer >= 1")
+    if not raw.isdigit() or int(raw) < least:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {least}")
     return int(raw)
+
+
+def _positive(raw: str) -> int:
+    """--threads value, and --rounds other than 'auto': an integer >= 1."""
+    return _natural(raw, 1)
 
 
 def _rounds(raw: str) -> int | str:
@@ -75,32 +81,31 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="tedk", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def inputs(sp):
+        sp.add_argument("fileF")
+        sp.add_argument("fileG")
         sp.add_argument("--k", type=int, required=True)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--rounds", type=_rounds, default="auto")
         sp.add_argument("--format", choices=("paren", "json"), default="paren")
+
+    def engine_flags(sp):
+        sp.add_argument("--seed", type=_natural, default=0)
+        sp.add_argument("--rounds", type=_rounds, default="auto")
         sp.add_argument("--threads", type=_positive, default=1)
 
     c = sub.add_parser("compute", help="bounded distance via the main engine")
-    c.add_argument("fileF")
-    c.add_argument("fileG")
-    common(c)
-    c.add_argument("--oracle", action="store_true",
-                   help="route to the exact DP instead of the engine")
+    inputs(c)
+    engine_flags(c)
     c.add_argument("--verify", action="store_true",
                    help="run both engine and oracle and compare")
 
     o = sub.add_parser("oracle", help="bounded distance via the exact DP")
-    o.add_argument("fileF")
-    o.add_argument("fileG")
-    common(o)
+    inputs(o)
 
     g = sub.add_parser("gen", help="generate reproducible forests")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--height", type=int, default=6)
     g.add_argument("--sigma", type=int, default=4)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_natural, default=0)
     g.add_argument("--out", required=True)
     g.add_argument("--format", choices=("paren", "json"), default="paren")
     g.add_argument("--plant", choices=("none", "horizontal", "vertical", "mixed"),
@@ -115,9 +120,8 @@ def _build_parser() -> _Parser:
     s.add_argument("--level", choices=("quick", "full"), default="quick")
 
     b = sub.add_parser("bench", help="time one computation, CSV output")
-    b.add_argument("fileF")
-    b.add_argument("fileG")
-    common(b)
+    inputs(b)
+    engine_flags(b)
     return p
 
 
@@ -137,36 +141,29 @@ def _cmd_compute(args, exact_only: bool) -> int:
     try:
         F = _load(args.fileF, args.format, interner)
         G = _load(args.fileG, args.format, interner)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:
         sys.stderr.write(f"tedk: parse error: {exc}\n")
         return EXIT_PARSE
-    except OSError as exc:
-        sys.stderr.write(f"tedk: parse error: {exc}\n")
-        return EXIT_PARSE
-    use_oracle = exact_only or getattr(args, "oracle", False)
-    verify = getattr(args, "verify", False)
     rounds_run = 0
-    if use_oracle and not verify:
+    if exact_only or args.k == 0:
         value = ted_threshold(F, G, args.k)
     else:
-        if args.k == 0:
-            value = ted_threshold(F, G, 0)
-        else:
-            cfg = EngineConfig(k=args.k, seed=args.seed, rounds=args.rounds,
-                               threads=args.threads)
-            rep = engine_run(F, G, cfg, interner)
-            value, rounds_run = rep.value, rep.rounds
-            log.info("n=%d k=%d rounds=%d kept=%d timings=%s",
-                     F.n + G.n, args.k, rep.rounds, rep.kept,
-                     {p: f"{v:.1f}" for p, v in rep.timings.items()})
-        if verify:
+        cfg = EngineConfig(k=args.k, seed=args.seed, rounds=args.rounds,
+                           threads=args.threads)
+        rep = engine_run(F, G, cfg, interner)
+        value, rounds_run = rep.value, rep.rounds
+        log.info("n=%d k=%d rounds=%d kept=%d timings=%s",
+                 F.n + G.n, args.k, rep.rounds, rep.kept,
+                 {p: f"{v:.1f}" for p, v in rep.timings.items()})
+        if args.verify:
             want = ted_threshold(F, G, args.k)
             if value != want:
                 sys.stderr.write(
                     f"tedk: verify failed: engine={_fmt_value(value)} "
                     f"oracle={_fmt_value(want)}\n")
                 return EXIT_FAILED
-    print(f"{_fmt_value(value)}\t{args.k}\t{args.seed}\t{rounds_run}")
+    seed = 0 if exact_only else args.seed
+    print(f"{_fmt_value(value)}\t{args.k}\t{seed}\t{rounds_run}")
     return EXIT_OK
 
 

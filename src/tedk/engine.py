@@ -13,6 +13,7 @@ sampling is skipped and one deterministic shallow solve suffices.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -29,6 +30,15 @@ from .reduction import ReducedPair, reduce_and_anchor
 from .shallow import lift_position_matching, shallow_ted
 
 
+def _int_at_least(value, least: int) -> bool:
+    """True iff `value` is an integer (anything `operator.index` takes, numpy
+    integers included) and at least `least`."""
+    try:
+        return operator.index(value) >= least
+    except TypeError:
+        return False
+
+
 @dataclass
 class EngineConfig:
     k: int
@@ -39,10 +49,13 @@ class EngineConfig:
     audit: bool = False
 
     def __post_init__(self) -> None:
-        if self.rounds != "auto" and not (
-                isinstance(self.rounds, int) and self.rounds >= 1):
+        if not _int_at_least(self.k, 1):
+            raise ValueError("threshold k must be an integer >= 1")
+        if not _int_at_least(self.seed, 0):
+            raise ValueError("seed must be an integer >= 0")
+        if self.rounds != "auto" and not _int_at_least(self.rounds, 1):
             raise ValueError("rounds must be 'auto' or an integer >= 1")
-        if not (isinstance(self.threads, int) and self.threads >= 1):
+        if not _int_at_least(self.threads, 1):
             raise ValueError("threads must be an integer >= 1")
 
     def num_rounds(self, n_total: int) -> int:
@@ -76,8 +89,6 @@ def _anchor_node_pairs(rp: ReducedPair) -> np.ndarray:
 def run(F: LabeledForest, G: LabeledForest, cfg: EngineConfig,
         interner: LabelInterner) -> EngineReport:
     """Full engine run with per-phase timings."""
-    if cfg.k < 1:
-        raise ValueError("threshold must be >= 1")
     # ted(F, G) <= |F| + |G|, so a larger k changes no answer; the clamp
     # keeps the 4k+1-wide passes and the height cap sized by the input
     k = min(cfg.k, max(1, F.n + G.n))

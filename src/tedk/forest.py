@@ -4,7 +4,10 @@ A forest is stored as its parenthesis character sequence: ``codes[p] =
 (symbol << 1) | side`` with side 0 for an opening and 1 for a closing
 parenthesis.  Node ids are dense pre-order integers (the rank of the opening
 parenthesis), which makes the opening position monotone in the node id and
-keeps every derived index a plain numpy array.  Instances are immutable after
+keeps every derived index a plain numpy array.  Every layer reads these
+arrays directly: `codes` per position, `o`, `c` and `depth` per node,
+`node_at` from a position back to its node, and `relabeled_codes` for the
+code array under another labeling.  Instances are immutable after
 construction and safe to share across threads.
 
 Level ancestors (the parent, the ancestor d levels up, the nearest marked
@@ -69,53 +72,6 @@ class LabelInterner:
 
     def text(self, symbol: int) -> str:
         return self._texts[symbol]
-
-    def __len__(self) -> int:
-        return len(self._texts)
-
-    def __contains__(self, text: str) -> bool:
-        return text in self._by_text
-
-
-class ParenSeq:
-    """Parenthesis representation of a forest under some labeling.
-
-    Equal codes mean equal (side, label) characters; characters of different
-    sides never compare equal by construction of the encoding.
-    """
-
-    __slots__ = ("codes",)
-
-    def __init__(self, codes: np.ndarray):
-        self.codes = np.asarray(codes, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    @property
-    def sides(self) -> np.ndarray:
-        return self.codes & 1
-
-    @property
-    def symbols(self) -> np.ndarray:
-        return self.codes >> 1
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ParenSeq):
-            return NotImplemented
-        return bool(np.array_equal(self.codes, other.codes))
-
-
-class PositionIndex:
-    """Opening/closing positions per node, per-position depth, owner map."""
-
-    __slots__ = ("o", "c", "D", "node_at")
-
-    def __init__(self, o, c, D, node_at):
-        self.o = o
-        self.c = c
-        self.D = D
-        self.node_at = node_at
 
 
 def level_search(level: np.ndarray):
@@ -215,7 +171,7 @@ def _pair_parens(codes: np.ndarray):
 class LabeledForest:
     """Ordered rooted forest with per-node labels, ids in pre-order."""
 
-    __slots__ = ("n", "codes", "o", "c", "depth", "_parent", "_pos",
+    __slots__ = ("n", "codes", "o", "c", "depth", "_parent", "_node_at",
                  "_child_index", "_height", "_subtree_end")
 
     def __init__(self, codes: np.ndarray, _paired=None):
@@ -225,7 +181,7 @@ class LabeledForest:
         self.o, self.c, self.depth = _paired
         self.n = len(self.o)
         self._parent = None
-        self._pos = None
+        self._node_at = None
         self._child_index = None
         self._height = None
         self._subtree_end = None
@@ -280,28 +236,24 @@ class LabeledForest:
         order, starts = self._child_index
         return order[starts[u + 1]:starts[u + 2]]
 
-    def position_index(self) -> PositionIndex:
-        if self._pos is None:
-            n = self.n
-            D = np.empty(2 * n, dtype=np.int64)
-            node_at = np.empty(2 * n, dtype=np.int64)
-            D[self.o] = self.depth
-            D[self.c] = self.depth
-            ids = np.arange(n, dtype=np.int64)
+    @property
+    def node_at(self) -> np.ndarray:
+        """node_at[p]: the node whose opening or closing parenthesis is at p."""
+        if self._node_at is None:
+            ids = np.arange(self.n, dtype=np.int64)
+            node_at = np.empty(2 * self.n, dtype=np.int64)
             node_at[self.o] = ids
             node_at[self.c] = ids
-            self._pos = PositionIndex(self.o, self.c, D, node_at)
-        return self._pos
+            self._node_at = node_at
+        return self._node_at
 
-    def paren(self, labeling: np.ndarray | None = None) -> ParenSeq:
-        """Parenthesis representation under `labeling` (default: own labels)."""
-        if labeling is None:
-            return ParenSeq(self.codes)
+    def relabeled_codes(self, labeling: np.ndarray) -> np.ndarray:
+        """The code array of this forest with node u labeled labeling[u]."""
         labeling = np.asarray(labeling, dtype=np.int64)
         codes = np.empty(2 * self.n, dtype=np.int64)
         codes[self.o] = labeling << 1
         codes[self.c] = (labeling << 1) | 1
-        return ParenSeq(codes)
+        return codes
 
     # -- queries ------------------------------------------------------------
 
@@ -310,15 +262,6 @@ class LabeledForest:
             self._height = int(self.depth.max()) + 1 if self.n else 0
         return self._height
 
-    def subtree_trimmed(self, v: int, d: int) -> "LabeledForest":
-        """The subtree rooted at v restricted to depth-from-v < d."""
-        if d < 1:
-            raise ValueError("trim depth must be >= 1")
-        end = int(self.subtree_end[v])
-        ids = np.arange(v, end)
-        keep = ids[self.depth[v:end] - self.depth[v] < d]
-        return self.induced(keep)
-
     def induced(self, keep: np.ndarray) -> "LabeledForest":
         """Forest obtained by deleting every node not in `keep` (order kept)."""
         keep = np.asarray(keep, dtype=np.int64)
@@ -326,17 +269,6 @@ class LabeledForest:
         mask[self.o[keep]] = True
         mask[self.c[keep]] = True
         return LabeledForest(self.codes[mask])
-
-    def validate(self) -> None:
-        """Re-check structural invariants (tests and reduction outputs)."""
-        o, c, depth = _pair_parens(self.codes)
-        if not (np.array_equal(o, self.o) and np.array_equal(c, self.c)
-                and np.array_equal(depth, self.depth)):
-            raise ValueError("inconsistent cached position arrays")
-        if self.n:
-            par = self.parent
-            if not (par < np.arange(self.n)).all() or par.min() < VIRTUAL_ROOT:
-                raise ValueError("parent ids must precede children in pre-order")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledForest):
@@ -396,13 +328,10 @@ def parse_paren_text(text: str, interner: LabelInterner) -> LabeledForest:
         syms = lut[inverse]
     else:
         syms = np.empty(0, dtype=np.int64)
-    # pair on the sides alone, then copy each open's label to its close
-    sides = is_close[~is_label].astype(np.int64)
-    o, c, depth = _pair_parens(sides)
-    codes = np.empty(len(sides), dtype=np.int64)
-    codes[o] = syms << 1
-    codes[c] = (syms << 1) | 1
-    return LabeledForest(codes, (o, c, depth))
+    # pair on the sides alone (every label 0), then give each node its label
+    shape = LabeledForest(is_close[~is_label].astype(np.int64))
+    return LabeledForest(shape.relabeled_codes(syms),
+                         (shape.o, shape.c, shape.depth))
 
 
 def serialize_paren(F: LabeledForest, interner: LabelInterner) -> str:

@@ -49,9 +49,9 @@ def plant_horizontal(rng: np.random.Generator, F: LabeledForest, k: int,
     block = random_forest(rng, block_nodes, max(1, block_nodes), syms)
     if reps is None:
         reps = int(rng.integers(18 * k, 24 * k + 1))
-    big = np.tile(block.paren().codes, reps)
+    big = np.tile(block.codes, reps)
     return LabeledForest.from_codes(
-        _insert_block(F.paren().codes, _random_gap(rng, F), big))
+        _insert_block(F.codes, _random_gap(rng, F), big))
 
 
 def plant_vertical(rng: np.random.Generator, F: LabeledForest, k: int,
@@ -62,19 +62,19 @@ def plant_vertical(rng: np.random.Generator, F: LabeledForest, k: int,
     right_nodes = int(rng.integers(0, max(1, 2 * k - 1)))
     left = random_forest(rng, left_nodes, max(1, left_nodes), syms)
     right = random_forest(rng, right_nodes, max(1, right_nodes), syms)
-    c_l = np.concatenate([[spine << 1], left.paren().codes])
-    c_r = np.concatenate([right.paren().codes, [(spine << 1) | 1]])
+    c_l = np.concatenate([[spine << 1], left.codes])
+    c_r = np.concatenate([right.codes, [(spine << 1) | 1]])
     if reps is None:
         reps = int(rng.integers(17 * k, 24 * k + 1))
     block = np.concatenate([np.tile(c_l, reps), np.tile(c_r, reps)])
     return LabeledForest.from_codes(
-        _insert_block(F.paren().codes, _random_gap(rng, F), block))
+        _insert_block(F.codes, _random_gap(rng, F), block))
 
 
 def apply_random_edits(rng: np.random.Generator, F: LabeledForest, d: int,
                        syms: np.ndarray) -> LabeledForest:
     """Apply d random unit edits (relabel, delete, insert-leaf)."""
-    codes = F.paren().codes.copy()
+    codes = F.codes.copy()
     for _ in range(d):
         cur = LabeledForest.from_codes(codes)
         ops = ["insert"] if cur.n == 0 else ["relabel", "delete", "insert"]

@@ -72,8 +72,8 @@ def _rotation_match(X: np.ndarray, Y: np.ndarray) -> bool:
 
 def sync_occurrences(F: LabeledForest, G: LabeledForest, k: int) -> list[HSyncOcc]:
     """Merge-scan the filtered run lists for balanced synchronized periods."""
-    sf = F.paren().codes
-    sg = G.paren().codes
+    sf = F.codes
+    sg = G.codes
     rf = filter_runs(sf, k)
     rg = filter_runs(sg, k)
     out: list[HSyncOcc] = []
@@ -101,8 +101,8 @@ def cut_sites(F: LabeledForest, G: LabeledForest, sites, k: int):
     sides.  Sites come sorted and must not overlap.  Both outputs are rebuilt
     through `LabeledForest.from_codes`, also when there is no site.
     """
-    sf = F.paren().codes
-    sg = G.paren().codes
+    sf = F.codes
+    sg = G.codes
     parts_f: list[np.ndarray] = []
     parts_g: list[np.ndarray] = []
     i_f = i_g = 0

@@ -28,10 +28,6 @@ class Run:
     j: int
     p: int
 
-    @property
-    def exponent(self) -> float:
-        return (self.j - self.i) / self.p
-
 
 def _stretches(mask: np.ndarray):
     """(start, length) pairs of maximal True stretches of a boolean array."""

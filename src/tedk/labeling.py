@@ -123,8 +123,8 @@ def lookahead_refine(F: LabeledForest, G: LabeledForest, lab: JointLabeling,
     """
     if d < 1:
         raise ValueError("look-ahead depth must be >= 1")
-    codes_f = F.paren(lab.f).codes
-    codes_g = G.paren(lab.g).codes
+    codes_f = F.relabeled_codes(lab.f)
+    codes_g = G.relabeled_codes(lab.g)
     out = _dense_joint(_subtree_fingerprints(F, codes_f, d, base),
                        _subtree_fingerprints(G, codes_g, d, base))
     if audit:
@@ -152,7 +152,7 @@ def compat_refine(F: LabeledForest, G: LabeledForest, lab: JointLabeling,
         return JointLabeling(lab.f.copy(), lab.g.copy())
     rows = [np.arange(total, dtype=np.int64)]
     cols = [np.arange(total, dtype=np.int64)]
-    node_at_g = G.position_index().node_at if ng else None
+    node_at_g = G.node_at
     mg = 2 * ng
     for off in range(-w, w + 1):
         if nf == 0 or ng == 0:

@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CrossingMatchingError
-from .forest import LabeledForest, LabelInterner
-from .partial import gadget, reduce_height, validate_matching
+from .forest import LabeledForest
 
 INF = float("inf")
 
@@ -126,7 +124,7 @@ def _ted_dp(F: LabeledForest, G: LabeledForest, cap: int) -> int:
 
 def ted_exact(F: LabeledForest, G: LabeledForest) -> int:
     """Exact unit-cost tree edit distance (relabel/delete/insert)."""
-    if F.paren() == G.paren():
+    if F == G:
         return 0
     return _ted_dp(F, G, F.n + G.n + 1)
 
@@ -135,34 +133,12 @@ def ted_threshold(F: LabeledForest, G: LabeledForest, k) -> int | float:
     """ted(F, G) if it is at most k, INF otherwise."""
     if k < 0:
         raise ValueError("threshold must be non-negative")
-    if F.paren() == G.paren():
+    if F == G:
         return 0
-    k = int(k)
+    # ted(F, G) <= |F| + |G|, so the clamp changes no answer and keeps an
+    # unbounded k (INF included) out of int()
+    k = int(min(k, F.n + G.n))
     if abs(F.n - G.n) > k or _label_multiset_bound(F, G) > k:
         return INF
     val = _ted_dp(F, G, k + 1)
     return val if val <= k else INF
-
-
-def ted_constrained(F: LabeledForest, G: LabeledForest, M,
-                    interner: LabelInterner | None = None) -> int | float:
-    """Minimum cost over tree alignments matching every pair of M.
-
-    INF when M is not a non-crossing label-matching set.  Implemented by
-    height flattening plus the uniqueness gadget at an unconstrained
-    threshold, then the exact DP.
-    """
-    try:
-        M = validate_matching(F, G, M)
-    except (CrossingMatchingError, ValueError):
-        return INF
-    if len(M) == 0:
-        return ted_exact(F, G)
-    if interner is None:
-        interner = LabelInterner()
-        interner.fresh_block(int(max(F.labels.max(), G.labels.max())) + 1,
-                             "pad")
-    F1, G1, M1 = reduce_height(F, G, M, interner)
-    k_free = F1.n + G1.n
-    F2, G2 = gadget(F1, G1, M1, k_free, interner)
-    return ted_exact(F2, G2)

@@ -159,9 +159,8 @@ def prune_redundant(F: LabeledForest, G: LabeledForest, M):
     def left_sibling(H: LabeledForest, nodes: np.ndarray) -> np.ndarray:
         o = H.o[nodes]
         prev = o - 1
-        node_at = H.position_index().node_at
         has = (prev >= 0) & ((np.where(prev >= 0, H.codes[prev], 0) & 1) == CLOSE)
-        return np.where(has, node_at[np.maximum(prev, 0)], -1)
+        return np.where(has, H.node_at[np.maximum(prev, 0)], -1)
 
     f2g = np.full(F.n, -1, dtype=np.int64)
     f2g[M[:, 0]] = M[:, 1]

@@ -46,8 +46,8 @@ def reduce_and_anchor(F: LabeledForest, G: LabeledForest, k: int, base: int,
     lam0 = JointLabeling.base(F2, G2)
     lam_look = lookahead_refine(F2, G2, lam0, 8 * k, base, audit=audit)
     lam_refined = compat_refine(F2, G2, lam_look, 2 * k)
-    seq_f = F2.paren(lam_refined.f).codes
-    seq_g = G2.paren(lam_refined.g).codes
+    seq_f = F2.relabeled_codes(lam_refined.f)
+    seq_g = G2.relabeled_codes(lam_refined.g)
     t1 = time.perf_counter()
     anchor = greedy_bounded_align(seq_f, seq_g, 16 * k * k, 2 * k)
     t2 = time.perf_counter()

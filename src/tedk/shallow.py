@@ -33,9 +33,8 @@ def lift_position_matching(F: LabeledForest, G: LabeledForest,
     ok = (yo >= 0) & (yc >= 0)
     if not ok.any():
         return np.empty((0, 2), dtype=np.int64)
-    node_at = G.position_index().node_at
     u = np.flatnonzero(ok)
-    v = node_at[yo[u]]
+    v = G.node_at[yo[u]]
     good = (G.o[v] == yo[u]) & (G.c[v] == yc[u])
     return np.stack([u[good], v[good]], axis=1)
 
@@ -53,8 +52,8 @@ def shallow_ted(F: LabeledForest, G: LabeledForest, h: int, k: int,
     F1, G1 = sync_reductions(F, G, k)
     lam = lookahead_refine(F1, G1, JointLabeling.base(F1, G1), h, base,
                            audit=audit)
-    seq_f = F1.paren(lam.f).codes
-    seq_g = G1.paren(lam.g).codes
+    seq_f = F1.relabeled_codes(lam.f)
+    seq_g = G1.relabeled_codes(lam.g)
     kk, w, e = 2 * h * k, 2 * k, 18 * k
     try:
         shared = common_matching_core(seq_f, seq_g, kk, w, e)

@@ -58,7 +58,7 @@ def compute_q(F: LabeledForest, k: int):
     >= 16k anchors that run; closing positions anchor run prefixes.  Each
     position is written at most once (runs this long cannot share it).
     """
-    codes = F.paren().codes
+    codes = F.codes
     m = len(codes)
     q_arr = np.ones(m, dtype=np.int64)
     end_arr = np.arange(m, dtype=np.int64)
@@ -94,14 +94,12 @@ def compute_contexts(F: LabeledForest, k: int) -> list[ContextOcc]:
     run escaping the subtree is already capped by the size bound).
     """
     q_arr, end_arr = compute_q(F, k)
-    pos = F.position_index()
-    D, node_at = pos.D, pos.node_at
-    o, c = F.o, F.c
+    o, c, depth, node_at = F.o, F.c, F.depth, F.node_at
     u = np.flatnonzero((end_arr[o] != o) & (end_arr[c] != c)
                        & ((c - o) >= np.maximum(q_arr[o], q_arr[c])))
-    ou, cu = o[u], c[u]
-    d_l = D[ou + q_arr[ou]] - D[ou]
-    d_r = D[cu - q_arr[cu]] - D[cu]
+    ou, cu, top = o[u], c[u], depth[u]
+    d_l = depth[node_at[ou + q_arr[ou]]] - top
+    d_r = depth[node_at[cu - q_arr[cu]]] - top
     d = np.lcm(d_l, d_r)
     # a step below 1 is no context; its row is dropped, the divisor guard
     # only keeps the division defined
@@ -111,15 +109,14 @@ def compute_contexts(F: LabeledForest, k: int) -> list[ContextOcc]:
             & (cr_len <= 4 * k))
     if not keep.any():
         return []
-    u, ou, cu, d, cl_len, cr_len = (
-        x[keep] for x in (u, ou, cu, d, cl_len, cr_len))
+    u, ou, cu, top, d, cl_len, cr_len = (
+        x[keep] for x in (u, ou, cu, top, d, cl_len, cr_len))
     j_l, j_r = end_arr[ou], end_arr[cu]
     pl = np.minimum(j_l - 1, cu)
     pr = np.maximum(j_r + 1, ou)
     if ((pl < ou) | (pr > cu)).any():
         raise ContractError("context power endpoints outside the subtree")
-    top = F.depth[u]
-    v_depth = lca_depth(F.depth, node_at[pl], node_at[pr], lo=top)
+    v_depth = lca_depth(depth, node_at[pl], node_at[pr], lo=top)
     e = np.minimum.reduce([(j_l - ou) // cl_len,
                            (cu - j_r) // cr_len,
                            (cu - ou + 1) // (cl_len + cr_len),
@@ -146,8 +143,8 @@ def vert_periods(F: LabeledForest, G: LabeledForest, k: int) -> list[VertOcc]:
     cg = compute_contexts(G, k)
     if not cf or not cg:
         return []
-    codes_f = F.paren().codes
-    codes_g = G.paren().codes
+    codes_f = F.codes
+    codes_g = G.codes
     keys = [_context_key(codes_g, int(G.o[t.u]), int(G.c[t.u]), t.q_l, t.q_r)
             for t in cg]
     ors = OrsIndex.build(keys,
@@ -156,7 +153,7 @@ def vert_periods(F: LabeledForest, G: LabeledForest, k: int) -> list[VertOcc]:
                          nodes=[t.u for t in cg],
                          payloads=[t.e for t in cg])
     cg_map = {t.u: t for t in cg}
-    node_at_g = G.position_index().node_at
+    node_at_g = G.node_at
     out: list[VertOcc] = []
     i = -1
     for t in cf:

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from tedk.forest import LabeledForest, LabelInterner, parse_paren_text
+from tedk.errors import CrossingMatchingError
+from tedk.forest import (VIRTUAL_ROOT, LabeledForest, LabelInterner,
+                         _pair_parens, parse_paren_text)
+from tedk.oracle import INF, ted_exact
+from tedk.partial import gadget, reduce_height, validate_matching
 
 
 @pytest.fixture
@@ -53,6 +57,79 @@ def deep_chain(rng, depth, syms, leaf_every=67):
             codes += [s << 1, (s << 1) | 1]
     codes += [(lab << 1) | 1 for lab in reversed(labs)]
     return LabeledForest.from_codes(np.array(codes, dtype=np.int64))
+
+
+def validate(F):
+    """Re-check F's structural invariants against its codes."""
+    o, c, depth = _pair_parens(F.codes)
+    if not (np.array_equal(o, F.o) and np.array_equal(c, F.c)
+            and np.array_equal(depth, F.depth)):
+        raise ValueError("inconsistent cached position arrays")
+    if F.n:
+        par = F.parent
+        if not (par < np.arange(F.n)).all() or par.min() < VIRTUAL_ROOT:
+            raise ValueError("parent ids must precede children in pre-order")
+
+
+def is_tree_alignment(A, F, G) -> bool:
+    """Check the per-node consistency conditions of a tree alignment."""
+    X, Y = F.codes, G.codes
+    A.check_valid(len(X), len(Y))
+    p = A.pairs
+    dx = np.diff(p[:, 0])
+    dy = np.diff(p[:, 1])
+    diag = (dx == 1) & (dy == 1)
+    x_to_y = np.full(len(X), -1, dtype=np.int64)
+    y_to_x = np.full(len(Y), -1, dtype=np.int64)
+    x_to_y[p[:-1, 0][diag]] = p[:-1, 1][diag]
+    y_to_x[p[:-1, 1][diag]] = p[:-1, 0][diag]
+
+    def side_ok(H_from, H_to, pos_map) -> bool:
+        yo = pos_map[H_from.o]
+        yc = pos_map[H_from.c]
+        both_deleted = (yo < 0) & (yc < 0)
+        aligned = (yo >= 0) & (yc >= 0)
+        if not (both_deleted | aligned).all():
+            return False
+        if not aligned.any():
+            return True
+        v = H_to.node_at[np.maximum(yo[aligned], 0)]
+        ok = (H_to.o[v] == yo[aligned]) & (H_to.c[v] == yc[aligned])
+        return bool(ok.all())
+
+    return side_ok(F, G, x_to_y) and side_ok(G, F, y_to_x)
+
+
+def sym_diff_size(A, B) -> int:
+    """|A triangle B| over the element pair sets."""
+    big = 1 << 32
+    a = A.pairs[:, 0] * big + A.pairs[:, 1]
+    b = B.pairs[:, 0] * big + B.pairs[:, 1]
+    inter = len(np.intersect1d(a, b))
+    return len(a) + len(b) - 2 * inter
+
+
+def ted_constrained(F, G, M, interner=None):
+    """Minimum cost over tree alignments matching every pair of M.
+
+    INF when M is not a non-crossing label-matching set.  Implemented by
+    height flattening plus the uniqueness gadget at an unconstrained
+    threshold, then the exact DP.
+    """
+    try:
+        M = validate_matching(F, G, M)
+    except (CrossingMatchingError, ValueError):
+        return INF
+    if len(M) == 0:
+        return ted_exact(F, G)
+    if interner is None:
+        interner = LabelInterner()
+        interner.fresh_block(int(max(F.labels.max(), G.labels.max())) + 1,
+                             "pad")
+    F1, G1, M1 = reduce_height(F, G, M, interner)
+    k_free = F1.n + G1.n
+    F2, G2 = gadget(F1, G1, M1, k_free, interner)
+    return ted_exact(F2, G2)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -10,19 +10,20 @@ import numpy as np
 
 from tedk._naive import (naive_runs, banded_edit_cost, sync_power_occurrences,
                          synced_context_powers)
-from tedk.alignment import eval_alignment, greedy_bounded_align, is_greedy, \
-    is_tree_alignment, sym_diff_size
+from tedk.alignment import eval_alignment, greedy_bounded_align, is_greedy
 from tedk.engine import EngineConfig, ted_bounded
 from tedk.forest import LabelInterner
 from tedk.generate import (alphabet, apply_random_edits, planted_pair,
                            random_forest)
 from tedk.horizontal import min_balance_rotations, sync_reductions
 from tedk.indexes import compute_runs
-from tedk.oracle import INF, ted_constrained, ted_threshold
+from tedk.oracle import INF, ted_threshold
 from tedk.partial import (gadget, partial_reduce, prune_redundant,
                           reduce_height, validate_matching)
 from tedk.reduction import reduce_and_anchor
 from tedk.vertical import vert_sync_reductions
+
+from conftest import is_tree_alignment, sym_diff_size, ted_constrained
 
 
 def _rng(seed):
@@ -111,7 +112,7 @@ def test_criterion_3_periodicity_postconditions():
         F, G, _ = planted_pair(rng, base, k, 2, interner, kind=kind)
         assert F.n <= 5000 and G.n <= 5000
         F1, G1 = sync_reductions(F, G, k)
-        X, Y = F1.paren().codes, G1.paren().codes
+        X, Y = F1.codes, G1.codes
         bad_a += any(min_balance_rotations(X[x:x + q]) is not None
                      for (x, y, q)
                      in sync_power_occurrences(X, Y, 2 * k, 18 * k, 4 * k))
@@ -233,7 +234,7 @@ def test_criterion_6_partial_matching_contracts():
 def test_criterion_7_anchor_stability():
     import sys
     sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
-    from test_alignment import budget_alignments
+    from test_alignment import budget_alignments, pair_set
     rng = _rng(707)
     interner = LabelInterner()
     syms = alphabet(interner, 2)
@@ -249,7 +250,7 @@ def test_criterion_7_anchor_stability():
         if want == INF:
             continue
         rp = reduce_and_anchor(F, G, k, base=0x70707 + checked)
-        sf0, sg0 = rp.f.paren().codes, rp.g.paren().codes
+        sf0, sg0 = rp.f.codes, rp.g.codes
         opts = [B for B in budget_alignments(sf0, sg0, 2 * k, 2 * k)
                 if is_tree_alignment(B, rp.f, rp.g)
                 and eval_alignment(B, sf0, sg0).cost == 2 * want]
@@ -269,7 +270,7 @@ def test_criterion_7_anchor_stability():
         alns = budget_alignments(X, Y, k, w)
         for i in range(0, min(len(alns), 30), 2):
             for j in range(1, min(len(alns), 30), 3):
-                diff = len(alns[i].pair_set() - alns[j].pair_set())
+                diff = len(pair_set(alns[i]) - pair_set(alns[j]))
                 bad += diff > 7 * w * k * e
         suites += 1
     report("criterion 7: anchor within 4928k^4 of every optimum + 7wke bound",

@@ -68,15 +68,23 @@ def test_exit_codes(tmp_path, capsys):
 
 
 def test_rounds_flag_is_auto_or_positive(tmp_path, capsys):
-    # --threads takes the same integers >= 1, without 'auto'
+    # --threads takes the same integers >= 1, without 'auto'; oracle runs no
+    # engine and takes none of the engine flags
     a = tmp_path / "a.paren"
     a.write_text("(a(b))\n")
-    for cmd in ("compute", "oracle", "bench"):
+    for cmd in ("compute", "bench"):
         for flag in ("--rounds", "--threads"):
             for bad in ("0", "-3", "x", ""):
                 code, out, err = run_cli(capsys, cmd, str(a), str(a), "--k",
                                          "1", flag, bad)
                 assert code == 3 and out == "" and flag in err
+    for flag in ("--seed", "--rounds", "--threads"):
+        code, out, err = run_cli(capsys, "oracle", str(a), str(a), "--k", "1",
+                                 flag, "2")
+        assert code == 3 and out == "" and flag in err
+    code, out, _ = run_cli(capsys, "compute", str(a), str(a), "--k", "1",
+                           "--oracle")
+    assert code == 3 and out == ""
     code, out, _ = run_cli(capsys, "compute", str(a), str(a), "--k", "1",
                            "--rounds", "2", "--threads", "2")
     assert code == 0 and out.split("\t")[0] == "0"
@@ -188,6 +196,19 @@ def test_gen_planted(tmp_path, capsys):
     assert code == 0
     text = a.read_text()
     assert text.count("(") > 40  # planting grew the forest
+
+
+def test_negative_seed_exits_3(tmp_path, capsys):
+    a = tmp_path / "a.paren"
+    a.write_text("(a(b))\n")
+    for argv in (("compute", str(a), str(a), "--k", "1", "--seed", "-1"),
+                 ("bench", str(a), str(a), "--k", "1", "--seed", "-1"),
+                 ("gen", "--n", "5", "--seed", "-2", "--out",
+                  str(tmp_path / "x.paren"))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert "--seed" in err and "Traceback" not in err
+    assert not (tmp_path / "x.paren").exists()
 
 
 def test_gen_bad_plant_k_and_edits_exit_3(tmp_path, capsys):

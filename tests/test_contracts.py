@@ -25,6 +25,7 @@ from tedk.vertical import VertOcc, compute_contexts, vert_sync_reductions
 from conftest import forest
 
 SRC = Path(tedk.__file__).parent
+BENCH = Path(__file__).parents[1] / "bench"
 
 
 def test_no_assert_statements_in_package():
@@ -36,6 +37,35 @@ def test_no_assert_statements_in_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_unused_names_in_package():
+    # every function, class and method outside the public API is reached from
+    # the package or the benchmark; helpers only tests need live in tests/
+    used = set()
+    for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        if path == SRC / "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)  # bench/tracing.py names its sites
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "_naive.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        unused += [f"{path.name}:{node.lineno} {node.name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and not (node.name.startswith("__")
+                            and node.name.endswith("__"))
+                   and node.name not in tedk.__all__
+                   and node.name not in used]
+    assert unused == []
 
 
 def test_labeling_refines_contract(interner, monkeypatch):

@@ -129,6 +129,20 @@ def test_threads_smoke(interner, rng):
             EngineConfig(k=1, threads=bad)
 
 
+def test_config_checks_k_and_seed(interner):
+    # k is an integer >= 1 and the seed one >= 0; numpy integers pass
+    for bad in (0, -1, 2.5, "2", None):
+        with pytest.raises(ValueError):
+            EngineConfig(k=bad)
+    for bad in (-1, 2.5, "3", None):
+        with pytest.raises(ValueError):
+            EngineConfig(k=1, seed=bad)
+    F = parse_paren_text("(a(b))", interner)
+    G = parse_paren_text("(a)", interner)
+    cfg = EngineConfig(k=np.int64(2), seed=np.int64(3))
+    assert ted_bounded(F, G, cfg, interner) == 1
+
+
 def test_huge_k_is_clamped_to_input_size(interner, rng):
     # ted <= |F| + |G|, so that size answers any larger k exactly; the passes
     # of width 4k+1 and the height cap are sized by it

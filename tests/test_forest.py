@@ -12,7 +12,7 @@ from tedk.forest import (CLOSE, OPEN, VIRTUAL_ROOT, LabeledForest,
                          parse_paren_text, serialize_json, serialize_paren)
 from tedk.generate import alphabet, random_forest
 
-from conftest import deep_chain, forest, stack_walk
+from conftest import deep_chain, forest, stack_walk, validate
 
 
 def test_parse_single_node(interner):
@@ -118,7 +118,7 @@ def test_parse_matches_stack_parser(rng):
             want = type(exc)
         try:
             F = parse_paren_text(text, it)
-            F.validate()
+            validate(F)
             got = (F.o.tolist(), F.c.tolist(), F.depth.tolist(),
                    [it.text(s) for s in (F.codes >> 1).tolist()])
             assert (F.codes[F.o] & 1 == OPEN).all()
@@ -138,26 +138,50 @@ def test_label_mismatch_from_codes(interner):
 
 
 def test_paren_seq_empty_and_single(interner):
-    assert len(forest("", interner).paren()) == 0
+    assert len(forest("", interner).codes) == 0
     F = forest("(a)", interner)
-    seq = F.paren()
-    assert seq.sides.tolist() == [OPEN, CLOSE]
-    assert seq.symbols.tolist() == [interner.intern("a")] * 2
+    assert (F.codes & 1).tolist() == [OPEN, CLOSE]
+    assert (F.codes >> 1).tolist() == [interner.intern("a")] * 2
 
 
 def test_paren_positions_example(interner):
     F = forest("(a(b)(c))", interner)
     assert F.o.tolist() == [0, 1, 3]
     assert F.c.tolist() == [5, 2, 4]
-    assert len(F.paren()) == 2 * F.n
+    assert len(F.codes) == 2 * F.n
 
 
 def test_position_index_examples(interner):
     F = forest("(a(b))", interner)
-    assert F.position_index().D.tolist() == [0, 1, 1, 0]
+    assert F.node_at.tolist() == [0, 1, 1, 0]
+    assert F.depth[F.node_at].tolist() == [0, 1, 1, 0]
     G = forest("(a)(b)", interner)
     assert G.o[1] == 2 and G.c[1] == 3
-    assert G.position_index().D.tolist() == [0, 0, 0, 0]
+    assert G.node_at.tolist() == [0, 0, 1, 1]
+    assert G.depth[G.node_at].tolist() == [0, 0, 0, 0]
+
+
+def test_node_at_matches_stack_walk(interner, rng):
+    # reference positions from the stack walk alone: u opens after u openings
+    # and the u - depth(u) closings of the nodes before it that are not its
+    # ancestors, and closes 2 * |sub(u)| - 1 positions later
+    syms = alphabet(interner, 3)
+    forests = [random_forest(rng, int(rng.integers(0, 60)), 6, syms)
+               for _ in range(40)]
+    forests += [deep_chain(rng, 3000, syms), forest("", interner)]
+    for F in forests:
+        size = np.ones(F.n, dtype=np.int64)
+        depth = np.zeros(F.n, dtype=np.int64)
+        for u, anc, _ in stack_walk(F.codes):
+            depth[u] = len(anc)
+            size[anc] += 1
+        ids = np.arange(F.n)
+        o = 2 * ids - depth
+        want = np.full(2 * F.n, -1)
+        want[o] = ids
+        want[o + 2 * size - 1] = ids
+        assert F.node_at.tolist() == want.tolist()
+        assert F.depth.tolist() == depth.tolist()
 
 
 def test_positions_match_recursive_oracle(interner, rng):
@@ -176,16 +200,6 @@ def test_height_examples(interner):
     assert forest("(a(b(c)))", interner).height() == 3
 
 
-def test_subtree_trimmed(interner):
-    F = forest("(a(b(c))(e))", interner)
-    one = F.subtree_trimmed(0, 1)
-    assert one.n == 1 and one.labels[0] == interner.intern("a")
-    full = F.subtree_trimmed(0, 10)
-    assert full == F
-    two = F.subtree_trimmed(0, 2)
-    assert serialize_paren(two, interner) == "(a(b)(e))"
-
-
 def test_round_trip_and_bijection(interner, rng):
     syms = alphabet(interner, 4)
     for _ in range(25):
@@ -194,10 +208,9 @@ def test_round_trip_and_bijection(interner, rng):
         again = parse_paren_text(text, interner)
         assert again == F
         assert serialize_paren(again, interner) == text
-        seq = F.paren()
-        assert (seq.sides[F.o] == OPEN).all()
-        assert (seq.sides[F.c] == CLOSE).all()
-        assert (seq.symbols[F.o] == seq.symbols[F.c]).all()
+        assert (F.codes[F.o] & 1 == OPEN).all()
+        assert (F.codes[F.c] & 1 == CLOSE).all()
+        assert (F.codes[F.o] >> 1 == F.codes[F.c] >> 1).all()
 
 
 def test_intervals_are_laminar(interner, rng):
@@ -304,7 +317,7 @@ def test_children_and_roots(interner):
 def test_validate_ok(interner, rng):
     syms = alphabet(interner, 2)
     F = random_forest(rng, 30, 4, syms)
-    F.validate()
+    validate(F)
 
 
 def test_interner_injective():

@@ -37,7 +37,7 @@ def test_plant_horizontal_creates_runs(interner):
     k = 2
     F = random_forest(rng, 20, 4, syms)
     F2 = plant_horizontal(rng, F, k, syms)
-    assert any(r.exponent >= 16 * k for r in filter_runs(F2.paren().codes, k))
+    assert any(r.j - r.i >= 16 * k * r.p for r in filter_runs(F2.codes, k))
 
 
 def test_plant_vertical_creates_contexts(interner):

@@ -31,8 +31,8 @@ def test_filter_runs_matches_naive(rng):
 def test_filter_runs_planted(interner):
     k = 1
     F = forest("(r" + "(c)" * 20 + ")", interner)
-    rs = filter_runs(F.paren().codes, k)
-    assert len(rs) == 1 and rs[0].p == 2 and rs[0].exponent == 20
+    rs = filter_runs(F.codes, k)
+    assert len(rs) == 1 and rs[0].p == 2 and rs[0].j - rs[0].i == 40
 
 
 def test_sigma_examples(interner):
@@ -76,7 +76,7 @@ def test_min_balance_rotations_match_stack_pass(interner, rng):
             codes = (rng.integers(0, 2, m) << 1) | rng.integers(0, 2, m)
         else:
             codes = random_forest(rng, int(rng.integers(0, 10)), 4,
-                                  syms).paren().codes
+                                  syms).codes
             if len(codes):
                 codes = np.roll(codes, int(rng.integers(len(codes))))
                 if rng.random() < 0.3:
@@ -91,7 +91,7 @@ def test_sync_occurrences_identical_aperiodic(interner, rng):
     syms = alphabet(interner, 3)
     while True:
         F = random_forest(rng, 20, 4, syms)
-        if not filter_runs(F.paren().codes, 1):
+        if not filter_runs(F.codes, 1):
             break
     assert sync_occurrences(F, F, 1) == []
 
@@ -149,8 +149,8 @@ def test_sync_reductions_preserve_distance(interner, rng):
         F2, G2 = sync_reductions(F, G, k)
         assert ted_threshold(F2, G2, k) == ted_threshold(F, G, k)
         # character conservation: outputs are subsequences of the inputs
-        assert is_subsequence(F2.paren().codes, F.paren().codes)
-        assert is_subsequence(G2.paren().codes, G.paren().codes)
+        assert is_subsequence(F2.codes, F.codes)
+        assert is_subsequence(G2.codes, G.codes)
 
 
 def test_postcondition_no_synced_balanced_powers(interner, rng):
@@ -159,7 +159,7 @@ def test_postcondition_no_synced_balanced_powers(interner, rng):
         F, G, d = planted_pair(rng, int(rng.integers(0, 80)), k, 2, interner,
                                kind="horizontal")
         F2, G2 = sync_reductions(F, G, k)
-        X, Y = F2.paren().codes, G2.paren().codes
+        X, Y = F2.codes, G2.codes
         bad = [(x, y, q) for (x, y, q)
                in sync_power_occurrences(X, Y, 2 * k, 18 * k, 4 * k)
                if min_balance_rotations(X[x:x + q]) is not None]

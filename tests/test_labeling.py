@@ -9,7 +9,7 @@ from tedk.labeling import (JointLabeling, _level_descendant_cuts,
                            _subtree_fingerprints, compat_refine,
                            lookahead_refine, refines)
 
-from conftest import deep_chain, forest, stack_walk
+from conftest import deep_chain, forest, is_tree_alignment, stack_walk
 from test_indexes import concat_fp, substring
 
 BASE = 0x1234567
@@ -21,7 +21,8 @@ def same_partition(lab1, lab2):
 
 def alignment_forest_cost(A, F, G, lab):
     """Cost of A read on the `lab`-refined prints, in tree-edit units (ed/2)."""
-    stats = eval_alignment(A, F.paren(lab.f).codes, G.paren(lab.g).codes)
+    stats = eval_alignment(A, F.relabeled_codes(lab.f),
+                           G.relabeled_codes(lab.g))
     return stats.cost / 2
 
 
@@ -64,8 +65,8 @@ def test_lookahead_full_depth_encodes_subtrees(interner, rng):
         G = random_forest(rng, int(rng.integers(1, 15)), 4, syms)
         d = max(F.height(), G.height()) + 1
         out = lookahead_refine(F, G, JointLabeling.base(F, G), d, BASE)
-        subs = ([F.paren().codes[F.o[u]:F.c[u] + 1].tobytes() for u in range(F.n)]
-                + [G.paren().codes[G.o[v]:G.c[v] + 1].tobytes() for v in range(G.n)])
+        subs = ([F.codes[F.o[u]:F.c[u] + 1].tobytes() for u in range(F.n)]
+                + [G.codes[G.o[v]:G.c[v] + 1].tobytes() for v in range(G.n)])
         ids = np.concatenate([out.f, out.g])
         for a in range(len(ids)):
             for b in range(len(ids)):
@@ -153,7 +154,7 @@ def test_lookahead_cost_bound(interner, rng):
 def test_identity_alignment_costs_zero(interner, rng):
     syms = alphabet(interner, 2)
     F = random_forest(rng, 12, 4, syms)
-    A = Alignment.identity(2 * F.n)
+    A = Alignment([(i, i) for i in range(2 * F.n + 1)])
     lab = JointLabeling.base(F, F)
     assert alignment_forest_cost(A, F, F, lab) == 0
     assert lookahead_cost_bound_check(F, F, lab, 3, A, BASE)
@@ -164,7 +165,6 @@ def test_optimum_alignment_greedy_under_full_lookahead(interner, rng):
     import sys
     sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
     from test_alignment import budget_alignments
-    from tedk.alignment import is_tree_alignment
     from tedk.oracle import ted_exact
     syms = alphabet(interner, 2)
     done = 0
@@ -176,10 +176,10 @@ def test_optimum_alignment_greedy_under_full_lookahead(interner, rng):
             continue
         h = max(F.height(), G.height(), 1)
         lab = lookahead_refine(F, G, JointLabeling.base(F, G), h, BASE)
-        sf = F.paren(lab.f).codes
-        sg = G.paren(lab.g).codes
-        sf0 = F.paren().codes
-        sg0 = G.paren().codes
+        sf = F.relabeled_codes(lab.f)
+        sg = G.relabeled_codes(lab.g)
+        sf0 = F.codes
+        sg0 = G.codes
         opts = [A for A in budget_alignments(sf0, sg0, 2 * best, max(2 * best, 1))
                 if is_tree_alignment(A, F, G)
                 and eval_alignment(A, sf0, sg0).cost == 2 * best]
@@ -256,7 +256,7 @@ def test_fingerprints_match_three_path_reference(interner, rng):
     def check(F, d):
         nonlocal multi
         base = int(rng.integers(1 << 10, M61 - 2))
-        codes = F.paren(rng.integers(0, 50, F.n)).codes
+        codes = F.relabeled_codes(rng.integers(0, 50, F.n))
         got = _subtree_fingerprints(F, codes, d, base)
         assert got.dtype == np.uint64
         assert got.tolist() == three_path_fingerprints(F, codes, d, base).tolist()

@@ -4,14 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from tedk._naive import (optimal_tree_alignments, ted_brute,
                          ted_brute_constrained)
-from tedk.alignment import eval_alignment, is_tree_alignment
+from tedk.alignment import eval_alignment
 from tedk.forest import LabeledForest, LabelInterner
 from tedk.generate import (alphabet, apply_random_edits, plant_horizontal,
                            plant_vertical, random_forest)
-from tedk.oracle import (INF, _ted_dp, ted_constrained, ted_exact,
-                         ted_threshold)
+from tedk.oracle import INF, _ted_dp, ted_exact, ted_threshold
 
-from conftest import forest
+from conftest import forest, is_tree_alignment, ted_constrained
 
 
 def test_exact_examples(interner):
@@ -52,6 +51,8 @@ def test_threshold_equals_clamped_exact(interner, rng):
         d = ted_exact(F, G)
         k = int(rng.integers(1, 6))
         assert ted_threshold(F, G, k) == (d if d <= k else INF)
+        # any k >= |F| + |G| answers exactly, the package's INF included
+        assert ted_threshold(F, G, INF) == ted_threshold(F, G, 10**30) == d
 
 
 def test_metric_sanity(interner, rng):
@@ -77,7 +78,7 @@ def test_string_view_consistency(interner, rng):
         assert ted_exact(F, G) == best
         for A in alns[:10]:
             assert is_tree_alignment(A, F, G)
-            cost = eval_alignment(A, F.paren().codes, G.paren().codes).cost
+            cost = eval_alignment(A, F.codes, G.codes).cost
             assert cost == 2 * best
 
 

@@ -4,11 +4,11 @@ import pytest
 from tedk._naive import ted_brute_constrained
 from tedk.errors import CrossingMatchingError
 from tedk.generate import alphabet, apply_random_edits, random_forest
-from tedk.oracle import INF, ted_constrained, ted_threshold
+from tedk.oracle import INF, ted_threshold
 from tedk.partial import (_marked_class, gadget, partial_reduce,
                           prune_redundant, reduce_height, validate_matching)
 
-from conftest import deep_chain, forest, stack_walk
+from conftest import deep_chain, forest, stack_walk, ted_constrained
 
 
 def random_matching(rng, F, G, tries=4):

@@ -1,8 +1,10 @@
 from tedk._naive import sync_power_occurrences
-from tedk.alignment import eval_alignment, is_greedy, sym_diff_size
+from tedk.alignment import eval_alignment, is_greedy
 from tedk.generate import alphabet, apply_random_edits, planted_pair, random_forest
 from tedk.oracle import ted_exact, ted_threshold
 from tedk.reduction import reduce_and_anchor
+
+from conftest import is_tree_alignment, sym_diff_size
 
 BASE = 0xFEEDBEE
 
@@ -66,7 +68,6 @@ def test_anchor_close_to_every_optimal_alignment(interner, rng):
     import sys
     sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
     from test_alignment import budget_alignments
-    from tedk.alignment import is_tree_alignment
     syms = alphabet(interner, 2)
     done = 0
     while done < 10:
@@ -80,8 +81,8 @@ def test_anchor_close_to_every_optimal_alignment(interner, rng):
             continue
         rp = reduce_and_anchor(F, G, k, BASE)
         assert rp.anchor is not None
-        sf0 = rp.f.paren().codes
-        sg0 = rp.g.paren().codes
+        sf0 = rp.f.codes
+        sg0 = rp.g.codes
         opts = [B for B in budget_alignments(sf0, sg0, 2 * k, 2 * k)
                 if is_tree_alignment(B, rp.f, rp.g)
                 and eval_alignment(B, sf0, sg0).cost == 2 * best]

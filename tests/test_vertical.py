@@ -8,7 +8,7 @@ from tedk.oracle import ted_threshold
 from tedk.vertical import (ContextOcc, compute_contexts, compute_q,
                            vert_periods, vert_sync_reductions)
 
-from conftest import deep_chain, forest
+from conftest import deep_chain, forest, validate
 
 
 def chain(label, depth, interner):
@@ -21,9 +21,9 @@ def test_compute_q_aperiodic_defaults(interner, rng):
     F = random_forest(rng, 20, 4, syms)
     q, endp = compute_q(F, 1)
     # an aperiodic forest keeps every entry at its default
-    if not any(r.exponent >= 16 for r in
+    if not any(r.j - r.i >= 16 * r.p for r in
                __import__("tedk.horizontal", fromlist=["filter_runs"])
-               .filter_runs(F.paren().codes, 1)):
+               .filter_runs(F.codes, 1)):
         assert (q == 1).all() and (endp == np.arange(2 * F.n)).all()
 
 
@@ -45,7 +45,7 @@ def test_compute_q_naive_per_position(interner, rng):
     # the anchored run is the longest >=16k-exponent, <=4k-period run
     k = 1
     F = chain("a", 25, interner)
-    S = F.paren().codes.tolist()
+    S = F.codes.tolist()
     q, endp = compute_q(F, k)
     n = len(S)
     for pos in range(n):
@@ -113,8 +113,11 @@ def loop_contexts(F, k):
     if F.n == 0:
         return []
     q_arr, end_arr = (x.tolist() for x in compute_q(F, k))
-    pos = F.position_index()
-    D, node_at = pos.D.tolist(), pos.node_at.tolist()
+    # depth at each position: the nesting level after an opening, minus one,
+    # or before a closing
+    sides = F.codes & 1
+    D = (np.cumsum(1 - 2 * sides) - 1 + sides).tolist()
+    node_at = F.node_at.tolist()
     out = []
     for u, (ou, cu) in enumerate(zip(F.o.tolist(), F.c.tolist())):
         q_l, j_l = q_arr[ou], end_arr[ou]
@@ -213,8 +216,8 @@ def test_vert_reduction_preserves_distance(interner, rng):
         F, G, d = planted_pair(rng, int(rng.integers(0, 50)), k, 2, interner,
                                kind="vertical")
         F2, G2 = vert_sync_reductions(F, G, k)
-        F2.validate()
-        G2.validate()
+        validate(F2)
+        validate(G2)
         assert ted_threshold(F2, G2, k) == ted_threshold(F, G, k)
 
 
@@ -228,7 +231,7 @@ def test_vert_postconditions(interner, rng):
         F1, G1 = sync_reductions(F, G, k)
         F2, G2 = vert_sync_reductions(F1, G1, k)
         assert not synced_context_powers(F2, G2, 2 * k, 16 * k, 4 * k)
-        X, Y = F2.paren().codes, G2.paren().codes
+        X, Y = F2.codes, G2.codes
         bad = [(x, y, q) for (x, y, q)
                in sync_power_occurrences(X, Y, 2 * k, 18 * k, 4 * k)
                if min_balance_rotations(X[x:x + q]) is not None]
