@@ -2,7 +2,8 @@
 
 compute prints one machine-parseable line `<distance|INF>\t<k>\t<seed>\t<rounds>`
 (oracle prints the same line with seed and rounds 0) and exits 0 on success,
-2 on parse errors, 3 on bad flags.
+2 on parse errors and unreadable inputs, 3 on bad flags; gen exits 2 when it
+cannot write --out or --out2.
 """
 
 from __future__ import annotations
@@ -182,14 +183,17 @@ def _cmd_gen(args) -> int:
     if args.plant in ("vertical", "mixed"):
         F = plant_vertical(rng, F, args.plant_k, syms)
     writer = serialize_json if args.format == "json" else serialize_paren
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(writer(F, interner))
-        fh.write("\n")
+    outputs = [(args.out, F)]
     if args.out2:
         G = apply_random_edits(rng, F, args.edits, syms)
-        with open(args.out2, "w", encoding="utf-8") as fh:
-            fh.write(writer(G, interner))
-            fh.write("\n")
+        outputs.append((args.out2, G))
+    try:
+        for path, H in outputs:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(writer(H, interner) + "\n")
+    except OSError as exc:
+        sys.stderr.write(f"tedk: error: {exc}\n")
+        return EXIT_PARSE
     return EXIT_OK
 
 

@@ -57,6 +57,9 @@ class EngineConfig:
             raise ValueError("rounds must be 'auto' or an integer >= 1")
         if not _int_at_least(self.threads, 1):
             raise ValueError("threads must be an integer >= 1")
+        if (self.height_cap is not None
+                and not _int_at_least(self.height_cap, 1)):
+            raise ValueError("height_cap must be None or an integer >= 1")
 
     def num_rounds(self, n_total: int) -> int:
         if self.rounds == "auto":

@@ -1,4 +1,4 @@
-"""Shared indexes: maximal runs and orthogonal range successor.
+"""Maximal runs of a code string.
 
 Runs are found by a per-period vectorized scan: for each period p the
 positions with S[i] == S[i+p] form stretches, every stretch of length >= p
@@ -7,10 +7,6 @@ while keeping the smallest detected period gives exactly the runs (for an
 interval of exponent >= 2 the smallest period divides every other detected
 period, so it is found at its own scan step).  The reduction pipeline only
 ever needs periods up to 4k, where this is O(nk) on numpy arrays.
-
-The orthogonal range successor keeps each key's points sorted by x and scans
-a query's x-window; its one caller asks only for windows of at most 4k+1
-points, so a query costs O(k) plus two binary searches, with no tree.
 """
 
 from __future__ import annotations
@@ -70,49 +66,3 @@ def compute_runs(S: np.ndarray, max_period: int | None = None,
     runs.sort()
     return runs
 
-
-class OrsIndex:
-    """Orthogonal range successor over per-context point sets.
-
-    Each key owns points (x=open position, y=close position) with attached
-    node ids and payloads, kept sorted by x.  A query cuts out the x-window
-    with two binary searches and returns the min-y point of that window
-    inside the y-window, or None when the key is absent or no point fits.
-    The cost is the window's size: `vertical.vert_periods` puts one point per
-    node of G, so the x values are distinct opening positions and its
-    x-windows of width 4k+1 hold at most 4k+1 points.
-    """
-
-    def __init__(self) -> None:
-        self._groups: dict = {}
-
-    @staticmethod
-    def build(keys, xs, ys, nodes, payloads) -> "OrsIndex":
-        idx = OrsIndex()
-        xs = np.asarray(xs, dtype=np.int64)
-        ys = np.asarray(ys, dtype=np.int64)
-        nodes = np.asarray(nodes, dtype=np.int64)
-        payloads = np.asarray(payloads, dtype=np.int64)
-        by_key: dict = {}
-        for t, key in enumerate(keys):
-            by_key.setdefault(key, []).append(t)
-        for key, members in by_key.items():
-            sel = np.asarray(members, dtype=np.int64)
-            sel = sel[np.argsort(xs[sel], kind="stable")]
-            idx._groups[key] = (xs[sel], ys[sel], nodes[sel], payloads[sel])
-        return idx
-
-    def query(self, key, x_lo: int, x_hi: int, y_lo: int, y_hi: int):
-        """(node, payload) of the min-y point in the rectangle, or None."""
-        group = self._groups.get(key)
-        if group is None:
-            return None
-        xs, ys, nodes, payloads = group
-        lo = int(np.searchsorted(xs, x_lo, side="left"))
-        hi = int(np.searchsorted(xs, x_hi, side="right"))
-        win = ys[lo:hi]
-        fits = np.flatnonzero((win >= y_lo) & (win <= y_hi))
-        if len(fits) == 0:
-            return None
-        at = lo + int(fits[np.argmin(win[fits])])
-        return int(nodes[at]), int(payloads[at])

@@ -36,10 +36,6 @@ class JointLabeling:
     def base(F: LabeledForest, G: LabeledForest) -> "JointLabeling":
         return JointLabeling(F.labels.copy(), G.labels.copy())
 
-    def classes(self) -> int:
-        both = np.concatenate([self.f, self.g])
-        return len(np.unique(both)) if len(both) else 0
-
 
 def refines(fine: JointLabeling, coarse: JointLabeling) -> bool:
     """True iff equal `fine` classes always imply equal `coarse` classes."""

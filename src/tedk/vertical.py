@@ -7,15 +7,15 @@ opening and closing parenthesis, derives the context period from the depth
 deltas, clips the exponent by run lengths, the subtree size, and the
 divergence point (LCA of the two run endpoints), all in one vectorized pass
 over the nodes; the LCA depths come from a binary search over level
-ancestors (`forest.lca_depth`), with no LCA table.  It then pairs occurrences
-across the forests with orthogonal-range-successor queries: each F
-occurrence takes the equal-context G occurrence of least closing position
-among those whose opening and closing positions both lie within 2k of its
-own.  The openings are distinct, so the opening window holds at most 4k+1
-G nodes (`indexes.OrsIndex` scans it).  Reduction turns each pair into two
-sites, the left parts from the openings and the right parts up to the
-closings, and cuts them down to 14k layers on both sides at once with the
-horizontal reduction's `cut_sites`.
+ancestors (`forest.lca_depth`), with no LCA table.  It then pairs
+occurrences across the forests: each F occurrence takes the equal-context G
+occurrence of least closing position among those whose opening and closing
+positions both lie within 2k of its own.  The candidates are read straight
+off G's parenthesis array, at the at most 4k+1 positions of the opening
+window (`LabeledForest.node_at`), so no index is built.  Reduction turns
+each pair into two sites, the left parts from the openings and the right
+parts up to the closings, and cuts them down to 14k layers on both sides at
+once with the horizontal reduction's `cut_sites`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import ContractError
 from .forest import LabeledForest, lca_depth
-from .indexes import OrsIndex
 from .horizontal import cut_sites, filter_runs
 
 
@@ -134,52 +133,45 @@ def vert_periods(F: LabeledForest, G: LabeledForest, k: int) -> list[VertOcc]:
     """Pair context powers of F with equal-context powers of G within the
     2k-by-2k window, advancing past each hit's reduced span.
 
-    A run of nested occurrences enters the index once per node, so the min-y
-    answer may be an inner layer of the same tower; the hit is lifted to the
-    outermost same-context entry still inside both windows, otherwise the
-    reduction could keep 16k synchronized layers alive.
+    The partner is read off G's parenthesis array: of the powers opening in
+    the 4k+1 positions around F's opening, the least-closing one whose
+    closing is within 2k and whose context is equal.  The closings of
+    distinct nodes differ, so the choice is unique.  A tower of nested
+    occurrences has a power at every layer, so that choice may be an inner
+    layer; it is lifted to the outermost layer that still passes the same
+    test, otherwise the reduction could keep 16k synchronized layers alive.
     """
     cf = compute_contexts(F, k)
-    cg = compute_contexts(G, k)
+    cg = {t.u: t for t in compute_contexts(G, k)}
     if not cf or not cg:
         return []
-    codes_f = F.codes
-    codes_g = G.codes
-    keys = [_context_key(codes_g, int(G.o[t.u]), int(G.c[t.u]), t.q_l, t.q_r)
-            for t in cg]
-    ors = OrsIndex.build(keys,
-                         xs=[int(G.o[t.u]) for t in cg],
-                         ys=[int(G.c[t.u]) for t in cg],
-                         nodes=[t.u for t in cg],
-                         payloads=[t.e for t in cg])
-    cg_map = {t.u: t for t in cg}
-    node_at_g = G.node_at
     out: list[VertOcc] = []
     i = -1
     for t in cf:
         ou, cu = int(F.o[t.u]), int(F.c[t.u])
         if ou <= i:
             continue
-        key = _context_key(codes_f, ou, cu, t.q_l, t.q_r)
-        hit = ors.query(key, ou - 2 * k, ou + 2 * k, cu - 2 * k, cu + 2 * k)
-        if hit is None:
+        key = _context_key(F.codes, ou, cu, t.q_l, t.q_r)
+        lo = max(0, ou - 2 * k)
+
+        def partner(p: int) -> ContextOcc | None:
+            """G's power opening at p, if it may pair with t."""
+            s = cg.get(int(G.node_at[p])) if p >= lo else None
+            if (s is None or G.o[s.u] != p or (s.q_l, s.q_r) != (t.q_l, t.q_r)
+                    or abs(G.c[s.u] - cu) > 2 * k):
+                return None
+            return s if _context_key(G.codes, p, G.c[s.u], t.q_l,
+                                     t.q_r) == key else None
+
+        window = range(lo, min(2 * G.n, ou + 2 * k + 1))
+        s = min(filter(None, map(partner, window)), key=lambda s: G.c[s.u],
+                default=None)
+        if s is None:
             continue
-        v, e_g = hit
-        while True:
-            p = int(G.o[v]) - t.q_l
-            if p < max(0, ou - 2 * k):
-                break
-            w = int(node_at_g[p])
-            ent = cg_map.get(w)
-            if (ent is None or int(G.o[w]) != p or ent.q_l != t.q_l
-                    or ent.q_r != t.q_r
-                    or abs(int(G.c[w]) - cu) > 2 * k
-                    or _context_key(codes_g, p, int(G.c[w]), t.q_l,
-                                    t.q_r) != key):
-                break
-            v, e_g = w, ent.e
-        e = min(t.e, e_g)
-        out.append(VertOcc(t.u, v, t.q_l, t.q_r, e))
+        while (up := partner(G.o[s.u] - t.q_l)) is not None:
+            s = up
+        e = min(t.e, s.e)
+        out.append(VertOcc(t.u, s.u, t.q_l, t.q_r, e))
         i = ou + (e - 8 * k) * t.q_l
     return out
 

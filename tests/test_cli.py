@@ -224,3 +224,14 @@ def test_gen_bad_plant_k_and_edits_exit_3(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "gen", "--n", "50", "--out", str(a),
                          "--out2", str(b), "--edits", "0")
     assert code == 0 and a.read_text() == b.read_text()
+
+
+def test_gen_unwritable_output_exits_2(tmp_path, capsys):
+    a = tmp_path / "a.paren"
+    missing = tmp_path / "no-such-dir" / "x.paren"
+    for extra in (("--out", str(missing)),
+                  ("--out", str(a), "--out2", str(missing))):
+        code, out, err = run_cli(capsys, "gen", "--n", "5", *extra)
+        assert code == 2 and out == ""
+        assert "tedk: error:" in err and "Traceback" not in err
+    assert not missing.exists()

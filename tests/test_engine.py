@@ -137,9 +137,15 @@ def test_config_checks_k_and_seed(interner):
     for bad in (-1, 2.5, "3", None):
         with pytest.raises(ValueError):
             EngineConfig(k=1, seed=bad)
+    # the height cap is None (19716k^4) or an integer >= 1
+    for bad in (2.5, 0, -1, "3"):
+        with pytest.raises(ValueError):
+            EngineConfig(k=1, height_cap=bad)
     F = parse_paren_text("(a(b))", interner)
     G = parse_paren_text("(a)", interner)
     cfg = EngineConfig(k=np.int64(2), seed=np.int64(3))
+    assert ted_bounded(F, G, cfg, interner) == 1
+    cfg = EngineConfig(k=1, height_cap=np.int64(3))
     assert ted_bounded(F, G, cfg, interner) == 1
 
 

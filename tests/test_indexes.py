@@ -1,11 +1,11 @@
 import numpy as np
 
-from tedk._naive import naive_lca, naive_ors, naive_runs
+from tedk._naive import naive_lca, naive_runs
 from tedk.alignment import as_codes
 from tedk.generate import alphabet, random_forest
 from tedk.hashing import M61, HashedSeq, sum_mod
 from tedk.forest import lca_depth
-from tedk.indexes import OrsIndex, compute_runs
+from tedk.indexes import compute_runs
 
 from conftest import forest
 
@@ -71,62 +71,6 @@ def test_lca_examples_and_oracle(interner, rng):
         # any known common-ancestor depth may seed the search
         lo = np.minimum(want, rng.integers(-1, 3, 60))
         assert lca_depth(F.depth, a, b, lo=lo).tolist() == want
-
-
-def test_ors_examples_and_oracle(rng):
-    empty = OrsIndex.build([], [], [], [], [])
-    assert empty.query("k", 0, 10, 0, 10) is None
-    one = OrsIndex.build(["k"], [5], [7], [42], [1])
-    assert one.query("k", 0, 10, 0, 10) == (42, 1)
-    assert one.query("k", 6, 10, 0, 10) is None
-    assert one.query("other", 0, 10, 0, 10) is None
-    for _ in range(30):
-        m = int(rng.integers(1, 60))
-        xs = rng.integers(0, 50, m)
-        ys = rng.integers(0, 50, m)
-        nodes = np.arange(m)
-        idx = OrsIndex.build(["g"] * m, xs, ys, nodes, nodes)
-        for _ in range(25):
-            x0, x1 = sorted(rng.integers(0, 51, 2).tolist())
-            y0, y1 = sorted(rng.integers(0, 51, 2).tolist())
-            got = idx.query("g", x0, x1, y0, y1)
-            want = naive_ors(list(zip(xs.tolist(), ys.tolist())), x0, x1, y0, y1)
-            if want is None:
-                assert got is None
-            else:
-                assert got is not None and got[1] == want or \
-                    ys[got[1]] == ys[want]  # ties broken arbitrarily
-
-
-def test_ors_distinct_x_windows_match_naive(rng):
-    # the shape of vertical.vert_periods' queries: distinct x (opening
-    # positions) and x-windows 4k+1 wide
-    hits = 0
-    for _ in range(200):
-        k = int(rng.integers(1, 4))
-        m = int(rng.integers(1, 80))
-        xs = rng.choice(200, size=m, replace=False)
-        ys = rng.integers(0, 200, m)
-        keys = [int(t) for t in rng.integers(0, 2, m)]
-        nodes = np.arange(m)
-        idx = OrsIndex.build(keys, xs, ys, nodes, 7 * nodes)
-        for _ in range(30):
-            key = int(rng.integers(0, 3))
-            x0 = int(rng.integers(-4 * k, 200))
-            y0, y1 = sorted(rng.integers(0, 201, 2).tolist())
-            got = idx.query(key, x0, x0 + 4 * k, y0, y1)
-            pts = [(x, y) if kk == key else (-1, -1)
-                   for x, y, kk in zip(xs.tolist(), ys.tolist(), keys)]
-            want = naive_ors(pts, x0, x0 + 4 * k, y0, y1)
-            if want is None:
-                assert got is None
-            else:
-                node, payload = got
-                assert payload == 7 * node
-                assert x0 <= xs[node] <= x0 + 4 * k and keys[node] == key
-                assert ys[node] == ys[want]
-                hits += 1
-    assert hits > 500
 
 
 def substring(hs: HashedSeq, i: int, j: int) -> int:

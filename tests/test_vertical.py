@@ -2,10 +2,12 @@ from math import gcd
 
 import numpy as np
 
-from tedk._naive import context_power_nodes, naive_lca, synced_context_powers
-from tedk.generate import alphabet, planted_pair, random_forest
+from tedk._naive import (context_power_nodes, naive_lca, naive_ors,
+                         synced_context_powers)
+from tedk.generate import (alphabet, apply_random_edits, plant_horizontal,
+                           plant_vertical, planted_pair, random_forest)
 from tedk.oracle import ted_threshold
-from tedk.vertical import (ContextOcc, compute_contexts, compute_q,
+from tedk.vertical import (ContextOcc, VertOcc, compute_contexts, compute_q,
                            vert_periods, vert_sync_reductions)
 
 from conftest import deep_chain, forest, validate
@@ -198,6 +200,78 @@ def test_vert_periods_requires_partner(interner, rng):
     F = chain("a", 40, interner)
     G = random_forest(rng, 30, 3, syms)
     assert vert_periods(F, G, k) == []
+    # a power of the same shape at the same place, but another context
+    assert vert_periods(F, chain("b", 40, interner), k) == []
+
+
+def context(F, u, q_l, q_r):
+    """(C_L, C_R) of the context of shape (q_l, q_r) at node u, as code
+    tuples."""
+    o, c = int(F.o[u]), int(F.c[u])
+    return (tuple(F.codes[o:o + q_l].tolist()),
+            tuple(F.codes[c - q_r + 1:c + 1].tolist()))
+
+
+def reference_pairs(F, G, k):
+    """`vert_periods` from the definition: each F power not yet passed takes
+    the least-closing equal-context G power of the 2k-by-2k window over all
+    of G's powers (`naive_ors`), lifted while the power opening q_l earlier
+    is an equal-context power inside both windows.  Also counts the lifts."""
+    cg = compute_contexts(G, k)
+    out, lifts, i = [], 0, -1
+    for t in compute_contexts(F, k):
+        ou, cu = int(F.o[t.u]), int(F.c[t.u])
+        if ou <= i:
+            continue
+        same = [s for s in cg if (s.q_l, s.q_r) == (t.q_l, t.q_r)
+                and context(G, s.u, s.q_l, s.q_r)
+                == context(F, t.u, t.q_l, t.q_r)
+                and int(G.o[s.u]) >= ou - 2 * k
+                and abs(int(G.c[s.u]) - cu) <= 2 * k]
+        pick = naive_ors([(int(G.o[s.u]), int(G.c[s.u])) for s in same],
+                         ou - 2 * k, ou + 2 * k, cu - 2 * k, cu + 2 * k)
+        if pick is None:
+            continue
+        s = same[pick]
+        while up := [w for w in same if G.o[w.u] == G.o[s.u] - t.q_l]:
+            s, lifts = up[0], lifts + 1
+        e = min(t.e, s.e)
+        out.append(VertOcc(t.u, s.u, t.q_l, t.q_r, e))
+        i = ou + (e - 8 * k) * t.q_l
+    return out, lifts
+
+
+def test_vert_periods_partner_choice(interner, rng):
+    # planted pairs with 1-3 vertical sites (a horizontal one every third
+    # pair) and up to 2k edits, in both argument orders
+    occs = multi = lifts = 0
+    for t in range(300):
+        k = 1 + t % 2
+        syms = alphabet(interner, int(rng.integers(1, 4)))
+        F = random_forest(rng, int(rng.integers(0, 150)),
+                          int(rng.integers(1, 8)), syms)
+        if t % 3 == 0:
+            F = plant_horizontal(rng, F, k, syms)
+        for _ in range(int(rng.integers(1, 4))):
+            F = plant_vertical(rng, F, k, syms)
+        G = apply_random_edits(rng, F, int(rng.integers(0, 2 * k + 1)), syms)
+        for A, B in ((F, G), (G, F)):
+            got = vert_periods(A, B, k)
+            want, lifted = reference_pairs(A, B, k)
+            assert got == want
+            e_f = {c.u: c.e for c in compute_contexts(A, k)}
+            e_g = {c.u: c.e for c in compute_contexts(B, k)}
+            for occ in got:
+                u, v = occ.u_f, occ.u_g
+                assert (context(A, u, occ.q_l, occ.q_r)
+                        == context(B, v, occ.q_l, occ.q_r))
+                assert abs(int(A.o[u]) - int(B.o[v])) <= 2 * k
+                assert abs(int(A.c[u]) - int(B.c[v])) <= 2 * k
+                assert occ.e == min(e_f[u], e_g[v])
+            occs += len(got)
+            multi += len(got) > 1
+            lifts += lifted
+    assert occs > 700 and multi > 200 and lifts > 800
 
 
 def test_vert_reduction_chain(interner):
