@@ -113,24 +113,17 @@ def sync_power_occurrences(X, Y, s: int, e: int, max_root: int):
 # -- forests ------------------------------------------------------------------
 
 def naive_positions(F: LabeledForest):
-    """Recursive re-derivation of o/c/depth from the children lists."""
-    o = [0] * F.n
-    c = [0] * F.n
-    depth = [0] * F.n
-    pos = 0
-    stack = [(int(r), 0, False) for r in F.roots[::-1]]
-    while stack:
-        u, d, closing = stack.pop()
-        if closing:
-            c[u] = pos
-            pos += 1
-            continue
-        o[u] = pos
-        depth[u] = d
-        pos += 1
-        stack.append((u, d, True))
-        for ch in F.children(u)[::-1]:
-            stack.append((int(ch), d + 1, False))
+    """Re-derivation of o/c/depth by one stack walk over the code string:
+    node ids count the openings in order, a closing ends the top node."""
+    o, c, depth = [], [0] * F.n, []
+    stack: list[int] = []
+    for pos, code in enumerate(F.codes.tolist()):
+        if code & 1:
+            c[stack.pop()] = pos
+        else:
+            stack.append(len(o))
+            depth.append(len(stack) - 1)
+            o.append(pos)
     return o, c, depth
 
 

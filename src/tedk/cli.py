@@ -3,7 +3,8 @@
 compute prints one machine-parseable line `<distance|INF>\t<k>\t<seed>\t<rounds>`
 (oracle prints the same line with seed and rounds 0) and exits 0 on success,
 2 on parse errors and unreadable inputs, 3 on bad flags; gen exits 2 when it
-cannot write --out or --out2.
+cannot write --out or --out2, and 3 when --sigma exceeds MAX_SIGMA = 2^20
+(gen interns every label up front).
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_PARSE = 2
 EXIT_USAGE = 3
+
+MAX_SIGMA = 1 << 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,21 +64,16 @@ def _fmt_value(v) -> str:
 
 
 def _natural(raw: str, least: int = 0) -> int:
-    """--seed value, and with least=1 `_positive`'s: an integer >= `least`
+    """--seed value, and with least=1 a --rounds count: an integer >= `least`
     (else a usage error)."""
     if not raw.isdigit() or int(raw) < least:
         raise argparse.ArgumentTypeError(f"expected an integer >= {least}")
     return int(raw)
 
 
-def _positive(raw: str) -> int:
-    """--threads value, and --rounds other than 'auto': an integer >= 1."""
-    return _natural(raw, 1)
-
-
 def _rounds(raw: str) -> int | str:
     """--rounds value: 'auto' or an integer >= 1 (else a usage error)."""
-    return raw if raw == "auto" else _positive(raw)
+    return raw if raw == "auto" else _natural(raw, 1)
 
 
 def _build_parser() -> _Parser:
@@ -91,7 +89,6 @@ def _build_parser() -> _Parser:
     def engine_flags(sp):
         sp.add_argument("--seed", type=_natural, default=0)
         sp.add_argument("--rounds", type=_rounds, default="auto")
-        sp.add_argument("--threads", type=_positive, default=1)
 
     c = sub.add_parser("compute", help="bounded distance via the main engine")
     inputs(c)
@@ -149,8 +146,7 @@ def _cmd_compute(args, exact_only: bool) -> int:
     if exact_only or args.k == 0:
         value = ted_threshold(F, G, args.k)
     else:
-        cfg = EngineConfig(k=args.k, seed=args.seed, rounds=args.rounds,
-                           threads=args.threads)
+        cfg = EngineConfig(k=args.k, seed=args.seed, rounds=args.rounds)
         rep = engine_run(F, G, cfg, interner)
         value, rounds_run = rep.value, rep.rounds
         log.info("n=%d k=%d rounds=%d kept=%d timings=%s",
@@ -172,6 +168,9 @@ def _cmd_gen(args) -> int:
     if (args.n < 0 or args.sigma < 1 or (args.n > 0 and args.height < 1)
             or args.plant_k < 1 or args.edits < 0):
         sys.stderr.write("tedk: error: bad gen parameters\n")
+        return EXIT_USAGE
+    if args.sigma > MAX_SIGMA:
+        sys.stderr.write(f"tedk: error: --sigma must be <= {MAX_SIGMA}\n")
         return EXIT_USAGE
     interner = LabelInterner()
     syms = alphabet(interner, args.sigma)
@@ -212,8 +211,7 @@ def _cmd_bench(args) -> int:
     except (ParseError, OSError) as exc:
         sys.stderr.write(f"tedk: parse error: {exc}\n")
         return EXIT_PARSE
-    cfg = EngineConfig(k=args.k, seed=args.seed, rounds=args.rounds,
-                       threads=args.threads)
+    cfg = EngineConfig(k=args.k, seed=args.seed, rounds=args.rounds)
     t0 = time.perf_counter()
     rep = engine_run(F, G, cfg, interner)
     wall = 1e3 * (time.perf_counter() - t0)

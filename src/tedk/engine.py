@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import operator
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +44,6 @@ class EngineConfig:
     seed: int = 0
     rounds: int | str = "auto"
     height_cap: int | None = None
-    threads: int = 1
     audit: bool = False
 
     def __post_init__(self) -> None:
@@ -55,8 +53,6 @@ class EngineConfig:
             raise ValueError("seed must be an integer >= 0")
         if self.rounds != "auto" and not _int_at_least(self.rounds, 1):
             raise ValueError("rounds must be 'auto' or an integer >= 1")
-        if not _int_at_least(self.threads, 1):
-            raise ValueError("threads must be an integer >= 1")
         if (self.height_cap is not None
                 and not _int_at_least(self.height_cap, 1)):
             raise ValueError("height_cap must be None or an integer >= 1")
@@ -117,7 +113,8 @@ def run(F: LabeledForest, G: LabeledForest, cfg: EngineConfig,
     rounds = cfg.num_rounds(F.n + G.n)
     report.rounds = rounds
 
-    def one_round(i: int):
+    kept = []
+    for i in range(rounds):
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(entropy=(cfg.seed, 1 + i))))
         r = int(rng.integers(h))
@@ -126,26 +123,20 @@ def run(F: LabeledForest, G: LabeledForest, cfg: EngineConfig,
         sel = marked_f[pairs[:, 0]] | marked_g[pairs[:, 1]]
         M = pairs[sel]
         if len(M) * h > 4 * (nf + ng):
-            return None
+            continue  # rejected by the Markov bound
         covered_f = np.zeros(nf, dtype=bool)
         covered_f[M[:, 0]] = True
         covered_g = np.zeros(ng, dtype=bool)
         covered_g[M[:, 1]] = True
         if not (covered_f[marked_f].all() and covered_g[marked_g].all()):
-            return None
+            continue  # a marked node is left uncovered
         Fi, Gi = partial_reduce(rp.f, rp.g, M, k, interner)
         height = max(Fi.height(), Gi.height())
         if height > h + 1:
             raise ContractError(f"partial reduction left height {height} "
                                 f"> {h + 1}")
-        return shallow_ted(Fi, Gi, h + 1, k, interner, base, audit=cfg.audit)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(one_round, range(rounds)))
-    else:
-        results = [one_round(i) for i in range(rounds)]
-    kept = [d for d in results if d is not None]
+        kept.append(shallow_ted(Fi, Gi, h + 1, k, interner, base,
+                                audit=cfg.audit))
     report.kept = len(kept)
     report.value = min(kept, default=INF)
     timings["rounds_ms"] = 1e3 * (time.perf_counter() - t0)

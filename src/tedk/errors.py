@@ -26,4 +26,4 @@ class CrossingMatchingError(ValueError):
 
 
 class ContractError(RuntimeError):
-    """An internal size or height bound of the pipeline does not hold."""
+    """An internal bound or invariant of the pipeline does not hold."""

@@ -8,7 +8,7 @@ keeps every derived index a plain numpy array.  Every layer reads these
 arrays directly: `codes` per position, `o`, `c` and `depth` per node,
 `node_at` from a position back to its node, and `relabeled_codes` for the
 code array under another labeling.  Instances are immutable after
-construction and safe to share across threads.
+construction.
 
 Level ancestors (the parent, the ancestor d levels up, the nearest marked
 ancestor) all come from one stable sort and one binary search,
@@ -22,7 +22,6 @@ of horizontal periods) goes through `_pair_parens`.
 from __future__ import annotations
 
 import json
-import threading
 
 import numpy as np
 
@@ -37,24 +36,19 @@ class LabelInterner:
     """Injective text <-> symbol map, plus a reserved range for fresh labels.
 
     Fresh labels (separators, gadget slots) get synthetic texts containing
-    ``$``, which user tokens ([A-Za-z0-9_]+) can never collide with.  Symbol
-    allocation is locked so concurrent engine rounds can share one interner.
+    ``$``, which user tokens ([A-Za-z0-9_]+) can never collide with.
     """
 
     def __init__(self) -> None:
         self._by_text: dict[str, int] = {}
         self._texts: list[str] = []
-        self._lock = threading.Lock()
 
     def intern(self, text: str) -> int:
         sym = self._by_text.get(text)
         if sym is None:
-            with self._lock:
-                sym = self._by_text.get(text)
-                if sym is None:
-                    sym = len(self._texts)
-                    self._by_text[text] = sym
-                    self._texts.append(text)
+            sym = len(self._texts)
+            self._by_text[text] = sym
+            self._texts.append(text)
         return sym
 
     def fresh(self, hint: str = "fresh") -> int:
@@ -62,12 +56,11 @@ class LabelInterner:
 
     def fresh_block(self, count: int, hint: str = "slot") -> int:
         """Reserve `count` consecutive fresh symbols; returns the first one."""
-        with self._lock:
-            base = len(self._texts)
-            for i in range(count):
-                text = f"${hint}{base + i}"
-                self._by_text[text] = base + i
-                self._texts.append(text)
+        base = len(self._texts)
+        for i in range(count):
+            text = f"${hint}{base + i}"
+            self._by_text[text] = base + i
+            self._texts.append(text)
         return base
 
     def text(self, symbol: int) -> str:
@@ -172,7 +165,7 @@ class LabeledForest:
     """Ordered rooted forest with per-node labels, ids in pre-order."""
 
     __slots__ = ("n", "codes", "o", "c", "depth", "_parent", "_node_at",
-                 "_child_index", "_height", "_subtree_end")
+                 "_height", "_subtree_end")
 
     def __init__(self, codes: np.ndarray, _paired=None):
         self.codes = np.asarray(codes, dtype=np.int64)
@@ -182,7 +175,6 @@ class LabeledForest:
         self.n = len(self.o)
         self._parent = None
         self._node_at = None
-        self._child_index = None
         self._height = None
         self._subtree_end = None
 
@@ -216,25 +208,12 @@ class LabeledForest:
                              np.arange(self.n, dtype=np.int64))
 
     @property
-    def roots(self) -> np.ndarray:
-        return np.flatnonzero(self.depth == 0)
-
-    @property
     def subtree_end(self) -> np.ndarray:
         """end[u] such that sub(u) occupies pre-order ids [u .. end[u])."""
         if self._subtree_end is None:
             self._subtree_end = (np.arange(self.n, dtype=np.int64)
                                  + (self.c - self.o + 1) // 2)
         return self._subtree_end
-
-    def children(self, u: int) -> np.ndarray:
-        if self._child_index is None:
-            order = np.argsort(self.parent, kind="stable")
-            starts = np.searchsorted(self.parent[order],
-                                     np.arange(-1, self.n + 1))
-            self._child_index = (order, starts)
-        order, starts = self._child_index
-        return order[starts[u + 1]:starts[u + 2]]
 
     @property
     def node_at(self) -> np.ndarray:

@@ -32,10 +32,7 @@ class HSyncOcc:
 
 def filter_runs(codes: np.ndarray, k: int) -> list[Run]:
     """Runs with period <= 4k and exponent >= 16k, sorted by start."""
-    out = [r for r in compute_runs(codes, max_period=4 * k, min_exponent=16 * k)
-           if r.j - r.i >= 16 * k * r.p]
-    out.sort(key=lambda r: r.i)
-    return out
+    return compute_runs(codes, max_period=4 * k, min_exponent=16 * k)
 
 
 def min_balance_rotations(codes: np.ndarray) -> int | None:

@@ -115,7 +115,7 @@ def lookahead_refine(F: LabeledForest, G: LabeledForest, lab: JointLabeling,
 
     d must be >= 1; the single shared random `base` makes classes comparable
     across both forests.  With audit=True an independent second fingerprint
-    recomputes the partition and any discrepancy raises.
+    recomputes the partition and any discrepancy raises ContractError.
     """
     if d < 1:
         raise ValueError("look-ahead depth must be >= 1")
@@ -129,7 +129,8 @@ def lookahead_refine(F: LabeledForest, G: LabeledForest, lab: JointLabeling,
         out2 = _dense_joint(_subtree_fingerprints(F, codes_f, d, base2),
                             _subtree_fingerprints(G, codes_g, d, base2))
         if not (refines(out, out2) and refines(out2, out)):
-            raise AssertionError("fingerprint collision detected in look-ahead classes")
+            raise ContractError(
+                "fingerprint collision detected in look-ahead classes")
     if not refines(out, lab):
         raise ContractError("look-ahead classes do not refine the input labeling")
     return out

@@ -1,4 +1,5 @@
-from tedk.cli import main
+import tedk.cli
+from tedk.cli import MAX_SIGMA, main
 
 
 def run_cli(capsys, *argv):
@@ -68,17 +69,19 @@ def test_exit_codes(tmp_path, capsys):
 
 
 def test_rounds_flag_is_auto_or_positive(tmp_path, capsys):
-    # --threads takes the same integers >= 1, without 'auto'; oracle runs no
-    # engine and takes none of the engine flags
+    # oracle runs no engine and takes none of the engine flags; the engine
+    # runs its rounds in one thread, so there is no --threads
     a = tmp_path / "a.paren"
     a.write_text("(a(b))\n")
     for cmd in ("compute", "bench"):
-        for flag in ("--rounds", "--threads"):
-            for bad in ("0", "-3", "x", ""):
-                code, out, err = run_cli(capsys, cmd, str(a), str(a), "--k",
-                                         "1", flag, bad)
-                assert code == 3 and out == "" and flag in err
-    for flag in ("--seed", "--rounds", "--threads"):
+        for bad in ("0", "-3", "x", ""):
+            code, out, err = run_cli(capsys, cmd, str(a), str(a), "--k", "1",
+                                     "--rounds", bad)
+            assert code == 3 and out == "" and "--rounds" in err
+        code, out, _ = run_cli(capsys, cmd, str(a), str(a), "--k", "1",
+                               "--threads", "2")
+        assert code == 3 and out == ""
+    for flag in ("--seed", "--rounds"):
         code, out, err = run_cli(capsys, "oracle", str(a), str(a), "--k", "1",
                                  flag, "2")
         assert code == 3 and out == "" and flag in err
@@ -86,11 +89,8 @@ def test_rounds_flag_is_auto_or_positive(tmp_path, capsys):
                            "--oracle")
     assert code == 3 and out == ""
     code, out, _ = run_cli(capsys, "compute", str(a), str(a), "--k", "1",
-                           "--rounds", "2", "--threads", "2")
+                           "--rounds", "2")
     assert code == 0 and out.split("\t")[0] == "0"
-    code, _, err = run_cli(capsys, "compute", str(a), str(a), "--k", "1",
-                           "--threads", "auto")
-    assert code == 3 and "--threads" in err
 
 
 def test_selftest_quick(capsys):
@@ -235,3 +235,19 @@ def test_gen_unwritable_output_exits_2(tmp_path, capsys):
         assert code == 2 and out == ""
         assert "tedk: error:" in err and "Traceback" not in err
     assert not missing.exists()
+
+
+def test_gen_sigma_above_bound_exits_3(tmp_path, capsys, monkeypatch):
+    # the bound is checked before any label is interned
+    a = tmp_path / "a.paren"
+
+    def no_alphabet(interner, sigma):
+        raise AssertionError(f"alphabet of {sigma} labels built")
+
+    monkeypatch.setattr(tedk.cli, "alphabet", no_alphabet)
+    for sigma in (MAX_SIGMA + 1, 100_000_000_000):
+        code, out, err = run_cli(capsys, "gen", "--n", "3", "--sigma",
+                                 str(sigma), "--out", str(a))
+        assert code == 3 and out == ""
+        assert "tedk: error:" in err and "--sigma" in err
+    assert not a.exists()

@@ -66,29 +66,36 @@ def overriding_methods(path, tree):
 
 def test_no_unused_names_in_package():
     # every function, class and method outside the public API is reached from
-    # the package or the benchmark; helpers only tests need live in tests/
-    used = traced_attributes()
+    # the package or the benchmark; helpers only tests need live in tests/.
+    # The `_naive.py` references are test code, so their uses do not count,
+    # and a method counts as reached only through an attribute access (a
+    # local variable of the same name does not reach it)
+    names, attrs = set(), traced_attributes()
     for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")):
-        if path == SRC / "__init__.py":
+        if path in (SRC / "__init__.py", SRC / "_naive.py"):
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attrs.add(node.attr)
     unused = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "_naive.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         overrides = overriding_methods(path, tree)
+        methods = {f.lineno for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for f in cls.body
+                   if isinstance(f, ast.FunctionDef)}
         unused += [f"{path.name}:{node.lineno} {node.name}"
                    for node in ast.walk(tree)
                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                    and not (node.name.startswith("__")
                             and node.name.endswith("__"))
                    and node.name not in tedk.__all__
-                   and node.name not in used
+                   and node.name not in attrs
+                   and (node.lineno in methods or node.name not in names)
                    and node.lineno not in overrides]
     assert unused == []
 
@@ -105,6 +112,24 @@ def test_labeling_refines_contract(interner, monkeypatch):
                         lambda graph, directed: (1, np.zeros(2 * F.n)))
     with pytest.raises(ContractError):
         compat_refine(F, F, lab, 2)
+
+
+def test_lookahead_audit_contract(interner, monkeypatch):
+    # classes that only the audit's second base merges are a collision
+    F = forest("(a(b)(c))", interner)
+    lab = JointLabeling.base(F, F)
+    base = 0x1234567
+    real = tedk.labeling._subtree_fingerprints
+
+    def merged_under_audit(H, codes, d, b):
+        fp = real(H, codes, d, b)
+        return fp if b == base else np.zeros_like(fp)
+
+    lookahead_refine(F, F, lab, 2, base, audit=True)
+    monkeypatch.setattr(tedk.labeling, "_subtree_fingerprints",
+                        merged_under_audit)
+    with pytest.raises(ContractError):
+        lookahead_refine(F, F, lab, 2, base, audit=True)
 
 
 def test_partial_leaf_contract(interner, monkeypatch):

@@ -308,9 +308,9 @@ def test_parent_matches_stack_walk(interner, rng):
 
 def test_children_and_roots(interner):
     F = forest("(a(b)(c))(d)", interner)
-    assert F.roots.tolist() == [0, 3]
-    assert F.children(0).tolist() == [1, 2]
-    assert F.children(1).tolist() == []
+    assert np.flatnonzero(F.depth == 0).tolist() == [0, 3]
+    assert np.flatnonzero(F.parent == 0).tolist() == [1, 2]
+    assert np.flatnonzero(F.parent == 1).tolist() == []
     assert F.subtree_end.tolist() == [3, 2, 3, 4]
 
 

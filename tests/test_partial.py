@@ -192,7 +192,7 @@ def test_partial_reduce_height_contract(interner, rng):
             flags[members] = True
             best = np.zeros(H.n, dtype=np.int64)
             for u in range(H.n - 1, -1, -1):
-                kids = H.children(u)
+                kids = np.flatnonzero(H.parent == u)
                 sub = max((int(best[c]) for c in kids), default=0)
                 best[u] = 0 if flags[u] else 1 + sub
             return int(best.max()) if H.n else 0
