@@ -2,9 +2,14 @@
 
 compute prints one machine-parseable line `<distance|INF>\t<k>\t<seed>\t<rounds>`
 (oracle prints the same line with seed and rounds 0) and exits 0 on success,
-2 on parse errors and unreadable inputs, 3 on bad flags; gen exits 2 when it
-cannot write --out or --out2, and 3 when --sigma exceeds MAX_SIGMA = 2^20
-(gen interns every label up front).
+2 on parse errors and unreadable inputs, 3 on bad flags; compute --audit
+recomputes the look-ahead classes under a second fingerprint base and exits
+1 when the two disagree.  gen exits 2 when it cannot write --out or --out2,
+and 3, before it interns a label or generates a node, when a size flag
+exceeds its bound: --n MAX_N = 2^22 nodes, --sigma MAX_SIGMA = 2^20 labels
+(all interned up front), --plant-k MAX_PLANT_K = 2^7 (a mixed plant adds
+up to 144·k^2 nodes) and --edits MAX_EDITS = 2^10 (each edit rebuilds the
+forest).
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import time
 import numpy as np
 
 from .engine import EngineConfig, run as engine_run
-from .errors import ParseError
+from .errors import FingerprintCollisionError, ParseError
 from .forest import (LabeledForest, LabelInterner, parse_json_text,
                      parse_paren_text, serialize_json, serialize_paren)
 from .generate import (alphabet, apply_random_edits, plant_horizontal,
@@ -32,7 +37,13 @@ EXIT_FAILED = 1
 EXIT_PARSE = 2
 EXIT_USAGE = 3
 
+MAX_N = 1 << 22
 MAX_SIGMA = 1 << 20
+MAX_PLANT_K = 1 << 7
+MAX_EDITS = 1 << 10
+GEN_BOUNDS = (("--n", "n", MAX_N), ("--sigma", "sigma", MAX_SIGMA),
+              ("--plant-k", "plant_k", MAX_PLANT_K),
+              ("--edits", "edits", MAX_EDITS))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,6 +106,8 @@ def _build_parser() -> _Parser:
     engine_flags(c)
     c.add_argument("--verify", action="store_true",
                    help="run both engine and oracle and compare")
+    c.add_argument("--audit", action="store_true",
+                   help="check the fingerprint classes under a second base")
 
     o = sub.add_parser("oracle", help="bounded distance via the exact DP")
     inputs(o)
@@ -146,8 +159,13 @@ def _cmd_compute(args, exact_only: bool) -> int:
     if exact_only or args.k == 0:
         value = ted_threshold(F, G, args.k)
     else:
-        cfg = EngineConfig(k=args.k, seed=args.seed, rounds=args.rounds)
-        rep = engine_run(F, G, cfg, interner)
+        cfg = EngineConfig(k=args.k, seed=args.seed, rounds=args.rounds,
+                           audit=args.audit)
+        try:
+            rep = engine_run(F, G, cfg, interner)
+        except FingerprintCollisionError as exc:
+            sys.stderr.write(f"tedk: audit failed: {exc}\n")
+            return EXIT_FAILED
         value, rounds_run = rep.value, rep.rounds
         log.info("n=%d k=%d rounds=%d kept=%d timings=%s",
                  F.n + G.n, args.k, rep.rounds, rep.kept,
@@ -169,9 +187,10 @@ def _cmd_gen(args) -> int:
             or args.plant_k < 1 or args.edits < 0):
         sys.stderr.write("tedk: error: bad gen parameters\n")
         return EXIT_USAGE
-    if args.sigma > MAX_SIGMA:
-        sys.stderr.write(f"tedk: error: --sigma must be <= {MAX_SIGMA}\n")
-        return EXIT_USAGE
+    for flag, attr, bound in GEN_BOUNDS:
+        if getattr(args, attr) > bound:
+            sys.stderr.write(f"tedk: error: {flag} must be <= {bound}\n")
+            return EXIT_USAGE
     interner = LabelInterner()
     syms = alphabet(interner, args.sigma)
     rng = np.random.Generator(np.random.Philox(

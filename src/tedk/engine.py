@@ -22,7 +22,7 @@ import numpy as np
 from .alignment import _match_mask
 from .errors import ContractError
 from .forest import LabeledForest, LabelInterner
-from .hashing import random_base
+from .hashing import KarpRabin, random_base
 from .oracle import INF
 from .partial import partial_reduce
 from .reduction import ReducedPair, reduce_and_anchor
@@ -94,8 +94,9 @@ def run(F: LabeledForest, G: LabeledForest, cfg: EngineConfig,
     timings: dict = {}
     rng0 = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=(cfg.seed, 0xBA5E))))
-    base = random_base(rng0)
-    rp = reduce_and_anchor(F, G, k, base, audit=cfg.audit, timings=timings)
+    # the query's fingerprint state: its tables die with the query
+    kr = KarpRabin(random_base(rng0), audit=cfg.audit)
+    rp = reduce_and_anchor(F, G, k, kr, timings=timings)
     h = cfg.height_cap if cfg.height_cap is not None else 19716 * k ** 4
     report = EngineReport(value=INF, h=h, timings=timings)
     if rp.anchor is None:
@@ -103,8 +104,7 @@ def run(F: LabeledForest, G: LabeledForest, cfg: EngineConfig,
     t0 = time.perf_counter()
     if max(rp.f.height(), rp.g.height()) <= h:
         hb = max(1, rp.f.height(), rp.g.height())
-        report.value = shallow_ted(rp.f, rp.g, hb, k, interner, base,
-                                   audit=cfg.audit)
+        report.value = shallow_ted(rp.f, rp.g, hb, k, interner, kr)
         timings["residual_ms"] = 1e3 * (time.perf_counter() - t0)
         return report
 
@@ -135,8 +135,7 @@ def run(F: LabeledForest, G: LabeledForest, cfg: EngineConfig,
         if height > h + 1:
             raise ContractError(f"partial reduction left height {height} "
                                 f"> {h + 1}")
-        kept.append(shallow_ted(Fi, Gi, h + 1, k, interner, base,
-                                audit=cfg.audit))
+        kept.append(shallow_ted(Fi, Gi, h + 1, k, interner, kr))
     report.kept = len(kept)
     report.value = min(kept, default=INF)
     timings["rounds_ms"] = 1e3 * (time.perf_counter() - t0)

@@ -27,3 +27,7 @@ class CrossingMatchingError(ValueError):
 
 class ContractError(RuntimeError):
     """An internal bound or invariant of the pipeline does not hold."""
+
+
+class FingerprintCollisionError(ContractError):
+    """Two independent Karp-Rabin fingerprints disagree on a partition."""

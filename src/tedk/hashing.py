@@ -1,11 +1,20 @@
 """Karp-Rabin fingerprints modulo the Mersenne prime 2^61 - 1.
 
-One random base is drawn per run from the engine's seeded RNG and shared by
-every sequence that has to be comparable (both forests, refined labelings,
-context keys).  Tables and queries are vectorized with a 128-bit-safe uint64
-multiply-mod; one doubling routine builds both power tables (the base and
-its inverse), and sums mod 2^61-1 add the 32-bit halves of their terms
-separately, then fold them.
+One random base is drawn per query from the engine's seeded RNG and shared
+by every sequence that has to be comparable (both forests, refined
+labelings, context keys).  The query owns one `KarpRabin` state: the base,
+one table of its powers that grows on demand by doubling steps, and the
+prefix-hash tables of the latest two code strings it hashed.  A prefix table
+is built once per code string: a later request for an equal string (the
+shallow solver's look-ahead on a pair its own horizontal pass left
+unchanged, or G when it equals F) gets the table already built.  The
+inverse powers a prefix table needs come from the power table with one
+multiply, inv^j = base^(n-1-j) * inv^(n-1).  With audit on, the state
+carries a second, independent state under a second base.
+
+Tables and queries are vectorized with a 128-bit-safe uint64 multiply-mod
+that works in place on a few buffers; sums mod 2^61-1 add the 32-bit halves
+of their terms separately, then fold them.
 """
 
 from __future__ import annotations
@@ -14,75 +23,143 @@ import numpy as np
 
 M61 = (1 << 61) - 1
 _MASK32 = (1 << 32) - 1
+_U61 = np.uint64(M61)
 
 
-def mulmod_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a * b) mod 2^61-1 for uint64 arrays with values < 2^61."""
+def _reduce_once(x: np.ndarray) -> np.ndarray:
+    """x - M61 where x >= M61, in place (x below 2*M61 is then reduced)."""
+    return np.subtract(x, _U61, out=x, where=x >= _U61)
+
+
+def mulmod_vec(a, b, out: np.ndarray | None = None) -> np.ndarray:
+    """(a * b) mod 2^61-1 for uint64 operands with values < 2^61.
+
+    One operand may be a scalar; `out` may be one of the operands.
+    """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
+    # a*b = a_hi*b_hi*2^64 + (a_hi*b_lo + a_lo*b_hi)*2^32 + a_lo*b_lo
+    # with 2^61 = 1 (mod M61): 2^64 = 8, 2^32 folded via a 29/32 split.
     a_hi = a >> np.uint64(32)
     a_lo = a & np.uint64(_MASK32)
     b_hi = b >> np.uint64(32)
     b_lo = b & np.uint64(_MASK32)
-    # a*b = a_hi*b_hi*2^64 + (a_hi*b_lo + a_lo*b_hi)*2^32 + a_lo*b_lo
-    # with 2^61 = 1 (mod M61): 2^64 = 8, 2^32 folded via a 29/32 split.
-    hi = a_hi * b_hi  # < 2^58
-    mid = a_hi * b_lo + a_lo * b_hi  # < 2^62
-    lo = a_lo * b_lo  # < 2^64, needs its own fold
-    mid_hi = mid >> np.uint64(29)  # * 2^61 == * 1
-    mid_lo = (mid & np.uint64((1 << 29) - 1)) << np.uint64(32)
-    lo_hi = lo >> np.uint64(61)
-    lo_lo = lo & np.uint64(M61)
-    total = hi * np.uint64(8) + mid_hi + mid_lo + lo_hi + lo_lo
-    total = (total >> np.uint64(61)) + (total & np.uint64(M61))
-    total = (total >> np.uint64(61)) + (total & np.uint64(M61))
-    return total - np.where(total >= np.uint64(M61), np.uint64(M61), np.uint64(0))
+    mid = a_hi * b_lo
+    t = a_lo * b_hi
+    mid += t  # < 2^62
+    a_hi *= b_hi  # < 2^58
+    a_hi <<= np.uint64(3)  # the 2^64 term, times 8
+    a_lo *= b_lo  # < 2^64, needs its own fold
+    acc = a_hi
+    np.right_shift(mid, np.uint64(29), out=t)  # * 2^61 == * 1
+    acc += t
+    mid &= np.uint64((1 << 29) - 1)
+    mid <<= np.uint64(32)
+    acc += mid
+    np.right_shift(a_lo, np.uint64(61), out=t)
+    acc += t
+    a_lo &= _U61
+    acc += a_lo  # < 2^63
+    for dst in (acc, out if out is not None else acc):
+        np.right_shift(acc, np.uint64(61), out=t)
+        np.bitwise_and(acc, _U61, out=dst)
+        dst += t
+        acc = dst
+    return _reduce_once(acc)
 
 
 def random_base(rng: np.random.Generator) -> int:
     return int(rng.integers(1 << 10, M61 - 2))
 
 
-def _powers(x: int, n: int) -> np.ndarray:
-    """x^0, x^1, ..., x^(n-1) mod 2^61-1: each doubling step multiplies the
-    filled prefix by x^size."""
-    pw = np.empty(n, dtype=np.uint64)
-    pw[:1] = 1
-    size = 1
-    while size < n:
-        m = min(size, n - size)
-        pw[size:size + m] = mulmod_vec(pw[:m], np.uint64(pow(x, size, M61)))
-        size *= 2
-    return pw
-
-
 def sum_mod(terms: np.ndarray, add) -> np.ndarray:
     """`add` (a summing function such as np.cumsum) of uint64 terms below
     2^61, mod 2^61-1: the 32-bit halves are summed apart so that uint64 does
-    not overflow, then folded."""
-    lo = add(terms & np.uint64(_MASK32)) % np.uint64(M61)
-    hi = add(terms >> np.uint64(32)) % np.uint64(M61)
-    out = mulmod_vec(hi, np.uint64((1 << 32) % M61)) + lo
-    return np.where(out >= np.uint64(M61), out - np.uint64(M61), out)
+    not overflow, then folded: hi * 2^32 = (hi >> 29) + (hi mod 2^29) * 2^32
+    mod 2^61-1."""
+    lo = add(terms & np.uint64(_MASK32))
+    np.remainder(lo, _U61, out=lo)
+    hi = add(terms >> np.uint64(32))
+    np.remainder(hi, _U61, out=hi)
+    out = hi >> np.uint64(29)
+    hi &= np.uint64((1 << 29) - 1)
+    hi <<= np.uint64(32)
+    out += hi
+    _reduce_once(out)
+    out += lo
+    return _reduce_once(out)
+
+
+class KarpRabin:
+    """One query's fingerprint state: the base, its power table, the latest
+    prefix tables, and with audit=True an independent state under a second
+    base."""
+
+    def __init__(self, base: int, audit: bool = False):
+        self.base = base % M61
+        self.pw = np.ones(1, dtype=np.uint64)
+        self.recent: list[HashedSeq] = []
+        self.audit = None
+        if audit:
+            self.audit = KarpRabin(max((base * base + 0x9E3779B97F4A7C15) % M61,
+                                       1 << 10))
+
+    def powers(self, n: int) -> np.ndarray:
+        """base^0 .. base^(n-1).  A short table grows to at least twice its
+        size; each doubling step multiplies the filled prefix by
+        base^size."""
+        size = len(self.pw)
+        if size < n:
+            pw = np.empty(max(n, 2 * size), dtype=np.uint64)
+            pw[:size] = self.pw
+            while size < len(pw):
+                m = min(size, len(pw) - size)
+                mulmod_vec(pw[:m], np.uint64(pow(self.base, size, M61)),
+                           out=pw[size:size + m])
+                size += m
+            self.pw = pw
+        return self.pw[:n]
+
+    def table(self, codes: np.ndarray) -> "HashedSeq":
+        """The prefix table of `codes`: one of the latest two when their code
+        string equals `codes`, else a new one."""
+        for hs in self.recent:
+            if np.array_equal(hs.codes, codes):
+                return hs
+        hs = HashedSeq(codes, self)
+        self.recent = self.recent[-1:] + [hs]
+        return hs
 
 
 class HashedSeq:
-    """Prefix-hash tables over one integer sequence; O(1) substring queries."""
+    """Prefix-hash table over one integer sequence; O(1) substring queries.
 
-    def __init__(self, codes: np.ndarray, base: int):
+    `codes` is kept to recognize the same string later, so it must not be
+    changed afterwards.  The table keeps the base and a view of the first
+    n + 1 powers, not the state: a state and its tables form no reference
+    cycle, so they are freed as soon as the query drops the state.
+    """
+
+    def __init__(self, codes: np.ndarray, kr: KarpRabin):
+        self.codes = codes
+        self.base = kr.base
         self.n = n = len(codes)
-        self.base = base % M61
-        digits = (np.asarray(codes, dtype=np.uint64) + np.uint64(1)) % np.uint64(M61)
-        self.pw = _powers(self.base, n + 1)
+        self.pw = pw = kr.powers(n + 1)
         # H[i] = hash of prefix [0..i):  sum_{j<i} digit_j * base^(i-1-j)
-        # computed as cumsum(digit_j * inv^j) * base^(i-1)
-        terms = mulmod_vec(digits, _powers(pow(self.base, M61 - 2, M61), n))
+        # computed as cumsum(digit_j * inv^j) * base^(i-1), where
+        # inv^j = base^(n-1-j) * inv^(n-1)
         H = np.zeros(n + 1, dtype=np.uint64)
-        H[1:] = mulmod_vec(sum_mod(terms, np.cumsum), self.pw[:n])
+        if n:
+            terms = np.asarray(codes, dtype=np.uint64) + np.uint64(1)
+            np.remainder(terms, _U61, out=terms)
+            mulmod_vec(terms, pw[n - 1::-1], out=terms)
+            mulmod_vec(terms, np.uint64(pow(self.base, 1 - n, M61)), out=terms)
+            mulmod_vec(sum_mod(terms, np.cumsum), pw[:n], out=H[1:])
         self.H = H
 
     def substring_vec(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Fingerprints of positions [i..j) per pair; empty ranges hash to 0."""
-        hi = self.H[j]
         sub = mulmod_vec(self.H[i], self.pw[j - i])
-        return (hi + (np.uint64(M61) - sub)) % np.uint64(M61)
+        np.subtract(_U61, sub, out=sub)
+        sub += self.H[j]
+        return _reduce_once(sub)

@@ -3,13 +3,18 @@
 A joint labeling is a pair of per-forest symbol arrays drawn from one shared
 class space.  Look-ahead refinement gives two nodes the same class exactly
 when their depth-limited labeled subtrees print the same string (realized by
-Karp-Rabin fingerprints with one shared random base).  A trimmed print is the
-node's print with the subtrees of its descendants d levels below cut out;
-those cuts are found for all nodes at once by one sort and one binary search
-(`forest.last_at_level`), and one vectorized pass hashes every remaining
-fragment and combines each node's fragments.  Compatibility refinement
-merges nodes reachable through chains of cross-forest pairs whose
-parenthesis positions lie within a window w.
+Karp-Rabin fingerprints under the query's one `hashing.KarpRabin` state).
+A trimmed print is the node's print with the subtrees of its descendants d
+levels below cut out; those cuts are found for all nodes at once by one sort
+and one binary search (`forest.last_at_level`), and one vectorized pass
+hashes every remaining fragment and combines each node's fragments.  The
+fragments are read off the state's prefix table of the forest's code
+string, which the state builds once per string: the shallow solver's
+look-ahead on a pair that its horizontal pass left unchanged reuses the
+tables of the reduction stage's look-ahead, and G reuses F's when their
+strings are equal.  Compatibility refinement merges nodes reachable through
+chains of cross-forest pairs whose parenthesis positions lie within a
+window w.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import ContractError
+from .errors import ContractError, FingerprintCollisionError
 from .forest import LabeledForest, OPEN, last_at_level
-from .hashing import M61, HashedSeq, mulmod_vec, sum_mod
+from .hashing import KarpRabin, mulmod_vec, sum_mod
 
 
 @dataclass(frozen=True)
@@ -66,7 +71,7 @@ def _level_descendant_cuts(F: LabeledForest, d: int):
 
 
 def _subtree_fingerprints(F: LabeledForest, codes: np.ndarray, d: int,
-                          base: int) -> np.ndarray:
+                          kr: KarpRabin) -> np.ndarray:
     """fp of the depth-<d trimmed subtree print, per node.
 
     A node v with cuts w_1..w_m (pre-order) prints the fragments
@@ -75,7 +80,7 @@ def _subtree_fingerprints(F: LabeledForest, codes: np.ndarray, d: int,
     fragment; for the others fp(v) = sum of fp(f) * base^(length of v's
     fragments after f), summed per node mod 2^61-1.
     """
-    hs = HashedSeq(codes, base)
+    hs = kr.table(codes)
     owner, member = _level_descendant_cuts(F, d)
     m = len(owner)
     counts = np.bincount(owner, minlength=F.n)
@@ -109,27 +114,26 @@ def _dense_joint(fp_f: np.ndarray, fp_g: np.ndarray) -> JointLabeling:
 
 
 def lookahead_refine(F: LabeledForest, G: LabeledForest, lab: JointLabeling,
-                     d: int, base: int, audit: bool = False) -> JointLabeling:
+                     d: int, kr: KarpRabin) -> JointLabeling:
     """Depth-d look-ahead refinement of `lab` (classes match iff the trimmed
     labeled subtree prints agree, up to fingerprint collision).
 
-    d must be >= 1; the single shared random `base` makes classes comparable
-    across both forests.  With audit=True an independent second fingerprint
-    recomputes the partition and any discrepancy raises ContractError.
+    d must be >= 1; the query's one fingerprint state `kr` makes classes
+    comparable across both forests.  When `kr` carries an audit state, an
+    independent second fingerprint recomputes the partition and any
+    discrepancy raises FingerprintCollisionError.
     """
     if d < 1:
         raise ValueError("look-ahead depth must be >= 1")
     codes_f = F.relabeled_codes(lab.f)
     codes_g = G.relabeled_codes(lab.g)
-    out = _dense_joint(_subtree_fingerprints(F, codes_f, d, base),
-                       _subtree_fingerprints(G, codes_g, d, base))
-    if audit:
-        base2 = (base * base + 0x9E3779B97F4A7C15) % M61
-        base2 = max(base2, 1 << 10)
-        out2 = _dense_joint(_subtree_fingerprints(F, codes_f, d, base2),
-                            _subtree_fingerprints(G, codes_g, d, base2))
+    out = _dense_joint(_subtree_fingerprints(F, codes_f, d, kr),
+                       _subtree_fingerprints(G, codes_g, d, kr))
+    if kr.audit is not None:
+        out2 = _dense_joint(_subtree_fingerprints(F, codes_f, d, kr.audit),
+                            _subtree_fingerprints(G, codes_g, d, kr.audit))
         if not (refines(out, out2) and refines(out2, out)):
-            raise ContractError(
+            raise FingerprintCollisionError(
                 "fingerprint collision detected in look-ahead classes")
     if not refines(out, lab):
         raise ContractError("look-ahead classes do not refine the input labeling")

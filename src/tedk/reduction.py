@@ -17,6 +17,7 @@ import numpy as np
 
 from .alignment import Alignment, greedy_bounded_align
 from .forest import LabeledForest
+from .hashing import KarpRabin
 from .horizontal import sync_reductions
 from .labeling import JointLabeling, compat_refine, lookahead_refine
 from .vertical import vert_sync_reductions
@@ -34,17 +35,18 @@ class ReducedPair:
     anchor: Alignment | None
 
 
-def reduce_and_anchor(F: LabeledForest, G: LabeledForest, k: int, base: int,
-                      audit: bool = False,
+def reduce_and_anchor(F: LabeledForest, G: LabeledForest, k: int,
+                      kr: KarpRabin,
                       timings: dict | None = None) -> ReducedPair:
-    """Periodicity-reduce (F, G) and compute the anchor alignment."""
+    """Periodicity-reduce (F, G) and compute the anchor alignment, hashing
+    under the query's fingerprint state `kr`."""
     if k < 1:
         raise ValueError("threshold must be >= 1")
     t0 = time.perf_counter()
     F1, G1 = sync_reductions(F, G, k)
     F2, G2 = vert_sync_reductions(F1, G1, k)
     lam0 = JointLabeling.base(F2, G2)
-    lam_look = lookahead_refine(F2, G2, lam0, 8 * k, base, audit=audit)
+    lam_look = lookahead_refine(F2, G2, lam0, 8 * k, kr)
     lam_refined = compat_refine(F2, G2, lam_look, 2 * k)
     seq_f = F2.relabeled_codes(lam_refined.f)
     seq_g = G2.relabeled_codes(lam_refined.g)

@@ -16,6 +16,7 @@ import numpy as np
 from .alignment import common_matching_core
 from .errors import ContractError, CrossingMatchingError, NoAlignmentError
 from .forest import LabeledForest, LabelInterner
+from .hashing import KarpRabin
 from .horizontal import sync_reductions
 from .labeling import JointLabeling, lookahead_refine
 from .oracle import INF, ted_threshold
@@ -40,9 +41,9 @@ def lift_position_matching(F: LabeledForest, G: LabeledForest,
 
 
 def shallow_ted(F: LabeledForest, G: LabeledForest, h: int, k: int,
-                interner: LabelInterner, base: int,
-                audit: bool = False) -> int | float:
-    """ted_{<=k}(F, G) for forests of height at most h."""
+                interner: LabelInterner, kr: KarpRabin) -> int | float:
+    """ted_{<=k}(F, G) for forests of height at most h, hashing under the
+    query's fingerprint state `kr`."""
     if h < 1 or k < 1:
         raise ValueError("need h >= 1 and k >= 1")
     if F.height() > h or G.height() > h:
@@ -50,8 +51,7 @@ def shallow_ted(F: LabeledForest, G: LabeledForest, h: int, k: int,
     if abs(F.n - G.n) > k:
         return INF
     F1, G1 = sync_reductions(F, G, k)
-    lam = lookahead_refine(F1, G1, JointLabeling.base(F1, G1), h, base,
-                           audit=audit)
+    lam = lookahead_refine(F1, G1, JointLabeling.base(F1, G1), h, kr)
     seq_f = F1.relabeled_codes(lam.f)
     seq_g = G1.relabeled_codes(lam.g)
     kk, w, e = 2 * h * k, 2 * k, 18 * k

@@ -15,6 +15,7 @@ from tedk.engine import EngineConfig, ted_bounded
 from tedk.forest import LabelInterner
 from tedk.generate import (alphabet, apply_random_edits, planted_pair,
                            random_forest)
+from tedk.hashing import KarpRabin
 from tedk.horizontal import min_balance_rotations, sync_reductions
 from tedk.indexes import compute_runs
 from tedk.oracle import INF, ted_threshold
@@ -118,7 +119,7 @@ def test_criterion_3_periodicity_postconditions():
                      in sync_power_occurrences(X, Y, 2 * k, 18 * k, 4 * k))
         F2, G2 = vert_sync_reductions(F1, G1, k)
         bad_b += bool(synced_context_powers(F2, G2, 2 * k, 16 * k, 4 * k))
-        rp = reduce_and_anchor(F, G, k, base=0xACCE97 + t)
+        rp = reduce_and_anchor(F, G, k, KarpRabin(0xACCE97 + t))
         bad_c += bool(sync_power_occurrences(rp.seq_f, rp.seq_g, 2 * k,
                                              20 * k + 2, 4 * k))
         cases += 1
@@ -249,7 +250,7 @@ def test_criterion_7_anchor_stability():
         want = ted_threshold(F, G, k)
         if want == INF:
             continue
-        rp = reduce_and_anchor(F, G, k, base=0x70707 + checked)
+        rp = reduce_and_anchor(F, G, k, KarpRabin(0x70707 + checked))
         sf0, sg0 = rp.f.codes, rp.g.codes
         opts = [B for B in budget_alignments(sf0, sg0, 2 * k, 2 * k)
                 if is_tree_alignment(B, rp.f, rp.g)

@@ -1,5 +1,8 @@
+import numpy as np
+
 import tedk.cli
-from tedk.cli import MAX_SIGMA, main
+import tedk.labeling
+from tedk.cli import MAX_EDITS, MAX_N, MAX_PLANT_K, MAX_SIGMA, main
 
 
 def run_cli(capsys, *argv):
@@ -251,3 +254,53 @@ def test_gen_sigma_above_bound_exits_3(tmp_path, capsys, monkeypatch):
         assert code == 3 and out == ""
         assert "tedk: error:" in err and "--sigma" in err
     assert not a.exists()
+
+
+def test_gen_size_flags_above_bound_exit_3(tmp_path, capsys, monkeypatch):
+    # each bound is checked before any label is interned or node generated
+    a = tmp_path / "a.paren"
+    b = tmp_path / "b.paren"
+
+    def no_generation(*args, **kwargs):
+        raise AssertionError("generation started")
+
+    for name in ("alphabet", "random_forest", "plant_horizontal",
+                 "plant_vertical", "apply_random_edits"):
+        monkeypatch.setattr(tedk.cli, name, no_generation)
+    cases = [(("--n", str(MAX_N + 1)), "--n"),
+             (("--n", "3", "--plant", "horizontal",
+               "--plant-k", str(MAX_PLANT_K + 1)), "--plant-k"),
+             (("--n", "3", "--plant", "mixed", "--plant-k", "100000000"),
+              "--plant-k"),
+             (("--n", "3", "--out2", str(b), "--edits", str(MAX_EDITS + 1)),
+              "--edits")]
+    for extra, flag in cases:
+        code, out, err = run_cli(capsys, "gen", "--out", str(a), *extra)
+        assert code == 3 and out == ""
+        assert f"tedk: error: {flag} must be <=" in err
+    assert not a.exists() and not b.exists()
+
+
+def test_compute_audit(tmp_path, capsys, monkeypatch):
+    a = tmp_path / "a.paren"
+    b = tmp_path / "b.paren"
+    a.write_text("(a(b)(c(d)))(e)\n")
+    b.write_text("(a(b)(c(x)))(e)\n")
+    argv = ("compute", str(a), str(b), "--k", "2", "--seed", "3")
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, audited, err = run_cli(capsys, *argv, "--audit")
+    assert code == 0 and audited == plain and err == ""
+    # a second base that merges every class is a detected collision; only
+    # the audit state has no audit state of its own
+    real = tedk.labeling._subtree_fingerprints
+
+    def merged_under_audit(F, codes, d, kr):
+        fp = real(F, codes, d, kr)
+        return fp if kr.audit is not None else np.zeros_like(fp)
+
+    monkeypatch.setattr(tedk.labeling, "_subtree_fingerprints",
+                        merged_under_audit)
+    code, out, err = run_cli(capsys, *argv, "--audit")
+    assert code == 1 and out == ""
+    assert err.startswith("tedk: audit failed:") and "Traceback" not in err

@@ -17,7 +17,8 @@ import tedk.horizontal
 import tedk.labeling
 import tedk.partial
 import tedk.vertical
-from tedk.errors import ContractError
+from tedk.errors import ContractError, FingerprintCollisionError
+from tedk.hashing import KarpRabin
 from tedk.horizontal import HSyncOcc, sync_reductions
 from tedk.labeling import JointLabeling, compat_refine, lookahead_refine
 from tedk.partial import reduce_height
@@ -107,7 +108,7 @@ def test_labeling_refines_contract(interner, monkeypatch):
     monkeypatch.setattr(tedk.labeling, "_dense_joint",
                         lambda fp_f, fp_g: JointLabeling(merged, merged))
     with pytest.raises(ContractError):
-        lookahead_refine(F, F, lab, 2, 0x1234567)
+        lookahead_refine(F, F, lab, 2, KarpRabin(0x1234567))
     monkeypatch.setattr(tedk.labeling, "connected_components",
                         lambda graph, directed: (1, np.zeros(2 * F.n)))
     with pytest.raises(ContractError):
@@ -118,18 +119,18 @@ def test_lookahead_audit_contract(interner, monkeypatch):
     # classes that only the audit's second base merges are a collision
     F = forest("(a(b)(c))", interner)
     lab = JointLabeling.base(F, F)
-    base = 0x1234567
+    kr = KarpRabin(0x1234567, audit=True)
     real = tedk.labeling._subtree_fingerprints
 
-    def merged_under_audit(H, codes, d, b):
-        fp = real(H, codes, d, b)
-        return fp if b == base else np.zeros_like(fp)
+    def merged_under_audit(H, codes, d, state):
+        fp = real(H, codes, d, state)
+        return fp if state is kr else np.zeros_like(fp)
 
-    lookahead_refine(F, F, lab, 2, base, audit=True)
+    lookahead_refine(F, F, lab, 2, kr)
     monkeypatch.setattr(tedk.labeling, "_subtree_fingerprints",
                         merged_under_audit)
-    with pytest.raises(ContractError):
-        lookahead_refine(F, F, lab, 2, base, audit=True)
+    with pytest.raises(FingerprintCollisionError):
+        lookahead_refine(F, F, lab, 2, kr)
 
 
 def test_partial_leaf_contract(interner, monkeypatch):

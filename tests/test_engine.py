@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import tedk.engine
+import tedk.hashing
 from tedk.engine import EngineConfig, mark_levels, run, ted_bounded
 from tedk.errors import ContractError
 from tedk.forest import LabeledForest, parse_paren_text
@@ -202,3 +206,41 @@ def test_round_height_contract(interner, rng, monkeypatch):
                         lambda *args: (tall, tall))
     with pytest.raises(ContractError):
         run(F, G, EngineConfig(k=1, seed=5, height_cap=hcap), interner)
+
+
+def test_prefix_tables_built_once_per_query(interner, rng, monkeypatch):
+    # the shallow look-ahead reuses the reduction stage's prefix tables, so a
+    # query builds at most one per forest; each query owns its state, which
+    # is freed (no reference cycle) when the query returns
+    built = []
+    real = tedk.hashing.HashedSeq.__init__
+
+    def counted(self, codes, kr):
+        built.append((weakref.ref(kr), kr.base))
+        real(self, codes, kr)
+
+    monkeypatch.setattr(tedk.hashing.HashedSeq, "__init__", counted)
+    syms = alphabet(interner, 4)
+    F = random_forest(rng, 400, 8, syms)
+    G = apply_random_edits(rng, F, 2, syms)
+    while ted_threshold(F, G, 2) in (0, INF):
+        G = apply_random_edits(rng, F, 2, syms)
+    twin = LabeledForest.from_codes(F.codes.copy())
+    gc.disable()
+    try:
+        for A, B in ((F, G), (F, twin)):
+            want = ted_threshold(A, B, 2)
+            bases = []
+            for seed in (1, 2):
+                built.clear()
+                rep = run(A, B, EngineConfig(k=2, seed=seed), interner)
+                assert rep.value == want
+                assert 1 <= len(built) <= 2
+                assert all(ref() is None for ref, _ in built)
+                bases.append({base for _, base in built})
+            assert len(bases[0]) == len(bases[1]) == 1
+            assert bases[0] != bases[1]
+            audited = run(A, B, EngineConfig(k=2, seed=1, audit=True), interner)
+            assert audited.value == want
+    finally:
+        gc.enable()

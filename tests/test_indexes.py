@@ -3,7 +3,7 @@ import numpy as np
 from tedk._naive import naive_lca, naive_runs
 from tedk.alignment import as_codes
 from tedk.generate import alphabet, random_forest
-from tedk.hashing import M61, HashedSeq, sum_mod
+from tedk.hashing import M61, HashedSeq, KarpRabin, mulmod_vec, sum_mod
 from tedk.forest import lca_depth
 from tedk.indexes import compute_runs
 
@@ -86,7 +86,7 @@ def concat_fp(base: int, fp_a: int, len_a: int, fp_b: int, len_b: int) -> int:
 
 def test_substring_fingerprints(rng):
     S = rng.integers(0, 4, 500)
-    hs = HashedSeq(S, base=987654321)
+    hs = HashedSeq(S, KarpRabin(987654321))
     assert substring(hs, 3, 3) == 0
     # equal text -> equal fingerprint; for random queries agree with compare
     i = rng.integers(0, 400, 100_000)
@@ -122,27 +122,50 @@ def power_fp(hs: HashedSeq, i: int, j: int, reps: int) -> int:
 
 def test_power_fingerprint(rng):
     S = rng.integers(0, 3, 40)
-    hs = HashedSeq(S, base=31337)
+    kr = KarpRabin(31337)
+    hs = HashedSeq(S, kr)
     tiled = np.tile(S[5:9], 7)
-    hs2 = HashedSeq(np.concatenate([S[:5], tiled]), base=31337)
+    hs2 = HashedSeq(np.concatenate([S[:5], tiled]), kr)
     assert power_fp(hs, 5, 9, 7) == substring(hs2, 5, 5 + 28)
 
 
 def test_prefix_and_power_tables_match_integers(rng):
-    # H[i+1] = H[i]*b + (code+1) and pw[i] = b^i, mod 2^61-1 in Python ints
-    lengths = [0, 1, 2] + [2 ** j + s for j in range(1, 11) for s in (-1, 1)]
-    lengths += rng.integers(0, 3000, 40).tolist()
-    for n in lengths:
+    # H[i+1] = H[i]*b + (code+1) and pw[i] = b^i, mod 2^61-1 in Python ints.
+    # One state per base serves a run of lengths that grow and shrink, so
+    # its power table is grown from every size a query can leave it at.
+    pows = [2 ** j + s for j in range(1, 12) for s in (-1, 0, 1)]
+    for t in range(6):
         base = int(rng.integers(1 << 10, M61 - 2))
-        codes = rng.integers(0, 1 << 40, n)
-        hs = HashedSeq(codes, base)
-        H, pw = [0], [1]
-        for code in codes.tolist():
-            H.append((H[-1] * base + code + 1) % M61)
-            pw.append(pw[-1] * base % M61)
-        assert hs.H.tolist() == H
-        assert hs.pw.tolist() == pw
-        assert substring(hs, 0, n) == H[-1]
+        kr = KarpRabin(base)
+        lengths = [0, 1, 2] + rng.permutation(pows).tolist()
+        lengths += rng.integers(0, 3000, 10).tolist() + [0, 1]
+        ref_pw = [1]
+        for n in lengths:
+            codes = rng.integers(0, 1 << 40, n)
+            hs = kr.table(codes)
+            H = [0]
+            for code in codes.tolist():
+                H.append((H[-1] * base + code + 1) % M61)
+            while len(ref_pw) < len(kr.pw):
+                ref_pw.append(ref_pw[-1] * base % M61)
+            assert hs.H.tolist() == H
+            assert kr.pw.tolist() == ref_pw[:len(kr.pw)]
+            assert len(kr.pw) >= n + 1
+            assert substring(hs, 0, n) == H[-1]
+    # the multiply-mod, array x array and array x scalar, on edge operands
+    edge = [0, 1, 2, M61 - 1, M61 - 2, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1,
+            2 ** 60, 2 ** 61 - 2 ** 32]
+    a = np.array(edge + rng.integers(0, M61, 200).tolist(), dtype=np.uint64)
+    for b in (a, a[::-1].copy(), rng.permutation(a)):
+        got = mulmod_vec(a, b)
+        assert got.tolist() == [x * y % M61 for x, y in zip(a.tolist(), b.tolist())]
+    for y in edge:
+        want = [x * y % M61 for x in a.tolist()]
+        assert mulmod_vec(a, np.uint64(y)).tolist() == want
+        assert mulmod_vec(np.uint64(y), a).tolist() == want
+        inplace = a.copy()
+        mulmod_vec(inplace, np.uint64(y), out=inplace)
+        assert inplace.tolist() == want
     # halves whose folded sum lands in [M61, 2*M61): the result is reduced
     terms = [2 ** 60 + 2 ** 32 - 1, 2 ** 60 - 1]
     got = sum_mod(np.array(terms, dtype=np.uint64), np.cumsum)

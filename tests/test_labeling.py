@@ -4,7 +4,7 @@ import pytest
 from tedk._naive import naive_compat_classes, optimal_tree_alignments, trimmed_print
 from tedk.alignment import Alignment, eval_alignment, is_greedy
 from tedk.generate import alphabet, apply_random_edits, random_forest
-from tedk.hashing import M61, HashedSeq, mulmod_vec
+from tedk.hashing import M61, HashedSeq, KarpRabin, mulmod_vec
 from tedk.labeling import (JointLabeling, _level_descendant_cuts,
                            _subtree_fingerprints, compat_refine,
                            lookahead_refine, refines)
@@ -28,7 +28,7 @@ def alignment_forest_cost(A, F, G, lab):
 
 def lookahead_cost_bound_check(F, G, lab, d, A, base):
     """Refined cost of a tree alignment is at most d times the base cost."""
-    refined = lookahead_refine(F, G, lab, d, base)
+    refined = lookahead_refine(F, G, lab, d, KarpRabin(base))
     return (alignment_forest_cost(A, F, G, refined)
             <= d * alignment_forest_cost(A, F, G, lab))
 
@@ -45,7 +45,7 @@ def compat_cost_equal_check(F, G, lab, w, A):
 def test_lookahead_rejects_zero_depth(interner):
     F = forest("(a)", interner)
     with pytest.raises(ValueError):
-        lookahead_refine(F, F, JointLabeling.base(F, F), 0, BASE)
+        lookahead_refine(F, F, JointLabeling.base(F, F), 0, KarpRabin(BASE))
 
 
 def test_lookahead_depth_one_is_identity(interner, rng):
@@ -54,7 +54,7 @@ def test_lookahead_depth_one_is_identity(interner, rng):
         F = random_forest(rng, int(rng.integers(0, 20)), 4, syms)
         G = random_forest(rng, int(rng.integers(0, 20)), 4, syms)
         lab = JointLabeling.base(F, G)
-        out = lookahead_refine(F, G, lab, 1, BASE)
+        out = lookahead_refine(F, G, lab, 1, KarpRabin(BASE))
         assert same_partition(out, lab)
 
 
@@ -64,7 +64,7 @@ def test_lookahead_full_depth_encodes_subtrees(interner, rng):
         F = random_forest(rng, int(rng.integers(1, 15)), 4, syms)
         G = random_forest(rng, int(rng.integers(1, 15)), 4, syms)
         d = max(F.height(), G.height()) + 1
-        out = lookahead_refine(F, G, JointLabeling.base(F, G), d, BASE)
+        out = lookahead_refine(F, G, JointLabeling.base(F, G), d, KarpRabin(BASE))
         subs = ([F.codes[F.o[u]:F.c[u] + 1].tobytes() for u in range(F.n)]
                 + [G.codes[G.o[v]:G.c[v] + 1].tobytes() for v in range(G.n)])
         ids = np.concatenate([out.f, out.g])
@@ -79,7 +79,7 @@ def test_lookahead_matches_naive_trimmed_prints(interner, rng):
         F = random_forest(rng, 25, 5, syms)
         G = random_forest(rng, 25, 5, syms)
         lab = JointLabeling.base(F, G)
-        out = lookahead_refine(F, G, lab, d, BASE)
+        out = lookahead_refine(F, G, lab, d, KarpRabin(BASE))
         prints = ([trimmed_print(F, lab.f, u, d) for u in range(F.n)]
                   + [trimmed_print(G, lab.g, v, d) for v in range(G.n)])
         ids = np.concatenate([out.f, out.g]).tolist()
@@ -93,7 +93,8 @@ def test_lookahead_audit_mode(interner, rng):
     syms = alphabet(interner, 2)
     F = random_forest(rng, 30, 4, syms)
     G = random_forest(rng, 30, 4, syms)
-    lookahead_refine(F, G, JointLabeling.base(F, G), 3, BASE, audit=True)
+    lookahead_refine(F, G, JointLabeling.base(F, G), 3,
+                     KarpRabin(BASE, audit=True))
 
 
 def test_compat_refine_examples(interner, rng):
@@ -125,7 +126,7 @@ def test_refinement_direction(interner, rng):
     F = random_forest(rng, 25, 5, syms)
     G = random_forest(rng, 25, 5, syms)
     lab = JointLabeling.base(F, G)
-    la = lookahead_refine(F, G, lab, 3, BASE)
+    la = lookahead_refine(F, G, lab, 3, KarpRabin(BASE))
     assert refines(la, lab)
     cp = compat_refine(F, G, la, 2)
     assert refines(cp, la) and refines(cp, lab)
@@ -176,7 +177,8 @@ def test_optimum_alignment_greedy_under_full_lookahead(interner, rng):
         if best > 2:
             continue
         h = max(F.height(), G.height(), 1)
-        lab = lookahead_refine(F, G, JointLabeling.base(F, G), h, BASE)
+        lab = lookahead_refine(F, G, JointLabeling.base(F, G), h,
+                               KarpRabin(BASE))
         sf = F.relabeled_codes(lab.f)
         sg = G.relabeled_codes(lab.g)
         sf0 = F.codes
@@ -210,11 +212,11 @@ def test_level_cuts_match_stack_walk(interner, rng):
         assert (owner.tolist(), member.tolist()) == _walk_cuts(F, d)
 
 
-def three_path_fingerprints(F, codes, d, base):
+def three_path_fingerprints(F, codes, d, kr):
     """Reference trimmed-print fingerprints: whole subtrees for nodes without
     cuts, one vectorized concatenation for nodes with one cut, and a scalar
     fold over the fragments of each node with two or more cuts."""
-    hs = HashedSeq(codes, base)
+    hs = HashedSeq(codes, kr)
     n = F.n
     if n == 0:
         return np.empty(0, dtype=np.uint64)
@@ -258,9 +260,10 @@ def test_fingerprints_match_three_path_reference(interner, rng):
         nonlocal multi
         base = int(rng.integers(1 << 10, M61 - 2))
         codes = F.relabeled_codes(rng.integers(0, 50, F.n))
-        got = _subtree_fingerprints(F, codes, d, base)
+        got = _subtree_fingerprints(F, codes, d, KarpRabin(base))
         assert got.dtype == np.uint64
-        assert got.tolist() == three_path_fingerprints(F, codes, d, base).tolist()
+        assert got.tolist() == three_path_fingerprints(F, codes, d,
+                                                      KarpRabin(base)).tolist()
         owner, _ = _level_descendant_cuts(F, d)
         multi += int((np.bincount(owner, minlength=F.n) >= 2).sum())
 
