@@ -2,13 +2,15 @@
 
 Library layout: forests and parsing (forest), exact DP oracle (oracle),
 string alignments (alignment), labeling refinements (labeling), shared
-indexes (indexes, hashing), periodicity reductions (horizontal, vertical,
-reduction), partial-matching reductions (partial), the height-bounded solver
-(shallow), and the sampling engine (engine).  The command line lives in cli.
+indexes (indexes, hashing) and the per-query context that holds them
+(context), periodicity reductions (horizontal, vertical, reduction),
+partial-matching reductions (partial), the height-bounded solver (shallow),
+and the sampling engine (engine).  The command line lives in cli.
 """
 
 from .alignment import (Alignment, AlignmentStats, common_matching_core,
                         eval_alignment, greedy_bounded_align, is_greedy)
+from .context import QueryContext
 from .engine import EngineConfig, EngineReport, mark_levels, run, ted_bounded
 from .errors import (CrossingMatchingError, LabelMismatchError,
                      MalformedAlignmentError, NoAlignmentError, ParseError,
@@ -33,7 +35,7 @@ __all__ = [
     "NoAlignmentError", "ParseError", "UnbalancedError",
     "LabeledForest", "LabelInterner", "parse_json_text", "parse_paren_text",
     "serialize_json", "serialize_paren",
-    "KarpRabin",
+    "KarpRabin", "QueryContext",
     "JointLabeling", "compat_refine", "lookahead_refine", "refines",
     "INF", "ted_exact", "ted_threshold",
     "gadget", "partial_reduce", "prune_redundant", "reduce_height",

@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alignment import _match_mask
+from .context import QueryContext
 from .errors import ContractError
 from .forest import LabeledForest, LabelInterner
-from .hashing import KarpRabin, random_base
+from .hashing import random_base
 from .oracle import INF
 from .partial import partial_reduce
 from .reduction import ReducedPair, reduce_and_anchor
@@ -94,9 +95,9 @@ def run(F: LabeledForest, G: LabeledForest, cfg: EngineConfig,
     timings: dict = {}
     rng0 = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=(cfg.seed, 0xBA5E))))
-    # the query's fingerprint state: its tables die with the query
-    kr = KarpRabin(random_base(rng0), audit=cfg.audit)
-    rp = reduce_and_anchor(F, G, k, kr, timings=timings)
+    # the query's context: its tables and runs die with the query
+    ctx = QueryContext(k, random_base(rng0), audit=cfg.audit)
+    rp = reduce_and_anchor(F, G, ctx, timings=timings)
     h = cfg.height_cap if cfg.height_cap is not None else 19716 * k ** 4
     report = EngineReport(value=INF, h=h, timings=timings)
     if rp.anchor is None:
@@ -104,7 +105,7 @@ def run(F: LabeledForest, G: LabeledForest, cfg: EngineConfig,
     t0 = time.perf_counter()
     if max(rp.f.height(), rp.g.height()) <= h:
         hb = max(1, rp.f.height(), rp.g.height())
-        report.value = shallow_ted(rp.f, rp.g, hb, k, interner, kr)
+        report.value = shallow_ted(rp.f, rp.g, hb, interner, ctx)
         timings["residual_ms"] = 1e3 * (time.perf_counter() - t0)
         return report
 
@@ -135,7 +136,7 @@ def run(F: LabeledForest, G: LabeledForest, cfg: EngineConfig,
         if height > h + 1:
             raise ContractError(f"partial reduction left height {height} "
                                 f"> {h + 1}")
-        kept.append(shallow_ted(Fi, Gi, h + 1, k, interner, kr))
+        kept.append(shallow_ted(Fi, Gi, h + 1, interner, ctx))
     report.kept = len(kept)
     report.value = min(kept, default=INF)
     timings["rounds_ms"] = 1e3 * (time.perf_counter() - t0)

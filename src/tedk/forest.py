@@ -16,7 +16,12 @@ ancestor) all come from one stable sort and one binary search,
 (`level_search`) give LCA depths by a binary search over levels
 (`lca_depth`), so no ancestor table is built.  Likewise every parenthesis
 pairing in the package (forest construction, text parsing, the rotation test
-of horizontal periods) goes through `_pair_parens`.
+of horizontal periods) goes through `_pair_parens`, one stable sort of the
+nesting levels.  Both sorts order small non-negative integers, so they sort
+them as the smallest unsigned type that holds them (`_stable_order`): numpy
+radix-sorts 8- and 16-bit keys in linear time, which covers every forest
+under 2^16 levels deep.  Parsing interns each distinct label once, in sorted
+order, and maps the tokens through one dict.
 """
 
 from __future__ import annotations
@@ -67,11 +72,25 @@ class LabelInterner:
         return self._texts[symbol]
 
 
+def _stable_order(level: np.ndarray) -> np.ndarray:
+    """``np.argsort(level, kind="stable")`` for non-negative integer levels.
+
+    The levels are sorted cast to the smallest unsigned type that holds the
+    largest one: numpy radix-sorts 8- and 16-bit keys in linear time, and a
+    stable sort gives the same order on any key type.
+    """
+    if len(level) == 0:
+        return np.empty(0, dtype=np.intp)
+    return np.argsort(level.astype(np.min_scalar_type(level.max())),
+                      kind="stable")
+
+
 def level_search(level: np.ndarray):
     """Sort `level` once and return ``last(q_level, q_pos)``, which gives for
     each query (L, x) the last index i < x with level[i] == L, else -1.
 
-    One stable argsort of `level` builds the sorted key
+    The levels must be non-negative integers.  One stable sort of `level`
+    (`_stable_order`, a radix sort below 2^16 levels) builds the sorted key
     ``level * (len + 1) + index``; each call is one `searchsorted` on it.
     With `level` a pre-order depth and L = depth(x) - l, the answer is the
     ancestor of x l levels up: pre-order puts no other depth-L node between
@@ -80,7 +99,9 @@ def level_search(level: np.ndarray):
     """
     level = np.asarray(level, dtype=np.int64)
     scale = len(level) + 1
-    order = np.argsort(level, kind="stable")
+    if len(level) and level.min() < 0:
+        raise ValueError("levels must be non-negative")
+    order = _stable_order(level)
     keys = level[order] * scale + order
 
     def last(q_level, q_pos) -> np.ndarray:
@@ -129,7 +150,8 @@ def _pair_parens(codes: np.ndarray):
     """Validate balance/labels and return (o, c, depth) per pre-order node.
 
     Vectorized: positions sorted stably by nesting level alternate
-    open/close within each level, giving the matching in one argsort.
+    open/close within each level, giving the matching in one stable sort
+    (`_stable_order`, a linear radix sort while the height is below 2^16).
     """
     m = len(codes)
     if m % 2 != 0:
@@ -144,7 +166,7 @@ def _pair_parens(codes: np.ndarray):
     if E[-1] != 0 or E.min() < 0:
         raise UnbalancedError("mismatched parenthesis depth")
     level = E + sides  # open: level after push; close: level before pop
-    order = np.argsort(level, kind="stable")
+    order = _stable_order(level)
     po = order[0::2]
     pc = order[1::2]
     if (codes[po] & 1).any() or not (codes[pc] & 1).all():
@@ -281,14 +303,19 @@ def parse_paren_text(text: str, interner: LabelInterner) -> LabeledForest:
     (`UnbalancedError`), label tokens (`ParseError`), nesting
     (`UnbalancedError`).
     """
-    toks = np.array(text.replace("(", " ( ").replace(")", " ) ").split(),
-                    dtype=object)
+    toks = text.replace("(", " ( ").replace(")", " ) ").split()
     m = len(toks)
     if m == 0:
         return LabeledForest.from_codes(np.empty(0, dtype=np.int64))
-    is_open = toks == "("
-    is_close = toks == ")"
-    is_label = ~(is_open | is_close)
+    # distinct labels in sorted order (the order they are interned in), and
+    # one dict lookup per token: labels by rank, "(" as -2, ")" as -1
+    uniq = sorted(set(toks) - {"(", ")"})
+    rank = {t: r for r, t in enumerate(uniq)}
+    rank["("], rank[")"] = -2, -1
+    tok = np.fromiter(map(rank.__getitem__, toks), dtype=np.int64, count=m)
+    is_open = tok == -2
+    is_close = tok == -1
+    is_label = tok >= 0
     # every "(" must be followed by a label token, and labels appear only there
     after_open = np.zeros(m, dtype=bool)
     after_open[1:] = is_open[:-1]
@@ -297,16 +324,11 @@ def parse_paren_text(text: str, interner: LabelInterner) -> LabeledForest:
         raise ParseError(f"unexpected token {toks[bad]!r} at position {bad}")
     if is_open[-1]:
         raise UnbalancedError("dangling '(' at end of input")
-    label_toks = toks[is_label]
-    if len(label_toks):
-        uniq, inverse = np.unique(label_toks, return_inverse=True)
-        for t in uniq:
-            check_label(t)
-        lut = np.fromiter((interner.intern(t) for t in uniq), dtype=np.int64,
-                          count=len(uniq))
-        syms = lut[inverse]
-    else:
-        syms = np.empty(0, dtype=np.int64)
+    for t in uniq:
+        check_label(t)
+    lut = np.fromiter(map(interner.intern, uniq), dtype=np.int64,
+                      count=len(uniq))
+    syms = lut[tok[is_label]]
     # pair on the sides alone (every label 0), then give each node its label
     shape = LabeledForest(is_close[~is_label].astype(np.int64))
     return LabeledForest(shape.relabeled_codes(syms),
@@ -328,7 +350,9 @@ def serialize_paren(F: LabeledForest, interner: LabelInterner) -> str:
 def parse_json_text(text: str, interner: LabelInterner) -> LabeledForest:
     """JSON format: array of {"label": str, "children": [...]} trees.
 
-    Labels follow the paren-text token rule (`check_label`)."""
+    Labels are JSON strings that follow the paren-text token rule
+    (`check_label`); a null, number or boolean label is a `ParseError`, not
+    the text Python would print for it."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -347,7 +371,9 @@ def parse_json_text(text: str, interner: LabelInterner) -> LabeledForest:
             continue
         if not isinstance(node, dict) or "label" not in node:
             raise ParseError("tree objects need a 'label' field")
-        text = str(node["label"])
+        text = node["label"]
+        if not isinstance(text, str):
+            raise ParseError(f"label {text!r} is not a JSON string")
         if text not in checked:
             check_label(text)
             checked.add(text)

@@ -2,12 +2,13 @@
 
 One random base is drawn per query from the engine's seeded RNG and shared
 by every sequence that has to be comparable (both forests, refined
-labelings, context keys).  The query owns one `KarpRabin` state: the base,
-one table of its powers that grows on demand by doubling steps, and the
-prefix-hash tables of the latest two code strings it hashed.  A prefix table
-is built once per code string: a later request for an equal string (the
-shallow solver's look-ahead on a pair its own horizontal pass left
-unchanged, or G when it equals F) gets the table already built.  The
+labelings, context keys).  The query's context (`context.QueryContext`)
+owns one `KarpRabin` state: the base, one table of its powers that grows on
+demand by doubling steps, and the prefix-hash tables of the latest two code
+strings it hashed.  A prefix table is built once per code string: a later
+request for an equal string (the shallow solver's look-ahead on a pair its
+own horizontal pass left unchanged) gets the table already built, and the
+look-ahead does not even ask for G's when G's string equals F's.  The
 inverse powers a prefix table needs come from the power table with one
 multiply, inv^j = base^(n-1-j) * inv^(n-1).  With audit on, the state
 carries a second, independent state under a second base.

@@ -7,17 +7,27 @@ The detection pass merges the two filtered run lists by end position and
 checks period equality up to rotation plus rotatability into a balanced
 string.  `cut_sites`, shared with the vertical reduction, removes the
 surplus copies of every site from both code strings in one pass.
+
+The run lists come from the query context (`context.QueryContext`), which
+computes them through `filter_runs` once per code string: G's string when
+it equals F's, and a string that an earlier pass left unchanged, reuse the
+runs already found, in this pass, the vertical reduction's `compute_q` and
+the shallow solver's horizontal pass alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ContractError, ParseError
 from .forest import LabeledForest, _pair_parens
 from .indexes import Run, compute_runs
+
+if TYPE_CHECKING:
+    from .context import QueryContext
 
 
 @dataclass(frozen=True)
@@ -67,12 +77,14 @@ def _rotation_match(X: np.ndarray, Y: np.ndarray) -> bool:
     return False
 
 
-def sync_occurrences(F: LabeledForest, G: LabeledForest, k: int) -> list[HSyncOcc]:
+def sync_occurrences(F: LabeledForest, G: LabeledForest,
+                     ctx: QueryContext) -> list[HSyncOcc]:
     """Merge-scan the filtered run lists for balanced synchronized periods."""
+    k = ctx.k
     sf = F.codes
     sg = G.codes
-    rf = filter_runs(sf, k)
-    rg = filter_runs(sg, k)
+    rf = ctx.runs(sf)
+    rg = ctx.runs(sg)
     out: list[HSyncOcc] = []
     lf = lg = 0
     while lf < len(rf) and lg < len(rg):
@@ -118,11 +130,12 @@ def cut_sites(F: LabeledForest, G: LabeledForest, sites, k: int):
             LabeledForest.from_codes(np.concatenate(parts_g)))
 
 
-def sync_reductions(F: LabeledForest, G: LabeledForest, k: int):
-    """Cut every synchronized horizontal occurrence to 14k repetitions.
+def sync_reductions(F: LabeledForest, G: LabeledForest, ctx: QueryContext):
+    """Cut every synchronized horizontal occurrence to 14k repetitions
+    (k = ctx.k).
 
     Returns (F', G') with ted_{<=k} unchanged and no balanced string Q of
     length <= 4k whose (18k)-th power has 2k-synchronized occurrences.
     """
     return cut_sites(F, G, [(t.i, t.i, t.p, t.e)
-                            for t in sync_occurrences(F, G, k)], k)
+                            for t in sync_occurrences(F, G, ctx)], ctx.k)

@@ -11,10 +11,15 @@ hashes every remaining fragment and combines each node's fragments.  The
 fragments are read off the state's prefix table of the forest's code
 string, which the state builds once per string: the shallow solver's
 look-ahead on a pair that its horizontal pass left unchanged reuses the
-tables of the reduction stage's look-ahead, and G reuses F's when their
-strings are equal.  Compatibility refinement merges nodes reachable through
-chains of cross-forest pairs whose parenthesis positions lie within a
-window w.
+tables of the reduction stage's look-ahead.  Equal code strings are equal
+forests, so when G's relabeled string equals F's, G takes F's fingerprints
+and classes outright and nothing is hashed twice.  Compatibility refinement
+merges nodes reachable through chains of cross-forest pairs whose
+parenthesis positions lie within a window w.
+
+Each refinement checks that its output refines its input (`refines`, one
+linear pass over a table indexed by fine class) with an explicit
+`ContractError`, so the check also runs under ``python -O``.
 """
 
 from __future__ import annotations
@@ -43,15 +48,22 @@ class JointLabeling:
 
 
 def refines(fine: JointLabeling, coarse: JointLabeling) -> bool:
-    """True iff equal `fine` classes always imply equal `coarse` classes."""
+    """True iff equal `fine` classes always imply equal `coarse` classes.
+
+    The fine classes must be non-negative integers, as every refinement's
+    dense class ids are.  One O(n + max class) pass over a table indexed by
+    fine class: each node writes its coarse class there, and the partition
+    refines exactly when every node then reads its own coarse class back.
+    """
     fv = np.concatenate([fine.f, fine.g])
     cv = np.concatenate([coarse.f, coarse.g])
     if len(fv) == 0:
         return True
-    order = np.argsort(fv, kind="stable")
-    fv, cv = fv[order], cv[order]
-    same_fine = fv[1:] == fv[:-1]
-    return bool((cv[1:][same_fine] == cv[:-1][same_fine]).all())
+    if fv.min() < 0:
+        raise ValueError("fine classes must be non-negative")
+    seen = np.empty(int(fv.max()) + 1, dtype=cv.dtype)
+    seen[fv] = cv
+    return bool((seen[fv] == cv).all())
 
 
 def _level_descendant_cuts(F: LabeledForest, d: int):
@@ -107,10 +119,29 @@ def _subtree_fingerprints(F: LabeledForest, codes: np.ndarray, d: int,
 
 
 def _dense_joint(fp_f: np.ndarray, fp_g: np.ndarray) -> JointLabeling:
+    """Dense class ids of the fingerprints, ranked by value; G's array may
+    be F's own (equal code strings), which then ranks only once."""
+    if fp_g is fp_f:
+        _, inverse = np.unique(fp_f, return_inverse=True)
+        inverse = inverse.astype(np.int64)
+        return JointLabeling(inverse, inverse.copy())
     both = np.concatenate([fp_f, fp_g])
     _, inverse = np.unique(both, return_inverse=True)
     return JointLabeling(inverse[:len(fp_f)].astype(np.int64),
                          inverse[len(fp_f):].astype(np.int64))
+
+
+def _joint_fingerprints(F: LabeledForest, G: LabeledForest,
+                        codes_f: np.ndarray, codes_g: np.ndarray, d: int,
+                        kr: KarpRabin) -> JointLabeling:
+    """Dense classes of both forests' trimmed-print fingerprints under `kr`.
+
+    Equal code strings are equal forests, so G then takes F's fingerprints
+    instead of hashing the same string again."""
+    fp_f = _subtree_fingerprints(F, codes_f, d, kr)
+    fp_g = (fp_f if np.array_equal(codes_f, codes_g)
+            else _subtree_fingerprints(G, codes_g, d, kr))
+    return _dense_joint(fp_f, fp_g)
 
 
 def lookahead_refine(F: LabeledForest, G: LabeledForest, lab: JointLabeling,
@@ -127,11 +158,9 @@ def lookahead_refine(F: LabeledForest, G: LabeledForest, lab: JointLabeling,
         raise ValueError("look-ahead depth must be >= 1")
     codes_f = F.relabeled_codes(lab.f)
     codes_g = G.relabeled_codes(lab.g)
-    out = _dense_joint(_subtree_fingerprints(F, codes_f, d, kr),
-                       _subtree_fingerprints(G, codes_g, d, kr))
+    out = _joint_fingerprints(F, G, codes_f, codes_g, d, kr)
     if kr.audit is not None:
-        out2 = _dense_joint(_subtree_fingerprints(F, codes_f, d, kr.audit),
-                            _subtree_fingerprints(G, codes_g, d, kr.audit))
+        out2 = _joint_fingerprints(F, G, codes_f, codes_g, d, kr.audit)
         if not (refines(out, out2) and refines(out2, out)):
             raise FingerprintCollisionError(
                 "fingerprint collision detected in look-ahead classes")

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import Alignment, greedy_bounded_align
+from .context import QueryContext
 from .forest import LabeledForest
-from .hashing import KarpRabin
 from .horizontal import sync_reductions
 from .labeling import JointLabeling, compat_refine, lookahead_refine
 from .vertical import vert_sync_reductions
@@ -35,18 +35,16 @@ class ReducedPair:
     anchor: Alignment | None
 
 
-def reduce_and_anchor(F: LabeledForest, G: LabeledForest, k: int,
-                      kr: KarpRabin,
+def reduce_and_anchor(F: LabeledForest, G: LabeledForest, ctx: QueryContext,
                       timings: dict | None = None) -> ReducedPair:
-    """Periodicity-reduce (F, G) and compute the anchor alignment, hashing
-    under the query's fingerprint state `kr`."""
-    if k < 1:
-        raise ValueError("threshold must be >= 1")
+    """Periodicity-reduce (F, G) and compute the anchor alignment for the
+    threshold and under the fingerprint state of the query context `ctx`."""
+    k = ctx.k
     t0 = time.perf_counter()
-    F1, G1 = sync_reductions(F, G, k)
-    F2, G2 = vert_sync_reductions(F1, G1, k)
+    F1, G1 = sync_reductions(F, G, ctx)
+    F2, G2 = vert_sync_reductions(F1, G1, ctx)
     lam0 = JointLabeling.base(F2, G2)
-    lam_look = lookahead_refine(F2, G2, lam0, 8 * k, kr)
+    lam_look = lookahead_refine(F2, G2, lam0, 8 * k, ctx.kr)
     lam_refined = compat_refine(F2, G2, lam_look, 2 * k)
     seq_f = F2.relabeled_codes(lam_refined.f)
     seq_g = G2.relabeled_codes(lam_refined.g)

@@ -10,6 +10,7 @@ import numpy as np
 
 from . import _naive
 from .alignment import eval_alignment, greedy_bounded_align, is_greedy
+from .context import QueryContext
 from .engine import EngineConfig, ted_bounded
 from .forest import LabelInterner
 from .generate import (alphabet, apply_random_edits, planted_pair,
@@ -69,8 +70,10 @@ def _check_reductions(rng, count: int, interner) -> tuple[int, int]:
         F, G, _ = planted_pair(rng, int(rng.integers(0, 40)), k, 2, interner,
                                kind=("horizontal", "vertical", "mixed")[t % 3])
         want = ted_threshold(F, G, k)
-        F1, G1 = sync_reductions(F, G, k)
-        F2, G2 = vert_sync_reductions(F1, G1, k)
+        # the reductions hash nothing, so any fingerprint base will do
+        ctx = QueryContext(k, base=0x5E1F)
+        F1, G1 = sync_reductions(F, G, ctx)
+        F2, G2 = vert_sync_reductions(F1, G1, ctx)
         if ted_threshold(F1, G1, k) != want or ted_threshold(F2, G2, k) != want:
             bad += 1
     return bad, count

@@ -14,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from .alignment import common_matching_core
+from .context import QueryContext
 from .errors import ContractError, CrossingMatchingError, NoAlignmentError
 from .forest import LabeledForest, LabelInterner
-from .hashing import KarpRabin
 from .horizontal import sync_reductions
 from .labeling import JointLabeling, lookahead_refine
 from .oracle import INF, ted_threshold
@@ -40,18 +40,19 @@ def lift_position_matching(F: LabeledForest, G: LabeledForest,
     return np.stack([u[good], v[good]], axis=1)
 
 
-def shallow_ted(F: LabeledForest, G: LabeledForest, h: int, k: int,
-                interner: LabelInterner, kr: KarpRabin) -> int | float:
-    """ted_{<=k}(F, G) for forests of height at most h, hashing under the
-    query's fingerprint state `kr`."""
-    if h < 1 or k < 1:
-        raise ValueError("need h >= 1 and k >= 1")
+def shallow_ted(F: LabeledForest, G: LabeledForest, h: int,
+                interner: LabelInterner, ctx: QueryContext) -> int | float:
+    """ted_{<=k}(F, G) for forests of height at most h, for the threshold
+    k = ctx.k and under the fingerprint state of the query context `ctx`."""
+    k = ctx.k
+    if h < 1:
+        raise ValueError("need h >= 1")
     if F.height() > h or G.height() > h:
         raise ValueError("forest height exceeds the stated bound")
     if abs(F.n - G.n) > k:
         return INF
-    F1, G1 = sync_reductions(F, G, k)
-    lam = lookahead_refine(F1, G1, JointLabeling.base(F1, G1), h, kr)
+    F1, G1 = sync_reductions(F, G, ctx)
+    lam = lookahead_refine(F1, G1, JointLabeling.base(F1, G1), h, ctx.kr)
     seq_f = F1.relabeled_codes(lam.f)
     seq_g = G1.relabeled_codes(lam.g)
     kk, w, e = 2 * h * k, 2 * k, 18 * k

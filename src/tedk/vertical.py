@@ -2,8 +2,9 @@
 
 A context is a split (C_L, C_R) of some tree print; its e-th power occurring
 at a node means e nested layers whose flanking subtrees repeat level by
-level.  Detection anchors small-period high-exponent runs at each node's
-opening and closing parenthesis, derives the context period from the depth
+level.  Detection anchors small-period high-exponent runs (the query
+context's, found once per code string and shared with the horizontal pass)
+at each node's opening and closing parenthesis, derives the context period from the depth
 deltas, clips the exponent by run lengths, the subtree size, and the
 divergence point (LCA of the two run endpoints), all in one vectorized pass
 over the nodes; the LCA depths come from a binary search over level
@@ -21,12 +22,16 @@ once with the horizontal reduction's `cut_sites`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ContractError
 from .forest import LabeledForest, lca_depth
-from .horizontal import cut_sites, filter_runs
+from .horizontal import cut_sites
+
+if TYPE_CHECKING:
+    from .context import QueryContext
 
 
 @dataclass(frozen=True)
@@ -50,20 +55,21 @@ class VertOcc:
     e: int
 
 
-def compute_q(F: LabeledForest, k: int):
+def compute_q(F: LabeledForest, ctx: QueryContext):
     """Anchor arrays (q, endpoint) per parenthesis position.
 
-    An opening position inside a filtered run whose suffix keeps exponent
-    >= 16k anchors that run; closing positions anchor run prefixes.  Each
-    position is written at most once (runs this long cannot share it).
+    An opening position inside a filtered run (from the query context) whose
+    suffix keeps exponent >= 16k anchors that run; closing positions anchor
+    run prefixes.  Each position is written at most once (runs this long
+    cannot share it).
     """
     codes = F.codes
     m = len(codes)
     q_arr = np.ones(m, dtype=np.int64)
     end_arr = np.arange(m, dtype=np.int64)
     is_open = (codes & 1) == 0
-    need = 16 * k
-    for r in filter_runs(codes, k):
+    need = 16 * ctx.k
+    for r in ctx.runs(codes):
         span = np.arange(r.i, r.j)
         opens = span[is_open[r.i:r.j]]
         good = opens[(r.j - opens) >= need * r.p]
@@ -82,7 +88,7 @@ def compute_q(F: LabeledForest, k: int):
     return q_arr, end_arr
 
 
-def compute_contexts(F: LabeledForest, k: int) -> list[ContextOcc]:
+def compute_contexts(F: LabeledForest, ctx: QueryContext) -> list[ContextOcc]:
     """Maximal small context powers per node, in opening-position order.
 
     One vectorized pass over the nodes u whose opening and closing positions
@@ -92,7 +98,8 @@ def compute_contexts(F: LabeledForest, k: int) -> list[ContextOcc]:
     the LCA of the nodes at the runs' far endpoints (clipped into sub(u); a
     run escaping the subtree is already capped by the size bound).
     """
-    q_arr, end_arr = compute_q(F, k)
+    k = ctx.k
+    q_arr, end_arr = compute_q(F, ctx)
     o, c, depth, node_at = F.o, F.c, F.depth, F.node_at
     u = np.flatnonzero((end_arr[o] != o) & (end_arr[c] != c)
                        & ((c - o) >= np.maximum(q_arr[o], q_arr[c])))
@@ -129,7 +136,8 @@ def _context_key(codes: np.ndarray, o: int, c: int, q_l: int, q_r: int) -> bytes
     return codes[o:o + q_l].tobytes() + b"|" + codes[c - q_r + 1:c + 1].tobytes()
 
 
-def vert_periods(F: LabeledForest, G: LabeledForest, k: int) -> list[VertOcc]:
+def vert_periods(F: LabeledForest, G: LabeledForest,
+                 ctx: QueryContext) -> list[VertOcc]:
     """Pair context powers of F with equal-context powers of G within the
     2k-by-2k window, advancing past each hit's reduced span.
 
@@ -141,8 +149,9 @@ def vert_periods(F: LabeledForest, G: LabeledForest, k: int) -> list[VertOcc]:
     layer; it is lifted to the outermost layer that still passes the same
     test, otherwise the reduction could keep 16k synchronized layers alive.
     """
-    cf = compute_contexts(F, k)
-    cg = {t.u: t for t in compute_contexts(G, k)}
+    k = ctx.k
+    cf = compute_contexts(F, ctx)
+    cg = {t.u: t for t in compute_contexts(G, ctx)}
     if not cf or not cg:
         return []
     out: list[VertOcc] = []
@@ -176,18 +185,20 @@ def vert_periods(F: LabeledForest, G: LabeledForest, k: int) -> list[VertOcc]:
     return out
 
 
-def vert_sync_reductions(F: LabeledForest, G: LabeledForest, k: int):
-    """Cut every synchronized context power to 14k layers on both sides.
+def vert_sync_reductions(F: LabeledForest, G: LabeledForest,
+                         ctx: QueryContext):
+    """Cut every synchronized context power to 14k layers on both sides
+    (k = ctx.k).
 
     Each occurrence contributes two interval reductions: the outermost
     left-part copies starting at the opening positions, and the outermost
     right-part copies ending at the closing positions.
     """
-    occs = vert_periods(F, G, k)
+    occs = vert_periods(F, G, ctx)
     sites: list[tuple[int, int, int, int]] = []
     for t in occs:
         sites.append((int(F.o[t.u_f]), int(G.o[t.u_g]), t.q_l, t.e))
         sites.append((int(F.c[t.u_f]) - t.q_r * t.e + 1,
                       int(G.c[t.u_g]) - t.q_r * t.e + 1, t.q_r, t.e))
     sites.sort()
-    return cut_sites(F, G, sites, k)
+    return cut_sites(F, G, sites, ctx.k)

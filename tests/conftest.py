@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tedk.context import QueryContext
 from tedk.errors import CrossingMatchingError
 from tedk.forest import (VIRTUAL_ROOT, LabeledForest, LabelInterner,
                          _pair_parens, parse_paren_text)
@@ -20,6 +21,12 @@ def rng():
 
 def forest(text, it):
     return parse_paren_text(text, it)
+
+
+def query(k, base=0xC0DE):
+    """A query context for threshold k.  The periodicity reductions hash
+    nothing, so any fingerprint base serves them."""
+    return QueryContext(k, base)
 
 
 def stack_walk(codes, marked=()):

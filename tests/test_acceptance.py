@@ -11,11 +11,11 @@ import numpy as np
 from tedk._naive import (naive_runs, banded_edit_cost, sync_power_occurrences,
                          synced_context_powers)
 from tedk.alignment import eval_alignment, greedy_bounded_align, is_greedy
+from tedk.context import QueryContext
 from tedk.engine import EngineConfig, ted_bounded
 from tedk.forest import LabelInterner
 from tedk.generate import (alphabet, apply_random_edits, planted_pair,
                            random_forest)
-from tedk.hashing import KarpRabin
 from tedk.horizontal import min_balance_rotations, sync_reductions
 from tedk.indexes import compute_runs
 from tedk.oracle import INF, ted_threshold
@@ -24,7 +24,8 @@ from tedk.partial import (gadget, partial_reduce, prune_redundant,
 from tedk.reduction import reduce_and_anchor
 from tedk.vertical import vert_sync_reductions
 
-from conftest import is_tree_alignment, sym_diff_size, ted_constrained
+from conftest import (is_tree_alignment, query, sym_diff_size,
+                      ted_constrained)
 
 
 def _rng(seed):
@@ -92,8 +93,8 @@ def test_criterion_2_reduction_soundness():
         if F.n > 300 or G.n > 300:
             continue
         want = ted_threshold(F, G, k)
-        F1, G1 = sync_reductions(F, G, k)
-        F2, G2 = vert_sync_reductions(F1, G1, k)
+        F1, G1 = sync_reductions(F, G, query(k))
+        F2, G2 = vert_sync_reductions(F1, G1, query(k))
         bad += ted_threshold(F1, G1, k) != want
         bad += ted_threshold(F2, G2, k) != want
         cases += 1
@@ -112,14 +113,14 @@ def test_criterion_3_periodicity_postconditions():
         kind = ("horizontal", "vertical", "mixed")[t % 3]
         F, G, _ = planted_pair(rng, base, k, 2, interner, kind=kind)
         assert F.n <= 5000 and G.n <= 5000
-        F1, G1 = sync_reductions(F, G, k)
+        F1, G1 = sync_reductions(F, G, query(k))
         X, Y = F1.codes, G1.codes
         bad_a += any(min_balance_rotations(X[x:x + q]) is not None
                      for (x, y, q)
                      in sync_power_occurrences(X, Y, 2 * k, 18 * k, 4 * k))
-        F2, G2 = vert_sync_reductions(F1, G1, k)
+        F2, G2 = vert_sync_reductions(F1, G1, query(k))
         bad_b += bool(synced_context_powers(F2, G2, 2 * k, 16 * k, 4 * k))
-        rp = reduce_and_anchor(F, G, k, KarpRabin(0xACCE97 + t))
+        rp = reduce_and_anchor(F, G, QueryContext(k, 0xACCE97 + t))
         bad_c += bool(sync_power_occurrences(rp.seq_f, rp.seq_g, 2 * k,
                                              20 * k + 2, 4 * k))
         cases += 1
@@ -250,7 +251,7 @@ def test_criterion_7_anchor_stability():
         want = ted_threshold(F, G, k)
         if want == INF:
             continue
-        rp = reduce_and_anchor(F, G, k, KarpRabin(0x70707 + checked))
+        rp = reduce_and_anchor(F, G, QueryContext(k, 0x70707 + checked))
         sf0, sg0 = rp.f.codes, rp.g.codes
         opts = [B for B in budget_alignments(sf0, sg0, 2 * k, 2 * k)
                 if is_tree_alignment(B, rp.f, rp.g)

@@ -151,6 +151,19 @@ def test_bad_json_label_exits_2(tmp_path, capsys):
     assert "bad label token" in err and "Traceback" not in err
 
 
+def test_non_string_json_label_exits_2(tmp_path, capsys):
+    # a null label is not the string "None": no answer 0 for these two
+    none_text = tmp_path / "none_text.json"
+    none_text.write_text('[{"label": "None"}]\n')
+    for label in ("null", "5", "true"):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'[{{"label": {label}}}]\n')
+        code, out, err = run_cli(capsys, "compute", str(bad), str(none_text),
+                                 "--k", "1", "--format", "json")
+        assert code == 2 and out == ""
+        assert "not a JSON string" in err and "Traceback" not in err
+
+
 def test_bench_csv(tmp_path, capsys):
     a = tmp_path / "a.paren"
     run_cli(capsys, "gen", "--n", "50", "--height", "4", "--sigma", "2",

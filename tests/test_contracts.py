@@ -7,6 +7,9 @@ under ``python -O`` too.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,7 @@ from tedk.labeling import JointLabeling, compat_refine, lookahead_refine
 from tedk.partial import reduce_height
 from tedk.vertical import VertOcc, compute_contexts, vert_sync_reductions
 
-from conftest import forest
+from conftest import forest, query
 
 SRC = Path(tedk.__file__).parent
 BENCH = Path(__file__).parents[1] / "bench"
@@ -146,17 +149,17 @@ def test_horizontal_overlap_contract(interner, monkeypatch):
     F = forest("(a)" * 60, interner)
     sites = [HSyncOcc(10, 2, 14), HSyncOcc(4, 2, 14)]
     monkeypatch.setattr(tedk.horizontal, "sync_occurrences",
-                        lambda F, G, k: sites)
+                        lambda F, G, ctx: sites)
     with pytest.raises(ContractError):
-        sync_reductions(F, F, 1)
+        sync_reductions(F, F, query(1))
 
 
 def test_vertical_exponent_contract(interner, monkeypatch):
     F = forest("(a" * 30 + ")" * 30, interner)
     monkeypatch.setattr(tedk.vertical, "vert_periods",
-                        lambda F, G, k: [VertOcc(0, 0, 2, 2, 13)])
+                        lambda F, G, ctx: [VertOcc(0, 0, 2, 2, 13)])
     with pytest.raises(ContractError):
-        vert_sync_reductions(F, F, 1)
+        vert_sync_reductions(F, F, query(1))
 
 
 def test_vertical_endpoint_contract(interner, monkeypatch):
@@ -164,12 +167,59 @@ def test_vertical_endpoint_contract(interner, monkeypatch):
     F = forest("(a" * 30 + ")" * 30, interner)
     real = tedk.vertical.compute_q
 
-    def backward(F, k):
-        q, end = real(F, k)
+    def backward(F, ctx):
+        q, end = real(F, ctx)
         end[0] = -5
         return q, end
 
-    assert compute_contexts(F, 1)
+    assert compute_contexts(F, query(1))
     monkeypatch.setattr(tedk.vertical, "compute_q", backward)
     with pytest.raises(ContractError):
-        compute_contexts(F, 1)
+        compute_contexts(F, query(1))
+
+
+OPTIMIZED_CHECKS = """
+import numpy as np
+import tedk.labeling as labeling
+from tedk.forest import LabeledForest, LabelInterner, parse_paren_text
+from tedk.hashing import KarpRabin
+from tedk.labeling import JointLabeling
+
+def raised(call):
+    try:
+        call()
+    except Exception as exc:
+        return type(exc).__name__
+    return "nothing"
+
+F = parse_paren_text("(a(b)(c))", LabelInterner())
+lab = JointLabeling.base(F, F)
+merged = np.zeros(F.n, dtype=np.int64)
+print("debug", __debug__)
+print("refines", labeling.refines(JointLabeling(np.array([0, 0]), merged[:0]),
+                                  JointLabeling(np.array([0, 1]), merged[:0])))
+real = labeling._dense_joint
+labeling._dense_joint = lambda fp_f, fp_g: JointLabeling(merged, merged)
+print("lookahead", raised(lambda: labeling.lookahead_refine(
+    F, F, lab, 2, KarpRabin(0x1234567))))
+labeling._dense_joint = real
+labeling.connected_components = lambda graph, directed: (1, np.zeros(2 * F.n))
+print("compat", raised(lambda: labeling.compat_refine(F, F, lab, 2)))
+print("odd", raised(lambda: LabeledForest.from_codes([0, 0, 1])))
+print("depth", raised(lambda: LabeledForest.from_codes([1, 0])))
+print("label", raised(lambda: LabeledForest.from_codes([0, 3])))
+print("parse", raised(lambda: parse_paren_text("(a))", LabelInterner())))
+"""
+
+
+def test_contracts_survive_python_O():
+    # the refinement and pairing checks are plain if/raise: python -O, which
+    # strips assert statements, still runs them
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n") == [
+        "debug False", "refines False", "lookahead ContractError",
+        "compat ContractError", "odd UnbalancedError", "depth UnbalancedError",
+        "label LabelMismatchError", "parse UnbalancedError", ""]

@@ -6,10 +6,14 @@ import pytest
 
 import tedk.engine
 import tedk.hashing
+import tedk.horizontal
+import tedk.labeling
 from tedk.engine import EngineConfig, mark_levels, run, ted_bounded
 from tedk.errors import ContractError
 from tedk.forest import LabeledForest, parse_paren_text
 from tedk.generate import alphabet, apply_random_edits, planted_pair, random_forest
+from tedk.hashing import KarpRabin
+from tedk.labeling import JointLabeling, lookahead_refine
 from tedk.oracle import INF, ted_exact, ted_threshold
 
 
@@ -244,3 +248,81 @@ def test_prefix_tables_built_once_per_query(interner, rng, monkeypatch):
             assert audited.value == want
     finally:
         gc.enable()
+
+
+def test_runs_built_once_per_distinct_string(interner, rng, monkeypatch):
+    # the query context finds the filtered runs of each code string once:
+    # every pass asks for F's string, then G's, and an equal string (G = F,
+    # or a pass that cut nothing) gets the runs already found.  The context
+    # and its runs die with the query (no reference cycle, gc is off)
+    class Runs(list):  # a list that a weak reference can point at
+        pass
+
+    strings, results, contexts = [], [], []
+    real_runs = tedk.horizontal.compute_runs
+    real_context = tedk.engine.QueryContext
+
+    def counted_runs(S, *args, **kwargs):
+        strings.append(S.tobytes())
+        out = Runs(real_runs(S, *args, **kwargs))
+        results.append(weakref.ref(out))
+        return out
+
+    def tracked_context(*args, **kwargs):
+        ctx = real_context(*args, **kwargs)
+        contexts.append(weakref.ref(ctx))
+        return ctx
+
+    monkeypatch.setattr(tedk.horizontal, "compute_runs", counted_runs)
+    monkeypatch.setattr(tedk.engine, "QueryContext", tracked_context)
+    syms = alphabet(interner, 4)
+    F = random_forest(rng, 400, 8, syms)
+    G = apply_random_edits(rng, F, 2, syms)
+    while ted_threshold(F, G, 2) in (0, INF):
+        G = apply_random_edits(rng, F, 2, syms)
+    P, _, _ = planted_pair(rng, 300, 2, 3, interner, kind="mixed", edits=0)
+    twin = LabeledForest.from_codes(P.codes.copy())
+    gc.disable()
+    try:
+        for A, B, most in ((F, G, 2), (P, twin, 3)):
+            strings.clear()
+            results.clear()
+            contexts.clear()
+            rep = run(A, B, EngineConfig(k=2, seed=3), interner)
+            assert rep.value == ted_threshold(A, B, 2)
+            assert len(strings) == len(set(strings)) <= most
+            assert len(contexts) == 1 and contexts[0]() is None
+            assert results and all(ref() is None for ref in results)
+        assert len(strings) == 3  # both periodicity passes cut P
+    finally:
+        gc.enable()
+
+
+def test_lookahead_fingerprints_equal_strings_once(interner, rng,
+                                                   monkeypatch):
+    # G equal to F takes F's fingerprints: one pass per fingerprint state
+    calls = []
+    real = tedk.labeling._subtree_fingerprints
+
+    def counted(H, codes, d, kr):
+        calls.append(kr)
+        return real(H, codes, d, kr)
+
+    syms = alphabet(interner, 3)
+    F = random_forest(rng, 300, 7, syms)
+    twin = LabeledForest.from_codes(F.codes.copy())
+    relabeled = F.labels.copy()
+    relabeled[F.n // 2] = int(syms[0] if relabeled[F.n // 2] != syms[0]
+                              else syms[1])
+    G = LabeledForest.from_codes(F.relabeled_codes(relabeled))  # same length
+    kr = KarpRabin(0xF1F1F1)
+    fp = real(F, F.codes, 3, kr)
+    _, dense = np.unique(np.concatenate([fp, fp]), return_inverse=True)
+    monkeypatch.setattr(tedk.labeling, "_subtree_fingerprints", counted)
+    for B, audit, want in ((twin, False, 1), (twin, True, 2), (G, False, 2)):
+        calls.clear()
+        out = lookahead_refine(F, B, JointLabeling.base(F, B), 3,
+                               KarpRabin(0xF1F1F1, audit=audit))
+        assert len(calls) == want
+        if B is twin:
+            assert out.f.tolist() == out.g.tolist() == dense[:F.n].tolist()

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from tedk._naive import naive_positions
 from tedk.errors import LabelMismatchError, ParseError, UnbalancedError
 from tedk.forest import (CLOSE, OPEN, VIRTUAL_ROOT, LabeledForest,
-                         LabelInterner, last_at_level, parse_json_text,
-                         parse_paren_text, serialize_json, serialize_paren)
+                         LabelInterner, _pair_parens, last_at_level,
+                         level_search, parse_json_text, parse_paren_text,
+                         serialize_json, serialize_paren)
 from tedk.generate import alphabet, random_forest
 
 from conftest import deep_chain, forest, stack_walk, validate
@@ -240,9 +241,21 @@ def test_json_labels_follow_paren_rule(interner):
     for label in ("a b", "a(b)", "", "\u00e9", "$sep0", 1.5, "x-y"):
         with pytest.raises(ParseError):
             parse_json_text(json.dumps([{"label": label}]), interner)
-    F = parse_json_text('[{"label": "a_1", "children": [{"label": 7}]}]',
+    F = parse_json_text('[{"label": "a_1", "children": [{"label": "7"}]}]',
                         interner)
     assert serialize_paren(F, interner) == "(a_1(7))"
+
+
+def test_json_labels_must_be_strings(interner):
+    # str() would turn null into "None", 5 into "5" and true into "True",
+    # which then match those string labels
+    for label in (None, 5, True, False, 0, [], {}, ["a"]):
+        text = json.dumps([{"label": "a", "children": [{"label": label}]}])
+        with pytest.raises(ParseError, match="not a JSON string"):
+            parse_json_text(text, interner)
+    for label in ("None", "5", "True"):
+        F = parse_json_text(json.dumps([{"label": label}]), interner)
+        assert serialize_paren(F, interner) == f"({label})"
 
 
 _json_labels = st.one_of(st.from_regex(r"[A-Za-z0-9_]{1,3}", fullmatch=True),
@@ -255,10 +268,10 @@ _json_forests = st.recursive(
     max_leaves=12)
 
 
-def _json_label_texts(trees):
+def _json_labels_of(trees):
     for node in trees:
-        yield str(node["label"])
-        yield from _json_label_texts(node["children"])
+        yield node["label"]
+        yield from _json_labels_of(node["children"])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -266,8 +279,8 @@ def _json_label_texts(trees):
 def test_json_accepted_forests_round_trip_through_paren_text(trees):
     interner = LabelInterner()
     text = json.dumps(trees)
-    tokens_ok = all(re.fullmatch(r"[A-Za-z0-9_]+", t)
-                    for t in _json_label_texts(trees))
+    tokens_ok = all(isinstance(t, str) and re.fullmatch(r"[A-Za-z0-9_]+", t)
+                    for t in _json_labels_of(trees))
     try:
         F = parse_json_text(text, interner)
     except ParseError:
@@ -283,6 +296,101 @@ def test_last_at_level_examples():
     got = last_at_level(level, [0, 1, 1, 2, 0, 3, -1], [3, 3, 6, 6, 0, 6, 4])
     assert got.tolist() == [0, 1, 5, 2, -1, -1, -1]
     assert last_at_level(np.empty(0, dtype=np.int64), [0], [0]).tolist() == [-1]
+
+
+def _pair_parens_int64(codes):
+    """Reference pairing: `_pair_parens` as it was, with the nesting levels
+    ordered by a stable argsort of int64 keys (no validation)."""
+    sides = (codes & 1).astype(np.int64)
+    E = np.cumsum(1 - 2 * sides)
+    order = np.argsort(E + sides, kind="stable")
+    o = np.flatnonzero(sides == 0)
+    c = np.empty(len(o), dtype=np.int64)
+    c[(np.cumsum(1 - sides) - 1)[order[0::2]]] = order[1::2]
+    return o, c, E[o] - 1
+
+
+def _last_int64(level, q_level, q_pos):
+    """Reference `level_search` query over int64 argsort keys."""
+    scale = len(level) + 1
+    order = np.argsort(level, kind="stable")
+    keys = level[order] * scale + order
+    at = np.searchsorted(keys, q_level * scale + q_pos) - 1
+    found = order[np.maximum(at, 0)]
+    return np.where((at >= 0) & (level[found] == q_level), found, -1)
+
+
+def _check_pairing_and_levels(codes, rng):
+    codes = np.asarray(codes, dtype=np.int64)
+    got = _pair_parens(codes)
+    want = _pair_parens_int64(codes)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64 and np.array_equal(g, w)
+    depth = got[2]
+    if len(depth) == 0:
+        return
+    ids = np.arange(len(depth), dtype=np.int64)
+    # every node's parent and a random ancestor, plus queries that miss
+    up = rng.integers(0, depth + 1)
+    q_level = np.concatenate([depth - 1, depth - up, depth + 1,
+                              rng.integers(-1, depth.max() + 2, len(depth))])
+    q_pos = np.concatenate([ids, ids, ids, rng.integers(0, len(depth) + 1,
+                                                        len(depth))])
+    assert np.array_equal(level_search(depth)(q_level, q_pos),
+                          _last_int64(depth, q_level, q_pos))
+
+
+@st.composite
+def _forest_codes(draw):
+    """A random balanced code string: each step opens a node with a drawn
+    label or closes the innermost open one."""
+    steps = draw(st.lists(st.tuples(st.booleans(), st.integers(0, 3)),
+                          max_size=200))
+    codes, stack = [], []
+    for opens, label in steps:
+        if opens or not stack:
+            stack.append(label)
+            codes.append(label << 1)
+        else:
+            codes.append((stack.pop() << 1) | 1)
+    codes += [(label << 1) | 1 for label in reversed(stack)]
+    return codes
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_forest_codes(), st.integers(0, 2**32 - 1))
+def test_pairing_and_level_search_match_int64_sort(codes, seed):
+    _check_pairing_and_levels(codes, np.random.default_rng(seed))
+
+
+def test_pairing_and_level_search_across_key_types(rng):
+    # the sort key type switches at levels 256 (uint8 -> uint16) and 65536
+    # (uint16 -> uint32); chains of those heights, with sibling trees around
+    # them, cross each switch
+    a, b = 3, 5
+    tail = [b << 1, a << 1, (a << 1) | 1, (b << 1) | 1, a << 1, (a << 1) | 1]
+    for height, key in ((255, np.uint8), (256, np.uint16), (257, np.uint16),
+                        (65535, np.uint16), (65536, np.uint32),
+                        (65537, np.uint32)):
+        labs = rng.integers(0, 4, height)
+        chain = np.concatenate([labs << 1, (labs[::-1] << 1) | 1])
+        codes = np.concatenate([tail, chain, tail])
+        level = np.cumsum(1 - 2 * (codes & 1)) + (codes & 1)
+        assert np.min_scalar_type(level.max()) == key
+        _check_pairing_and_levels(codes, rng)
+
+
+def test_parse_interns_new_labels_in_sorted_order():
+    # labels already interned keep their symbols; new ones get the next
+    # symbols in sorted text order, whatever order they appear in
+    interner = LabelInterner()
+    interner.intern("m")
+    F = parse_paren_text("(z(b)(m(B)(a_2))(a)(b))", interner)
+    assert [interner.text(s) for s in range(6)] == ["m", "B", "a", "a_2",
+                                                   "b", "z"]
+    assert (F.labels.tolist()
+            == [interner.intern(t) for t in ("z", "b", "m", "B", "a_2", "a",
+                                             "b")])
 
 
 def _walk_parents(F):

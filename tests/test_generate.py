@@ -7,6 +7,8 @@ from tedk.horizontal import filter_runs
 from tedk.oracle import ted_exact
 from tedk.vertical import compute_contexts
 
+from conftest import query
+
 
 def gen(seed):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
@@ -46,7 +48,7 @@ def test_plant_vertical_creates_contexts(interner):
     k = 1
     F = random_forest(rng, 15, 3, syms)
     F2 = plant_vertical(rng, F, k, syms)
-    assert compute_contexts(F2, k)
+    assert compute_contexts(F2, query(k))
 
 
 def test_edit_script_bounds_distance(interner):

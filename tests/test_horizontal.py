@@ -1,12 +1,14 @@
 import numpy as np
+import pytest
 
 from tedk._naive import naive_runs, sync_power_occurrences
+from tedk.context import QueryContext
 from tedk.generate import alphabet, planted_pair, random_forest
 from tedk.horizontal import (filter_runs, min_balance_rotations,
                              sync_occurrences, sync_reductions)
 from tedk.oracle import ted_threshold
 
-from conftest import forest
+from conftest import forest, query
 
 
 def enc(text, interner):
@@ -33,6 +35,25 @@ def test_filter_runs_planted(interner):
     F = forest("(r" + "(c)" * 20 + ")", interner)
     rs = filter_runs(F.codes, k)
     assert len(rs) == 1 and rs[0].p == 2 and rs[0].j - rs[0].i == 40
+
+
+def test_context_runs_by_content(rng):
+    # the context gives filter_runs(codes, k), found once for each of the
+    # latest two strings: an equal string (another array) gets the same list
+    k = 1
+    ctx = query(k)
+    S, T, U = (np.concatenate([rng.integers(0, 2, 100), np.tile(block, 20),
+                               rng.integers(0, 2, 100)])
+               for block in ([0, 1, 1], [1, 0, 0], [0, 0, 1, 1]))
+    runs_s = ctx.runs(S)
+    assert runs_s and runs_s == filter_runs(S, k)
+    assert ctx.runs(T) == filter_runs(T, k)
+    assert ctx.runs(S.copy()) is runs_s and ctx.runs(T.copy()) is ctx.runs(T)
+    assert ctx.runs(U) == filter_runs(U, k)  # S is now the oldest: dropped
+    again = ctx.runs(S)
+    assert again == runs_s and again is not runs_s
+    with pytest.raises(ValueError):
+        QueryContext(0, base=1)
 
 
 def test_sigma_examples(interner):
@@ -93,14 +114,14 @@ def test_sync_occurrences_identical_aperiodic(interner, rng):
         F = random_forest(rng, 20, 4, syms)
         if not filter_runs(F.codes, 1):
             break
-    assert sync_occurrences(F, F, 1) == []
+    assert sync_occurrences(F, F, query(1)) == []
 
 
 def test_sync_occurrences_planted(interner):
     k = 1
     F = forest("(r" + "(c)" * 20 + ")", interner)
     G = forest("(r" + "(c)" * 20 + ")", interner)
-    occs = sync_occurrences(F, G, k)
+    occs = sync_occurrences(F, G, query(k))
     assert len(occs) == 1
     occ = occs[0]
     assert occ.p == 2 and occ.i == 1 and occ.e == 20 - 2 * k
@@ -113,15 +134,15 @@ def test_sync_occurrences_rejects_small_overlap(interner):
     k = 1
     F = forest("(r" + "(c)" * 20 + ")" + "(x)" * 30, interner)
     G = forest("(x)" * 30 + "(r" + "(c)" * 20 + ")", interner)
-    assert sync_occurrences(F, G, k) == []
+    assert sync_occurrences(F, G, query(k)) == []
 
 
 def test_sync_reductions_identity_when_clean(interner, rng):
     syms = alphabet(interner, 4)
     F = random_forest(rng, 25, 4, syms)
     G = random_forest(rng, 25, 4, syms)
-    F2, G2 = sync_reductions(F, G, 1)
-    if not sync_occurrences(F, G, 1):
+    F2, G2 = sync_reductions(F, G, query(1))
+    if not sync_occurrences(F, G, query(1)):
         assert F2 == F and G2 == G
 
 
@@ -129,7 +150,7 @@ def test_sync_reductions_planted_exponent(interner):
     k = 1
     F = forest("(r" + "(c)" * 30 + ")", interner)
     G = forest("(r" + "(c)" * 30 + ")", interner)
-    F2, G2 = sync_reductions(F, G, k)
+    F2, G2 = sync_reductions(F, G, query(k))
     # detected occurrence carries e = 30 - 2k; the site keeps 14k of those
     # repetitions, so 30 - (28 - 14) = 16 children remain
     assert F2.n == 1 + 16 and G2.n == 1 + 16
@@ -146,7 +167,7 @@ def test_sync_reductions_preserve_distance(interner, rng):
         k = int(rng.integers(1, 3))
         F, G, d = planted_pair(rng, int(rng.integers(0, 60)), k, 2, interner,
                                kind="horizontal")
-        F2, G2 = sync_reductions(F, G, k)
+        F2, G2 = sync_reductions(F, G, query(k))
         assert ted_threshold(F2, G2, k) == ted_threshold(F, G, k)
         # character conservation: outputs are subsequences of the inputs
         assert is_subsequence(F2.codes, F.codes)
@@ -158,7 +179,7 @@ def test_postcondition_no_synced_balanced_powers(interner, rng):
         k = int(rng.integers(1, 3))
         F, G, d = planted_pair(rng, int(rng.integers(0, 80)), k, 2, interner,
                                kind="horizontal")
-        F2, G2 = sync_reductions(F, G, k)
+        F2, G2 = sync_reductions(F, G, query(k))
         X, Y = F2.codes, G2.codes
         bad = [(x, y, q) for (x, y, q)
                in sync_power_occurrences(X, Y, 2 * k, 18 * k, 4 * k)

@@ -136,6 +136,46 @@ def test_refinement_direction(interner, rng):
         assert not refines(lab, la)
 
 
+def refines_by_sort(fine, coarse):
+    """Reference `refines`: sort the nodes by fine class, then compare the
+    coarse classes of neighbours in one fine class.  The linear `refines`
+    indexes a table by fine class, so its fine classes must be non-negative
+    integers; this reference takes any integers."""
+    fv = np.concatenate([fine.f, fine.g])
+    cv = np.concatenate([coarse.f, coarse.g])
+    order = np.argsort(fv, kind="stable")
+    fv, cv = fv[order], cv[order]
+    same_fine = fv[1:] == fv[:-1]
+    return bool((cv[1:][same_fine] == cv[:-1][same_fine]).all())
+
+
+def test_refines_matches_sort_reference(rng):
+    empty = JointLabeling(np.empty(0, dtype=np.int64),
+                          np.empty(0, dtype=np.int64))
+    assert refines(empty, empty) and refines_by_sort(empty, empty)
+    verdicts = []
+    for _ in range(400):
+        nf, ng = (int(x) for x in rng.integers(0, 40, 2))
+        classes = int(rng.integers(1, 12))
+        fine = JointLabeling(rng.integers(0, classes, nf),
+                             rng.integers(0, classes, ng))
+        # coarse classes on non-dense (also negative and huge) ids: a
+        # function of the fine class, sometimes with a few nodes moved
+        spread = (rng.choice([1, 7, 1 << 40], size=classes)
+                  * rng.integers(-5, 6, classes))
+        coarse = JointLabeling(spread[fine.f], spread[fine.g])
+        if rng.random() < 0.5 and nf:
+            coarse.f[rng.integers(0, nf, 2)] = rng.integers(
+                -(1 << 50), 1 << 50, 2)
+        want = refines_by_sort(fine, coarse)
+        assert refines(fine, coarse) == want
+        verdicts.append(want)
+    assert True in verdicts and False in verdicts
+    with pytest.raises(ValueError):
+        refines(JointLabeling(np.array([0, -1]), np.empty(0, dtype=np.int64)),
+                JointLabeling(np.array([0, 0]), np.empty(0, dtype=np.int64)))
+
+
 def test_lookahead_cost_bound(interner, rng):
     from tedk._naive import optimal_tree_alignments
     syms = alphabet(interner, 2)

@@ -1,7 +1,7 @@
 from tedk._naive import sync_power_occurrences
 from tedk.alignment import eval_alignment, is_greedy
+from tedk.context import QueryContext
 from tedk.generate import alphabet, apply_random_edits, planted_pair, random_forest
-from tedk.hashing import KarpRabin
 from tedk.oracle import ted_exact, ted_threshold
 from tedk.reduction import reduce_and_anchor
 
@@ -13,7 +13,7 @@ BASE = 0xFEEDBEE
 def test_identity_input_gives_identity_anchor(interner, rng):
     syms = alphabet(interner, 3)
     F = random_forest(rng, 25, 4, syms)
-    rp = reduce_and_anchor(F, F, 1, KarpRabin(BASE))
+    rp = reduce_and_anchor(F, F, QueryContext(1, BASE))
     assert rp.f == F and rp.g == F  # aperiodic random forest stays intact
     assert rp.anchor is not None
     st = eval_alignment(rp.anchor, rp.seq_f, rp.seq_g)
@@ -26,7 +26,7 @@ def test_size_mismatch_means_no_alignment(interner, rng):
     G = random_forest(rng, 10, 4, syms)
     k = 2
     assert abs(F.n - G.n) > k
-    rp = reduce_and_anchor(F, G, k, KarpRabin(BASE))
+    rp = reduce_and_anchor(F, G, QueryContext(k, BASE))
     assert rp.anchor is None
 
 
@@ -36,7 +36,7 @@ def test_anchor_budget_and_greedy(interner, rng):
         k = int(rng.integers(1, 3))
         F = random_forest(rng, int(rng.integers(1, 25)), 4, syms)
         G = apply_random_edits(rng, F, int(rng.integers(0, k + 1)), syms)
-        rp = reduce_and_anchor(F, G, k, KarpRabin(BASE))
+        rp = reduce_and_anchor(F, G, QueryContext(k, BASE))
         if ted_exact(F, G) <= k:
             assert rp.anchor is not None
         if rp.anchor is not None:
@@ -49,7 +49,7 @@ def test_reduction_preserves_threshold(interner, rng):
     for t in range(25):
         k = int(rng.integers(1, 3))
         F, G, d = planted_pair(rng, int(rng.integers(0, 60)), k, 2, interner)
-        rp = reduce_and_anchor(F, G, k, KarpRabin(BASE))
+        rp = reduce_and_anchor(F, G, QueryContext(k, BASE))
         assert ted_threshold(rp.f, rp.g, k) == ted_threshold(F, G, k)
 
 
@@ -58,7 +58,7 @@ def test_refined_sequences_avoid_synced_powers(interner, rng):
     for t in range(12):
         k = int(rng.integers(1, 3))
         F, G, d = planted_pair(rng, int(rng.integers(0, 70)), k, 2, interner)
-        rp = reduce_and_anchor(F, G, k, KarpRabin(BASE))
+        rp = reduce_and_anchor(F, G, QueryContext(k, BASE))
         hits = sync_power_occurrences(rp.seq_f, rp.seq_g, 2 * k,
                                       20 * k + 2, 4 * k)
         assert not hits
@@ -80,7 +80,7 @@ def test_anchor_close_to_every_optimal_alignment(interner, rng):
         best = ted_exact(F, G)
         if best > k:
             continue
-        rp = reduce_and_anchor(F, G, k, KarpRabin(BASE))
+        rp = reduce_and_anchor(F, G, QueryContext(k, BASE))
         assert rp.anchor is not None
         sf0 = rp.f.codes
         sg0 = rp.g.codes

@@ -10,7 +10,7 @@ from tedk.oracle import ted_threshold
 from tedk.vertical import (ContextOcc, VertOcc, compute_contexts, compute_q,
                            vert_periods, vert_sync_reductions)
 
-from conftest import deep_chain, forest, validate
+from conftest import deep_chain, forest, query, validate
 
 
 def chain(label, depth, interner):
@@ -21,7 +21,7 @@ def chain(label, depth, interner):
 def test_compute_q_aperiodic_defaults(interner, rng):
     syms = alphabet(interner, 4)
     F = random_forest(rng, 20, 4, syms)
-    q, endp = compute_q(F, 1)
+    q, endp = compute_q(F, query(1))
     # an aperiodic forest keeps every entry at its default
     if not any(r.j - r.i >= 16 * r.p for r in
                __import__("tedk.horizontal", fromlist=["filter_runs"])
@@ -32,7 +32,7 @@ def test_compute_q_aperiodic_defaults(interner, rng):
 def test_compute_q_chain_anchors(interner):
     k = 1
     F = chain("a", 20, interner)
-    q, endp = compute_q(F, k)
+    q, endp = compute_q(F, query(k))
     # open run [0..20) with period 1 anchors positions 0..4 (suffix >= 16)
     assert q[0] == 1 and endp[0] == 20
     assert q[4] == 1 and endp[4] == 20
@@ -48,7 +48,7 @@ def test_compute_q_naive_per_position(interner, rng):
     k = 1
     F = chain("a", 25, interner)
     S = F.codes.tolist()
-    q, endp = compute_q(F, k)
+    q, endp = compute_q(F, query(k))
     n = len(S)
     for pos in range(n):
         best = None
@@ -75,7 +75,7 @@ def test_compute_q_naive_per_position(interner, rng):
 def test_compute_contexts_chain(interner):
     k = 1
     F = chain("a", 40, interner)
-    ctx = compute_contexts(F, k)
+    ctx = compute_contexts(F, query(k))
     assert ctx[0].u == 0 and ctx[0].q_l == 1 and ctx[0].q_r == 1 and ctx[0].e == 40
     # agreement with the definition-level detector at the threshold exponent
     naive = context_power_nodes(F, 1, 1, 16)
@@ -85,7 +85,7 @@ def test_compute_contexts_chain(interner):
 def test_compute_contexts_empty_for_flat(interner, rng):
     syms = alphabet(interner, 3)
     F = random_forest(rng, 30, 3, syms)
-    for c in compute_contexts(F, 1):
+    for c in compute_contexts(F, query(1)):
         # whatever is reported must be a genuine context power
         assert c.e >= 16
         assert c.u in context_power_nodes(F, c.q_l, c.q_r, c.e)
@@ -99,7 +99,7 @@ def test_compute_contexts_divergence_clip(interner):
     right = "(a" * 28 + ")" * 28
     txt = "(a" * depth + left + right + ")" * depth
     F = forest(txt, interner)
-    ctx = {c.u: c for c in compute_contexts(F, k)}
+    ctx = {c.u: c for c in compute_contexts(F, query(k))}
     assert 0 in ctx
     got = ctx[0].e
     # the definition-level maximal exponent at the root
@@ -114,7 +114,7 @@ def loop_contexts(F, k):
     taken by `naive_lca` (the reference for the vectorized pass)."""
     if F.n == 0:
         return []
-    q_arr, end_arr = (x.tolist() for x in compute_q(F, k))
+    q_arr, end_arr = (x.tolist() for x in compute_q(F, query(k)))
     # depth at each position: the nesting level after an opening, minus one,
     # or before a closing
     sides = F.codes & 1
@@ -177,7 +177,7 @@ def test_compute_contexts_matches_loop(interner, rng):
     nonempty = 0
     for F, k in cases:
         want = loop_contexts(F, k)
-        assert compute_contexts(F, k) == want
+        assert compute_contexts(F, query(k)) == want
         nonempty += bool(want)
     assert nonempty > 2000
 
@@ -186,7 +186,7 @@ def test_vert_periods_planted_and_suppression(interner):
     k = 1
     F = chain("a", 40, interner)
     G = chain("a", 40, interner)
-    occs = vert_periods(F, G, k)
+    occs = vert_periods(F, G, query(k))
     assert len(occs) == 1
     occ = occs[0]
     assert occ.u_f == 0 and occ.u_g == 0 and occ.e == 40
@@ -199,9 +199,9 @@ def test_vert_periods_requires_partner(interner, rng):
     k = 1
     F = chain("a", 40, interner)
     G = random_forest(rng, 30, 3, syms)
-    assert vert_periods(F, G, k) == []
+    assert vert_periods(F, G, query(k)) == []
     # a power of the same shape at the same place, but another context
-    assert vert_periods(F, chain("b", 40, interner), k) == []
+    assert vert_periods(F, chain("b", 40, interner), query(k)) == []
 
 
 def context(F, u, q_l, q_r):
@@ -217,9 +217,9 @@ def reference_pairs(F, G, k):
     the least-closing equal-context G power of the 2k-by-2k window over all
     of G's powers (`naive_ors`), lifted while the power opening q_l earlier
     is an equal-context power inside both windows.  Also counts the lifts."""
-    cg = compute_contexts(G, k)
+    cg = compute_contexts(G, query(k))
     out, lifts, i = [], 0, -1
-    for t in compute_contexts(F, k):
+    for t in compute_contexts(F, query(k)):
         ou, cu = int(F.o[t.u]), int(F.c[t.u])
         if ou <= i:
             continue
@@ -256,11 +256,11 @@ def test_vert_periods_partner_choice(interner, rng):
             F = plant_vertical(rng, F, k, syms)
         G = apply_random_edits(rng, F, int(rng.integers(0, 2 * k + 1)), syms)
         for A, B in ((F, G), (G, F)):
-            got = vert_periods(A, B, k)
+            got = vert_periods(A, B, query(k))
             want, lifted = reference_pairs(A, B, k)
             assert got == want
-            e_f = {c.u: c.e for c in compute_contexts(A, k)}
-            e_g = {c.u: c.e for c in compute_contexts(B, k)}
+            e_f = {c.u: c.e for c in compute_contexts(A, query(k))}
+            e_g = {c.u: c.e for c in compute_contexts(B, query(k))}
             for occ in got:
                 u, v = occ.u_f, occ.u_g
                 assert (context(A, u, occ.q_l, occ.q_r)
@@ -278,7 +278,7 @@ def test_vert_reduction_chain(interner):
     k = 1
     F = chain("a", 40, interner)
     G = chain("a", 40, interner)
-    F2, G2 = vert_sync_reductions(F, G, k)
+    F2, G2 = vert_sync_reductions(F, G, query(k))
     assert F2.n == 14 and G2.n == 14
     assert ted_threshold(F2, G2, k) == 0
     assert not synced_context_powers(F2, G2, 2 * k, 16 * k, 4 * k)
@@ -289,7 +289,7 @@ def test_vert_reduction_preserves_distance(interner, rng):
         k = int(rng.integers(1, 3))
         F, G, d = planted_pair(rng, int(rng.integers(0, 50)), k, 2, interner,
                                kind="vertical")
-        F2, G2 = vert_sync_reductions(F, G, k)
+        F2, G2 = vert_sync_reductions(F, G, query(k))
         validate(F2)
         validate(G2)
         assert ted_threshold(F2, G2, k) == ted_threshold(F, G, k)
@@ -302,8 +302,8 @@ def test_vert_postconditions(interner, rng):
         k = int(rng.integers(1, 3))
         F, G, d = planted_pair(rng, int(rng.integers(0, 60)), k, 2, interner,
                                kind="mixed")
-        F1, G1 = sync_reductions(F, G, k)
-        F2, G2 = vert_sync_reductions(F1, G1, k)
+        F1, G1 = sync_reductions(F, G, query(k))
+        F2, G2 = vert_sync_reductions(F1, G1, query(k))
         assert not synced_context_powers(F2, G2, 2 * k, 16 * k, 4 * k)
         X, Y = F2.codes, G2.codes
         bad = [(x, y, q) for (x, y, q)
@@ -318,11 +318,11 @@ def test_nonprimitive_layer_structure(interner):
     depth = 40
     txt = "".join("(a" if t % 2 == 0 else "(b" for t in range(depth)) + ")" * depth
     F = forest(txt, interner)
-    ctx = compute_contexts(F, k)
+    ctx = compute_contexts(F, query(k))
     assert ctx, "alternating chain must be detected"
     top = ctx[0]
     assert top.q_l == 2 and top.q_r == 2 and top.e == 20
     G = forest(txt, interner)
-    F2, G2 = vert_sync_reductions(F, G, k)
+    F2, G2 = vert_sync_reductions(F, G, query(k))
     assert ted_threshold(F2, G2, k) == 0
     assert not synced_context_powers(F2, G2, 2 * k, 16 * k, 4 * k)
