@@ -17,7 +17,6 @@ from .errors import (CrossingMatchingError, LabelMismatchError,
                      UnbalancedError)
 from .forest import (LabeledForest, LabelInterner, parse_json_text,
                      parse_paren_text, serialize_json, serialize_paren)
-from .hashing import KarpRabin
 from .labeling import (JointLabeling, compat_refine, lookahead_refine,
                        refines)
 from .oracle import INF, ted_exact, ted_threshold
@@ -35,7 +34,7 @@ __all__ = [
     "NoAlignmentError", "ParseError", "UnbalancedError",
     "LabeledForest", "LabelInterner", "parse_json_text", "parse_paren_text",
     "serialize_json", "serialize_paren",
-    "KarpRabin", "QueryContext",
+    "QueryContext",
     "JointLabeling", "compat_refine", "lookahead_refine", "refines",
     "INF", "ted_exact", "ted_threshold",
     "gadget", "partial_reduce", "prune_redundant", "reduce_height",

@@ -9,7 +9,8 @@ and 3, before it interns a label or generates a node, when a size flag
 exceeds its bound: --n MAX_N = 2^22 nodes, --sigma MAX_SIGMA = 2^20 labels
 (all interned up front), --plant-k MAX_PLANT_K = 2^7 (a mixed plant adds
 up to 144·k^2 nodes) and --edits MAX_EDITS = 2^10 (each edit rebuilds the
-forest).
+forest).  gen --format json also exits 3, before it opens any file, when a
+forest nests deeper than JSON output allows (about 500 levels).
 """
 
 from __future__ import annotations
@@ -206,9 +207,14 @@ def _cmd_gen(args) -> int:
         G = apply_random_edits(rng, F, args.edits, syms)
         outputs.append((args.out2, G))
     try:
-        for path, H in outputs:
+        texts = [(path, writer(H, interner)) for path, H in outputs]
+    except ValueError as exc:
+        sys.stderr.write(f"tedk: error: {exc}\n")
+        return EXIT_USAGE
+    try:
+        for path, text in texts:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(writer(H, interner) + "\n")
+                fh.write(text + "\n")
     except OSError as exc:
         sys.stderr.write(f"tedk: error: {exc}\n")
         return EXIT_PARSE

@@ -1,43 +1,69 @@
-"""One query's context: its threshold and the data derived from its strings.
+"""One query's state: its threshold, fingerprint base and per-string data.
 
 `engine.run` makes one `QueryContext` per query and hands it to every layer
-that reads a code string.  The context owns the threshold k, the query's
-Karp-Rabin state (`hashing.KarpRabin`: the base, its power table and the
-prefix tables of the latest two code strings), and the filtered runs
-(`horizontal.filter_runs`) of the latest two code strings.  Every pass asks
-for F's string and then G's, so two are enough to find an equal string
-again: G when it equals F, or a pass that cut nothing.  A string is
-recognized by content, against a kept reference to an earlier array
-(`np.array_equal`), so nothing is copied.  There is no module-level cache:
-the tables and runs die with the context when the query returns.
+that reads a code string.  It owns k, the Karp-Rabin base with one table of
+its powers (`hashing.grow_powers`), the run report's phase timings, and one
+record for each of the latest two code strings asked about: the string's
+filtered runs (`horizontal.filter_runs`) and prefix table
+(`hashing.HashedSeq`), each made on first request.
+
+The reuse rule, for every layer: a string equal to one of the latest two
+gets that string's record.  Each pass asks for F's string, then G's, so
+two records catch G's string equal to F's, a string an earlier pass left
+unchanged, and the look-ahead's base-labeled string (the forest's own).
+Strings are compared by content with a kept reference to the earlier array,
+so nothing is copied and a string passed in must not change afterwards.
+Nothing is cached at module level: the records die with the context.  With
+audit on, the context carries a twin under a second base.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .hashing import KarpRabin
+from .hashing import M61, HashedSeq, grow_powers
 from .horizontal import filter_runs
 from .indexes import Run
 
 
 class QueryContext:
-    """Threshold k, fingerprint state `kr`, and the latest filtered runs."""
+    """Threshold k, fingerprint base and powers, timings, the latest two
+    strings' records, and with audit=True a twin under a second base."""
 
     def __init__(self, k: int, base: int, audit: bool = False):
         if k < 1:
             raise ValueError("threshold must be >= 1")
         self.k = k
-        self.kr = KarpRabin(base, audit=audit)
-        self._runs: list[tuple[np.ndarray, list[Run]]] = []
+        self.base = base % M61
+        self.pw = np.ones(1, dtype=np.uint64)
+        self.timings: dict = {}
+        self._records: list[dict] = []
+        self.audit = None
+        if audit:
+            self.audit = QueryContext(
+                k, max((base * base + 0x9E3779B97F4A7C15) % M61, 1 << 10))
+
+    def powers(self, n: int) -> np.ndarray:
+        """base^0 .. base^(n-1), from the one growing power table."""
+        self.pw = grow_powers(self.pw, self.base, n)
+        return self.pw[:n]
+
+    def _derived(self, codes: np.ndarray, what: str, make):
+        """Field `what` of the record of `codes`, made by `make` if absent."""
+        for rec in self._records:
+            if np.array_equal(rec["codes"], codes):
+                break
+        else:
+            rec = {"codes": codes}
+            self._records = self._records[-1:] + [rec]
+        if what not in rec:
+            rec[what] = make()
+        return rec[what]
 
     def runs(self, codes: np.ndarray) -> list[Run]:
-        """`filter_runs(codes, k)`: those of one of the latest two strings
-        when it equals `codes`, else computed.  `codes` is kept to recognize
-        the string later, so it must not be changed afterwards."""
-        for seen, runs in self._runs:
-            if np.array_equal(seen, codes):
-                return runs
-        runs = filter_runs(codes, self.k)
-        self._runs = self._runs[-1:] + [(codes, runs)]
-        return runs
+        """`filter_runs(codes, k)`."""
+        return self._derived(codes, "runs", lambda: filter_runs(codes, self.k))
+
+    def table(self, codes: np.ndarray) -> HashedSeq:
+        """The prefix-hash table of `codes` under this context's base."""
+        return self._derived(codes, "table", lambda: HashedSeq(codes, self))

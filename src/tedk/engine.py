@@ -92,21 +92,20 @@ def run(F: LabeledForest, G: LabeledForest, cfg: EngineConfig,
     # ted(F, G) <= |F| + |G|, so a larger k changes no answer; the clamp
     # keeps the 4k+1-wide passes and the height cap sized by the input
     k = min(cfg.k, max(1, F.n + G.n))
-    timings: dict = {}
     rng0 = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=(cfg.seed, 0xBA5E))))
-    # the query's context: its tables and runs die with the query
+    # the query's context: its records die with the query
     ctx = QueryContext(k, random_base(rng0), audit=cfg.audit)
-    rp = reduce_and_anchor(F, G, ctx, timings=timings)
+    rp = reduce_and_anchor(F, G, ctx)
     h = cfg.height_cap if cfg.height_cap is not None else 19716 * k ** 4
-    report = EngineReport(value=INF, h=h, timings=timings)
+    report = EngineReport(value=INF, h=h, timings=ctx.timings)
     if rp.anchor is None:
         return report
     t0 = time.perf_counter()
     if max(rp.f.height(), rp.g.height()) <= h:
         hb = max(1, rp.f.height(), rp.g.height())
         report.value = shallow_ted(rp.f, rp.g, hb, interner, ctx)
-        timings["residual_ms"] = 1e3 * (time.perf_counter() - t0)
+        ctx.timings["residual_ms"] = 1e3 * (time.perf_counter() - t0)
         return report
 
     pairs = _anchor_node_pairs(rp)
@@ -139,7 +138,7 @@ def run(F: LabeledForest, G: LabeledForest, cfg: EngineConfig,
         kept.append(shallow_ted(Fi, Gi, h + 1, interner, ctx))
     report.kept = len(kept)
     report.value = min(kept, default=INF)
-    timings["rounds_ms"] = 1e3 * (time.perf_counter() - t0)
+    ctx.timings["rounds_ms"] = 1e3 * (time.perf_counter() - t0)
     return report
 
 

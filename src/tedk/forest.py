@@ -388,6 +388,8 @@ def parse_json_text(text: str, interner: LabelInterner) -> LabeledForest:
 
 
 def serialize_json(F: LabeledForest, interner: LabelInterner) -> str:
+    """JSON text of F; ValueError when F nests too deep for the encoder
+    (about 500 levels), as `parse_json_text` does for its input."""
     out: list = []
     holders: dict[int, list] = {}
     parent = F.parent
@@ -399,5 +401,9 @@ def serialize_json(F: LabeledForest, interner: LabelInterner) -> str:
         else:
             holders[p].append(node)
         holders[u] = node["children"]
-    return json.dumps(out)
+    try:
+        return json.dumps(out)
+    except RecursionError:
+        raise ValueError(f"forest of height {F.height()} nests too deep "
+                         f"for JSON output") from None
 

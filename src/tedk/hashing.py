@@ -3,15 +3,10 @@
 One random base is drawn per query from the engine's seeded RNG and shared
 by every sequence that has to be comparable (both forests, refined
 labelings, context keys).  The query's context (`context.QueryContext`)
-owns one `KarpRabin` state: the base, one table of its powers that grows on
-demand by doubling steps, and the prefix-hash tables of the latest two code
-strings it hashed.  A prefix table is built once per code string: a later
-request for an equal string (the shallow solver's look-ahead on a pair its
-own horizontal pass left unchanged) gets the table already built, and the
-look-ahead does not even ask for G's when G's string equals F's.  The
-inverse powers a prefix table needs come from the power table with one
-multiply, inv^j = base^(n-1-j) * inv^(n-1).  With audit on, the state
-carries a second, independent state under a second base.
+holds the base, one table of its powers that `grow_powers` extends by
+doubling steps, and the prefix tables (`HashedSeq`) of its code strings.
+The inverse powers a prefix table needs come from the power table with one
+multiply, inv^j = base^(n-1-j) * inv^(n-1).
 
 Tables and queries are vectorized with a 128-bit-safe uint64 multiply-mod
 that works in place on a few buffers; sums mod 2^61-1 add the 32-bit halves
@@ -20,7 +15,12 @@ of their terms separately, then fold them.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+if TYPE_CHECKING:
+    from .context import QueryContext
 
 M61 = (1 << 61) - 1
 _MASK32 = (1 << 32) - 1
@@ -91,61 +91,36 @@ def sum_mod(terms: np.ndarray, add) -> np.ndarray:
     return _reduce_once(out)
 
 
-class KarpRabin:
-    """One query's fingerprint state: the base, its power table, the latest
-    prefix tables, and with audit=True an independent state under a second
-    base."""
-
-    def __init__(self, base: int, audit: bool = False):
-        self.base = base % M61
-        self.pw = np.ones(1, dtype=np.uint64)
-        self.recent: list[HashedSeq] = []
-        self.audit = None
-        if audit:
-            self.audit = KarpRabin(max((base * base + 0x9E3779B97F4A7C15) % M61,
-                                       1 << 10))
-
-    def powers(self, n: int) -> np.ndarray:
-        """base^0 .. base^(n-1).  A short table grows to at least twice its
-        size; each doubling step multiplies the filled prefix by
-        base^size."""
-        size = len(self.pw)
-        if size < n:
-            pw = np.empty(max(n, 2 * size), dtype=np.uint64)
-            pw[:size] = self.pw
-            while size < len(pw):
-                m = min(size, len(pw) - size)
-                mulmod_vec(pw[:m], np.uint64(pow(self.base, size, M61)),
-                           out=pw[size:size + m])
-                size += m
-            self.pw = pw
-        return self.pw[:n]
-
-    def table(self, codes: np.ndarray) -> "HashedSeq":
-        """The prefix table of `codes`: one of the latest two when their code
-        string equals `codes`, else a new one."""
-        for hs in self.recent:
-            if np.array_equal(hs.codes, codes):
-                return hs
-        hs = HashedSeq(codes, self)
-        self.recent = self.recent[-1:] + [hs]
-        return hs
+def grow_powers(pw: np.ndarray, base: int, n: int) -> np.ndarray:
+    """A power table base^0 .. base^(m-1) with m >= n: `pw` itself when it
+    is long enough, else a new table at least twice as long that starts
+    with `pw`; each doubling step multiplies the filled prefix by
+    base^size."""
+    size = len(pw)
+    if size >= n:
+        return pw
+    out = np.empty(max(n, 2 * size), dtype=np.uint64)
+    out[:size] = pw
+    while size < len(out):
+        m = min(size, len(out) - size)
+        mulmod_vec(out[:m], np.uint64(pow(base, size, M61)),
+                   out=out[size:size + m])
+        size += m
+    return out
 
 
 class HashedSeq:
     """Prefix-hash table over one integer sequence; O(1) substring queries.
 
-    `codes` is kept to recognize the same string later, so it must not be
-    changed afterwards.  The table keeps the base and a view of the first
-    n + 1 powers, not the state: a state and its tables form no reference
-    cycle, so they are freed as soon as the query drops the state.
+    The table keeps the base and a view of the first n + 1 powers of the
+    query context `ctx`, not the context: a context and its tables form no
+    reference cycle, so they are freed as soon as the query drops it.
     """
 
-    def __init__(self, codes: np.ndarray, kr: KarpRabin):
-        self.codes = codes
-        self.base = kr.base
+    def __init__(self, codes: np.ndarray, ctx: QueryContext):
+        self.base = ctx.base
         self.n = n = len(codes)
-        self.pw = pw = kr.powers(n + 1)
+        self.pw = pw = ctx.powers(n + 1)
         # H[i] = hash of prefix [0..i):  sum_{j<i} digit_j * base^(i-1-j)
         # computed as cumsum(digit_j * inv^j) * base^(i-1), where
         # inv^j = base^(n-1-j) * inv^(n-1)

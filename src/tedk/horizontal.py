@@ -6,13 +6,8 @@ both occurrences down to 14k repetitions preserves every distance up to k.
 The detection pass merges the two filtered run lists by end position and
 checks period equality up to rotation plus rotatability into a balanced
 string.  `cut_sites`, shared with the vertical reduction, removes the
-surplus copies of every site from both code strings in one pass.
-
-The run lists come from the query context (`context.QueryContext`), which
-computes them through `filter_runs` once per code string: G's string when
-it equals F's, and a string that an earlier pass left unchanged, reuse the
-runs already found, in this pass, the vertical reduction's `compute_q` and
-the shallow solver's horizontal pass alike.
+surplus copies of every site from both code strings in one pass.  The run
+lists (`filter_runs`) come from the query context (`context.QueryContext`).
 """
 
 from __future__ import annotations

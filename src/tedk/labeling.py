@@ -3,19 +3,16 @@
 A joint labeling is a pair of per-forest symbol arrays drawn from one shared
 class space.  Look-ahead refinement gives two nodes the same class exactly
 when their depth-limited labeled subtrees print the same string (realized by
-Karp-Rabin fingerprints under the query's one `hashing.KarpRabin` state).
-A trimmed print is the node's print with the subtrees of its descendants d
-levels below cut out; those cuts are found for all nodes at once by one sort
-and one binary search (`forest.last_at_level`), and one vectorized pass
-hashes every remaining fragment and combines each node's fragments.  The
-fragments are read off the state's prefix table of the forest's code
-string, which the state builds once per string: the shallow solver's
-look-ahead on a pair that its horizontal pass left unchanged reuses the
-tables of the reduction stage's look-ahead.  Equal code strings are equal
-forests, so when G's relabeled string equals F's, G takes F's fingerprints
-and classes outright and nothing is hashed twice.  Compatibility refinement
-merges nodes reachable through chains of cross-forest pairs whose
-parenthesis positions lie within a window w.
+Karp-Rabin fingerprints under the query context's one base).  A trimmed
+print is the node's print with the subtrees of its descendants d levels
+below cut out; those cuts are found for all nodes at once by one sort and
+one binary search (`forest.last_at_level`), and one vectorized pass hashes
+every remaining fragment, read off the context's prefix table of the
+forest's code string, and combines each node's fragments.  Equal code
+strings are equal forests, so when G's relabeled string equals F's, G takes
+F's fingerprints and classes outright and nothing is hashed twice.
+Compatibility refinement merges nodes reachable through chains of
+cross-forest pairs whose parenthesis positions lie within a window w.
 
 Each refinement checks that its output refines its input (`refines`, one
 linear pass over a table indexed by fine class) with an explicit
@@ -30,9 +27,10 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from .context import QueryContext
 from .errors import ContractError, FingerprintCollisionError
 from .forest import LabeledForest, OPEN, last_at_level
-from .hashing import KarpRabin, mulmod_vec, sum_mod
+from .hashing import mulmod_vec, sum_mod
 
 
 @dataclass(frozen=True)
@@ -83,7 +81,7 @@ def _level_descendant_cuts(F: LabeledForest, d: int):
 
 
 def _subtree_fingerprints(F: LabeledForest, codes: np.ndarray, d: int,
-                          kr: KarpRabin) -> np.ndarray:
+                          ctx: QueryContext) -> np.ndarray:
     """fp of the depth-<d trimmed subtree print, per node.
 
     A node v with cuts w_1..w_m (pre-order) prints the fragments
@@ -92,7 +90,7 @@ def _subtree_fingerprints(F: LabeledForest, codes: np.ndarray, d: int,
     fragment; for the others fp(v) = sum of fp(f) * base^(length of v's
     fragments after f), summed per node mod 2^61-1.
     """
-    hs = kr.table(codes)
+    hs = ctx.table(codes)
     owner, member = _level_descendant_cuts(F, d)
     m = len(owner)
     counts = np.bincount(owner, minlength=F.n)
@@ -133,24 +131,25 @@ def _dense_joint(fp_f: np.ndarray, fp_g: np.ndarray) -> JointLabeling:
 
 def _joint_fingerprints(F: LabeledForest, G: LabeledForest,
                         codes_f: np.ndarray, codes_g: np.ndarray, d: int,
-                        kr: KarpRabin) -> JointLabeling:
-    """Dense classes of both forests' trimmed-print fingerprints under `kr`.
+                        ctx: QueryContext) -> JointLabeling:
+    """Dense classes of both forests' trimmed-print fingerprints under the
+    base of `ctx`.
 
     Equal code strings are equal forests, so G then takes F's fingerprints
     instead of hashing the same string again."""
-    fp_f = _subtree_fingerprints(F, codes_f, d, kr)
+    fp_f = _subtree_fingerprints(F, codes_f, d, ctx)
     fp_g = (fp_f if np.array_equal(codes_f, codes_g)
-            else _subtree_fingerprints(G, codes_g, d, kr))
+            else _subtree_fingerprints(G, codes_g, d, ctx))
     return _dense_joint(fp_f, fp_g)
 
 
 def lookahead_refine(F: LabeledForest, G: LabeledForest, lab: JointLabeling,
-                     d: int, kr: KarpRabin) -> JointLabeling:
+                     d: int, ctx: QueryContext) -> JointLabeling:
     """Depth-d look-ahead refinement of `lab` (classes match iff the trimmed
     labeled subtree prints agree, up to fingerprint collision).
 
-    d must be >= 1; the query's one fingerprint state `kr` makes classes
-    comparable across both forests.  When `kr` carries an audit state, an
+    d must be >= 1; the one base of the query context `ctx` makes classes
+    comparable across both forests.  When `ctx` carries an audit twin, an
     independent second fingerprint recomputes the partition and any
     discrepancy raises FingerprintCollisionError.
     """
@@ -158,9 +157,9 @@ def lookahead_refine(F: LabeledForest, G: LabeledForest, lab: JointLabeling,
         raise ValueError("look-ahead depth must be >= 1")
     codes_f = F.relabeled_codes(lab.f)
     codes_g = G.relabeled_codes(lab.g)
-    out = _joint_fingerprints(F, G, codes_f, codes_g, d, kr)
-    if kr.audit is not None:
-        out2 = _joint_fingerprints(F, G, codes_f, codes_g, d, kr.audit)
+    out = _joint_fingerprints(F, G, codes_f, codes_g, d, ctx)
+    if ctx.audit is not None:
+        out2 = _joint_fingerprints(F, G, codes_f, codes_g, d, ctx.audit)
         if not (refines(out, out2) and refines(out2, out)):
             raise FingerprintCollisionError(
                 "fingerprint collision detected in look-ahead classes")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, CrossingMatchingError
-from .forest import CLOSE, LabeledForest, LabelInterner, last_at_level
+from .forest import LabeledForest, LabelInterner, last_at_level
 
 
 def as_matching(M) -> np.ndarray:
@@ -156,17 +156,13 @@ def prune_redundant(F: LabeledForest, G: LabeledForest, M):
     if len(M) == 0:
         return F, G, M
 
-    def left_sibling(H: LabeledForest, nodes: np.ndarray) -> np.ndarray:
-        o = H.o[nodes]
-        prev = o - 1
-        has = (prev >= 0) & ((np.where(prev >= 0, H.codes[prev], 0) & 1) == CLOSE)
-        return np.where(has, H.node_at[np.maximum(prev, 0)], -1)
-
-    f2g = np.full(F.n, -1, dtype=np.int64)
-    f2g[M[:, 0]] = M[:, 1]
-    ls_f = left_sibling(F, M[:, 0])
-    ls_g = left_sibling(G, M[:, 1])
-    redundant = (ls_f >= 0) & (ls_g >= 0) & (f2g[np.maximum(ls_f, 0)] == ls_g)
+    # matched nodes are leaves, two positions each: a pair's left siblings
+    # are matched to each other iff the previous pair in F's order opens
+    # two positions before it on both sides
+    order = np.argsort(F.o[M[:, 0]], kind="stable")
+    redundant = np.zeros(len(M), dtype=bool)
+    redundant[order[1:]] = ((np.diff(F.o[M[order, 0]]) == 2)
+                            & (np.diff(G.o[M[order, 1]]) == 2))
     if not redundant.any():
         F2, G2, M2 = F, G, M
     else:
@@ -204,17 +200,9 @@ def gadget(F: LabeledForest, G: LabeledForest, M, k: int,
     block[:, 1::2] = (syms << 1) | 1
 
     def attach(H: LabeledForest, nodes: np.ndarray) -> LabeledForest:
-        order = np.argsort(H.c[nodes], kind="stable")
-        closes = H.c[nodes][order]
-        blk = block[order]
-        out = np.empty(2 * H.n + 2 * slots * m, dtype=np.int64)
-        shift = np.searchsorted(closes, np.arange(2 * H.n), side="right")
-        # the block of pair t occupies the 2*slots chars right before close t
-        out[np.arange(2 * H.n) + 2 * slots * shift] = H.codes
-        starts = closes + 2 * slots * np.arange(m, dtype=np.int64)
-        idx = (starts[:, None] + np.arange(2 * slots)[None, :]).ravel()
-        out[idx] = blk.ravel()
-        return LabeledForest.from_codes(out)
+        # each pair's block goes right before its leaf's close
+        return LabeledForest.from_codes(np.insert(
+            H.codes, np.repeat(H.c[nodes], 2 * slots), block.ravel()))
 
     F2 = attach(F, M[:, 0])
     G2 = attach(G, M[:, 1])

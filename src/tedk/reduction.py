@@ -35,23 +35,23 @@ class ReducedPair:
     anchor: Alignment | None
 
 
-def reduce_and_anchor(F: LabeledForest, G: LabeledForest, ctx: QueryContext,
-                      timings: dict | None = None) -> ReducedPair:
+def reduce_and_anchor(F: LabeledForest, G: LabeledForest,
+                      ctx: QueryContext) -> ReducedPair:
     """Periodicity-reduce (F, G) and compute the anchor alignment for the
-    threshold and under the fingerprint state of the query context `ctx`."""
+    threshold and under the fingerprint base of the query context `ctx`,
+    recording both phases' times in `ctx.timings`."""
     k = ctx.k
     t0 = time.perf_counter()
     F1, G1 = sync_reductions(F, G, ctx)
     F2, G2 = vert_sync_reductions(F1, G1, ctx)
     lam0 = JointLabeling.base(F2, G2)
-    lam_look = lookahead_refine(F2, G2, lam0, 8 * k, ctx.kr)
+    lam_look = lookahead_refine(F2, G2, lam0, 8 * k, ctx)
     lam_refined = compat_refine(F2, G2, lam_look, 2 * k)
     seq_f = F2.relabeled_codes(lam_refined.f)
     seq_g = G2.relabeled_codes(lam_refined.g)
     t1 = time.perf_counter()
     anchor = greedy_bounded_align(seq_f, seq_g, 16 * k * k, 2 * k)
     t2 = time.perf_counter()
-    if timings is not None:
-        timings["reduction_ms"] = timings.get("reduction_ms", 0.0) + 1e3 * (t1 - t0)
-        timings["anchor_ms"] = timings.get("anchor_ms", 0.0) + 1e3 * (t2 - t1)
+    ctx.timings["reduction_ms"] = 1e3 * (t1 - t0)
+    ctx.timings["anchor_ms"] = 1e3 * (t2 - t1)
     return ReducedPair(F2, G2, seq_f, seq_g, anchor)

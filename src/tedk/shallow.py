@@ -43,7 +43,7 @@ def lift_position_matching(F: LabeledForest, G: LabeledForest,
 def shallow_ted(F: LabeledForest, G: LabeledForest, h: int,
                 interner: LabelInterner, ctx: QueryContext) -> int | float:
     """ted_{<=k}(F, G) for forests of height at most h, for the threshold
-    k = ctx.k and under the fingerprint state of the query context `ctx`."""
+    k = ctx.k and under the fingerprint base of the query context `ctx`."""
     k = ctx.k
     if h < 1:
         raise ValueError("need h >= 1")
@@ -52,7 +52,7 @@ def shallow_ted(F: LabeledForest, G: LabeledForest, h: int,
     if abs(F.n - G.n) > k:
         return INF
     F1, G1 = sync_reductions(F, G, ctx)
-    lam = lookahead_refine(F1, G1, JointLabeling.base(F1, G1), h, ctx.kr)
+    lam = lookahead_refine(F1, G1, JointLabeling.base(F1, G1), h, ctx)
     seq_f = F1.relabeled_codes(lam.f)
     seq_g = G1.relabeled_codes(lam.g)
     kk, w, e = 2 * h * k, 2 * k, 18 * k

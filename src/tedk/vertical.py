@@ -3,14 +3,13 @@
 A context is a split (C_L, C_R) of some tree print; its e-th power occurring
 at a node means e nested layers whose flanking subtrees repeat level by
 level.  Detection anchors small-period high-exponent runs (the query
-context's, found once per code string and shared with the horizontal pass)
-at each node's opening and closing parenthesis, derives the context period from the depth
-deltas, clips the exponent by run lengths, the subtree size, and the
-divergence point (LCA of the two run endpoints), all in one vectorized pass
-over the nodes; the LCA depths come from a binary search over level
-ancestors (`forest.lca_depth`), with no LCA table.  It then pairs
-occurrences across the forests: each F occurrence takes the equal-context G
-occurrence of least closing position among those whose opening and closing
+context's) at each node's opening and closing parenthesis, derives the
+context period from the depth deltas, clips the exponent by run lengths,
+the subtree size, and the divergence point (LCA of the two run endpoints),
+all in one vectorized pass over the nodes; the LCA depths come from a
+binary search over level ancestors (`forest.lca_depth`), with no LCA table.
+It then pairs occurrences across the forests: each F occurrence takes the
+outermost equal-context G occurrence among those whose opening and closing
 positions both lie within 2k of its own.  The candidates are read straight
 off G's parenthesis array, at the at most 4k+1 positions of the opening
 window (`LabeledForest.node_at`), so no index is built.  Reduction turns
@@ -141,13 +140,22 @@ def vert_periods(F: LabeledForest, G: LabeledForest,
     """Pair context powers of F with equal-context powers of G within the
     2k-by-2k window, advancing past each hit's reduced span.
 
-    The partner is read off G's parenthesis array: of the powers opening in
-    the 4k+1 positions around F's opening, the least-closing one whose
-    closing is within 2k and whose context is equal.  The closings of
-    distinct nodes differ, so the choice is unique.  A tower of nested
-    occurrences has a power at every layer, so that choice may be an inner
-    layer; it is lifted to the outermost layer that still passes the same
-    test, otherwise the reduction could keep 16k synchronized layers alive.
+    The partner is read off G's parenthesis array: the first power, scanning
+    the 4k+1 positions around F's opening from the low end, whose closing is
+    within 2k and whose context is equal.  A tower of nested occurrences has
+    a power at every layer, and that is its outermost passing layer; an
+    inner one would let the reduction keep 16k synchronized layers alive.
+
+    Every layer between two passing ones passes too.  A power spans at
+    least 16k(q_l + q_r) >= 32k positions, and two candidates open at most
+    4k apart, so they are nested: s0 (opening p0, closing c0) outside s.
+    Both openings carry C_L inside s0's left run, of primitive period pi and
+    depth step d_l, and both closings carry C_R inside its right run (pi_r,
+    d_r); by Fine and Wilf these runs also anchor s.  So p - p0 = a*pi,
+    c0 - c(s) = b*pi_r, and a*d_l = b*d_r is s's depth below s0, a multiple
+    j*d of d = lcm(d_l, d_r).  By periodicity each layer i < j opens at
+    p0 + i*q_l and closes at c0 - i*q_r with the same anchors, periods and
+    context, and an exponent at least s's.
     """
     k = ctx.k
     cf = compute_contexts(F, ctx)
@@ -161,24 +169,20 @@ def vert_periods(F: LabeledForest, G: LabeledForest,
         if ou <= i:
             continue
         key = _context_key(F.codes, ou, cu, t.q_l, t.q_r)
-        lo = max(0, ou - 2 * k)
 
         def partner(p: int) -> ContextOcc | None:
             """G's power opening at p, if it may pair with t."""
-            s = cg.get(int(G.node_at[p])) if p >= lo else None
+            s = cg.get(int(G.node_at[p]))
             if (s is None or G.o[s.u] != p or (s.q_l, s.q_r) != (t.q_l, t.q_r)
                     or abs(G.c[s.u] - cu) > 2 * k):
                 return None
             return s if _context_key(G.codes, p, G.c[s.u], t.q_l,
                                      t.q_r) == key else None
 
-        window = range(lo, min(2 * G.n, ou + 2 * k + 1))
-        s = min(filter(None, map(partner, window)), key=lambda s: G.c[s.u],
-                default=None)
+        window = range(max(0, ou - 2 * k), min(2 * G.n, ou + 2 * k + 1))
+        s = next(filter(None, map(partner, window)), None)
         if s is None:
             continue
-        while (up := partner(G.o[s.u] - t.q_l)) is not None:
-            s = up
         e = min(t.e, s.e)
         out.append(VertOcc(t.u, s.u, t.q_l, t.q_r, e))
         i = ou + (e - 8 * k) * t.q_l

@@ -253,6 +253,19 @@ def test_gen_unwritable_output_exits_2(tmp_path, capsys):
     assert not missing.exists()
 
 
+def test_gen_json_too_deep_exits_3(tmp_path, capsys):
+    # a forest about 950 levels deep has no JSON output: gen says so before
+    # it opens either file
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    code, out, err = run_cli(capsys, "gen", "--n", "3000", "--height", "3000",
+                             "--format", "json", "--seed", "1",
+                             "--out", str(a), "--out2", str(b))
+    assert code == 3 and out == ""
+    assert err.startswith("tedk: error:") and "too deep" in err
+    assert "Traceback" not in err
+    assert not a.exists() and not b.exists()
+
+
 def test_gen_sigma_above_bound_exits_3(tmp_path, capsys, monkeypatch):
     # the bound is checked before any label is interned
     a = tmp_path / "a.paren"
@@ -305,12 +318,12 @@ def test_compute_audit(tmp_path, capsys, monkeypatch):
     code, audited, err = run_cli(capsys, *argv, "--audit")
     assert code == 0 and audited == plain and err == ""
     # a second base that merges every class is a detected collision; only
-    # the audit state has no audit state of its own
+    # the audit twin has no twin of its own
     real = tedk.labeling._subtree_fingerprints
 
-    def merged_under_audit(F, codes, d, kr):
-        fp = real(F, codes, d, kr)
-        return fp if kr.audit is not None else np.zeros_like(fp)
+    def merged_under_audit(F, codes, d, ctx):
+        fp = real(F, codes, d, ctx)
+        return fp if ctx.audit is not None else np.zeros_like(fp)
 
     monkeypatch.setattr(tedk.labeling, "_subtree_fingerprints",
                         merged_under_audit)

@@ -20,8 +20,8 @@ import tedk.horizontal
 import tedk.labeling
 import tedk.partial
 import tedk.vertical
+from tedk.context import QueryContext
 from tedk.errors import ContractError, FingerprintCollisionError
-from tedk.hashing import KarpRabin
 from tedk.horizontal import HSyncOcc, sync_reductions
 from tedk.labeling import JointLabeling, compat_refine, lookahead_refine
 from tedk.partial import reduce_height
@@ -111,7 +111,7 @@ def test_labeling_refines_contract(interner, monkeypatch):
     monkeypatch.setattr(tedk.labeling, "_dense_joint",
                         lambda fp_f, fp_g: JointLabeling(merged, merged))
     with pytest.raises(ContractError):
-        lookahead_refine(F, F, lab, 2, KarpRabin(0x1234567))
+        lookahead_refine(F, F, lab, 2, QueryContext(1, 0x1234567))
     monkeypatch.setattr(tedk.labeling, "connected_components",
                         lambda graph, directed: (1, np.zeros(2 * F.n)))
     with pytest.raises(ContractError):
@@ -122,18 +122,18 @@ def test_lookahead_audit_contract(interner, monkeypatch):
     # classes that only the audit's second base merges are a collision
     F = forest("(a(b)(c))", interner)
     lab = JointLabeling.base(F, F)
-    kr = KarpRabin(0x1234567, audit=True)
+    ctx = QueryContext(1, 0x1234567, audit=True)
     real = tedk.labeling._subtree_fingerprints
 
     def merged_under_audit(H, codes, d, state):
         fp = real(H, codes, d, state)
-        return fp if state is kr else np.zeros_like(fp)
+        return fp if state is ctx else np.zeros_like(fp)
 
-    lookahead_refine(F, F, lab, 2, kr)
+    lookahead_refine(F, F, lab, 2, ctx)
     monkeypatch.setattr(tedk.labeling, "_subtree_fingerprints",
                         merged_under_audit)
     with pytest.raises(FingerprintCollisionError):
-        lookahead_refine(F, F, lab, 2, kr)
+        lookahead_refine(F, F, lab, 2, ctx)
 
 
 def test_partial_leaf_contract(interner, monkeypatch):
@@ -182,7 +182,7 @@ OPTIMIZED_CHECKS = """
 import numpy as np
 import tedk.labeling as labeling
 from tedk.forest import LabeledForest, LabelInterner, parse_paren_text
-from tedk.hashing import KarpRabin
+from tedk.context import QueryContext
 from tedk.labeling import JointLabeling
 
 def raised(call):
@@ -201,7 +201,7 @@ print("refines", labeling.refines(JointLabeling(np.array([0, 0]), merged[:0]),
 real = labeling._dense_joint
 labeling._dense_joint = lambda fp_f, fp_g: JointLabeling(merged, merged)
 print("lookahead", raised(lambda: labeling.lookahead_refine(
-    F, F, lab, 2, KarpRabin(0x1234567))))
+    F, F, lab, 2, QueryContext(1, 0x1234567))))
 labeling._dense_joint = real
 labeling.connected_components = lambda graph, directed: (1, np.zeros(2 * F.n))
 print("compat", raised(lambda: labeling.compat_refine(F, F, lab, 2)))

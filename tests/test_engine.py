@@ -8,11 +8,11 @@ import tedk.engine
 import tedk.hashing
 import tedk.horizontal
 import tedk.labeling
+from tedk.context import QueryContext
 from tedk.engine import EngineConfig, mark_levels, run, ted_bounded
 from tedk.errors import ContractError
 from tedk.forest import LabeledForest, parse_paren_text
 from tedk.generate import alphabet, apply_random_edits, planted_pair, random_forest
-from tedk.hashing import KarpRabin
 from tedk.labeling import JointLabeling, lookahead_refine
 from tedk.oracle import INF, ted_exact, ted_threshold
 
@@ -212,6 +212,27 @@ def test_round_height_contract(interner, rng, monkeypatch):
         run(F, G, EngineConfig(k=1, seed=5, height_cap=hcap), interner)
 
 
+def test_sampling_rounds_pinned(interner):
+    # a 30-node chain a0..a29 whose node a24 holds 200 distinct leaves, run
+    # against itself with h = 20.  Round i draws its residue from the seed
+    # (seed, 1 + i); residue 5 marks depth 25, forces the 200 leaf pairs
+    # and fails the Markov bound, and every other round is kept
+    leaves = "".join(f"(b{j})" for j in range(200))
+    F = parse_paren_text("".join(f"(a{i}" + (leaves if i == 24 else "")
+                                 for i in range(30)) + ")" * 30, interner)
+    kept = []
+    for seed in range(6):
+        residues = [int(np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=(seed, 1 + i)))).integers(20))
+            for i in range(40)]
+        rep = run(F, F, EngineConfig(k=1, seed=seed, rounds=40,
+                                     height_cap=20), interner)
+        assert (rep.value, rep.rounds) == (0, 40)
+        assert rep.kept == 40 - residues.count(5)
+        kept.append(rep.kept)
+    assert kept == [38, 39, 40, 38, 36, 40]
+
+
 def test_prefix_tables_built_once_per_query(interner, rng, monkeypatch):
     # the shallow look-ahead reuses the reduction stage's prefix tables, so a
     # query builds at most one per forest; each query owns its state, which
@@ -219,9 +240,9 @@ def test_prefix_tables_built_once_per_query(interner, rng, monkeypatch):
     built = []
     real = tedk.hashing.HashedSeq.__init__
 
-    def counted(self, codes, kr):
-        built.append((weakref.ref(kr), kr.base))
-        real(self, codes, kr)
+    def counted(self, codes, ctx):
+        built.append((weakref.ref(ctx), ctx.base))
+        real(self, codes, ctx)
 
     monkeypatch.setattr(tedk.hashing.HashedSeq, "__init__", counted)
     syms = alphabet(interner, 4)
@@ -300,13 +321,14 @@ def test_runs_built_once_per_distinct_string(interner, rng, monkeypatch):
 
 def test_lookahead_fingerprints_equal_strings_once(interner, rng,
                                                    monkeypatch):
-    # G equal to F takes F's fingerprints: one pass per fingerprint state
+    # G equal to F takes F's fingerprints: one pass per base (the audit
+    # twin's is the second)
     calls = []
     real = tedk.labeling._subtree_fingerprints
 
-    def counted(H, codes, d, kr):
-        calls.append(kr)
-        return real(H, codes, d, kr)
+    def counted(H, codes, d, ctx):
+        calls.append(ctx)
+        return real(H, codes, d, ctx)
 
     syms = alphabet(interner, 3)
     F = random_forest(rng, 300, 7, syms)
@@ -315,14 +337,14 @@ def test_lookahead_fingerprints_equal_strings_once(interner, rng,
     relabeled[F.n // 2] = int(syms[0] if relabeled[F.n // 2] != syms[0]
                               else syms[1])
     G = LabeledForest.from_codes(F.relabeled_codes(relabeled))  # same length
-    kr = KarpRabin(0xF1F1F1)
-    fp = real(F, F.codes, 3, kr)
+    ctx = QueryContext(1, 0xF1F1F1)
+    fp = real(F, F.codes, 3, ctx)
     _, dense = np.unique(np.concatenate([fp, fp]), return_inverse=True)
     monkeypatch.setattr(tedk.labeling, "_subtree_fingerprints", counted)
     for B, audit, want in ((twin, False, 1), (twin, True, 2), (G, False, 2)):
         calls.clear()
         out = lookahead_refine(F, B, JointLabeling.base(F, B), 3,
-                               KarpRabin(0xF1F1F1, audit=audit))
+                               QueryContext(1, 0xF1F1F1, audit=audit))
         assert len(calls) == want
         if B is twin:
             assert out.f.tolist() == out.g.tolist() == dense[:F.n].tolist()

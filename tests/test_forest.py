@@ -235,6 +235,11 @@ def test_json_round_trip(interner, rng):
         assert again == F
     with pytest.raises(ParseError):
         parse_json_text('{"label": "a"}', interner)
+    # a chain nested too deep for the JSON encoder is a ValueError
+    chain = forest("(a" * 300 + ")" * 300, interner)
+    assert parse_json_text(serialize_json(chain, interner), interner) == chain
+    with pytest.raises(ValueError, match="too deep"):
+        serialize_json(forest("(a" * 1000 + ")" * 1000, interner), interner)
 
 
 def test_json_labels_follow_paren_rule(interner):

@@ -4,6 +4,7 @@ import pytest
 from tedk._naive import naive_runs, sync_power_occurrences
 from tedk.context import QueryContext
 from tedk.generate import alphabet, planted_pair, random_forest
+from tedk.hashing import HashedSeq
 from tedk.horizontal import (filter_runs, min_balance_rotations,
                              sync_occurrences, sync_reductions)
 from tedk.oracle import ted_threshold
@@ -54,6 +55,20 @@ def test_context_runs_by_content(rng):
     assert again == runs_s and again is not runs_s
     with pytest.raises(ValueError):
         QueryContext(0, base=1)
+
+
+def test_context_runs_and_tables_share_records(rng):
+    # one record per string: its runs and its prefix table count as one of
+    # the latest two strings, whichever was asked for first
+    ctx = query(1)
+    S, T, U = (rng.integers(0, 3, 200) for _ in range(3))
+    runs_s = ctx.runs(S)
+    hs = ctx.table(S.copy())
+    assert ctx.table(T).H.tolist() == HashedSeq(T, ctx).H.tolist()
+    assert ctx.runs(S.copy()) is runs_s and ctx.table(S) is hs
+    ctx.runs(U)  # S is now the oldest: dropped
+    again = ctx.table(S)
+    assert again is not hs and again.H.tolist() == hs.H.tolist()
 
 
 def test_sigma_examples(interner):

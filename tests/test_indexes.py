@@ -2,8 +2,9 @@ import numpy as np
 
 from tedk._naive import naive_lca, naive_runs
 from tedk.alignment import as_codes
+from tedk.context import QueryContext
 from tedk.generate import alphabet, random_forest
-from tedk.hashing import M61, HashedSeq, KarpRabin, mulmod_vec, sum_mod
+from tedk.hashing import M61, HashedSeq, mulmod_vec, sum_mod
 from tedk.forest import lca_depth
 from tedk.indexes import compute_runs
 
@@ -86,7 +87,7 @@ def concat_fp(base: int, fp_a: int, len_a: int, fp_b: int, len_b: int) -> int:
 
 def test_substring_fingerprints(rng):
     S = rng.integers(0, 4, 500)
-    hs = HashedSeq(S, KarpRabin(987654321))
+    hs = HashedSeq(S, QueryContext(1, 987654321))
     assert substring(hs, 3, 3) == 0
     # equal text -> equal fingerprint; for random queries agree with compare
     i = rng.integers(0, 400, 100_000)
@@ -122,10 +123,10 @@ def power_fp(hs: HashedSeq, i: int, j: int, reps: int) -> int:
 
 def test_power_fingerprint(rng):
     S = rng.integers(0, 3, 40)
-    kr = KarpRabin(31337)
-    hs = HashedSeq(S, kr)
+    ctx = QueryContext(1, 31337)
+    hs = HashedSeq(S, ctx)
     tiled = np.tile(S[5:9], 7)
-    hs2 = HashedSeq(np.concatenate([S[:5], tiled]), kr)
+    hs2 = HashedSeq(np.concatenate([S[:5], tiled]), ctx)
     assert power_fp(hs, 5, 9, 7) == substring(hs2, 5, 5 + 28)
 
 
@@ -136,21 +137,21 @@ def test_prefix_and_power_tables_match_integers(rng):
     pows = [2 ** j + s for j in range(1, 12) for s in (-1, 0, 1)]
     for t in range(6):
         base = int(rng.integers(1 << 10, M61 - 2))
-        kr = KarpRabin(base)
+        ctx = QueryContext(1, base)
         lengths = [0, 1, 2] + rng.permutation(pows).tolist()
         lengths += rng.integers(0, 3000, 10).tolist() + [0, 1]
         ref_pw = [1]
         for n in lengths:
             codes = rng.integers(0, 1 << 40, n)
-            hs = kr.table(codes)
+            hs = ctx.table(codes)
             H = [0]
             for code in codes.tolist():
                 H.append((H[-1] * base + code + 1) % M61)
-            while len(ref_pw) < len(kr.pw):
+            while len(ref_pw) < len(ctx.pw):
                 ref_pw.append(ref_pw[-1] * base % M61)
             assert hs.H.tolist() == H
-            assert kr.pw.tolist() == ref_pw[:len(kr.pw)]
-            assert len(kr.pw) >= n + 1
+            assert ctx.pw.tolist() == ref_pw[:len(ctx.pw)]
+            assert len(ctx.pw) >= n + 1
             assert substring(hs, 0, n) == H[-1]
     # the multiply-mod, array x array and array x scalar, on edge operands
     edge = [0, 1, 2, M61 - 1, M61 - 2, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1,

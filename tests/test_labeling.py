@@ -3,8 +3,9 @@ import pytest
 
 from tedk._naive import naive_compat_classes, optimal_tree_alignments, trimmed_print
 from tedk.alignment import Alignment, eval_alignment, is_greedy
+from tedk.context import QueryContext
 from tedk.generate import alphabet, apply_random_edits, random_forest
-from tedk.hashing import M61, HashedSeq, KarpRabin, mulmod_vec
+from tedk.hashing import M61, HashedSeq, mulmod_vec
 from tedk.labeling import (JointLabeling, _level_descendant_cuts,
                            _subtree_fingerprints, compat_refine,
                            lookahead_refine, refines)
@@ -28,7 +29,7 @@ def alignment_forest_cost(A, F, G, lab):
 
 def lookahead_cost_bound_check(F, G, lab, d, A, base):
     """Refined cost of a tree alignment is at most d times the base cost."""
-    refined = lookahead_refine(F, G, lab, d, KarpRabin(base))
+    refined = lookahead_refine(F, G, lab, d, QueryContext(1, base))
     return (alignment_forest_cost(A, F, G, refined)
             <= d * alignment_forest_cost(A, F, G, lab))
 
@@ -45,7 +46,7 @@ def compat_cost_equal_check(F, G, lab, w, A):
 def test_lookahead_rejects_zero_depth(interner):
     F = forest("(a)", interner)
     with pytest.raises(ValueError):
-        lookahead_refine(F, F, JointLabeling.base(F, F), 0, KarpRabin(BASE))
+        lookahead_refine(F, F, JointLabeling.base(F, F), 0, QueryContext(1, BASE))
 
 
 def test_lookahead_depth_one_is_identity(interner, rng):
@@ -54,7 +55,7 @@ def test_lookahead_depth_one_is_identity(interner, rng):
         F = random_forest(rng, int(rng.integers(0, 20)), 4, syms)
         G = random_forest(rng, int(rng.integers(0, 20)), 4, syms)
         lab = JointLabeling.base(F, G)
-        out = lookahead_refine(F, G, lab, 1, KarpRabin(BASE))
+        out = lookahead_refine(F, G, lab, 1, QueryContext(1, BASE))
         assert same_partition(out, lab)
 
 
@@ -64,7 +65,7 @@ def test_lookahead_full_depth_encodes_subtrees(interner, rng):
         F = random_forest(rng, int(rng.integers(1, 15)), 4, syms)
         G = random_forest(rng, int(rng.integers(1, 15)), 4, syms)
         d = max(F.height(), G.height()) + 1
-        out = lookahead_refine(F, G, JointLabeling.base(F, G), d, KarpRabin(BASE))
+        out = lookahead_refine(F, G, JointLabeling.base(F, G), d, QueryContext(1, BASE))
         subs = ([F.codes[F.o[u]:F.c[u] + 1].tobytes() for u in range(F.n)]
                 + [G.codes[G.o[v]:G.c[v] + 1].tobytes() for v in range(G.n)])
         ids = np.concatenate([out.f, out.g])
@@ -79,7 +80,7 @@ def test_lookahead_matches_naive_trimmed_prints(interner, rng):
         F = random_forest(rng, 25, 5, syms)
         G = random_forest(rng, 25, 5, syms)
         lab = JointLabeling.base(F, G)
-        out = lookahead_refine(F, G, lab, d, KarpRabin(BASE))
+        out = lookahead_refine(F, G, lab, d, QueryContext(1, BASE))
         prints = ([trimmed_print(F, lab.f, u, d) for u in range(F.n)]
                   + [trimmed_print(G, lab.g, v, d) for v in range(G.n)])
         ids = np.concatenate([out.f, out.g]).tolist()
@@ -94,7 +95,16 @@ def test_lookahead_audit_mode(interner, rng):
     F = random_forest(rng, 30, 4, syms)
     G = random_forest(rng, 30, 4, syms)
     lookahead_refine(F, G, JointLabeling.base(F, G), 3,
-                     KarpRabin(BASE, audit=True))
+                     QueryContext(1, BASE, audit=True))
+
+
+def test_audit_twin_fingerprints_under_its_own_base(rng):
+    # the audit recomputes under an independent base: its twin has no twin
+    # of its own, and its prefix table of a string differs from the context's
+    ctx = QueryContext(1, BASE, audit=True)
+    assert ctx.audit.audit is None and ctx.audit.base != ctx.base
+    codes = rng.integers(0, 5, 300)
+    assert ctx.table(codes).H[-1] != ctx.audit.table(codes).H[-1]
 
 
 def test_compat_refine_examples(interner, rng):
@@ -126,7 +136,7 @@ def test_refinement_direction(interner, rng):
     F = random_forest(rng, 25, 5, syms)
     G = random_forest(rng, 25, 5, syms)
     lab = JointLabeling.base(F, G)
-    la = lookahead_refine(F, G, lab, 3, KarpRabin(BASE))
+    la = lookahead_refine(F, G, lab, 3, QueryContext(1, BASE))
     assert refines(la, lab)
     cp = compat_refine(F, G, la, 2)
     assert refines(cp, la) and refines(cp, lab)
@@ -218,7 +228,7 @@ def test_optimum_alignment_greedy_under_full_lookahead(interner, rng):
             continue
         h = max(F.height(), G.height(), 1)
         lab = lookahead_refine(F, G, JointLabeling.base(F, G), h,
-                               KarpRabin(BASE))
+                               QueryContext(1, BASE))
         sf = F.relabeled_codes(lab.f)
         sg = G.relabeled_codes(lab.g)
         sf0 = F.codes
@@ -252,11 +262,11 @@ def test_level_cuts_match_stack_walk(interner, rng):
         assert (owner.tolist(), member.tolist()) == _walk_cuts(F, d)
 
 
-def three_path_fingerprints(F, codes, d, kr):
+def three_path_fingerprints(F, codes, d, ctx):
     """Reference trimmed-print fingerprints: whole subtrees for nodes without
     cuts, one vectorized concatenation for nodes with one cut, and a scalar
     fold over the fragments of each node with two or more cuts."""
-    hs = HashedSeq(codes, kr)
+    hs = HashedSeq(codes, ctx)
     n = F.n
     if n == 0:
         return np.empty(0, dtype=np.uint64)
@@ -300,10 +310,10 @@ def test_fingerprints_match_three_path_reference(interner, rng):
         nonlocal multi
         base = int(rng.integers(1 << 10, M61 - 2))
         codes = F.relabeled_codes(rng.integers(0, 50, F.n))
-        got = _subtree_fingerprints(F, codes, d, KarpRabin(base))
+        got = _subtree_fingerprints(F, codes, d, QueryContext(1, base))
         assert got.dtype == np.uint64
         assert got.tolist() == three_path_fingerprints(F, codes, d,
-                                                      KarpRabin(base)).tolist()
+                                                      QueryContext(1, base)).tolist()
         owner, _ = _level_descendant_cuts(F, d)
         multi += int((np.bincount(owner, minlength=F.n) >= 2).sum())
 

@@ -110,11 +110,13 @@ def test_gadget_examples(interner):
     # no pairs: identity
     F2, G2 = gadget(F, G, np.empty((0, 2), dtype=np.int64), 2, interner)
     assert F2 == F and G2 == G
-    # k=2, |M|=1 on leaf pair: sizes grow by k+1 = 3
+    # k=2, |M|=1 on leaf pair: sizes grow by k+1 = 3, and the new nodes
+    # are children of the matched leaf b
     M = np.array([(1, 1)], dtype=np.int64)
     F2, G2 = gadget(F, G, M, 2, interner)
     assert F2.n == F.n + 3 and G2.n == G.n + 3
     assert F2.height() <= F.height() + 1
+    assert F2.parent.tolist() == G2.parent.tolist() == [-1, 0, 1, 1, 1]
 
 
 def test_gadget_labels_fresh(interner):
