@@ -10,7 +10,7 @@ exceeds its bound: --n MAX_N = 2^22 nodes, --sigma MAX_SIGMA = 2^20 labels
 (all interned up front), --plant-k MAX_PLANT_K = 2^7 (a mixed plant adds
 up to 144·k^2 nodes) and --edits MAX_EDITS = 2^10 (each edit rebuilds the
 forest).  gen --format json also exits 3, before it opens any file, when a
-forest nests deeper than JSON output allows (about 500 levels).
+forest has more than JSON_MAX_HEIGHT = 400 levels, the most JSON holds.
 """
 
 from __future__ import annotations

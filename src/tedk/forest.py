@@ -35,6 +35,7 @@ from .errors import LabelMismatchError, ParseError, UnbalancedError
 VIRTUAL_ROOT = -1
 OPEN = 0
 CLOSE = 1
+JSON_MAX_HEIGHT = 400  # the same bound everywhere; `json`'s own guard varies
 
 
 class LabelInterner:
@@ -348,11 +349,10 @@ def serialize_paren(F: LabeledForest, interner: LabelInterner) -> str:
 
 
 def parse_json_text(text: str, interner: LabelInterner) -> LabeledForest:
-    """JSON format: array of {"label": str, "children": [...]} trees.
-
-    Labels are JSON strings that follow the paren-text token rule
-    (`check_label`); a null, number or boolean label is a `ParseError`, not
-    the text Python would print for it."""
+    """JSON format: array of {"label": str, "children": [...]} trees, at
+    most JSON_MAX_HEIGHT levels deep; labels are JSON strings that follow
+    the paren-text token rule (`check_label`), so a null, number or boolean
+    label is a `ParseError`, not the text Python would print for it."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -384,12 +384,17 @@ def parse_json_text(text: str, interner: LabelInterner) -> LabeledForest:
         if not isinstance(children, list):
             raise ParseError("'children' must be an array")
         stack.extend((ch, False) for ch in reversed(children))
-    return LabeledForest.from_codes(np.asarray(codes, dtype=np.int64))
+    F = LabeledForest.from_codes(np.asarray(codes, dtype=np.int64))
+    if F.height() > JSON_MAX_HEIGHT:
+        raise ParseError("JSON nesting too deep")
+    return F
 
 
 def serialize_json(F: LabeledForest, interner: LabelInterner) -> str:
-    """JSON text of F; ValueError when F nests too deep for the encoder
-    (about 500 levels), as `parse_json_text` does for its input."""
+    """JSON text of F; ValueError when F has more than JSON_MAX_HEIGHT
+    levels, the bound `parse_json_text` holds its input to."""
+    if F.height() > JSON_MAX_HEIGHT:
+        raise ValueError(f"forest of height {F.height()} is too deep for JSON")
     out: list = []
     holders: dict[int, list] = {}
     parent = F.parent
@@ -401,9 +406,5 @@ def serialize_json(F: LabeledForest, interner: LabelInterner) -> str:
         else:
             holders[p].append(node)
         holders[u] = node["children"]
-    try:
-        return json.dumps(out)
-    except RecursionError:
-        raise ValueError(f"forest of height {F.height()} nests too deep "
-                         f"for JSON output") from None
+    return json.dumps(out)
 

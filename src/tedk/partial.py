@@ -158,8 +158,8 @@ def prune_redundant(F: LabeledForest, G: LabeledForest, M):
 
     # matched nodes are leaves, two positions each: a pair's left siblings
     # are matched to each other iff the previous pair in F's order opens
-    # two positions before it on both sides
-    order = np.argsort(F.o[M[:, 0]], kind="stable")
+    # two positions before it on both sides (the sort keys are distinct)
+    order = np.argsort(F.o[M[:, 0]])
     redundant = np.zeros(len(M), dtype=bool)
     redundant[order[1:]] = ((np.diff(F.o[M[order, 0]]) == 2)
                             & (np.diff(G.o[M[order, 1]]) == 2))

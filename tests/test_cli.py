@@ -254,8 +254,8 @@ def test_gen_unwritable_output_exits_2(tmp_path, capsys):
 
 
 def test_gen_json_too_deep_exits_3(tmp_path, capsys):
-    # a forest about 950 levels deep has no JSON output: gen says so before
-    # it opens either file
+    # a forest 949 levels deep, above JSON_MAX_HEIGHT, has no JSON output:
+    # gen says so before it opens either file
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     code, out, err = run_cli(capsys, "gen", "--n", "3000", "--height", "3000",
                              "--format", "json", "--seed", "1",

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from tedk._naive import naive_positions
 from tedk.errors import LabelMismatchError, ParseError, UnbalancedError
-from tedk.forest import (CLOSE, OPEN, VIRTUAL_ROOT, LabeledForest,
-                         LabelInterner, _pair_parens, last_at_level,
-                         level_search, parse_json_text, parse_paren_text,
-                         serialize_json, serialize_paren)
+from tedk.forest import (CLOSE, JSON_MAX_HEIGHT, OPEN, VIRTUAL_ROOT,
+                         LabeledForest, LabelInterner, _pair_parens,
+                         last_at_level, level_search, parse_json_text,
+                         parse_paren_text, serialize_json, serialize_paren)
 from tedk.generate import alphabet, random_forest
 
 from conftest import deep_chain, forest, stack_walk, validate
@@ -235,11 +235,16 @@ def test_json_round_trip(interner, rng):
         assert again == F
     with pytest.raises(ParseError):
         parse_json_text('{"label": "a"}', interner)
-    # a chain nested too deep for the JSON encoder is a ValueError
-    chain = forest("(a" * 300 + ")" * 300, interner)
+    # JSON holds chains of JSON_MAX_HEIGHT levels and no deeper, both ways
+    h = JSON_MAX_HEIGHT
+    chain = forest("(a" * h + ")" * h, interner)
     assert parse_json_text(serialize_json(chain, interner), interner) == chain
     with pytest.raises(ValueError, match="too deep"):
-        serialize_json(forest("(a" * 1000 + ")" * 1000, interner), interner)
+        serialize_json(forest("(a" * (h + 1) + ")" * (h + 1), interner),
+                       interner)
+    deeper = '[{"label": "a", "children": ' * (h + 1) + "[]" + "}]" * (h + 1)
+    with pytest.raises(ParseError, match="too deep"):
+        parse_json_text(deeper, interner)
 
 
 def test_json_labels_follow_paren_rule(interner):

@@ -3,25 +3,24 @@ kill it.
 
 Usage, from the repository root:
 
-    python tools/mutants.py             # every mutant
-    python tools/mutants.py NAME ...    # only the named mutants
+    python tools/mutants.py
 
-Each mutant replaces one exact snippet of one file with its replacement, in
-a temporary copy of `src/`, `tests/` and `pyproject.toml`, and runs its
-tests there with pytest.  A mutant is killed when those tests fail.  Before
-any mutant runs, the union of their tests must pass on the unmutated copy.
-One line per mutant is printed: `killed`, `survived`, or `equivalent` for a
-survivor whose entry gives the reason no test can kill it.  The exit code
-is 0 when every mutant is killed or a known equivalent, 1 when another
-survives or a snippet no longer occurs exactly once (the entry is stale),
-and 2 on a usage error or when the unmutated tests fail.
+Every mutant in MUTANTS runs.  Each replaces one exact snippet of one file
+with its replacement, in a temporary copy of `src/`, `tests/` and
+`pyproject.toml`, and runs its tests there with pytest.  A mutant is killed
+when those tests fail.  Before any mutant runs, the union of their tests
+must pass on the unmutated copy.  One line per mutant is printed:
+`killed`, `survived`, or `equivalent` for a survivor whose entry gives the
+reason no test can kill it.  The exit code is 0 when every mutant is
+killed or a known equivalent, 1 when another survives or a snippet no
+longer occurs exactly once (the entry is stale), and 2 when the unmutated
+tests fail.
 
 The script needs no package beyond pytest and is not part of the test suite.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -69,14 +68,6 @@ MUTANTS = [
            "next(filter(None, map(partner, window)), None)",
            "next(filter(None, map(partner, reversed(window))), None)",
            ("tests/test_vertical.py::test_vert_periods_partner_choice",)),
-    Mutant("prune-unstable-sort", "src/tedk/partial.py",
-           'order = np.argsort(F.o[M[:, 0]], kind="stable")\n    redundant',
-           "order = np.argsort(F.o[M[:, 0]])\n    redundant",
-           ("tests/test_partial.py::test_prune_redundant_examples",
-            "tests/test_partial.py::test_prune_redundant_bound_and_distance"),
-           equivalent="the keys are the opening positions of distinct "
-                      "matched nodes, so no two are equal and any sort "
-                      "gives the same order"),
 ]
 
 
@@ -112,23 +103,15 @@ def run_mutant(m: Mutant) -> str:
     return "equivalent" if m.equivalent else "survived"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default all)")
-    args = parser.parse_args(argv)
-    known = {m.name: m for m in MUTANTS}
-    unknown = [n for n in args.names if n not in known]
-    if unknown:
-        parser.error(f"unknown mutant(s): {', '.join(unknown)}")
-    chosen = [known[n] for n in args.names] or MUTANTS
-    tests = sorted({t for m in chosen for t in m.tests})
+def main() -> int:
+    tests = sorted({t for m in MUTANTS for t in m.tests})
     with tempfile.TemporaryDirectory(prefix="tedk-mutant-") as tmp:
         _copy_tree(Path(tmp))
         if not _pytest(Path(tmp), tests):
             print("the mutants' tests fail on the unmutated code")
             return 2
     bad = 0
-    for m in chosen:
+    for m in MUTANTS:
         outcome = run_mutant(m)
         bad += outcome in ("survived", "stale")
         reason = f"  ({m.equivalent})" if outcome == "equivalent" else ""
