@@ -1,7 +1,9 @@
 """Command-line front end: compute, oracle, gen, selftest, bench.
 
-compute prints one machine-parseable line `<distance|INF>\t<k>\t<seed>\t<rounds>`
-(oracle prints the same line with seed and rounds 0) and exits 0 on success,
+compute prints one machine-parseable line `<distance|INF>\t<k>\t<seed>\t<rounds>`,
+where <rounds> counts the level-sampling rounds run, 0 when none ran; at
+TEDK_LOG=INFO its log line also gives the lower bound that ended them.
+oracle prints the same line with seed and rounds 0.  Both exit 0 on success,
 2 on parse errors and unreadable inputs, 3 on bad flags; compute --audit
 recomputes the look-ahead classes under a second fingerprint base and exits
 1 when the two disagree.  gen exits 2 when it cannot write --out or --out2,
@@ -168,8 +170,9 @@ def _cmd_compute(args, exact_only: bool) -> int:
             sys.stderr.write(f"tedk: audit failed: {exc}\n")
             return EXIT_FAILED
         value, rounds_run = rep.value, rep.rounds
-        log.info("n=%d k=%d rounds=%d kept=%d timings=%s",
+        log.info("n=%d k=%d rounds=%d kept=%d bound=%s timings=%s",
                  F.n + G.n, args.k, rep.rounds, rep.kept,
+                 _fmt_value(rep.bound),
                  {p: f"{v:.1f}" for p, v in rep.timings.items()})
         if args.verify:
             want = ted_threshold(F, G, args.k)

@@ -8,6 +8,18 @@ every marked node; the partial-matching reduction then yields forests of
 height <= h+1 solved by the shallow algorithm.  The answer is the minimum
 over surviving rounds; when both reduced forests already fit under h the
 sampling is skipped and one deterministic shallow solve suffices.
+
+The rounds stop as soon as their answer is certified.  Before them,
+`lower_bound` gives one lower bound L on ted(F', G') of the reduced pair,
+half the edit distance of the two parenthesis strings, rounded up; when
+that distance exceeds 2k, ted > k, L is INF and the answer is INF with no
+round run.  A kept round's value is the cost of a tree alignment of F' and
+G' that contains the forced matching, or INF when that cost exceeds k, so
+it is at least ted_{<=k}(F', G').  A round whose value v is at most
+L <= ted therefore has v = ted <= k, the least value any round can give,
+and the loop stops there: the answer is the one every planned round would
+give.  `EngineReport.rounds` counts the rounds run and
+`EngineReport.bound` records L.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import _match_mask
+from .alignment import _match_mask, greedy_bounded_align
 from .context import QueryContext
 from .errors import ContractError
 from .forest import LabeledForest, LabelInterner
@@ -70,6 +82,7 @@ class EngineReport:
     rounds: int = 0
     kept: int = 0
     h: int = 0
+    bound: int | float = 0  # L of `lower_bound` on the sampling path, else 0
     timings: dict = field(default_factory=dict)
 
 
@@ -78,6 +91,33 @@ def mark_levels(F: LabeledForest, r: int, h: int) -> np.ndarray:
     if not 0 <= r < h:
         raise ValueError("residue out of range")
     return F.depth % h == r
+
+
+def lower_bound(F: LabeledForest, G: LabeledForest, k: int) -> int | float:
+    """A lower bound L on ted(F, G): ceil(sed / 2), where sed is the edit
+    distance of the two code strings, or INF when sed > 2k (so ted > k).
+
+    Proof.  A relabel changes the codes of one node's two parentheses, and
+    a delete or an insert removes or adds them: each tree edit is at most 2
+    string edits, so sed <= 2 ted and ted >= ceil(sed / 2).  Any string
+    alignment of cost c has width at most c, so the banded search with cost
+    budget and width 2k finds the least cost sed whenever sed <= 2k, and
+    returns None exactly when sed > 2k, which gives ted > k.
+
+    L also dominates the size difference and the label-multiset bound
+    (`oracle._label_multiset_bound`), so neither is taken separately.  A
+    code is a node's label with an open or close bit, so an alignment
+    matches at most `shared` opens and `shared` closes, where `shared` is
+    the size of the largest label-preserving pairing of the nodes.  Each
+    other code of either string costs an operation of its own, so
+    sed >= 2 (max(|F|, |G|) - shared): twice the multiset bound, which is
+    at least ||F| - |G||.
+    """
+    A = greedy_bounded_align(F.codes, G.codes, 2 * k, 2 * k)
+    if A is None:
+        return INF
+    sed = len(A.pairs) - 1 - int(_match_mask(A, F.codes, G.codes).sum())
+    return (sed + 1) // 2
 
 
 def _anchor_node_pairs(rp: ReducedPair) -> np.ndarray:
@@ -108,13 +148,15 @@ def run(F: LabeledForest, G: LabeledForest, cfg: EngineConfig,
         ctx.timings["residual_ms"] = 1e3 * (time.perf_counter() - t0)
         return report
 
+    # L > k only when the sed certificate fires; then no round is run
+    report.bound = bound = lower_bound(rp.f, rp.g, k)
+    rounds = cfg.num_rounds(F.n + G.n) if bound <= k else 0
     pairs = _anchor_node_pairs(rp)
     nf, ng = rp.f.n, rp.g.n
-    rounds = cfg.num_rounds(F.n + G.n)
-    report.rounds = rounds
 
     kept = []
     for i in range(rounds):
+        report.rounds = i + 1
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(entropy=(cfg.seed, 1 + i))))
         r = int(rng.integers(h))
@@ -136,6 +178,8 @@ def run(F: LabeledForest, G: LabeledForest, cfg: EngineConfig,
             raise ContractError(f"partial reduction left height {height} "
                                 f"> {h + 1}")
         kept.append(shallow_ted(Fi, Gi, h + 1, interner, ctx))
+        if kept[-1] <= bound:
+            break  # each round's value is >= ted_{<=k} >= L: certified
     report.kept = len(kept)
     report.value = min(kept, default=INF)
     ctx.timings["rounds_ms"] = 1e3 * (time.perf_counter() - t0)

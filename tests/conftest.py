@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from tedk.context import QueryContext
 from tedk.errors import CrossingMatchingError
 from tedk.forest import (VIRTUAL_ROOT, LabeledForest, LabelInterner,
                          _pair_parens, parse_paren_text)
+from tedk.generate import (alphabet, apply_random_edits, plant_horizontal,
+                           plant_vertical, random_forest)
 from tedk.oracle import INF, ted_exact
 from tedk.partial import gadget, reduce_height, validate_matching
 
@@ -137,6 +140,29 @@ def ted_constrained(F, G, M, interner=None):
     k_free = F1.n + G1.n
     F2, G2 = gadget(F1, G1, M1, k_free, interner)
     return ted_exact(F2, G2)
+
+
+@st.composite
+def forest_pairs(draw, most=6):
+    """(F, G): random, edited, or planted horizontally or vertically, F of at
+    most `most` nodes before planting (11 nodes each at the default)."""
+    it = LabelInterner()
+    syms = alphabet(it, draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    F = random_forest(rng, draw(st.integers(0, most)), draw(st.integers(1, 4)),
+                      syms)
+    kind = draw(st.sampled_from(["random", "edited", "horizontal",
+                                 "vertical"]))
+    if kind == "random":
+        return F, random_forest(rng, draw(st.integers(0, most)), 3, syms)
+    if kind == "horizontal":
+        F = plant_horizontal(rng, F, 1, syms, reps=draw(st.integers(1, 2)))
+    elif kind == "vertical":
+        F = plant_vertical(rng, F, 1, syms, reps=draw(st.integers(1, 2)))
+    G = apply_random_edits(rng, F, draw(st.integers(0, 3)), syms)
+    if draw(st.booleans()):
+        F, G = G, F
+    return F, G
 
 
 def pytest_terminal_summary(terminalreporter):

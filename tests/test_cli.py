@@ -1,8 +1,14 @@
+import logging
+
 import numpy as np
 
 import tedk.cli
 import tedk.labeling
 from tedk.cli import MAX_EDITS, MAX_N, MAX_PLANT_K, MAX_SIGMA, main
+from tedk.forest import LabelInterner, serialize_paren
+from tedk.generate import alphabet, apply_random_edits
+
+from conftest import deep_chain
 
 
 def run_cli(capsys, *argv):
@@ -202,6 +208,23 @@ def test_log_env_smoke(tmp_path, capsys, monkeypatch):
     a.write_text("(a(b))\n")
     code, out, _ = run_cli(capsys, "compute", str(a), str(a), "--k", "1")
     assert code == 0 and out.split("\t")[0] == "0"
+
+
+def test_compute_reports_rounds_run_and_bound(tmp_path, capsys, caplog,
+                                              rng):
+    # a deep chain takes the sampling path; its first round meets the lower
+    # bound L = 1, so one round runs, and the INFO log line says why
+    it = LabelInterner()
+    syms = alphabet(it, 2)
+    F = deep_chain(rng, 20_200, syms)
+    G = apply_random_edits(rng, F, 1, syms)
+    a, b = tmp_path / "a.paren", tmp_path / "b.paren"
+    a.write_text(serialize_paren(F, it))
+    b.write_text(serialize_paren(G, it))
+    caplog.set_level(logging.INFO, logger="tedk")
+    code, out, _ = run_cli(capsys, "compute", str(a), str(b), "--k", "1")
+    assert code == 0 and out == "1\t1\t0\t1\n"
+    assert "rounds=1 kept=1 bound=1 " in caplog.text
 
 
 def test_gen_planted(tmp_path, capsys):

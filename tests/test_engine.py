@@ -3,18 +3,23 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import tedk.engine
 import tedk.hashing
 import tedk.horizontal
 import tedk.labeling
 from tedk.context import QueryContext
-from tedk.engine import EngineConfig, mark_levels, run, ted_bounded
+from tedk._naive import banded_edit_cost
+from tedk.engine import (EngineConfig, lower_bound, mark_levels, run,
+                         ted_bounded)
 from tedk.errors import ContractError
 from tedk.forest import LabeledForest, parse_paren_text
 from tedk.generate import alphabet, apply_random_edits, planted_pair, random_forest
 from tedk.labeling import JointLabeling, lookahead_refine
-from tedk.oracle import INF, ted_exact, ted_threshold
+from tedk.oracle import INF, _label_multiset_bound, ted_exact, ted_threshold
+
+from conftest import deep_chain, forest_pairs
 
 
 def test_trivial_cases(interner, rng):
@@ -167,8 +172,10 @@ def test_rounds_below_one_rejected(interner, rng):
     F = random_forest(rng, 25, 10, syms, branch=0.85)
     G = apply_random_edits(rng, F, 1, syms)
     hcap = max(2, min(F.height(), G.height()) - 1)
-    assert run(F, G, EngineConfig(k=1, rounds=2, height_cap=hcap),
-               interner).rounds == 2  # the sampling path
+    # the sampling path; its first round is kept and meets L = 1, so it is
+    # the only one run
+    rep = run(F, G, EngineConfig(k=1, rounds=2, height_cap=hcap), interner)
+    assert (rep.value, rep.rounds, rep.kept, rep.bound) == (1, 1, 1, 1)
     with pytest.raises(ValueError):
         run(F, G, EngineConfig(k=1, rounds=0, height_cap=hcap), interner)
     # a shallow instance never asks for the round count; the config still
@@ -213,24 +220,93 @@ def test_round_height_contract(interner, rng, monkeypatch):
 
 
 def test_sampling_rounds_pinned(interner):
-    # a 30-node chain a0..a29 whose node a24 holds 200 distinct leaves, run
-    # against itself with h = 20.  Round i draws its residue from the seed
-    # (seed, 1 + i); residue 5 marks depth 25, forces the 200 leaf pairs
-    # and fails the Markov bound, and every other round is kept
+    # a 30-node chain a0..a29 whose node a24 holds 200 distinct leaves, with
+    # h = 20.  Round i draws its residue from the seed (seed, 1 + i); residue
+    # 5 marks depth 25, forces the 200 leaf pairs and fails the Markov bound.
+    # Against itself (L = 0) the first kept round answers 0 and ends the
+    # loop.  G makes a0 a leaf beside a1: ted = 2 > k but sed = 2, so
+    # L = 1 <= k; every round answers INF, none meets L, and all 40 run
+    # (residue 4 marks G's leaves and fails the Markov bound too)
     leaves = "".join(f"(b{j})" for j in range(200))
-    F = parse_paren_text("".join(f"(a{i}" + (leaves if i == 24 else "")
-                                 for i in range(30)) + ")" * 30, interner)
+    chain = [f"(a{i}" + (leaves if i == 24 else "") for i in range(30)]
+    F = parse_paren_text("".join(chain) + ")" * 30, interner)
+    G = parse_paren_text("(a0)" + "".join(chain[1:]) + ")" * 29, interner)
     kept = []
     for seed in range(6):
         residues = [int(np.random.Generator(np.random.Philox(
             np.random.SeedSequence(entropy=(seed, 1 + i)))).integers(20))
             for i in range(40)]
-        rep = run(F, F, EngineConfig(k=1, seed=seed, rounds=40,
-                                     height_cap=20), interner)
-        assert (rep.value, rep.rounds) == (0, 40)
-        assert rep.kept == 40 - residues.count(5)
+        cfg = EngineConfig(k=1, seed=seed, rounds=40, height_cap=20)
+        rep = run(F, F, cfg, interner)
+        first = next(i for i, r in enumerate(residues) if r != 5)
+        assert (rep.value, rep.rounds, rep.kept, rep.bound) == \
+            (0, first + 1, 1, 0)
+        rep = run(F, G, cfg, interner)
+        assert (rep.value, rep.rounds, rep.bound) == (INF, 40, 1)
+        assert rep.kept <= 40 - residues.count(4) - residues.count(5)
         kept.append(rep.kept)
-    assert kept == [38, 39, 40, 38, 36, 40]
+    assert kept == [35, 34, 36, 33, 34, 35]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(forest_pairs(most=30))
+def test_lower_bound_certified(pair):
+    # L = ceil(sed / 2) when sed <= 2k, else INF, and then ted > k; L is at
+    # most ted and at least the size difference and the multiset bound
+    F, G = pair
+    sed = banded_edit_cost(F.codes, G.codes, len(F.codes) + len(G.codes))
+    d = ted_exact(F, G)
+    for k in (1, 2, 3):
+        L = lower_bound(F, G, k)
+        if sed > 2 * k:
+            assert L == INF and ted_threshold(F, G, k) == INF
+        else:
+            assert L == (sed + 1) // 2 <= d
+            assert L >= max(abs(F.n - G.n), _label_multiset_bound(F, G))
+
+
+def test_deep_chain_one_round_under_auto(interner, rng):
+    # 20,200 levels, above the k = 1 height cap: the first round is kept,
+    # meets L and ends the loop that `auto` plans at 92 rounds
+    syms = alphabet(interner, 2)
+    F = deep_chain(rng, 20_200, syms)
+    G = apply_random_edits(rng, F, 1, syms)
+    rep = run(F, G, EngineConfig(k=1, seed=2), interner)
+    assert max(F.height(), G.height()) > rep.h
+    assert EngineConfig(k=1).num_rounds(F.n + G.n) == 92
+    assert (rep.rounds, rep.kept) == (1, 1)
+    assert rep.value == rep.bound == ted_threshold(F, G, 1) == 1
+
+
+def test_early_exit_keeps_the_all_rounds_minimum(interner, rng, monkeypatch):
+    # with L patched to -1 no round meets it and every planned round runs,
+    # as without the exit; the exit changes neither value nor L
+    syms = alphabet(interner, 3)
+    pairs = []
+    for t in range(60):
+        F = random_forest(rng, int(rng.integers(5, 40)), 12, syms, branch=0.8)
+        pairs.append((F, apply_random_edits(rng, F, int(rng.integers(0, 4)),
+                                            syms), t))
+    for t in range(20):
+        F, G, _ = planted_pair(rng, int(rng.integers(5, 30)), 2, 2, interner)
+        pairs.append((F, G, 60 + t))
+    exits = []
+    for F, G, t in pairs:
+        k = 1 + t % 3
+        hcap = max(2, min(F.height(), G.height()) - 1)
+        cfg = EngineConfig(k=k, seed=t, rounds=10, height_cap=hcap)
+        rep = run(F, G, cfg, interner)
+        with monkeypatch.context() as m:
+            m.setattr(tedk.engine, "lower_bound", lambda *args: -1)
+            full = run(F, G, cfg, interner)
+        assert rep.value == full.value
+        assert rep.value == INF or rep.value >= rep.bound
+        if rep.bound == INF:
+            assert rep.rounds == 0
+        elif rep.rounds:
+            assert full.rounds == 10 and rep.kept <= full.kept
+            exits.append(rep.rounds < 10)
+    assert any(exits) and not all(exits)
 
 
 def test_prefix_tables_built_once_per_query(interner, rng, monkeypatch):

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from tedk._naive import (optimal_tree_alignments, ted_brute,
                          ted_brute_constrained)
 from tedk.alignment import eval_alignment
-from tedk.forest import LabeledForest, LabelInterner
-from tedk.generate import (alphabet, apply_random_edits, plant_horizontal,
-                           plant_vertical, random_forest)
+from tedk.forest import LabeledForest
+from tedk.generate import alphabet, apply_random_edits, random_forest
 from tedk.oracle import INF, _ted_dp, ted_exact, ted_threshold
 
-from conftest import forest, is_tree_alignment, ted_constrained
+from conftest import forest, forest_pairs, is_tree_alignment, ted_constrained
 
 
 def test_exact_examples(interner):
@@ -147,30 +146,8 @@ def _ted_dp_unpruned(F: LabeledForest, G: LabeledForest, cap: int) -> int:
     return d(0, F.n, 0, G.n)
 
 
-@st.composite
-def small_forest_pairs(draw):
-    """(F, G) of at most 11 nodes each: random, edited or planted."""
-    it = LabelInterner()
-    syms = alphabet(it, draw(st.integers(1, 3)))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    F = random_forest(rng, draw(st.integers(0, 6)), draw(st.integers(1, 4)),
-                      syms)
-    kind = draw(st.sampled_from(["random", "edited", "horizontal",
-                                 "vertical"]))
-    if kind == "random":
-        return F, random_forest(rng, draw(st.integers(0, 6)), 3, syms)
-    if kind == "horizontal":
-        F = plant_horizontal(rng, F, 1, syms, reps=draw(st.integers(1, 2)))
-    elif kind == "vertical":
-        F = plant_vertical(rng, F, 1, syms, reps=draw(st.integers(1, 2)))
-    G = apply_random_edits(rng, F, draw(st.integers(0, 3)), syms)
-    if draw(st.booleans()):
-        F, G = G, F
-    return F, G
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(small_forest_pairs())
+@given(forest_pairs())
 def test_dp_matches_brute(pair):
     F, G = pair
     want = ted_brute(F, G)

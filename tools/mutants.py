@@ -50,6 +50,20 @@ MUTANTS = [
     Mutant("engine-round-seeds-shifted", "src/tedk/engine.py",
            "entropy=(cfg.seed, 1 + i)", "entropy=(cfg.seed, i)",
            ("tests/test_engine.py::test_sampling_rounds_pinned",)),
+    Mutant("lower-bound-past-ceil", "src/tedk/engine.py",
+           "return (sed + 1) // 2", "return sed // 2 + 1",
+           ("tests/test_engine.py::test_lower_bound_certified",
+            "tests/test_engine.py::test_deep_chain_one_round_under_auto")),
+    Mutant("lower-bound-floor", "src/tedk/engine.py",
+           "return (sed + 1) // 2", "return sed // 2",
+           ("tests/test_engine.py::test_lower_bound_certified",)),
+    Mutant("early-exit-strict", "src/tedk/engine.py",
+           "if kept[-1] <= bound:", "if kept[-1] < bound:",
+           ("tests/test_engine.py::test_deep_chain_one_round_under_auto",
+            "tests/test_engine.py::test_sampling_rounds_pinned")),
+    Mutant("certificate-at-k", "src/tedk/engine.py",
+           "if bound <= k else 0", "if bound < k else 0",
+           ("tests/test_engine.py::test_deep_chain_one_round_under_auto",)),
     Mutant("context-records-by-length", "src/tedk/context.py",
            'if np.array_equal(rec["codes"], codes):',
            'if len(rec["codes"]) == len(codes):',
