@@ -165,7 +165,7 @@ def _cmd_compute(args, exact_only: bool) -> int:
         cfg = EngineConfig(k=args.k, seed=args.seed, rounds=args.rounds,
                            audit=args.audit)
         try:
-            rep = engine_run(F, G, cfg, interner)
+            rep = engine_run(F, G, cfg)
         except FingerprintCollisionError as exc:
             sys.stderr.write(f"tedk: audit failed: {exc}\n")
             return EXIT_FAILED
@@ -241,7 +241,7 @@ def _cmd_bench(args) -> int:
         return EXIT_PARSE
     cfg = EngineConfig(k=args.k, seed=args.seed, rounds=args.rounds)
     t0 = time.perf_counter()
-    rep = engine_run(F, G, cfg, interner)
+    rep = engine_run(F, G, cfg)
     wall = 1e3 * (time.perf_counter() - t0)
     t = rep.timings
     print("n,k,wall_ms,reduction_ms,anchor_ms,rounds_ms,residual_ms,value")

@@ -4,13 +4,15 @@
 that reads a code string.  It owns k, the Karp-Rabin base with one table of
 its powers (`hashing.grow_powers`), the run report's phase timings, and one
 record for each of the latest two code strings asked about: the string's
-filtered runs (`horizontal.filter_runs`) and prefix table
-(`hashing.HashedSeq`), each made on first request.
+filtered runs (`horizontal.filter_runs`), prefix table (`hashing.HashedSeq`)
+and look-ahead fingerprints per depth (`labeling.lookahead_refine`), each
+made on first request.
 
 The reuse rule, for every layer: a string equal to one of the latest two
-gets that string's record.  Each pass asks for F's string, then G's, so
-two records catch G's string equal to F's, a string an earlier pass left
-unchanged, and the look-ahead's base-labeled string (the forest's own).
+gets that string's record (`derived`).  Each pass asks for F's string, then
+G's, so two records catch G's string equal to F's and a string an earlier
+pass left unchanged.  Equal strings are equal forests, so a forest's
+fingerprints, which depend on its string alone, are reused the same way.
 Strings are compared by content with a kept reference to the earlier array,
 so nothing is copied and a string passed in must not change afterwards.
 Nothing is cached at module level: the records die with the context.  With
@@ -48,7 +50,7 @@ class QueryContext:
         self.pw = grow_powers(self.pw, self.base, n)
         return self.pw[:n]
 
-    def _derived(self, codes: np.ndarray, what: str, make):
+    def derived(self, codes: np.ndarray, what, make):
         """Field `what` of the record of `codes`, made by `make` if absent."""
         for rec in self._records:
             if np.array_equal(rec["codes"], codes):
@@ -62,8 +64,8 @@ class QueryContext:
 
     def runs(self, codes: np.ndarray) -> list[Run]:
         """`filter_runs(codes, k)`."""
-        return self._derived(codes, "runs", lambda: filter_runs(codes, self.k))
+        return self.derived(codes, "runs", lambda: filter_runs(codes, self.k))
 
     def table(self, codes: np.ndarray) -> HashedSeq:
         """The prefix-hash table of `codes` under this context's base."""
-        return self._derived(codes, "table", lambda: HashedSeq(codes, self))
+        return self.derived(codes, "table", lambda: HashedSeq(codes, self))

@@ -53,6 +53,17 @@ def _int_at_least(value, least: int) -> bool:
 
 @dataclass
 class EngineConfig:
+    """One query's settings: the threshold k, the seed of the base and the
+    round residues, the number of sampling rounds ("auto" plans
+    ceil(6 log2(n + 4))), and `audit` for the dual-base fingerprint check.
+
+    `height_cap` overrides the sampling height h = 19716 k^4, which no small
+    forest reaches; it exists so that tests can drive small inputs down the
+    sampling path.  A cap below 19716 k^4 voids the with-high-probability
+    guarantee: each kept round's value is still the cost of an alignment,
+    so answers can come out too high, never too low.
+    """
+
     k: int
     seed: int = 0
     rounds: int | str = "auto"
@@ -127,8 +138,12 @@ def _anchor_node_pairs(rp: ReducedPair) -> np.ndarray:
 
 
 def run(F: LabeledForest, G: LabeledForest, cfg: EngineConfig,
-        interner: LabelInterner) -> EngineReport:
-    """Full engine run with per-phase timings."""
+        interner: LabelInterner | None = None) -> EngineReport:
+    """Full engine run with per-phase timings.
+
+    `interner` is unused and left unchanged: the partial reduction numbers
+    its fresh labels past the forests' own.  It stays for callers that
+    still pass the interner their forests were parsed with."""
     # ted(F, G) <= |F| + |G|, so a larger k changes no answer; the clamp
     # keeps the 4k+1-wide passes and the height cap sized by the input
     k = min(cfg.k, max(1, F.n + G.n))
@@ -144,7 +159,7 @@ def run(F: LabeledForest, G: LabeledForest, cfg: EngineConfig,
     t0 = time.perf_counter()
     if max(rp.f.height(), rp.g.height()) <= h:
         hb = max(1, rp.f.height(), rp.g.height())
-        report.value = shallow_ted(rp.f, rp.g, hb, interner, ctx)
+        report.value = shallow_ted(rp.f, rp.g, hb, ctx)
         ctx.timings["residual_ms"] = 1e3 * (time.perf_counter() - t0)
         return report
 
@@ -172,12 +187,12 @@ def run(F: LabeledForest, G: LabeledForest, cfg: EngineConfig,
         covered_g[M[:, 1]] = True
         if not (covered_f[marked_f].all() and covered_g[marked_g].all()):
             continue  # a marked node is left uncovered
-        Fi, Gi = partial_reduce(rp.f, rp.g, M, k, interner)
+        Fi, Gi = partial_reduce(rp.f, rp.g, M, k)
         height = max(Fi.height(), Gi.height())
         if height > h + 1:
             raise ContractError(f"partial reduction left height {height} "
                                 f"> {h + 1}")
-        kept.append(shallow_ted(Fi, Gi, h + 1, interner, ctx))
+        kept.append(shallow_ted(Fi, Gi, h + 1, ctx))
         if kept[-1] <= bound:
             break  # each round's value is >= ted_{<=k} >= L: certified
     report.kept = len(kept)
@@ -187,6 +202,7 @@ def run(F: LabeledForest, G: LabeledForest, cfg: EngineConfig,
 
 
 def ted_bounded(F: LabeledForest, G: LabeledForest, cfg: EngineConfig,
-                interner: LabelInterner) -> int | float:
-    """ted_{<=k}(F, G) with high probability (exact on the shallow path)."""
-    return run(F, G, cfg, interner).value
+                interner: LabelInterner | None = None) -> int | float:
+    """ted_{<=k}(F, G) with high probability (exact on the shallow path);
+    `interner` is unused, as in `run`."""
+    return run(F, G, cfg).value

@@ -39,11 +39,8 @@ JSON_MAX_HEIGHT = 400  # the same bound everywhere; `json`'s own guard varies
 
 
 class LabelInterner:
-    """Injective text <-> symbol map, plus a reserved range for fresh labels.
-
-    Fresh labels (separators, gadget slots) get synthetic texts containing
-    ``$``, which user tokens ([A-Za-z0-9_]+) can never collide with.
-    """
+    """Injective text <-> symbol map: symbols are 0, 1, ... in the order
+    their texts are first interned."""
 
     def __init__(self) -> None:
         self._by_text: dict[str, int] = {}
@@ -56,18 +53,6 @@ class LabelInterner:
             self._by_text[text] = sym
             self._texts.append(text)
         return sym
-
-    def fresh(self, hint: str = "fresh") -> int:
-        return self.fresh_block(1, hint)
-
-    def fresh_block(self, count: int, hint: str = "slot") -> int:
-        """Reserve `count` consecutive fresh symbols; returns the first one."""
-        base = len(self._texts)
-        for i in range(count):
-            text = f"${hint}{base + i}"
-            self._by_text[text] = base + i
-            self._texts.append(text)
-        return base
 
     def text(self, symbol: int) -> str:
         return self._texts[symbol]

@@ -1,16 +1,18 @@
 """Joint relabelings of two forests: look-ahead and compatibility refinement.
 
 A joint labeling is a pair of per-forest symbol arrays drawn from one shared
-class space.  Look-ahead refinement gives two nodes the same class exactly
-when their depth-limited labeled subtrees print the same string (realized by
-Karp-Rabin fingerprints under the query context's one base).  A trimmed
-print is the node's print with the subtrees of its descendants d levels
-below cut out; those cuts are found for all nodes at once by one sort and
-one binary search (`forest.last_at_level`), and one vectorized pass hashes
-every remaining fragment, read off the context's prefix table of the
-forest's code string, and combines each node's fragments.  Equal code
-strings are equal forests, so when G's relabeled string equals F's, G takes
-F's fingerprints and classes outright and nothing is hashed twice.
+class space.  Look-ahead refinement of the forests' own labels gives two
+nodes the same class exactly when their depth-limited labeled subtrees print
+the same string (realized by Karp-Rabin fingerprints under the query
+context's one base).  A trimmed print is the node's print with the subtrees
+of its descendants d levels below cut out; those cuts are found for all
+nodes at once by one sort and one binary search (`forest.last_at_level`),
+and one vectorized pass hashes every remaining fragment, read off the
+context's prefix table of the forest's code string, and combines each
+node's fragments.  The fingerprints go into the string's record in the
+context, keyed by depth: equal code strings are equal forests, so when G's
+string equals F's, or a later look-ahead at the same depth meets a string
+already hashed, it gets the recorded array and nothing is hashed twice.
 Compatibility refinement merges nodes reachable through chains of
 cross-forest pairs whose parenthesis positions lie within a window w.
 
@@ -39,10 +41,6 @@ class JointLabeling:
 
     f: np.ndarray
     g: np.ndarray
-
-    @staticmethod
-    def base(F: LabeledForest, G: LabeledForest) -> "JointLabeling":
-        return JointLabeling(F.labels.copy(), G.labels.copy())
 
 
 def refines(fine: JointLabeling, coarse: JointLabeling) -> bool:
@@ -80,9 +78,9 @@ def _level_descendant_cuts(F: LabeledForest, d: int):
     return owner[order], member[order]
 
 
-def _subtree_fingerprints(F: LabeledForest, codes: np.ndarray, d: int,
+def _subtree_fingerprints(F: LabeledForest, d: int,
                           ctx: QueryContext) -> np.ndarray:
-    """fp of the depth-<d trimmed subtree print, per node.
+    """fp of the depth-<d trimmed subtree print of F's codes, per node.
 
     A node v with cuts w_1..w_m (pre-order) prints the fragments
     [o(v), o(w_1)), [c(w_1)+1, o(w_2)), ..., [c(w_m)+1, c(v)+1); all n + m
@@ -90,7 +88,7 @@ def _subtree_fingerprints(F: LabeledForest, codes: np.ndarray, d: int,
     fragment; for the others fp(v) = sum of fp(f) * base^(length of v's
     fragments after f), summed per node mod 2^61-1.
     """
-    hs = ctx.table(codes)
+    hs = ctx.table(F.codes)
     owner, member = _level_descendant_cuts(F, d)
     m = len(owner)
     counts = np.bincount(owner, minlength=F.n)
@@ -129,24 +127,11 @@ def _dense_joint(fp_f: np.ndarray, fp_g: np.ndarray) -> JointLabeling:
                          inverse[len(fp_f):].astype(np.int64))
 
 
-def _joint_fingerprints(F: LabeledForest, G: LabeledForest,
-                        codes_f: np.ndarray, codes_g: np.ndarray, d: int,
-                        ctx: QueryContext) -> JointLabeling:
-    """Dense classes of both forests' trimmed-print fingerprints under the
-    base of `ctx`.
-
-    Equal code strings are equal forests, so G then takes F's fingerprints
-    instead of hashing the same string again."""
-    fp_f = _subtree_fingerprints(F, codes_f, d, ctx)
-    fp_g = (fp_f if np.array_equal(codes_f, codes_g)
-            else _subtree_fingerprints(G, codes_g, d, ctx))
-    return _dense_joint(fp_f, fp_g)
-
-
-def lookahead_refine(F: LabeledForest, G: LabeledForest, lab: JointLabeling,
-                     d: int, ctx: QueryContext) -> JointLabeling:
-    """Depth-d look-ahead refinement of `lab` (classes match iff the trimmed
-    labeled subtree prints agree, up to fingerprint collision).
+def lookahead_refine(F: LabeledForest, G: LabeledForest, d: int,
+                     ctx: QueryContext) -> JointLabeling:
+    """Depth-d look-ahead refinement of the forests' own labels (classes
+    match iff the trimmed labeled subtree prints agree, up to fingerprint
+    collision).
 
     d must be >= 1; the one base of the query context `ctx` makes classes
     comparable across both forests.  When `ctx` carries an audit twin, an
@@ -155,16 +140,22 @@ def lookahead_refine(F: LabeledForest, G: LabeledForest, lab: JointLabeling,
     """
     if d < 1:
         raise ValueError("look-ahead depth must be >= 1")
-    codes_f = F.relabeled_codes(lab.f)
-    codes_g = G.relabeled_codes(lab.g)
-    out = _joint_fingerprints(F, G, codes_f, codes_g, d, ctx)
+
+    def classes(state: QueryContext) -> JointLabeling:
+        fp = [state.derived(H.codes, ("fp", d),
+                            lambda H=H: _subtree_fingerprints(H, d, state))
+              for H in (F, G)]
+        return _dense_joint(*fp)
+
+    out = classes(ctx)
     if ctx.audit is not None:
-        out2 = _joint_fingerprints(F, G, codes_f, codes_g, d, ctx.audit)
+        out2 = classes(ctx.audit)
         if not (refines(out, out2) and refines(out2, out)):
             raise FingerprintCollisionError(
                 "fingerprint collision detected in look-ahead classes")
-    if not refines(out, lab):
-        raise ContractError("look-ahead classes do not refine the input labeling")
+    if not refines(out, JointLabeling(F.labels, G.labels)):
+        raise ContractError(
+            "look-ahead classes do not refine the forests' labels")
     return out
 
 

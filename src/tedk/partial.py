@@ -8,6 +8,12 @@ trees keep pieces aligned), pruning of redundant matched leaf pairs (a pair
 whose immediate left siblings are also matched is implied), and a uniqueness
 gadget (k+1 fresh-labeled children force any cost-<=k alignment to match the
 pair).  All constructions are vectorized over the parenthesis sequences.
+
+Fresh labels need only differ from the labels of the two forests at hand, so
+each construction numbers its own from one past the largest of those
+(`_fresh_base`); no label table is consulted or extended.  Nested reductions
+(a sampling round's, then its shallow solver's) stack their fresh labels
+above each other, since each one's input holds the labels of the one before.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, CrossingMatchingError
-from .forest import LabeledForest, LabelInterner, last_at_level
+from .forest import LabeledForest, last_at_level
 
 
 def as_matching(M) -> np.ndarray:
@@ -44,6 +50,11 @@ def validate_matching(F: LabeledForest, G: LabeledForest, M) -> np.ndarray:
     if len(xs) > 1 and ((np.diff(xs) <= 0).any() or (np.diff(ys) <= 0).any()):
         raise CrossingMatchingError("matching positions cross")
     return M
+
+
+def _fresh_base(F: LabeledForest, G: LabeledForest) -> int:
+    """The first label past every label of F and G (both non-empty)."""
+    return 1 + int(max(F.labels.max(), G.labels.max()))
 
 
 def _leaves(F: LabeledForest, nodes: np.ndarray) -> bool:
@@ -113,8 +124,7 @@ def _assemble_with_separators(F: LabeledForest, cls: np.ndarray, m: int,
     return out, new_id, sep_ids
 
 
-def reduce_height(F: LabeledForest, G: LabeledForest, M,
-                  interner: LabelInterner):
+def reduce_height(F: LabeledForest, G: LabeledForest, M):
     """Flatten matched nodes into leaves of decomposed pieces.
 
     Returns (F', G', M') with |F'| = |F| + |M|, |M'| = 2|M|, matched nodes
@@ -126,7 +136,7 @@ def reduce_height(F: LabeledForest, G: LabeledForest, M,
         return F, G, M
     order = np.argsort(F.o[M[:, 0]], kind="stable")
     M = M[order]
-    sep = interner.fresh("sep")
+    sep = _fresh_base(F, G)
     so, sc = sep << 1, (sep << 1) | 1
     cls_f = _marked_class(F, M[:, 0])
     cls_g = _marked_class(G, M[:, 1])
@@ -183,8 +193,7 @@ def prune_redundant(F: LabeledForest, G: LabeledForest, M):
     return F2, G2, M2
 
 
-def gadget(F: LabeledForest, G: LabeledForest, M, k: int,
-           interner: LabelInterner):
+def gadget(F: LabeledForest, G: LabeledForest, M, k: int):
     """Attach k+1 uniquely labeled children to each matched leaf pair."""
     M = as_matching(M)
     m = len(M)
@@ -193,7 +202,7 @@ def gadget(F: LabeledForest, G: LabeledForest, M, k: int,
     if not (_leaves(F, M[:, 0]) and _leaves(G, M[:, 1])):
         raise ValueError("gadget needs a leaves-only matching")
     slots = k + 1
-    base = interner.fresh_block(m * slots, "gad")
+    base = _fresh_base(F, G)
     syms = base + np.arange(m * slots, dtype=np.int64).reshape(m, slots)
     block = np.empty((m, 2 * slots), dtype=np.int64)
     block[:, 0::2] = syms << 1
@@ -213,9 +222,8 @@ def gadget(F: LabeledForest, G: LabeledForest, M, k: int,
     return F2, G2
 
 
-def partial_reduce(F: LabeledForest, G: LabeledForest, M, k: int,
-                   interner: LabelInterner):
+def partial_reduce(F: LabeledForest, G: LabeledForest, M, k: int):
     """Chain reduce_height -> prune_redundant -> gadget."""
-    F1, G1, M1 = reduce_height(F, G, M, interner)
+    F1, G1, M1 = reduce_height(F, G, M)
     F2, G2, M2 = prune_redundant(F1, G1, M1)
-    return gadget(F2, G2, M2, k, interner)
+    return gadget(F2, G2, M2, k)

@@ -19,7 +19,7 @@ from .alignment import Alignment, greedy_bounded_align
 from .context import QueryContext
 from .forest import LabeledForest
 from .horizontal import sync_reductions
-from .labeling import JointLabeling, compat_refine, lookahead_refine
+from .labeling import compat_refine, lookahead_refine
 from .vertical import vert_sync_reductions
 
 
@@ -44,8 +44,7 @@ def reduce_and_anchor(F: LabeledForest, G: LabeledForest,
     t0 = time.perf_counter()
     F1, G1 = sync_reductions(F, G, ctx)
     F2, G2 = vert_sync_reductions(F1, G1, ctx)
-    lam0 = JointLabeling.base(F2, G2)
-    lam_look = lookahead_refine(F2, G2, lam0, 8 * k, ctx)
+    lam_look = lookahead_refine(F2, G2, 8 * k, ctx)
     lam_refined = compat_refine(F2, G2, lam_look, 2 * k)
     seq_f = F2.relabeled_codes(lam_refined.f)
     seq_g = G2.relabeled_codes(lam_refined.g)

@@ -16,9 +16,9 @@ import numpy as np
 from .alignment import common_matching_core
 from .context import QueryContext
 from .errors import ContractError, CrossingMatchingError, NoAlignmentError
-from .forest import LabeledForest, LabelInterner
+from .forest import LabeledForest
 from .horizontal import sync_reductions
-from .labeling import JointLabeling, lookahead_refine
+from .labeling import lookahead_refine
 from .oracle import INF, ted_threshold
 from .partial import partial_reduce
 
@@ -41,7 +41,7 @@ def lift_position_matching(F: LabeledForest, G: LabeledForest,
 
 
 def shallow_ted(F: LabeledForest, G: LabeledForest, h: int,
-                interner: LabelInterner, ctx: QueryContext) -> int | float:
+                ctx: QueryContext) -> int | float:
     """ted_{<=k}(F, G) for forests of height at most h, for the threshold
     k = ctx.k and under the fingerprint base of the query context `ctx`."""
     k = ctx.k
@@ -49,10 +49,8 @@ def shallow_ted(F: LabeledForest, G: LabeledForest, h: int,
         raise ValueError("need h >= 1")
     if F.height() > h or G.height() > h:
         raise ValueError("forest height exceeds the stated bound")
-    if abs(F.n - G.n) > k:
-        return INF
     F1, G1 = sync_reductions(F, G, ctx)
-    lam = lookahead_refine(F1, G1, JointLabeling.base(F1, G1), h, ctx)
+    lam = lookahead_refine(F1, G1, h, ctx)
     seq_f = F1.relabeled_codes(lam.f)
     seq_g = G1.relabeled_codes(lam.g)
     kk, w, e = 2 * h * k, 2 * k, 18 * k
@@ -65,7 +63,7 @@ def shallow_ted(F: LabeledForest, G: LabeledForest, h: int,
     if len(M) < F1.n - allowed_loss:
         return INF
     try:  # reduce_height rejects a crossing or label-mismatched matching
-        F2, G2 = partial_reduce(F1, G1, M, k, interner)
+        F2, G2 = partial_reduce(F1, G1, M, k)
     except CrossingMatchingError:
         return INF
     bound = (k + 2) * (5 * (F1.n + G1.n - 2 * len(M)) + 4)

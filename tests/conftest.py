@@ -119,7 +119,7 @@ def sym_diff_size(A, B) -> int:
     return len(a) + len(b) - 2 * inter
 
 
-def ted_constrained(F, G, M, interner=None):
+def ted_constrained(F, G, M):
     """Minimum cost over tree alignments matching every pair of M.
 
     INF when M is not a non-crossing label-matching set.  Implemented by
@@ -132,13 +132,9 @@ def ted_constrained(F, G, M, interner=None):
         return INF
     if len(M) == 0:
         return ted_exact(F, G)
-    if interner is None:
-        interner = LabelInterner()
-        interner.fresh_block(int(max(F.labels.max(), G.labels.max())) + 1,
-                             "pad")
-    F1, G1, M1 = reduce_height(F, G, M, interner)
+    F1, G1, M1 = reduce_height(F, G, M)
     k_free = F1.n + G1.n
-    F2, G2 = gadget(F1, G1, M1, k_free, interner)
+    F2, G2 = gadget(F1, G1, M1, k_free)
     return ted_exact(F2, G2)
 
 

@@ -344,8 +344,8 @@ def test_compute_audit(tmp_path, capsys, monkeypatch):
     # the audit twin has no twin of its own
     real = tedk.labeling._subtree_fingerprints
 
-    def merged_under_audit(F, codes, d, ctx):
-        fp = real(F, codes, d, ctx)
+    def merged_under_audit(F, d, ctx):
+        fp = real(F, d, ctx)
         return fp if ctx.audit is not None else np.zeros_like(fp)
 
     monkeypatch.setattr(tedk.labeling, "_subtree_fingerprints",

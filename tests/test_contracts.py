@@ -105,13 +105,17 @@ def test_no_unused_names_in_package():
 
 
 def test_labeling_refines_contract(interner, monkeypatch):
+    # the look-ahead checks each forest's classes against its own labels:
+    # G's are F's reversed, so neither forest's labels stand in for both
     F = forest("(a(b)(c))", interner)
-    lab = JointLabeling.base(F, F)
+    G = forest("(c(b)(a))", interner)
+    lookahead_refine(F, G, 1, QueryContext(1, 0x1234567))
+    lab = JointLabeling(F.labels, F.labels)
     merged = np.zeros(F.n, dtype=np.int64)
     monkeypatch.setattr(tedk.labeling, "_dense_joint",
                         lambda fp_f, fp_g: JointLabeling(merged, merged))
     with pytest.raises(ContractError):
-        lookahead_refine(F, F, lab, 2, QueryContext(1, 0x1234567))
+        lookahead_refine(F, G, 2, QueryContext(1, 0x1234567))
     monkeypatch.setattr(tedk.labeling, "connected_components",
                         lambda graph, directed: (1, np.zeros(2 * F.n)))
     with pytest.raises(ContractError):
@@ -121,19 +125,18 @@ def test_labeling_refines_contract(interner, monkeypatch):
 def test_lookahead_audit_contract(interner, monkeypatch):
     # classes that only the audit's second base merges are a collision
     F = forest("(a(b)(c))", interner)
-    lab = JointLabeling.base(F, F)
     ctx = QueryContext(1, 0x1234567, audit=True)
     real = tedk.labeling._subtree_fingerprints
 
-    def merged_under_audit(H, codes, d, state):
-        fp = real(H, codes, d, state)
+    def merged_under_audit(H, d, state):
+        fp = real(H, d, state)
         return fp if state is ctx else np.zeros_like(fp)
 
-    lookahead_refine(F, F, lab, 2, ctx)
+    lookahead_refine(F, F, 2, QueryContext(1, 0x1234567, audit=True))
     monkeypatch.setattr(tedk.labeling, "_subtree_fingerprints",
                         merged_under_audit)
     with pytest.raises(FingerprintCollisionError):
-        lookahead_refine(F, F, lab, 2, ctx)
+        lookahead_refine(F, F, 2, ctx)
 
 
 def test_partial_leaf_contract(interner, monkeypatch):
@@ -142,7 +145,7 @@ def test_partial_leaf_contract(interner, monkeypatch):
     monkeypatch.setattr(tedk.partial, "_marked_class",
                         lambda H, marked: np.zeros(H.n, dtype=np.int64))
     with pytest.raises(ContractError):
-        reduce_height(F, F, [[0, 0]], interner)
+        reduce_height(F, F, [[0, 0]])
 
 
 def test_horizontal_overlap_contract(interner, monkeypatch):
@@ -193,7 +196,7 @@ def raised(call):
     return "nothing"
 
 F = parse_paren_text("(a(b)(c))", LabelInterner())
-lab = JointLabeling.base(F, F)
+lab = JointLabeling(F.labels, F.labels)
 merged = np.zeros(F.n, dtype=np.int64)
 print("debug", __debug__)
 print("refines", labeling.refines(JointLabeling(np.array([0, 0]), merged[:0]),
@@ -201,7 +204,7 @@ print("refines", labeling.refines(JointLabeling(np.array([0, 0]), merged[:0]),
 real = labeling._dense_joint
 labeling._dense_joint = lambda fp_f, fp_g: JointLabeling(merged, merged)
 print("lookahead", raised(lambda: labeling.lookahead_refine(
-    F, F, lab, 2, QueryContext(1, 0x1234567))))
+    F, F, 2, QueryContext(1, 0x1234567))))
 labeling._dense_joint = real
 labeling.connected_components = lambda graph, directed: (1, np.zeros(2 * F.n))
 print("compat", raised(lambda: labeling.compat_refine(F, F, lab, 2)))

@@ -4,19 +4,21 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tedk.engine
 import tedk.hashing
 import tedk.horizontal
 import tedk.labeling
+import tedk.shallow
 from tedk.context import QueryContext
 from tedk._naive import banded_edit_cost
 from tedk.engine import (EngineConfig, lower_bound, mark_levels, run,
                          ted_bounded)
 from tedk.errors import ContractError
-from tedk.forest import LabeledForest, parse_paren_text
+from tedk.forest import LabeledForest, parse_paren_text, serialize_paren
 from tedk.generate import alphabet, apply_random_edits, planted_pair, random_forest
-from tedk.labeling import JointLabeling, lookahead_refine
+from tedk.labeling import lookahead_refine
 from tedk.oracle import INF, _label_multiset_bound, ted_exact, ted_threshold
 
 from conftest import deep_chain, forest_pairs
@@ -402,9 +404,9 @@ def test_lookahead_fingerprints_equal_strings_once(interner, rng,
     calls = []
     real = tedk.labeling._subtree_fingerprints
 
-    def counted(H, codes, d, ctx):
+    def counted(H, d, ctx):
         calls.append(ctx)
-        return real(H, codes, d, ctx)
+        return real(H, d, ctx)
 
     syms = alphabet(interner, 3)
     F = random_forest(rng, 300, 7, syms)
@@ -414,13 +416,48 @@ def test_lookahead_fingerprints_equal_strings_once(interner, rng,
                               else syms[1])
     G = LabeledForest.from_codes(F.relabeled_codes(relabeled))  # same length
     ctx = QueryContext(1, 0xF1F1F1)
-    fp = real(F, F.codes, 3, ctx)
+    fp = real(F, 3, ctx)
     _, dense = np.unique(np.concatenate([fp, fp]), return_inverse=True)
     monkeypatch.setattr(tedk.labeling, "_subtree_fingerprints", counted)
     for B, audit, want in ((twin, False, 1), (twin, True, 2), (G, False, 2)):
         calls.clear()
-        out = lookahead_refine(F, B, JointLabeling.base(F, B), 3,
-                               QueryContext(1, 0xF1F1F1, audit=audit))
+        out = lookahead_refine(F, B, 3, QueryContext(1, 0xF1F1F1, audit=audit))
         assert len(calls) == want
         if B is twin:
             assert out.f.tolist() == out.g.tolist() == dense[:F.n].tolist()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(forest_pairs(most=12), st.integers(1, 3))
+def test_engine_fuzz_against_oracle(pair, cap):
+    # exact at the default cap; under a forced cap each kept round's value
+    # is the cost of an alignment, so the answer is never below the oracle
+    F, G = pair
+    for k in (1, 2, 3):
+        want = ted_threshold(F, G, k)
+        assert ted_bounded(F, G, EngineConfig(k=k, seed=k)) == want
+        forced = EngineConfig(k=k, seed=k, rounds=6, height_cap=cap)
+        assert ted_bounded(F, G, forced) >= want
+
+
+def test_query_leaves_the_interner_unchanged(interner, rng, monkeypatch):
+    # the partial reductions, the engine's and the shallow solver's, number
+    # their fresh labels past the forests' own and intern nothing
+    calls = []
+    for module in (tedk.engine, tedk.shallow):
+        real = module.partial_reduce
+
+        def counted(*args, real=real, name=module.__name__):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(module, "partial_reduce", counted)
+    syms = alphabet(interner, 3)
+    text = serialize_paren(random_forest(rng, 3000, 5, syms), interner)
+    F = parse_paren_text(text, interner)
+    G = parse_paren_text(text, interner)
+    size = interner.intern("unseen")
+    rep = run(F, G, EngineConfig(k=1, seed=3, rounds=2, height_cap=3), interner)
+    assert rep.value == 0 and rep.kept >= 1
+    assert {"tedk.engine", "tedk.shallow"} <= set(calls)
+    assert interner.intern("unseen") == size
+    assert interner.intern("later") == size + 1

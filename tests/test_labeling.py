@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import tedk.labeling
 from tedk._naive import naive_compat_classes, optimal_tree_alignments, trimmed_print
 from tedk.alignment import Alignment, eval_alignment, is_greedy
 from tedk.context import QueryContext
+from tedk.forest import LabeledForest
 from tedk.generate import alphabet, apply_random_edits, random_forest
 from tedk.hashing import M61, HashedSeq, mulmod_vec
 from tedk.labeling import (JointLabeling, _level_descendant_cuts,
@@ -28,8 +30,9 @@ def alignment_forest_cost(A, F, G, lab):
 
 
 def lookahead_cost_bound_check(F, G, lab, d, A, base):
-    """Refined cost of a tree alignment is at most d times the base cost."""
-    refined = lookahead_refine(F, G, lab, d, QueryContext(1, base))
+    """Refined cost of a tree alignment is at most d times the base cost;
+    `lab` is the forests' own labeling, which the look-ahead refines."""
+    refined = lookahead_refine(F, G, d, QueryContext(1, base))
     return (alignment_forest_cost(A, F, G, refined)
             <= d * alignment_forest_cost(A, F, G, lab))
 
@@ -46,7 +49,7 @@ def compat_cost_equal_check(F, G, lab, w, A):
 def test_lookahead_rejects_zero_depth(interner):
     F = forest("(a)", interner)
     with pytest.raises(ValueError):
-        lookahead_refine(F, F, JointLabeling.base(F, F), 0, QueryContext(1, BASE))
+        lookahead_refine(F, F, 0, QueryContext(1, BASE))
 
 
 def test_lookahead_depth_one_is_identity(interner, rng):
@@ -54,8 +57,8 @@ def test_lookahead_depth_one_is_identity(interner, rng):
     for _ in range(10):
         F = random_forest(rng, int(rng.integers(0, 20)), 4, syms)
         G = random_forest(rng, int(rng.integers(0, 20)), 4, syms)
-        lab = JointLabeling.base(F, G)
-        out = lookahead_refine(F, G, lab, 1, QueryContext(1, BASE))
+        lab = JointLabeling(F.labels, G.labels)
+        out = lookahead_refine(F, G, 1, QueryContext(1, BASE))
         assert same_partition(out, lab)
 
 
@@ -65,7 +68,7 @@ def test_lookahead_full_depth_encodes_subtrees(interner, rng):
         F = random_forest(rng, int(rng.integers(1, 15)), 4, syms)
         G = random_forest(rng, int(rng.integers(1, 15)), 4, syms)
         d = max(F.height(), G.height()) + 1
-        out = lookahead_refine(F, G, JointLabeling.base(F, G), d, QueryContext(1, BASE))
+        out = lookahead_refine(F, G, d, QueryContext(1, BASE))
         subs = ([F.codes[F.o[u]:F.c[u] + 1].tobytes() for u in range(F.n)]
                 + [G.codes[G.o[v]:G.c[v] + 1].tobytes() for v in range(G.n)])
         ids = np.concatenate([out.f, out.g])
@@ -79,8 +82,8 @@ def test_lookahead_matches_naive_trimmed_prints(interner, rng):
     for d in (1, 2, 3, 4):
         F = random_forest(rng, 25, 5, syms)
         G = random_forest(rng, 25, 5, syms)
-        lab = JointLabeling.base(F, G)
-        out = lookahead_refine(F, G, lab, d, QueryContext(1, BASE))
+        lab = JointLabeling(F.labels, G.labels)
+        out = lookahead_refine(F, G, d, QueryContext(1, BASE))
         prints = ([trimmed_print(F, lab.f, u, d) for u in range(F.n)]
                   + [trimmed_print(G, lab.g, v, d) for v in range(G.n)])
         ids = np.concatenate([out.f, out.g]).tolist()
@@ -94,8 +97,35 @@ def test_lookahead_audit_mode(interner, rng):
     syms = alphabet(interner, 2)
     F = random_forest(rng, 30, 4, syms)
     G = random_forest(rng, 30, 4, syms)
-    lookahead_refine(F, G, JointLabeling.base(F, G), 3,
-                     QueryContext(1, BASE, audit=True))
+    lookahead_refine(F, G, 3, QueryContext(1, BASE, audit=True))
+
+
+def test_lookahead_fingerprints_recorded_per_depth(interner, rng,
+                                                  monkeypatch):
+    # one context, several depths over the same two strings: each depth has
+    # its own fingerprints in the strings' records, equal to a fresh
+    # context's, and a depth asked again hashes nothing
+    syms = alphabet(interner, 2)
+    F = random_forest(rng, 60, 6, syms)
+    G = apply_random_edits(rng, F, 2, syms)
+    calls = []
+    real = tedk.labeling._subtree_fingerprints
+
+    def counted(H, d, state):
+        if state is ctx:
+            calls.append(d)
+        return real(H, d, state)
+
+    monkeypatch.setattr(tedk.labeling, "_subtree_fingerprints", counted)
+    ctx = QueryContext(1, BASE)
+    for d in (1, 2, 3, 2, 1):
+        got = lookahead_refine(F, G, d, ctx)
+        want = lookahead_refine(F, G, d, QueryContext(1, BASE))
+        assert (got.f.tolist(), got.g.tolist()) == (want.f.tolist(),
+                                                    want.g.tolist())
+    assert calls == [1, 1, 2, 2, 3, 3]
+    assert len(np.unique(lookahead_refine(F, G, 3, ctx).f)) > \
+        len(np.unique(lookahead_refine(F, G, 1, ctx).f))
 
 
 def test_audit_twin_fingerprints_under_its_own_base(rng):
@@ -111,7 +141,7 @@ def test_compat_refine_examples(interner, rng):
     # identical copies at w=0: each node lands with its positional twin
     syms = alphabet(interner, 3)
     F = random_forest(rng, 20, 4, syms)
-    out = compat_refine(F, F, JointLabeling.base(F, F), 0)
+    out = compat_refine(F, F, JointLabeling(F.labels, F.labels), 0)
     assert (out.f == out.g).all()
     assert len(np.unique(out.f)) == len(np.unique(out.f))
 
@@ -121,7 +151,7 @@ def test_compat_refine_matches_naive_closure(interner, rng):
     for w in (0, 1, 2, 4, 100):
         F = random_forest(rng, int(rng.integers(1, 25)), 4, syms)
         G = random_forest(rng, int(rng.integers(1, 25)), 4, syms)
-        lab = JointLabeling.base(F, G)
+        lab = JointLabeling(F.labels, G.labels)
         out = compat_refine(F, G, lab, w)
         naive = naive_compat_classes(F, G, lab.f.tolist(), lab.g.tolist(), w)
         got = np.concatenate([out.f, out.g]).tolist()
@@ -135,8 +165,8 @@ def test_refinement_direction(interner, rng):
     syms = alphabet(interner, 2)
     F = random_forest(rng, 25, 5, syms)
     G = random_forest(rng, 25, 5, syms)
-    lab = JointLabeling.base(F, G)
-    la = lookahead_refine(F, G, lab, 3, QueryContext(1, BASE))
+    lab = JointLabeling(F.labels, G.labels)
+    la = lookahead_refine(F, G, 3, QueryContext(1, BASE))
     assert refines(la, lab)
     cp = compat_refine(F, G, la, 2)
     assert refines(cp, la) and refines(cp, lab)
@@ -194,7 +224,7 @@ def test_lookahead_cost_bound(interner, rng):
         G = apply_random_edits(rng, F, int(rng.integers(0, 3)), syms)
         if G.n == 0 or G.n > 6:
             continue
-        lab = JointLabeling.base(F, G)
+        lab = JointLabeling(F.labels, G.labels)
         _, alns = optimal_tree_alignments(F, G)
         for A in alns[:5]:
             for d in (1, 2, 3):
@@ -207,7 +237,7 @@ def test_identity_alignment_costs_zero(interner, rng):
     syms = alphabet(interner, 2)
     F = random_forest(rng, 12, 4, syms)
     A = Alignment([(i, i) for i in range(2 * F.n + 1)])
-    lab = JointLabeling.base(F, F)
+    lab = JointLabeling(F.labels, F.labels)
     assert alignment_forest_cost(A, F, F, lab) == 0
     assert lookahead_cost_bound_check(F, F, lab, 3, A, BASE)
 
@@ -227,8 +257,7 @@ def test_optimum_alignment_greedy_under_full_lookahead(interner, rng):
         if best > 2:
             continue
         h = max(F.height(), G.height(), 1)
-        lab = lookahead_refine(F, G, JointLabeling.base(F, G), h,
-                               QueryContext(1, BASE))
+        lab = lookahead_refine(F, G, h, QueryContext(1, BASE))
         sf = F.relabeled_codes(lab.f)
         sg = G.relabeled_codes(lab.g)
         sf0 = F.codes
@@ -309,10 +338,11 @@ def test_fingerprints_match_three_path_reference(interner, rng):
     def check(F, d):
         nonlocal multi
         base = int(rng.integers(1 << 10, M61 - 2))
-        codes = F.relabeled_codes(rng.integers(0, 50, F.n))
-        got = _subtree_fingerprints(F, codes, d, QueryContext(1, base))
+        H = LabeledForest.from_codes(
+            F.relabeled_codes(rng.integers(0, 50, F.n)))
+        got = _subtree_fingerprints(H, d, QueryContext(1, base))
         assert got.dtype == np.uint64
-        assert got.tolist() == three_path_fingerprints(F, codes, d,
+        assert got.tolist() == three_path_fingerprints(H, H.codes, d,
                                                       QueryContext(1, base)).tolist()
         owner, _ = _level_descendant_cuts(F, d)
         multi += int((np.bincount(owner, minlength=F.n) >= 2).sum())

@@ -85,12 +85,12 @@ def test_constrained_examples(interner, rng):
     F = forest("(a(b)(c))", interner)
     G = forest("(a(b)(c))", interner)
     M = np.empty((0, 2), dtype=np.int64)
-    assert ted_constrained(F, G, M, interner) == ted_exact(F, G) == 0
-    assert ted_constrained(F, G, [(0, 0)], interner) == 0
+    assert ted_constrained(F, G, M) == ted_exact(F, G) == 0
+    assert ted_constrained(F, G, [(0, 0)]) == 0
     # label-mismatching pair is rejected
-    assert ted_constrained(F, G, [(0, 1)], interner) == INF
+    assert ted_constrained(F, G, [(0, 1)]) == INF
     # crossing pairs are rejected
-    assert ted_constrained(F, G, [(1, 2), (2, 1)], interner) == INF
+    assert ted_constrained(F, G, [(1, 2), (2, 1)]) == INF
 
 
 def test_constrained_matches_brute(interner, rng):
@@ -115,7 +115,7 @@ def test_constrained_matches_brute(interner, rng):
         if not pairs:
             continue
         M = np.array(pairs, dtype=np.int64)
-        assert ted_constrained(F, G, M, interner) == ted_brute_constrained(F, G, M)
+        assert ted_constrained(F, G, M) == ted_brute_constrained(F, G, M)
         done += 1
 
 

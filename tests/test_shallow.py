@@ -16,19 +16,19 @@ BASE = 0xABCDEF
 def test_identical_forests(interner, rng):
     syms = alphabet(interner, 2)
     F = random_forest(rng, 30, 5, syms)
-    assert shallow_ted(F, F, F.height(), interner, QueryContext(2, BASE)) == 0
+    assert shallow_ted(F, F, F.height(), QueryContext(2, BASE)) == 0
 
 
 def test_deep_relabel(interner):
     F = forest("(a(b(c(d(e)))))", interner)
     G = forest("(a(b(c(d(x)))))", interner)
-    assert shallow_ted(F, G, 5, interner, QueryContext(1, BASE)) == 1
+    assert shallow_ted(F, G, 5, QueryContext(1, BASE)) == 1
 
 
 def test_height_precondition(interner):
     F = forest("(a(b))", interner)
     with pytest.raises(ValueError):
-        shallow_ted(F, F, 1, interner, QueryContext(1, BASE))
+        shallow_ted(F, F, 1, QueryContext(1, BASE))
 
 
 def test_shallow_matches_oracle_random(interner, rng):
@@ -44,7 +44,7 @@ def test_shallow_matches_oracle_random(interner, rng):
             G = random_forest(rng, int(rng.integers(0, 40)), hcap, syms)
         h = max(F.height(), G.height(), 1)
         k = int(rng.integers(1, 5))
-        got = shallow_ted(F, G, h, interner, QueryContext(k, BASE + t))
+        got = shallow_ted(F, G, h, QueryContext(k, BASE + t))
         want = ted_threshold(F, G, k)
         assert got == want, (t, k)
 
@@ -55,7 +55,7 @@ def test_shallow_on_planted_periodicity(interner, rng):
         F, G, d = planted_pair(rng, int(rng.integers(0, 40)), k, 2, interner,
                                kind="horizontal")
         h = max(F.height(), G.height(), 1)
-        assert shallow_ted(F, G, h, interner, QueryContext(k, BASE + t)) == \
+        assert shallow_ted(F, G, h, QueryContext(k, BASE + t)) == \
             ted_threshold(F, G, k)
 
 
@@ -67,7 +67,7 @@ def test_no_false_infinity(interner, rng):
         G = apply_random_edits(rng, F, int(rng.integers(0, 3)), syms)
         k = int(rng.integers(1, 4))
         h = max(F.height(), G.height(), 1)
-        if shallow_ted(F, G, h, interner, QueryContext(k, BASE + t)) == INF:
+        if shallow_ted(F, G, h, QueryContext(k, BASE + t)) == INF:
             assert ted_threshold(F, G, k) == INF
 
 
@@ -80,7 +80,7 @@ def test_residual_size_contract(interner, rng, monkeypatch):
     monkeypatch.setattr(tedk.shallow, "partial_reduce",
                         lambda *args: (big, big))
     with pytest.raises(ContractError):
-        shallow_ted(F, F, F.height(), interner, QueryContext(2, BASE))
+        shallow_ted(F, F, F.height(), QueryContext(2, BASE))
 
 
 def test_crossing_shared_matching_gives_inf(interner, monkeypatch):
@@ -91,4 +91,4 @@ def test_crossing_shared_matching_gives_inf(interner, monkeypatch):
     monkeypatch.setattr(tedk.shallow, "common_matching_core",
                         lambda *args: crossing)
     assert len(tedk.shallow.lift_position_matching(F, F, crossing)) == 2
-    assert shallow_ted(F, F, 1, interner, QueryContext(1, BASE)) == INF
+    assert shallow_ted(F, F, 1, QueryContext(1, BASE)) == INF

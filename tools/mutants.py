@@ -78,6 +78,17 @@ MUTANTS = [
     Mutant("gadget-blocks-before-open", "src/tedk/partial.py",
            "np.repeat(H.c[nodes], 2 * slots)", "np.repeat(H.o[nodes], 2 * slots)",
            ("tests/test_partial.py::test_gadget_examples",)),
+    Mutant("fresh-labels-at-max-label", "src/tedk/partial.py",
+           "return 1 + int(max(F.labels.max(), G.labels.max()))",
+           "return int(max(F.labels.max(), G.labels.max()))",
+           ("tests/test_partial.py::test_gadget_labels_fresh",)),
+    Mutant("fingerprints-keyed-without-depth", "src/tedk/labeling.py",
+           'state.derived(H.codes, ("fp", d),', 'state.derived(H.codes, "fp",',
+           ("tests/test_labeling.py::test_lookahead_fingerprints_recorded_per_depth",)),
+    Mutant("lookahead-refines-f-labels-twice", "src/tedk/labeling.py",
+           "refines(out, JointLabeling(F.labels, G.labels))",
+           "refines(out, JointLabeling(F.labels, F.labels))",
+           ("tests/test_contracts.py::test_labeling_refines_contract",)),
     Mutant("vert-partner-from-high-end", "src/tedk/vertical.py",
            "next(filter(None, map(partner, window)), None)",
            "next(filter(None, map(partner, reversed(window))), None)",
