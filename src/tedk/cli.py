@@ -173,7 +173,7 @@ def _cmd_compute(args, exact_only: bool) -> int:
         log.info("n=%d k=%d rounds=%d kept=%d bound=%s timings=%s",
                  F.n + G.n, args.k, rep.rounds, rep.kept,
                  _fmt_value(rep.bound),
-                 {p: f"{v:.1f}" for p, v in rep.timings.items()})
+                 {p: round(v, 1) for p, v in rep.timings.items()})
         if args.verify:
             want = ted_threshold(F, G, args.k)
             if value != want:

@@ -7,16 +7,28 @@ both ranges at the subtree ends.  Values saturate at a cap (k+1 for a
 threshold query), and a state whose size difference already reaches the cap
 is cut without recursion, which keeps the explored region near the diagonal.
 
-Each state solves its match-roots branch first.  A distance is at least the
-size difference of its two forests, so the delete and insert branches are
-bounded below by the state's size difference alone (2 when the sizes are
-equal, and also 2 at a size difference of 1 unless the branch that leaves
-equal sizes leaves equal forests).  When the match branch is within that
-bound, it is the exact (capped) value and the delete and insert states are
-never explored.  On similar forests almost every state ends there, so the
-explored region follows the edits rather than the whole size-difference
-band.  This module is the correctness oracle for everything else, so it
-stays one recurrence with no heuristics that could change a value.
+A state whose two forests have equal sizes and are equal has value 0 and
+is answered without pushing its children and right-sibling states: ted = 0
+iff the forests are equal, and equal forests have equal pre-order
+sequences of (label, subtree size), which also determine them.  The check
+is O(1): for each shift d = gi - fi met at such a state, one numpy pass
+over F builds the prefix count of the positions t where F's (label, size)
+differs from G's at t + d, and the state is equal iff the count is the
+same at both ends of F's range.  Tables are built only for shifts met, at
+most one per shift in (-|F|, |G|) and never more than the states explored,
+each |F| + 1 int64 entries read through a memoryview.
+
+Every other state solves its match-roots branch first.  A distance is at
+least the size difference of its two forests, so the delete and insert
+branches are bounded below by the state's size difference alone (2 when
+the sizes are equal, and also 2 at a size difference of 1 unless the
+branch that leaves equal sizes leaves equal forests, which the same check
+decides).  When the match branch is within that bound, it is the exact
+(capped) value and the delete and insert states are never explored.  On
+similar forests the explored region then hugs the paths from the roots to
+the edits, with every shared subforest answered in one step.  This module
+is the correctness oracle for everything else, so it stays one recurrence
+with no heuristics that could change a value.
 """
 
 from __future__ import annotations
@@ -37,32 +49,70 @@ def _label_multiset_bound(F: LabeledForest, G: LabeledForest) -> int:
     return max(F.n, G.n) - shared
 
 
-def _ted_dp(F: LabeledForest, G: LabeledForest, cap: int) -> int:
+def _mismatch_counts(lab_f: np.ndarray, size_f: np.ndarray,
+                     lab_g: np.ndarray, size_g: np.ndarray,
+                     d: int) -> memoryview:
+    """count[t]: the positions s < t at which F's (label, subtree size)
+    differs from G's at s + d, a position with no partner in G counting as
+    a difference; an int64 array of |F| + 1 entries read as a memoryview."""
+    nf, ng = len(lab_f), len(lab_g)
+    lo = max(0, -d)
+    hi = max(lo, min(nf, ng - d))
+    diff = np.ones(nf, dtype=np.int64)
+    diff[lo:hi] = ((lab_f[lo:hi] != lab_g[lo + d:hi + d])
+                   | (size_f[lo:hi] != size_g[lo + d:hi + d]))
+    count = np.zeros(nf + 1, dtype=np.int64)
+    np.cumsum(diff, out=count[1:])
+    return memoryview(count)
+
+
+def _ted_dp(F: LabeledForest, G: LabeledForest, cap: int,
+            stats: dict | None = None) -> int:
     """min(cap, ted(F, G)) via saturating leftmost-root DP, match branch first.
 
-    A state (fi, fe, gi, ge) first solves the match-roots branch
-    sub = [labels differ] + D(children) + D(right siblings).  With
-    dd = (fe - fi) - (ge - gi), deleting the left root of F leaves size
-    difference dd - 1 and inserting that of G leaves dd + 1; a distance is at
-    least its size difference and stored values are min(cap, .), so both
-    branches cost at least min(cap + 1, L) with L = 2 if dd == 0 else |dd|.
-    When |dd| == 1 one branch leaves equal sizes, and its distance is 0 only
-    if its two forests are equal (same pre-order labels and subtree sizes),
-    so L is 2 when they differ.  Hence when sub <= L the state's value is
-    min(sub, cap) exactly, and the delete and insert states are never pushed.
+    A state (fi, fe, gi, ge) whose two forests have equal sizes and are
+    equal has value 0 and is answered at once: ted = 0 iff the forests are
+    equal, and equal forests have equal pre-order (label, subtree size)
+    sequences, which `equal` compares in O(1).  Any other state first solves
+    the match-roots branch sub = [labels differ] + D(children) +
+    D(right siblings).  With dd = (fe - fi) - (ge - gi), deleting the left
+    root of F leaves size difference dd - 1 and inserting that of G leaves
+    dd + 1; a distance is at least its size difference and stored values
+    are min(cap, .), so both branches cost at least min(cap + 1, L) with
+    L = 2 if dd == 0 else |dd|.  When |dd| == 1 one branch leaves equal
+    sizes, and its distance is 0 only if its two forests are equal, so L
+    is 2 when `equal` says they differ.  Hence when sub <= L the state's
+    value is min(sub, cap) exactly, and the delete and insert states are
+    never pushed.
+
+    `equal(a, e, b)` is true iff the node ranges [a..e) of F and
+    [b..b + e - a) of G hold equal forests, that is, iff the (label, size)
+    sequences agree on that range at shift b - a.  Each shift met gets
+    one table on first use, the prefix count of mismatched positions
+    (`_mismatch_counts`, one numpy pass over F), and the two ranges agree
+    iff the count is the same at both ends.  Tables are built only for
+    shifts met at a pair of equal-size forests: at most one per state and
+    one per shift in (-|F|, |G|), of 8 (|F| + 1) bytes each.
+
+    `stats`, when given, gains the memo size (`dp_states`) and the number
+    of tables built (`dp_tables`), added to any counts already there.
     """
     endf = F.subtree_end.tolist()
     endg = G.subtree_end.tolist()
     labf = F.labels.tolist()
     labg = G.labels.tolist()
     nf, ng = F.n, G.n
-    # a forest is its pre-order sequence of (label, subtree size), so the
-    # node ranges [a..a+m) of F and [b..b+m) of G hold equal forests iff
-    # these bytes agree from 16a and from 16b on
-    shape_f = np.stack([F.labels, F.subtree_end - np.arange(nf)], axis=1)
-    shape_g = np.stack([G.labels, G.subtree_end - np.arange(ng)], axis=1)
-    bytes_f = shape_f.astype(np.int64).tobytes()
-    bytes_g = shape_g.astype(np.int64).tobytes()
+    cols = (F.labels, F.subtree_end - np.arange(nf),
+            G.labels, G.subtree_end - np.arange(ng))
+    tables: dict[int, memoryview] = {}
+
+    def equal(a: int, e: int, b: int) -> bool:
+        d = b - a
+        count = tables.get(d)
+        if count is None:
+            count = tables[d] = _mismatch_counts(*cols, d)
+        return count[e] == count[a]
+
     memo: dict[tuple[int, int, int, int], int] = {}
     root = (0, nf, 0, ng)
     stack = [root]
@@ -86,6 +136,10 @@ def _ted_dp(F: LabeledForest, G: LabeledForest, cap: int) -> int:
             memo[s] = cap
             stack.pop()
             continue
+        if dd == 0 and equal(fi, fe, gi):
+            memo[s] = 0
+            stack.pop()
+            continue
         fend, gend = endf[fi], endg[gi]
         kids = (fi + 1, fend, gi + 1, gend)
         right = (fend, fe, gend, ge)
@@ -101,7 +155,7 @@ def _ted_dp(F: LabeledForest, G: LabeledForest, cap: int) -> int:
         low = abs(dd) or 2
         if sub == 2 and low == 1:
             a, b = (fi + 1, gi) if dd == 1 else (fi, gi + 1)
-            if bytes_f[16 * a:16 * fe] != bytes_g[16 * b:16 * ge]:
+            if not equal(a, fe, b):
                 low = 2
         if sub <= low:
             memo[s] = sub if sub < cap else cap
@@ -119,6 +173,9 @@ def _ted_dp(F: LabeledForest, G: LabeledForest, cap: int) -> int:
             continue
         memo[s] = min(1 + r3, 1 + r4, sub, cap)
         stack.pop()
+    if stats is not None:
+        stats["dp_states"] = stats.get("dp_states", 0) + len(memo)
+        stats["dp_tables"] = stats.get("dp_tables", 0) + len(tables)
     return memo[root]
 
 
@@ -129,8 +186,10 @@ def ted_exact(F: LabeledForest, G: LabeledForest) -> int:
     return _ted_dp(F, G, F.n + G.n + 1)
 
 
-def ted_threshold(F: LabeledForest, G: LabeledForest, k) -> int | float:
-    """ted(F, G) if it is at most k, INF otherwise."""
+def ted_threshold(F: LabeledForest, G: LabeledForest, k,
+                  stats: dict | None = None) -> int | float:
+    """ted(F, G) if it is at most k, INF otherwise.  `stats`, when given,
+    gains the DP's work counts (see `_ted_dp`) if the DP runs."""
     if k < 0:
         raise ValueError("threshold must be non-negative")
     if F == G:
@@ -140,5 +199,5 @@ def ted_threshold(F: LabeledForest, G: LabeledForest, k) -> int | float:
     k = int(min(k, F.n + G.n))
     if abs(F.n - G.n) > k or _label_multiset_bound(F, G) > k:
         return INF
-    val = _ted_dp(F, G, k + 1)
+    val = _ted_dp(F, G, k + 1, stats)
     return val if val <= k else INF

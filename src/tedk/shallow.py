@@ -43,7 +43,8 @@ def lift_position_matching(F: LabeledForest, G: LabeledForest,
 def shallow_ted(F: LabeledForest, G: LabeledForest, h: int,
                 ctx: QueryContext) -> int | float:
     """ted_{<=k}(F, G) for forests of height at most h, for the threshold
-    k = ctx.k and under the fingerprint base of the query context `ctx`."""
+    k = ctx.k and under the fingerprint base of the query context `ctx`.
+    The kernel DP's work counts are added to `ctx.timings`."""
     k = ctx.k
     if h < 1:
         raise ValueError("need h >= 1")
@@ -70,4 +71,4 @@ def shallow_ted(F: LabeledForest, G: LabeledForest, h: int,
     if F2.n + G2.n > bound:
         raise ContractError(f"residual of {F2.n + G2.n} nodes exceeds the "
                             f"partial-matching size bound {bound}")
-    return ted_threshold(F2, G2, k)
+    return ted_threshold(F2, G2, k, stats=ctx.timings)

@@ -140,22 +140,38 @@ def ted_constrained(F, G, M):
 
 @st.composite
 def forest_pairs(draw, most=6):
-    """(F, G): random, edited, or planted horizontally or vertically, F of at
-    most `most` nodes before planting (11 nodes each at the default)."""
+    """(F, G): random, edited, planted horizontally, vertically or both
+    ("mixed"), or "embedded"; F of at most `most` nodes before planting or
+    embedding (11 nodes each at the default).  An embedded pair edits a
+    forest of 1 or 2 nodes between a prefix and a suffix that F and G
+    share, the two parts of F split between two roots, so its inserts and
+    deletes shift the suffix's node ids."""
     it = LabelInterner()
     syms = alphabet(it, draw(st.integers(1, 3)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     F = random_forest(rng, draw(st.integers(0, most)), draw(st.integers(1, 4)),
                       syms)
     kind = draw(st.sampled_from(["random", "edited", "horizontal",
-                                 "vertical"]))
+                                 "vertical", "mixed", "embedded"]))
     if kind == "random":
         return F, random_forest(rng, draw(st.integers(0, most)), 3, syms)
-    if kind == "horizontal":
-        F = plant_horizontal(rng, F, 1, syms, reps=draw(st.integers(1, 2)))
-    elif kind == "vertical":
-        F = plant_vertical(rng, F, 1, syms, reps=draw(st.integers(1, 2)))
-    G = apply_random_edits(rng, F, draw(st.integers(0, 3)), syms)
+    if kind == "embedded":
+        cuts = [0, *(F.c[F.depth == 0] + 1).tolist()]
+        cut = cuts[draw(st.integers(0, len(cuts) - 1))]
+        mid = random_forest(rng, draw(st.integers(1, 2)), 2, syms)
+        G = apply_random_edits(rng, mid, draw(st.integers(1, 2)), syms)
+        F, G = (LabeledForest.from_codes(np.concatenate(
+            [F.codes[:cut], m.codes, F.codes[cut:]])) for m in (mid, G))
+    else:
+        # one repetition each when mixed keeps the default pairs within
+        # reach of the brute-force oracle
+        if kind in ("horizontal", "mixed"):
+            reps = 1 if kind == "mixed" else draw(st.integers(1, 2))
+            F = plant_horizontal(rng, F, 1, syms, reps=reps)
+        if kind in ("vertical", "mixed"):
+            reps = 1 if kind == "mixed" else draw(st.integers(1, 2))
+            F = plant_vertical(rng, F, 1, syms, reps=reps)
+        G = apply_random_edits(rng, F, draw(st.integers(0, 3)), syms)
     if draw(st.booleans()):
         F, G = G, F
     return F, G

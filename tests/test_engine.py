@@ -221,6 +221,36 @@ def test_round_height_contract(interner, rng, monkeypatch):
         run(F, G, EngineConfig(k=1, seed=5, height_cap=hcap), interner)
 
 
+def _pinned_chains(interner):
+    """F, a chain a0..a29 whose node a24 holds 200 distinct leaves, and G,
+    F with a0 made a leaf beside a1 (ted 2)."""
+    leaves = "".join(f"(b{j})" for j in range(200))
+    chain = [f"(a{i}" + (leaves if i == 24 else "") for i in range(30)]
+    F = parse_paren_text("".join(chain) + ")" * 30, interner)
+    G = parse_paren_text("(a0)" + "".join(chain[1:]) + ")" * 29, interner)
+    return F, G
+
+
+def test_report_sums_dp_work(interner, monkeypatch):
+    # the report adds up the kernel DP's states and tables over the query's
+    # DP calls, here one in each of three kept rounds
+    kernels = []
+    real = tedk.shallow.ted_threshold
+
+    def spy(F, G, k, stats=None):
+        kernels.append((F, G, k))
+        return real(F, G, k, stats=stats)
+    monkeypatch.setattr(tedk.shallow, "ted_threshold", spy)
+    F, G = _pinned_chains(interner)
+    rep = run(F, G, EngineConfig(k=1, seed=1, rounds=3, height_cap=20))
+    assert rep.kept == len(kernels) == 3
+    want = {}
+    for A, B, k in kernels:
+        real(A, B, k, want)
+    assert want["dp_states"] > 0
+    assert {key: rep.timings[key] for key in want} == want
+
+
 def test_sampling_rounds_pinned(interner):
     # a 30-node chain a0..a29 whose node a24 holds 200 distinct leaves, with
     # h = 20.  Round i draws its residue from the seed (seed, 1 + i); residue
@@ -229,10 +259,7 @@ def test_sampling_rounds_pinned(interner):
     # loop.  G makes a0 a leaf beside a1: ted = 2 > k but sed = 2, so
     # L = 1 <= k; every round answers INF, none meets L, and all 40 run
     # (residue 4 marks G's leaves and fails the Markov bound too)
-    leaves = "".join(f"(b{j})" for j in range(200))
-    chain = [f"(a{i}" + (leaves if i == 24 else "") for i in range(30)]
-    F = parse_paren_text("".join(chain) + ")" * 30, interner)
-    G = parse_paren_text("(a0)" + "".join(chain[1:]) + ")" * 29, interner)
+    F, G = _pinned_chains(interner)
     kept = []
     for seed in range(6):
         residues = [int(np.random.Generator(np.random.Philox(

@@ -169,3 +169,43 @@ def test_dp_matches_unpruned_recurrence(interner, rng):
                               int(rng.integers(1, 9)), syms)
         for cap in (1, 2, 3, 5, F.n + G.n + 1):
             assert _ted_dp(F, G, cap) == _ted_dp_unpruned(F, G, cap)
+    # realistic sizes, where the equal-forest exit fires at non-zero shifts:
+    # a shared prefix and suffix around a middle with at most 3 edits
+    for t in range(40):
+        syms = syms_pool[t % 3]
+        P, S = (random_forest(rng, int(rng.integers(100, 181)),
+                              int(rng.integers(1, 9)), syms)
+                for _ in range(2))
+        mid = random_forest(rng, int(rng.integers(1, 40)),
+                            int(rng.integers(1, 6)), syms)
+        edited = apply_random_edits(rng, mid, int(rng.integers(0, 4)), syms)
+        F, G = (LabeledForest.from_codes(np.concatenate(
+            [P.codes, m.codes, S.codes])) for m in (mid, edited))
+        want = [_ted_dp_unpruned(F, G, cap) for cap in range(1, 6)]
+        assert want == [_ted_dp(F, G, cap) for cap in range(1, 6)]
+        # at most 3 edits, so the value at cap 5 is ted itself
+        assert want[-1] <= 3
+        assert _ted_dp(F, G, F.n + G.n + 1) == want[-1]
+
+
+def test_dp_states_follow_the_edit(interner, rng):
+    # a root list of 200 copies of one 50-node tree, one node relabeled in
+    # the last copy: the equal-forest exit answers each shared copy in one
+    # state, where walking them costs about 2 states per node
+    syms = alphabet(interner, 3)
+    body = random_forest(rng, 49, 6, syms).codes
+    root = int(syms[0])
+    tree = np.concatenate([[root << 1], body, [(root << 1) | 1]])
+    F = LabeledForest.from_codes(np.tile(tree, 200))
+    u = F.n - 50 + int(rng.integers(50))
+    lab = int(syms[1]) if F.labels[u] == syms[0] else int(syms[0])
+    codes = F.codes.copy()
+    codes[F.o[u]], codes[F.c[u]] = lab << 1, (lab << 1) | 1
+    G = LabeledForest.from_codes(codes)
+    stats = {}
+    assert ted_threshold(F, G, 2, stats) == 1
+    assert 1 <= stats["dp_tables"] and stats["dp_states"] < F.n // 4
+    # a second call adds to the counts; equal forests run no DP
+    twice = {key: 2 * value for key, value in stats.items()}
+    assert ted_threshold(F, G, 2, stats) == 1 and stats == twice
+    assert ted_threshold(F, F, 2, stats) == 0 and stats == twice

@@ -89,6 +89,17 @@ MUTANTS = [
            "refines(out, JointLabeling(F.labels, G.labels))",
            "refines(out, JointLabeling(F.labels, F.labels))",
            ("tests/test_contracts.py::test_labeling_refines_contract",)),
+    Mutant("dp-equal-exit-off", "src/tedk/oracle.py",
+           "if dd == 0 and equal(fi, fe, gi):", "if False:",
+           ("tests/test_oracle.py::test_dp_states_follow_the_edit",)),
+    Mutant("dp-shift-sign-flipped", "src/tedk/oracle.py",
+           "d = b - a", "d = a - b",
+           ("tests/test_oracle.py::test_dp_matches_unpruned_recurrence",
+            "tests/test_oracle.py::test_dp_matches_brute")),
+    Mutant("dp-count-read-off-by-one", "src/tedk/oracle.py",
+           "return count[e] == count[a]", "return count[e - 1] == count[a]",
+           ("tests/test_oracle.py::test_dp_matches_unpruned_recurrence",
+            "tests/test_oracle.py::test_dp_matches_brute")),
     Mutant("vert-partner-from-high-end", "src/tedk/vertical.py",
            "next(filter(None, map(partner, window)), None)",
            "next(filter(None, map(partner, reversed(window))), None)",
