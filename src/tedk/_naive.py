@@ -295,7 +295,8 @@ def all_tai_mappings(F: LabeledForest, G: LabeledForest):
 
 
 def mapping_cost(F, G, pairs) -> int:
-    mismatch = sum(1 for (u, v) in pairs if F.labels[u] != G.labels[v])
+    lab_f, lab_g = F.labels, G.labels
+    mismatch = sum(1 for (u, v) in pairs if lab_f[u] != lab_g[v])
     return (F.n - len(pairs)) + (G.n - len(pairs)) + mismatch
 
 
@@ -307,8 +308,9 @@ def ted_brute_constrained(F: LabeledForest, G: LabeledForest, M) -> float:
     """min cost over Tai mappings that match every pair of M."""
     best = float("inf")
     want = {(int(u), int(v)) for (u, v) in np.asarray(M).reshape(-1, 2)}
+    lab_f, lab_g = F.labels, G.labels
     for (u, v) in want:
-        if F.labels[u] != G.labels[v]:
+        if lab_f[u] != lab_g[v]:
             return float("inf")
     for p in all_tai_mappings(F, G):
         if want <= set(p):

@@ -116,17 +116,19 @@ def is_greedy(A: Alignment, X, Y) -> bool:
     return bool((X[b[:, 0]] != Y[b[:, 1]]).all())
 
 
-def _lce(X: np.ndarray, Y: np.ndarray, Xl: list, Yl: list, x: int, y: int) -> int:
+def _lce(X: np.ndarray, Y: np.ndarray, Xm: memoryview, Ym: memoryview,
+         x: int, y: int) -> int:
     """Exact longest common extension.
 
     Most wavefront queries terminate within a few characters, so the first
-    handful is compared through plain list indexing; long extensions fall
-    back to doubling vector compares.
+    handful is compared element by element through memoryviews of the two
+    arrays (which index strided views too, and copy nothing); long
+    extensions fall back to doubling vector compares.
     """
-    n = min(len(Xl) - x, len(Yl) - y)
+    n = min(len(Xm) - x, len(Ym) - y)
     t = 0
     while t < n and t < 8:
-        if Xl[x + t] != Yl[y + t]:
+        if Xm[x + t] != Ym[y + t]:
             return t
         t += 1
     chunk = 128
@@ -186,7 +188,7 @@ def greedy_bounded_align(X, Y, k: int, w: int) -> Alignment | None:
     delta = ny - nx
     if abs(delta) > w:
         return None
-    Xl, Yl = X.tolist(), Y.tolist()
+    Xm, Ym = memoryview(X), memoryview(Y)
     k_eff = min(k, nx + ny)
     width = 2 * w + 1
     end = min(nx, ny - w)  # least sequence limit over the band
@@ -222,7 +224,7 @@ def greedy_bounded_align(X, Y, k: int, w: int) -> Alignment | None:
                     s, op = stay, 0
                 if s < 0:
                     continue
-            x = s + _lce(X, Y, Xl, Yl, s, s + j) if s < limit else s
+            x = s + _lce(X, Y, Xm, Ym, s, s + j) if s < limit else s
             row[j + w] = x
             row_s[j + w] = s
             row_op[j + w] = op

@@ -17,11 +17,13 @@ ancestor) all come from one stable sort and one binary search,
 (`lca_depth`), so no ancestor table is built.  Likewise every parenthesis
 pairing in the package (forest construction, text parsing, the rotation test
 of horizontal periods) goes through `_pair_parens`, one stable sort of the
-nesting levels.  Both sorts order small non-negative integers, so they sort
-them as the smallest unsigned type that holds them (`_stable_order`): numpy
-radix-sorts 8- and 16-bit keys in linear time, which covers every forest
-under 2^16 levels deep.  Parsing interns each distinct label once, in sorted
-order, and maps the tokens through one dict.
+nesting levels, then one xor per pair to check its labels and one scatter
+by position to give each node its close.  Both sorts order small
+non-negative integers, so they sort them as the smallest unsigned type that
+holds them (`_stable_order`): numpy radix-sorts 8- and 16-bit keys in
+linear time, which covers every forest under 2^16 levels deep.  Parsing
+interns each distinct label once, in sorted order, and maps the tokens
+through one dict.
 """
 
 from __future__ import annotations
@@ -138,35 +140,34 @@ def _pair_parens(codes: np.ndarray):
     Vectorized: positions sorted stably by nesting level alternate
     open/close within each level, giving the matching in one stable sort
     (`_stable_order`, a linear radix sort while the height is below 2^16).
+    Once the depths are balanced the sides alternate, since a level's next
+    open needs the close that ends its last one, so one xor checks each
+    pair: an open and a close agree in the label iff their codes differ in
+    the side bit alone.  The partners are scattered by position, so each
+    node's close is read at its open.
     """
     m = len(codes)
     if m % 2 != 0:
         raise UnbalancedError("odd number of parentheses")
-    n = m // 2
-    if n == 0:
+    if m == 0:
         e = np.empty(0, dtype=np.int64)
         return e, e.copy(), e.copy()
-    sides = (codes & 1).astype(np.int64)
-    delta = 1 - 2 * sides
-    E = np.cumsum(delta)
+    sides = (codes & 1).astype(np.int8)
+    E = np.cumsum(1 - 2 * sides, dtype=np.int64)
     if E[-1] != 0 or E.min() < 0:
         raise UnbalancedError("mismatched parenthesis depth")
-    level = E + sides  # open: level after push; close: level before pop
-    order = _stable_order(level)
+    order = _stable_order(E + sides)  # open: level after push; close: before pop
     po = order[0::2]
     pc = order[1::2]
-    if (codes[po] & 1).any() or not (codes[pc] & 1).all():
-        raise UnbalancedError("parenthesis sides do not alternate per level")
-    if not np.array_equal(codes[po] >> 1, codes[pc] >> 1):
-        bad = int(np.flatnonzero(codes[po] >> 1 != codes[pc] >> 1)[0])
+    bad = np.flatnonzero(codes[po] ^ codes[pc] != 1)
+    if len(bad):
+        b = int(bad[0])
         raise LabelMismatchError(
-            f"label of close at {int(pc[bad])} differs from open at {int(po[bad])}")
-    o = np.flatnonzero(sides == 0).astype(np.int64)
-    open_rank = np.cumsum(1 - sides) - 1
-    c = np.empty(n, dtype=np.int64)
-    c[open_rank[po]] = pc
-    depth = E[o] - 1
-    return o, c, depth
+            f"label of close at {int(pc[b])} differs from open at {int(po[b])}")
+    at = np.empty(m, dtype=np.int64)
+    at[po] = pc
+    o = np.flatnonzero(sides == 0)
+    return o, at[o], E[o] - 1
 
 
 class LabeledForest:
@@ -382,10 +383,10 @@ def serialize_json(F: LabeledForest, interner: LabelInterner) -> str:
         raise ValueError(f"forest of height {F.height()} is too deep for JSON")
     out: list = []
     holders: dict[int, list] = {}
-    parent = F.parent
-    for u in range(F.n):
-        node = {"label": interner.text(int(F.labels[u])), "children": []}
-        p = int(parent[u])
+    parent = F.parent.tolist()
+    for u, sym in enumerate(F.labels.tolist()):
+        node = {"label": interner.text(sym), "children": []}
+        p = parent[u]
         if p == VIRTUAL_ROOT:
             out.append(node)
         else:

@@ -31,7 +31,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .context import QueryContext
 from .errors import ContractError, FingerprintCollisionError
-from .forest import LabeledForest, OPEN, last_at_level
+from .forest import LabeledForest, last_at_level
 from .hashing import mulmod_vec, sum_mod
 
 
@@ -164,30 +164,37 @@ def compat_refine(F: LabeledForest, G: LabeledForest, lab: JointLabeling,
     """Connected components of the transitive closure of w-compatibility.
 
     Nodes u in F and v in G are w-compatible when they share a class and both
-    parenthesis positions differ by at most w.
+    parenthesis positions differ by at most w.  The classes must be
+    non-negative.
+
+    G's class, closing position and node id are laid out by opening
+    position, padded by w on both sides and sized for the longer string;
+    a close or a pad holds class -1, which matches no node.  Each offset
+    from -w to w is then one gather at F's opening positions shifted by it,
+    and the closing positions are gathered only where the classes agree.
+    A node with no compatible partner is a component of its own, so the
+    graph holds only the cross-forest edges.
     """
     nf, ng = F.n, G.n
     total = nf + ng
     if total == 0:
         return JointLabeling(lab.f.copy(), lab.g.copy())
-    rows = [np.arange(total, dtype=np.int64)]
-    cols = [np.arange(total, dtype=np.int64)]
-    node_at_g = G.node_at
-    mg = 2 * ng
+    size = 2 * max(nf, ng) + 2 * w
+    cls_at = np.full(size, -1, dtype=np.int64)
+    close_at = np.empty(size, dtype=np.int64)
+    node_at = np.empty(size, dtype=np.int64)
+    cls_at[G.o + w] = lab.g
+    close_at[G.o + w] = G.c
+    node_at[G.o + w] = np.arange(nf, total, dtype=np.int64)
+    rows = [np.empty(0, dtype=np.int64)]
+    cols = [np.empty(0, dtype=np.int64)]
     for off in range(-w, w + 1):
-        if nf == 0 or ng == 0:
-            break
-        pos = F.o + off
-        ok = (pos >= 0) & (pos < mg)
-        u = np.flatnonzero(ok)
-        gpos = pos[u]
-        is_open = (G.codes[gpos] & 1) == OPEN
-        u = u[is_open]
-        v = node_at_g[gpos[is_open]]
-        good = (lab.f[u] == lab.g[v]) & (np.abs(F.c[u] - G.c[v]) <= w)
-        u, v = u[good], v[good]
-        rows.append(u)
-        cols.append(v + nf)
+        at = F.o + (off + w)
+        u = np.flatnonzero(cls_at[at] == lab.f)
+        at = at[u]
+        near = np.abs(F.c[u] - close_at[at]) <= w
+        rows.append(u[near])
+        cols.append(node_at[at[near]])
     r = np.concatenate(rows)
     c = np.concatenate(cols)
     graph = coo_matrix((np.ones(len(r), dtype=np.int8), (r, c)),

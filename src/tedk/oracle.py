@@ -180,10 +180,24 @@ def _ted_dp(F: LabeledForest, G: LabeledForest, cap: int,
 
 
 def ted_exact(F: LabeledForest, G: LabeledForest) -> int:
-    """Exact unit-cost tree edit distance (relabel/delete/insert)."""
+    """Exact unit-cost tree edit distance (relabel/delete/insert).
+
+    The DP runs under the caps 2, 4, 8, ... and the first value below its
+    cap is the distance, since a capped run gives min(cap, ted).  A small
+    cap cuts every state whose size difference reaches it, so a small
+    distance is found near the diagonal; the last cap, |F| + |G| + 1, is
+    above every distance.
+    """
     if F == G:
         return 0
-    return _ted_dp(F, G, F.n + G.n + 1)
+    top = F.n + G.n + 1
+    cap = 2
+    while True:
+        cap = min(cap, top)
+        val = _ted_dp(F, G, cap)
+        if val < cap:
+            return val
+        cap *= 2
 
 
 def ted_threshold(F: LabeledForest, G: LabeledForest, k,

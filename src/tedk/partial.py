@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, CrossingMatchingError
-from .forest import LabeledForest, last_at_level
+from .forest import LabeledForest, _stable_order, last_at_level
 
 
 def as_matching(M) -> np.ndarray:
@@ -74,7 +74,8 @@ def _marked_class(F: LabeledForest, marked: np.ndarray) -> np.ndarray:
 
     Ranked in pre-order, the marked nodes form a sequence whose level is the
     marked nesting depth; u's nearest marked ancestor is the last marked node
-    before u one marked level above u (`last_at_level`).
+    before u one marked level above u (`last_at_level`).  The marked nodes
+    must be distinct.
     """
     n = F.n
     cls = np.zeros(n, dtype=np.int64)
@@ -82,10 +83,14 @@ def _marked_class(F: LabeledForest, marked: np.ndarray) -> np.ndarray:
         return cls
     rank = np.argsort(marked, kind="stable")
     ranked = marked[rank]
-    # number of marked proper ancestors of u = marked intervals open at o(u)
-    opens_before = np.searchsorted(ranked, np.arange(n))
-    closes_before = np.searchsorted(np.sort(F.c[marked]), F.o)
-    md = opens_before - closes_before
+    # number of marked proper ancestors of u = marked intervals open at o(u):
+    # marked nodes before u in pre-order, less marked closes before o(u)
+    is_m = np.zeros(n, dtype=bool)
+    is_m[marked] = True
+    opens_before = np.cumsum(is_m) - is_m
+    closes = np.zeros(2 * n, dtype=bool)
+    closes[F.c[marked]] = True
+    md = opens_before - np.cumsum(closes)[F.o]
     nodes = np.flatnonzero(md > 0)
     at = last_at_level(md[ranked], md[nodes] - 1, opens_before[nodes])
     cls[nodes] = rank[at] + 1
@@ -101,7 +106,7 @@ def _assemble_with_separators(F: LabeledForest, cls: np.ndarray, m: int,
     pos_cls = np.empty(2 * n, dtype=np.int64)
     pos_cls[F.o] = cls
     pos_cls[F.c] = cls
-    perm = np.argsort(pos_cls, kind="stable")
+    perm = _stable_order(pos_cls)
     sorted_codes = F.codes[perm]
     sorted_cls = pos_cls[perm]
     out_len = 2 * n + 2 * m

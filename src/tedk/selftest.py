@@ -87,10 +87,11 @@ def _check_partial(rng, count: int, interner) -> tuple[int, int]:
         G = apply_random_edits(rng, F, int(rng.integers(0, 2)), syms)
         # grow a random non-crossing matching greedily
         pairs = []
+        lab_f, lab_g = F.labels, G.labels
         for u in rng.permutation(F.n)[:3]:
             for v in rng.permutation(G.n):
                 cand = pairs + [(int(u), int(v))]
-                if F.labels[u] == G.labels[v]:
+                if lab_f[u] == lab_g[v]:
                     try:
                         validate_matching(F, G, np.array(cand))
                         pairs = cand

@@ -116,6 +116,32 @@ def test_greedy_align_matches_banded_dp(rng):
             assert is_greedy(A, X, Y)
 
 
+def test_greedy_align_reads_strided_views(rng):
+    # the same alignment on strided and reversed views as on contiguous
+    # copies of them: each string sits at the even positions of an array
+    # twice its length, between junk characters
+    for t in range(150):
+        X0 = rng.integers(0, 1 + t % 3, int(rng.integers(0, 120)))
+        Y0 = X0.copy()
+        for _ in range(int(rng.integers(0, 4))):
+            at = int(rng.integers(0, len(Y0) + 1))
+            Y0 = (np.insert(Y0, at, rng.integers(0, 4)) if rng.random() < 0.5
+                  or len(Y0) == 0 else np.delete(Y0, min(at, len(Y0) - 1)))
+        views = []
+        for S in (X0, Y0):
+            spread = rng.integers(5, 9, 2 * len(S))
+            spread[0::2] = S
+            views.append(spread[0::2] if t % 2 else spread[-2::-2])
+        X, Y = views
+        w = int(rng.integers(0, 4))
+        for k in (w, w + 3, w + len(X) + len(Y)):
+            A = greedy_bounded_align(X, Y, k, w)
+            B = greedy_bounded_align(X.copy(), Y.copy(), k, w)
+            assert (A is None) == (B is None)
+            if A is not None:
+                assert A == B
+
+
 def test_greedy_align_deterministic(rng):
     X = rng.integers(0, 2, 30)
     Y = rng.integers(0, 2, 30)

@@ -131,6 +131,94 @@ def test_parse_matches_stack_parser(rng):
     assert seen == {"forest", ParseError, UnbalancedError}
 
 
+def _pairing_error(codes):
+    """Reference validation: the (error type, message) that `_pair_parens`
+    raises on `codes`, or None.  A depth walk, then a stack walk whose pairs
+    are compared by nesting level, in position order within a level: the
+    order of the stable sort."""
+    codes = [int(x) for x in codes]
+    if len(codes) % 2:
+        return UnbalancedError, "odd number of parentheses"
+    depth = 0
+    for x in codes:
+        depth += 1 - 2 * (x & 1)
+        if depth < 0:
+            break
+    if depth != 0:
+        return UnbalancedError, "mismatched parenthesis depth"
+    stack, pairs = [], []
+    for p, x in enumerate(codes):
+        if x & 1 == 0:
+            stack.append(p)
+        else:
+            q = stack.pop()
+            pairs.append((len(stack), q, p))
+    for _, q, p in sorted(pairs):
+        if codes[q] >> 1 != codes[p] >> 1:
+            return (LabelMismatchError,
+                    f"label of close at {p} differs from open at {q}")
+    return None
+
+
+def _raised(codes):
+    try:
+        _pair_parens(np.asarray(codes, dtype=np.int64))
+    except (UnbalancedError, LabelMismatchError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_pair_parens_errors_match_reference(rng):
+    a, b, c, d = (x << 1 for x in (0, 1, 2, 3))
+    cases = {
+        "odd length": [a, a | 1, a],
+        "negative depth": [a | 1, a],
+        "non-zero final depth": [a, b, b | 1, a],
+        "mismatch on the deepest level": [a, b, c, d | 1, b | 1, a | 1],
+        "mismatches on two levels": [a, b, c, d | 1, a | 1, a | 1],
+        "negative labels": [a, -2, 1, a | 1],
+    }
+    want = {
+        "odd length": (UnbalancedError, "odd number of parentheses"),
+        "negative depth": (UnbalancedError, "mismatched parenthesis depth"),
+        "non-zero final depth": (UnbalancedError,
+                                 "mismatched parenthesis depth"),
+        "mismatch on the deepest level": (
+            LabelMismatchError, "label of close at 3 differs from open at 2"),
+        "mismatches on two levels": (
+            LabelMismatchError, "label of close at 4 differs from open at 1"),
+        "negative labels": (
+            LabelMismatchError, "label of close at 2 differs from open at 1"),
+    }
+    for name, codes in cases.items():
+        assert _raised(codes) == _pairing_error(codes) == want[name], name
+    # random strings near balance, labels from -2 to 2, with side and label
+    # flips
+    seen = set()
+    for _ in range(2000):
+        m = int(rng.integers(0, 14))
+        sides = rng.permutation(np.arange(m) % 2)
+        labels = rng.integers(-2, 3, m)
+        codes = (labels << 1) | sides
+        if rng.random() < 0.7:  # a balanced string with matching labels
+            codes, stack = [], []
+            for side, label in zip(sides.tolist(), labels.tolist()):
+                if side == 0 or not stack:
+                    stack.append(label)
+                    codes.append(label << 1)
+                else:
+                    codes.append((stack.pop() << 1) | 1)
+            codes += [(x << 1) | 1 for x in reversed(stack)]
+            for _ in range(int(rng.integers(0, 3))):
+                if codes:
+                    at = int(rng.integers(len(codes)))
+                    codes[at] ^= int(rng.choice([1, 2, 4]))
+        got = _raised(codes)
+        assert got == _pairing_error(codes), codes
+        seen.add(got[0] if got else None)
+    assert seen == {None, UnbalancedError, LabelMismatchError}
+
+
 def test_label_mismatch_from_codes(interner):
     a = interner.intern("a")
     b = interner.intern("b")
@@ -245,6 +333,24 @@ def test_json_round_trip(interner, rng):
     deeper = '[{"label": "a", "children": ' * (h + 1) + "[]" + "}]" * (h + 1)
     with pytest.raises(ParseError, match="too deep"):
         parse_json_text(deeper, interner)
+
+
+def test_serialize_json_reads_labels_once(interner, rng, monkeypatch):
+    # `labels` builds the whole label array on each read; one call of
+    # `serialize_json` reads it once, not once per node
+    F = random_forest(rng, 300, 8, alphabet(interner, 3))
+    labels = LabeledForest.labels
+    reads = []
+
+    def counted(self):
+        reads.append(self)
+        return labels.fget(self)
+
+    monkeypatch.setattr(LabeledForest, "labels", property(counted))
+    text = serialize_json(F, interner)
+    assert len(reads) == 1
+    monkeypatch.undo()
+    assert parse_json_text(text, interner) == F
 
 
 def test_json_labels_follow_paren_rule(interner):

@@ -143,22 +143,36 @@ def test_compat_refine_examples(interner, rng):
     F = random_forest(rng, 20, 4, syms)
     out = compat_refine(F, F, JointLabeling(F.labels, F.labels), 0)
     assert (out.f == out.g).all()
-    assert len(np.unique(out.f)) == len(np.unique(out.f))
+    # at w = 0 a node is compatible only with its twin: one class per pair
+    assert len(np.unique(out.f)) == F.n
 
 
 def test_compat_refine_matches_naive_closure(interner, rng):
+    # sizes that differ, an empty side, and windows from 0 to past twice the
+    # longer string; labels are the forests' own or random classes
     syms = alphabet(interner, 2)
-    for w in (0, 1, 2, 4, 100):
-        F = random_forest(rng, int(rng.integers(1, 25)), 4, syms)
-        G = random_forest(rng, int(rng.integers(1, 25)), 4, syms)
-        lab = JointLabeling(F.labels, G.labels)
+    for t in range(300):
+        nf, ng = (int(x) for x in rng.integers(0, 25, 2))
+        if t % 10 == 0:
+            nf = 0
+        elif t % 10 == 1:
+            ng = 0
+        F = random_forest(rng, nf, 4, syms)
+        G = random_forest(rng, ng, 4, syms)
+        if t % 3:
+            lab = JointLabeling(F.labels, G.labels)
+        else:
+            lab = JointLabeling(rng.integers(0, 3, F.n), rng.integers(0, 3, G.n))
+        if t % 4 == 0:
+            w = 2 * max(F.n, G.n) + int(rng.integers(0, 3))
+        else:
+            w = int(rng.choice([0, 1, 2, 4]))
         out = compat_refine(F, G, lab, w)
         naive = naive_compat_classes(F, G, lab.f.tolist(), lab.g.tolist(), w)
-        got = np.concatenate([out.f, out.g]).tolist()
-        groups = {}
-        for a, b in zip(got, naive):
-            assert groups.setdefault(a, b) == b
-        assert len(set(got)) == len(set(naive))
+        # the same partition, its classes numbered by their first node
+        first = {}
+        want = [first.setdefault(root, len(first)) for root in naive]
+        assert np.concatenate([out.f, out.g]).tolist() == want
 
 
 def test_refinement_direction(interner, rng):

@@ -185,7 +185,11 @@ def test_dp_matches_unpruned_recurrence(interner, rng):
         assert want == [_ted_dp(F, G, cap) for cap in range(1, 6)]
         # at most 3 edits, so the value at cap 5 is ted itself
         assert want[-1] <= 3
-        assert _ted_dp(F, G, F.n + G.n + 1) == want[-1]
+        unbounded = _ted_dp(F, G, F.n + G.n + 1)
+        assert unbounded == want[-1]
+        # ted_exact raises its cap from 2 and stops at the first value
+        # below it
+        assert ted_exact(F, G) == unbounded
 
 
 def test_dp_states_follow_the_edit(interner, rng):

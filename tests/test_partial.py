@@ -3,6 +3,7 @@ import pytest
 
 from tedk._naive import ted_brute_constrained
 from tedk.errors import CrossingMatchingError
+from tedk.forest import VIRTUAL_ROOT
 from tedk.generate import alphabet, apply_random_edits, random_forest
 from tedk.oracle import INF, ted_threshold
 from tedk.partial import (_marked_class, gadget, partial_reduce,
@@ -234,3 +235,40 @@ def test_marked_class_matches_stack_walk(interner, rng):
     F = deep_chain(rng, 20_200, syms)
     marked = rng.permutation(F.n)[:F.n // 3].astype(np.int64)
     assert _marked_class(F, marked).tolist() == _walk_marked_class(F, marked)
+
+
+def _parent_walk_marked_class(F, marked):
+    """Reference `_marked_class`: from each node, walk up `parent` to the
+    first marked node."""
+    index_of = {int(v): i for i, v in enumerate(marked)}
+    parent = F.parent.tolist()
+    cls = []
+    for u in range(F.n):
+        p = parent[u]
+        while p != VIRTUAL_ROOT and p not in index_of:
+            p = parent[p]
+        cls.append(0 if p == VIRTUAL_ROOT else index_of[p] + 1)
+    return cls
+
+
+def test_marked_class_matches_parent_walk(interner, rng):
+    # empty and full marked sets, and nested ones: every node on the path
+    # from a node up to its root, alone or with other nodes, in any order
+    syms = alphabet(interner, 3)
+    for _ in range(80):
+        F = random_forest(rng, int(rng.integers(0, 80)),
+                          int(rng.integers(1, 12)), syms,
+                          branch=float(rng.uniform(0.3, 0.95)))
+        path = []
+        if F.n:
+            u = int(rng.integers(F.n))
+            while u != VIRTUAL_ROOT:
+                path.append(u)
+                u = int(F.parent[u])
+        extra = rng.permutation(F.n)[:int(rng.integers(0, F.n + 1))].tolist()
+        for marked in ([], rng.permutation(F.n).tolist(), path[::-1],
+                       rng.permutation(path).tolist(),
+                       rng.permutation(sorted(set(path + extra))).tolist()):
+            marked = np.asarray(marked, dtype=np.int64)
+            assert (_marked_class(F, marked).tolist()
+                    == _parent_walk_marked_class(F, marked))

@@ -100,6 +100,16 @@ MUTANTS = [
            "return count[e] == count[a]", "return count[e - 1] == count[a]",
            ("tests/test_oracle.py::test_dp_matches_unpruned_recurrence",
             "tests/test_oracle.py::test_dp_matches_brute")),
+    Mutant("pairing-test-ignores-negative-xor", "src/tedk/forest.py",
+           "codes[po] ^ codes[pc] != 1", "codes[po] ^ codes[pc] > 1",
+           ("tests/test_forest.py::test_pair_parens_errors_match_reference",)),
+    Mutant("compat-gather-unpadded", "src/tedk/labeling.py",
+           "at = F.o + (off + w)", "at = F.o + (off)",
+           ("tests/test_labeling.py::test_compat_refine_matches_naive_closure",)),
+    Mutant("marked-class-counts-itself", "src/tedk/partial.py",
+           "opens_before = np.cumsum(is_m) - is_m",
+           "opens_before = np.cumsum(is_m)",
+           ("tests/test_partial.py::test_marked_class_matches_parent_walk",)),
     Mutant("vert-partner-from-high-end", "src/tedk/vertical.py",
            "next(filter(None, map(partner, window)), None)",
            "next(filter(None, map(partner, reversed(window))), None)",
