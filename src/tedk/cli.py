@@ -73,6 +73,18 @@ def _load(path: str, fmt: str, interner: LabelInterner) -> LabeledForest:
     return parse_paren_text(text, interner)
 
 
+def _load_pair(args) -> tuple[LabeledForest, LabeledForest] | int:
+    """fileF and fileG parsed with one fresh interner, or EXIT_PARSE after a
+    parse error line when either cannot be read or parsed."""
+    interner = LabelInterner()
+    try:
+        return (_load(args.fileF, args.format, interner),
+                _load(args.fileG, args.format, interner))
+    except (ParseError, OSError) as exc:
+        sys.stderr.write(f"tedk: parse error: {exc}\n")
+        return EXIT_PARSE
+
+
 def _fmt_value(v) -> str:
     return "INF" if v == INF else str(int(v))
 
@@ -149,15 +161,12 @@ def _k_below(k: int, least: int) -> bool:
 
 
 def _cmd_compute(args, exact_only: bool) -> int:
-    interner = LabelInterner()
     if _k_below(args.k, 0):
         return EXIT_USAGE
-    try:
-        F = _load(args.fileF, args.format, interner)
-        G = _load(args.fileG, args.format, interner)
-    except (ParseError, OSError) as exc:
-        sys.stderr.write(f"tedk: parse error: {exc}\n")
-        return EXIT_PARSE
+    loaded = _load_pair(args)
+    if isinstance(loaded, int):
+        return loaded
+    F, G = loaded
     rounds_run = 0
     if exact_only or args.k == 0:
         value = ted_threshold(F, G, args.k)
@@ -230,15 +239,12 @@ def _cmd_selftest(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    interner = LabelInterner()
     if _k_below(args.k, 1):
         return EXIT_USAGE
-    try:
-        F = _load(args.fileF, args.format, interner)
-        G = _load(args.fileG, args.format, interner)
-    except (ParseError, OSError) as exc:
-        sys.stderr.write(f"tedk: parse error: {exc}\n")
-        return EXIT_PARSE
+    loaded = _load_pair(args)
+    if isinstance(loaded, int):
+        return loaded
+    F, G = loaded
     cfg = EngineConfig(k=args.k, seed=args.seed, rounds=args.rounds)
     t0 = time.perf_counter()
     rep = engine_run(F, G, cfg)

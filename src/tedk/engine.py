@@ -142,8 +142,9 @@ def run(F: LabeledForest, G: LabeledForest, cfg: EngineConfig,
     """Full engine run with per-phase timings.
 
     `interner` is unused and left unchanged: the partial reduction numbers
-    its fresh labels past the forests' own.  It stays for callers that
-    still pass the interner their forests were parsed with."""
+    its fresh labels past the forests' own.  It stays because the
+    benchmark's worker still passes the interner its forests were parsed
+    with."""
     # ted(F, G) <= |F| + |G|, so a larger k changes no answer; the clamp
     # keeps the 4k+1-wide passes and the height cap sized by the input
     k = min(cfg.k, max(1, F.n + G.n))
@@ -201,8 +202,7 @@ def run(F: LabeledForest, G: LabeledForest, cfg: EngineConfig,
     return report
 
 
-def ted_bounded(F: LabeledForest, G: LabeledForest, cfg: EngineConfig,
-                interner: LabelInterner | None = None) -> int | float:
-    """ted_{<=k}(F, G) with high probability (exact on the shallow path);
-    `interner` is unused, as in `run`."""
+def ted_bounded(F: LabeledForest, G: LabeledForest,
+                cfg: EngineConfig) -> int | float:
+    """ted_{<=k}(F, G) with high probability (exact on the shallow path)."""
     return run(F, G, cfg).value

@@ -35,8 +35,6 @@ import numpy as np
 from .errors import LabelMismatchError, ParseError, UnbalancedError
 
 VIRTUAL_ROOT = -1
-OPEN = 0
-CLOSE = 1
 JSON_MAX_HEIGHT = 400  # the same bound everywhere; `json`'s own guard varies
 
 

@@ -1,84 +1,23 @@
-"""Definition-level reference implementations and brute-force scanners.
+"""Definition-level references that only the tests compare against.
 
-Everything here is written straight from the definitions with no shared
-machinery with the production paths: these are the independent oracles the
-test suites and the CLI selftest compare against.  Complexities are
-quadratic-or-worse on purpose.
+Everything here is written straight from the definitions, with no machinery
+shared with the production paths, and is quadratic or worse on purpose.
+The three references that `tedk selftest` also runs (`naive_runs`,
+`banded_edit_cost`, `ted_brute_constrained`) live in `tedk.selftest`; the
+Tai-mapping enumeration below reuses its helpers, so each reference has one
+copy.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .alignment import Alignment, as_codes
-from .forest import LabeledForest
+from tedk.alignment import Alignment, as_codes
+from tedk.forest import LabeledForest
+from tedk.selftest import all_tai_mappings, mapping_cost
 
 
 # -- strings ------------------------------------------------------------------
-
-def prefix_function(S) -> list[int]:
-    n = len(S)
-    pi = [0] * n
-    for i in range(1, n):
-        j = pi[i - 1]
-        while j and S[i] != S[j]:
-            j = pi[j - 1]
-        if S[i] == S[j]:
-            j += 1
-        pi[i] = j
-    return pi
-
-
-def naive_runs(S) -> list[tuple[int, int, int]]:
-    """All runs by checking the definition for every interval."""
-    S = as_codes(S).tolist()
-    n = len(S)
-    out = []
-    for i in range(n):
-        pi = prefix_function(S[i:])
-        for ln in range(2, n - i + 1):
-            p = ln - pi[ln - 1]
-            if ln < 2 * p:
-                continue
-            j = i + ln
-            if i > 0 and S[i - 1] == S[i - 1 + p]:
-                continue
-            if j < n and S[j] == S[j - p]:
-                continue
-            out.append((i, j, p))
-    return sorted(out)
-
-
-def banded_edit_cost(X, Y, w: int) -> int | None:
-    """Min alignment cost with every |x_t - y_t| <= w, by full DP."""
-    X, Y = as_codes(X).tolist(), as_codes(Y).tolist()
-    nx, ny = len(X), len(Y)
-    if abs(nx - ny) > w:
-        return None
-    big = nx + ny + 1
-    width = 2 * w + 1
-    prev = [big] * width
-    for j in range(-w, w + 1):  # x = 0 row: j = y
-        if 0 <= j <= ny:
-            prev[j + w] = j
-    for x in range(1, nx + 1):
-        cur = [big] * width
-        for j in range(-w, w + 1):
-            y = x + j
-            if y < 0 or y > ny:
-                continue
-            best = big
-            if j + 1 <= w and prev[j + 1 + w] < big:           # delete X[x-1]
-                best = min(best, prev[j + 1 + w] + 1)
-            if y >= 1 and j - 1 >= -w and cur[j - 1 + w] < big:  # insert Y[y-1]
-                best = min(best, cur[j - 1 + w] + 1)
-            if y >= 1 and prev[j + w] < big:                   # align
-                best = min(best, prev[j + w] + (X[x - 1] != Y[y - 1]))
-            cur[j + w] = best
-        prev = cur
-    val = prev[ny - nx + w]
-    return None if val >= big else val
-
 
 def sync_power_occurrences(X, Y, s: int, e: int, max_root: int):
     """All (x, y, q) with Q^e = X[x..x+qe) = Y[y..y+qe), |Q|=q<=max_root,
@@ -264,58 +203,8 @@ def synced_context_powers(F: LabeledForest, G: LabeledForest, s: int, e: int,
 
 # -- brute-force tree edit distance over Tai mappings -------------------------
 
-def _tai_compatible(F, G, pairs, u, v) -> bool:
-    endf, endg = F.subtree_end, G.subtree_end
-    for (u2, v2) in pairs:
-        anc_f = u2 < u < endf[u2]
-        anc_g = v2 < v < endg[v2]
-        if anc_f != anc_g:
-            return False
-        if not anc_f and not (u >= endf[u2] and v >= endg[v2]):
-            return False
-    return True
-
-
-def all_tai_mappings(F: LabeledForest, G: LabeledForest):
-    """Yield every order/ancestor-consistent one-to-one node mapping."""
-    nf, ng = F.n, G.n
-
-    def rec(u, min_v, pairs):
-        if u == nf:
-            yield list(pairs)
-            return
-        yield from rec(u + 1, min_v, pairs)
-        for v in range(min_v, ng):
-            if _tai_compatible(F, G, pairs, u, v):
-                pairs.append((u, v))
-                yield from rec(u + 1, v + 1, pairs)
-                pairs.pop()
-
-    yield from rec(0, 0, [])
-
-
-def mapping_cost(F, G, pairs) -> int:
-    lab_f, lab_g = F.labels, G.labels
-    mismatch = sum(1 for (u, v) in pairs if lab_f[u] != lab_g[v])
-    return (F.n - len(pairs)) + (G.n - len(pairs)) + mismatch
-
-
 def ted_brute(F: LabeledForest, G: LabeledForest) -> int:
     return min(mapping_cost(F, G, p) for p in all_tai_mappings(F, G))
-
-
-def ted_brute_constrained(F: LabeledForest, G: LabeledForest, M) -> float:
-    """min cost over Tai mappings that match every pair of M."""
-    best = float("inf")
-    want = {(int(u), int(v)) for (u, v) in np.asarray(M).reshape(-1, 2)}
-    lab_f, lab_g = F.labels, G.labels
-    for (u, v) in want:
-        if lab_f[u] != lab_g[v]:
-            return float("inf")
-    for p in all_tai_mappings(F, G):
-        if want <= set(p):
-            best = min(best, mapping_cost(F, G, p))
-    return best
 
 
 def optimal_tree_alignments(F: LabeledForest, G: LabeledForest):

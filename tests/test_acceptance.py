@@ -8,8 +8,6 @@ import time
 
 import numpy as np
 
-from tedk._naive import (naive_runs, banded_edit_cost, sync_power_occurrences,
-                         synced_context_powers)
 from tedk.alignment import eval_alignment, greedy_bounded_align, is_greedy
 from tedk.context import QueryContext
 from tedk.engine import EngineConfig, ted_bounded
@@ -22,10 +20,12 @@ from tedk.oracle import INF, ted_threshold
 from tedk.partial import (gadget, partial_reduce, prune_redundant,
                           reduce_height, validate_matching)
 from tedk.reduction import reduce_and_anchor
+from tedk.selftest import banded_edit_cost, naive_runs
 from tedk.vertical import vert_sync_reductions
 
 from conftest import (is_tree_alignment, query, sym_diff_size,
                       ted_constrained)
+from reference import sync_power_occurrences, synced_context_powers
 
 
 def _rng(seed):
@@ -61,7 +61,7 @@ def test_criterion_1_oracle_equivalence_end_to_end():
         else:
             G = random_forest(rng, int(rng.integers(0, 41)),
                               int(rng.integers(1, 8)), syms)
-        got = ted_bounded(F, G, EngineConfig(k=k, seed=t), interner)
+        got = ted_bounded(F, G, EngineConfig(k=k, seed=t))
         want = ted_threshold(F, G, k)
         mismatches += got != want
         cases += 1
@@ -70,7 +70,7 @@ def test_criterion_1_oracle_equivalence_end_to_end():
         kind = ("horizontal", "vertical", "mixed")[t % 3]
         F, G, _ = planted_pair(rng, int(rng.integers(0, 40)), k, 2, interner,
                                kind=kind)
-        got = ted_bounded(F, G, EngineConfig(k=k, seed=t), interner)
+        got = ted_bounded(F, G, EngineConfig(k=k, seed=t))
         want = ted_threshold(F, G, k)
         mismatches += got != want
         cases += 1

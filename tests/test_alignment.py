@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from tedk._naive import banded_edit_cost, sync_power_occurrences
 from tedk.alignment import (Alignment, as_codes, common_matching_core,
                             eval_alignment, greedy_bounded_align, is_greedy)
 from tedk.errors import MalformedAlignmentError, NoAlignmentError
 from tedk.generate import alphabet, random_forest
+from tedk.selftest import banded_edit_cost
 
 from conftest import forest, is_tree_alignment, sym_diff_size
+from reference import sync_power_occurrences
 
 
 def all_alignments(nx, ny, cap=None):

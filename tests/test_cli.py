@@ -1,4 +1,8 @@
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -9,6 +13,8 @@ from tedk.forest import LabelInterner, serialize_paren
 from tedk.generate import alphabet, apply_random_edits
 
 from conftest import deep_chain
+
+SRC = Path(tedk.cli.__file__).parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +110,31 @@ def test_rounds_flag_is_auto_or_positive(tmp_path, capsys):
 
 def test_selftest_quick(capsys):
     assert main(["selftest", "--level", "quick"]) == 0
+
+
+def run_python(args, cwd):
+    """`python args` in `cwd` with only the package's `src` on the path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_selftest_needs_only_the_package(tmp_path):
+    # from outside the repository, with nothing of tests/ importable, the
+    # selftest still finds every reference it runs
+    out = run_python(["-m", "tedk.cli", "selftest", "--level", "quick"],
+                     tmp_path)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 6 and all(ln.startswith("[ok] ") for ln in lines)
+
+
+def test_query_path_does_not_load_selftest(tmp_path):
+    # the references live in tedk.selftest, which only `tedk selftest` loads
+    out = run_python(["-c", "import sys, tedk, tedk.engine, tedk.cli; "
+                      "print('tedk.selftest' in sys.modules)"], tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
 
 
 def test_compute_deterministic_output(tmp_path, capsys):

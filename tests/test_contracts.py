@@ -36,8 +36,6 @@ BENCH = Path(__file__).parents[1] / "bench"
 def test_no_assert_statements_in_package():
     found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "_naive.py":
-            continue
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
@@ -68,25 +66,38 @@ def overriding_methods(path, tree):
     return lines
 
 
+def module_constants(tree):
+    """(line, name) of every name that a module-level assignment binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            yield from ((t.lineno, t.id) for target in targets
+                        for t in ast.walk(target) if isinstance(t, ast.Name))
+
+
 def test_no_unused_names_in_package():
-    # every function, class and method outside the public API is reached from
-    # the package or the benchmark; helpers only tests need live in tests/.
-    # The `_naive.py` references are test code, so their uses do not count,
-    # and a method counts as reached only through an attribute access (a
-    # local variable of the same name does not reach it)
-    names, attrs = set(), traced_attributes()
+    # every function, class, method and module-level constant outside the
+    # public API is reached from the package or the benchmark; helpers and
+    # constants only tests need live in tests/.  Uses in `__init__.py` are
+    # re-exports, so they do not count; a method counts as reached only
+    # through an attribute access (a local variable of the same name does
+    # not reach it), and a constant only where it is read
+    names, reads, attrs = set(), set(), traced_attributes()
     for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")):
-        if path in (SRC / "__init__.py", SRC / "_naive.py"):
+        if path == SRC / "__init__.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name):
                 names.add(node.id)
+                if isinstance(node.ctx, ast.Load):
+                    reads.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attrs.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    reads.add(node.attr)
     unused = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "_naive.py":
-            continue
         tree = ast.parse(path.read_text(), filename=str(path))
         overrides = overriding_methods(path, tree)
         methods = {f.lineno for cls in ast.walk(tree)
@@ -101,6 +112,10 @@ def test_no_unused_names_in_package():
                    and node.name not in attrs
                    and (node.lineno in methods or node.name not in names)
                    and node.lineno not in overrides]
+        unused += [f"{path.name}:{line} {name}"
+                   for line, name in module_constants(tree)
+                   if not (name.startswith("__") and name.endswith("__"))
+                   and name not in tedk.__all__ and name not in reads]
     assert unused == []
 
 

@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tedk.engine
@@ -12,7 +12,6 @@ import tedk.horizontal
 import tedk.labeling
 import tedk.shallow
 from tedk.context import QueryContext
-from tedk._naive import banded_edit_cost
 from tedk.engine import (EngineConfig, lower_bound, mark_levels, run,
                          ted_bounded)
 from tedk.errors import ContractError
@@ -20,6 +19,7 @@ from tedk.forest import LabeledForest, parse_paren_text, serialize_paren
 from tedk.generate import alphabet, apply_random_edits, planted_pair, random_forest
 from tedk.labeling import lookahead_refine
 from tedk.oracle import INF, _label_multiset_bound, ted_exact, ted_threshold
+from tedk.selftest import banded_edit_cost
 
 from conftest import deep_chain, forest_pairs
 
@@ -28,19 +28,19 @@ def test_trivial_cases(interner, rng):
     syms = alphabet(interner, 2)
     F = random_forest(rng, 20, 4, syms)
     for k in (1, 2, 5):
-        assert ted_bounded(F, F, EngineConfig(k=k, seed=1), interner) == 0
+        assert ted_bounded(F, F, EngineConfig(k=k, seed=1)) == 0
     G = random_forest(rng, 5, 3, syms)
-    assert ted_bounded(F, G, EngineConfig(k=2, seed=1), interner) == INF
+    assert ted_bounded(F, G, EngineConfig(k=2, seed=1)) == INF
     with pytest.raises(ValueError):
-        ted_bounded(F, F, EngineConfig(k=0), interner)
+        ted_bounded(F, F, EngineConfig(k=0))
 
 
 def test_empty_forests(interner):
     empty = parse_paren_text("", interner)
     leaf = parse_paren_text("(a)", interner)
-    assert ted_bounded(empty, empty, EngineConfig(k=1, seed=0), interner) == 0
-    assert ted_bounded(empty, leaf, EngineConfig(k=1, seed=0), interner) == 1
-    assert ted_bounded(leaf, empty, EngineConfig(k=2, seed=0), interner) == 1
+    assert ted_bounded(empty, empty, EngineConfig(k=1, seed=0)) == 0
+    assert ted_bounded(empty, leaf, EngineConfig(k=1, seed=0)) == 1
+    assert ted_bounded(leaf, empty, EngineConfig(k=2, seed=0)) == 1
 
 
 def test_mark_levels(interner, rng):
@@ -79,7 +79,7 @@ def test_engine_matches_oracle_random(interner, rng):
             G = random_forest(rng, int(rng.integers(0, 40)),
                               int(rng.integers(1, 7)), syms)
         k = int(rng.integers(1, 6))
-        assert ted_bounded(F, G, EngineConfig(k=k, seed=t), interner) == \
+        assert ted_bounded(F, G, EngineConfig(k=k, seed=t)) == \
             ted_threshold(F, G, k)
 
 
@@ -87,7 +87,7 @@ def test_engine_on_planted(interner, rng):
     for t in range(40):
         k = int(rng.integers(1, 3))
         F, G, d = planted_pair(rng, int(rng.integers(0, 50)), k, 2, interner)
-        assert ted_bounded(F, G, EngineConfig(k=k, seed=t), interner) == \
+        assert ted_bounded(F, G, EngineConfig(k=k, seed=t)) == \
             ted_threshold(F, G, k)
 
 
@@ -147,9 +147,9 @@ def test_config_checks_k_and_seed(interner):
     F = parse_paren_text("(a(b))", interner)
     G = parse_paren_text("(a)", interner)
     cfg = EngineConfig(k=np.int64(2), seed=np.int64(3))
-    assert ted_bounded(F, G, cfg, interner) == 1
+    assert ted_bounded(F, G, cfg) == 1
     cfg = EngineConfig(k=1, height_cap=np.int64(3))
-    assert ted_bounded(F, G, cfg, interner) == 1
+    assert ted_bounded(F, G, cfg) == 1
 
 
 def test_huge_k_is_clamped_to_input_size(interner, rng):
@@ -195,7 +195,7 @@ def test_audit_mode_sweep(interner, rng):
         F = random_forest(rng, int(rng.integers(0, 25)), 5, syms)
         G = apply_random_edits(rng, F, int(rng.integers(0, 4)), syms)
         k = int(rng.integers(1, 4))
-        got = ted_bounded(F, G, EngineConfig(k=k, seed=t, audit=True), interner)
+        got = ted_bounded(F, G, EngineConfig(k=k, seed=t, audit=True))
         assert got == ted_threshold(F, G, k)
 
 
@@ -279,9 +279,13 @@ def test_sampling_rounds_pinned(interner):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(forest_pairs(most=30))
+@example(pair=(LabeledForest.from_codes([0, 0, 1, 1]),
+               LabeledForest.from_codes([0, 1, 2, 3])))
 def test_lower_bound_certified(pair):
     # L = ceil(sed / 2) when sed <= 2k, else INF, and then ted > k; L is at
-    # most ted and at least the size difference and the multiset bound
+    # most ted and at least the size difference and the multiset bound.
+    # The explicit pair, (a(a)) and (a)(b), has the odd sed 3, where the
+    # ceiling differs from the floor
     F, G = pair
     sed = banded_edit_cost(F.codes, G.codes, len(F.codes) + len(G.codes))
     d = ted_exact(F, G)

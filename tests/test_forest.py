@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tedk._naive import naive_positions
 from tedk.errors import LabelMismatchError, ParseError, UnbalancedError
-from tedk.forest import (CLOSE, JSON_MAX_HEIGHT, OPEN, VIRTUAL_ROOT,
-                         LabeledForest, LabelInterner, _pair_parens,
-                         last_at_level, level_search, parse_json_text,
-                         parse_paren_text, serialize_json, serialize_paren)
+from tedk.forest import (JSON_MAX_HEIGHT, VIRTUAL_ROOT, LabeledForest,
+                         LabelInterner, _pair_parens, last_at_level,
+                         level_search, parse_json_text, parse_paren_text,
+                         serialize_json, serialize_paren)
 from tedk.generate import alphabet, random_forest
 
 from conftest import deep_chain, forest, stack_walk, validate
+from reference import naive_positions
 
 
 def test_parse_single_node(interner):
@@ -122,8 +122,8 @@ def test_parse_matches_stack_parser(rng):
             validate(F)
             got = (F.o.tolist(), F.c.tolist(), F.depth.tolist(),
                    [it.text(s) for s in (F.codes >> 1).tolist()])
-            assert (F.codes[F.o] & 1 == OPEN).all()
-            assert (F.codes[F.c] & 1 == CLOSE).all()
+            assert (F.codes[F.o] & 1 == 0).all()
+            assert (F.codes[F.c] & 1 == 1).all()
         except ParseError as exc:
             got = type(exc)
         assert got == want, text
@@ -229,7 +229,7 @@ def test_label_mismatch_from_codes(interner):
 def test_paren_seq_empty_and_single(interner):
     assert len(forest("", interner).codes) == 0
     F = forest("(a)", interner)
-    assert (F.codes & 1).tolist() == [OPEN, CLOSE]
+    assert (F.codes & 1).tolist() == [0, 1]
     assert (F.codes >> 1).tolist() == [interner.intern("a")] * 2
 
 
@@ -297,8 +297,8 @@ def test_round_trip_and_bijection(interner, rng):
         again = parse_paren_text(text, interner)
         assert again == F
         assert serialize_paren(again, interner) == text
-        assert (F.codes[F.o] & 1 == OPEN).all()
-        assert (F.codes[F.c] & 1 == CLOSE).all()
+        assert (F.codes[F.o] & 1 == 0).all()
+        assert (F.codes[F.c] & 1 == 1).all()
         assert (F.codes[F.o] >> 1 == F.codes[F.c] >> 1).all()
 
 

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from tedk._naive import naive_runs, sync_power_occurrences
 from tedk.context import QueryContext
 from tedk.generate import alphabet, planted_pair, random_forest
 from tedk.hashing import HashedSeq
 from tedk.horizontal import (filter_runs, min_balance_rotations,
                              sync_occurrences, sync_reductions)
 from tedk.oracle import ted_threshold
+from tedk.selftest import naive_runs
 
 from conftest import forest, query
+from reference import sync_power_occurrences
 
 
 def enc(text, interner):

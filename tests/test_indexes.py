@@ -1,14 +1,15 @@
 import numpy as np
 
-from tedk._naive import naive_lca, naive_runs
 from tedk.alignment import as_codes
 from tedk.context import QueryContext
 from tedk.generate import alphabet, random_forest
 from tedk.hashing import M61, HashedSeq, mulmod_vec, sum_mod
 from tedk.forest import lca_depth
 from tedk.indexes import compute_runs
+from tedk.selftest import naive_runs
 
 from conftest import forest
+from reference import naive_lca
 
 
 def runs_set(S):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import tedk.labeling
-from tedk._naive import naive_compat_classes, optimal_tree_alignments, trimmed_print
 from tedk.alignment import Alignment, eval_alignment, is_greedy
 from tedk.context import QueryContext
 from tedk.forest import LabeledForest
@@ -13,6 +12,8 @@ from tedk.labeling import (JointLabeling, _level_descendant_cuts,
                            lookahead_refine, refines)
 
 from conftest import deep_chain, forest, is_tree_alignment, stack_walk
+from reference import (naive_compat_classes, optimal_tree_alignments,
+                       trimmed_print)
 from test_indexes import concat_fp, substring
 
 BASE = 0x1234567
@@ -231,7 +232,6 @@ def test_refines_matches_sort_reference(rng):
 
 
 def test_lookahead_cost_bound(interner, rng):
-    from tedk._naive import optimal_tree_alignments
     syms = alphabet(interner, 2)
     for _ in range(8):
         F = random_forest(rng, int(rng.integers(1, 6)), 3, syms)

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from tedk._naive import (optimal_tree_alignments, ted_brute,
-                         ted_brute_constrained)
 from tedk.alignment import eval_alignment
 from tedk.forest import LabeledForest
 from tedk.generate import alphabet, apply_random_edits, random_forest
 from tedk.oracle import INF, _ted_dp, ted_exact, ted_threshold
+from tedk.selftest import ted_brute_constrained
 
 from conftest import forest, forest_pairs, is_tree_alignment, ted_constrained
+from reference import optimal_tree_alignments, ted_brute
 
 
 def test_exact_examples(interner):

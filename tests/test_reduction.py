@@ -1,4 +1,3 @@
-from tedk._naive import sync_power_occurrences
 from tedk.alignment import eval_alignment, is_greedy
 from tedk.context import QueryContext
 from tedk.generate import alphabet, apply_random_edits, planted_pair, random_forest
@@ -6,6 +5,7 @@ from tedk.oracle import ted_exact, ted_threshold
 from tedk.reduction import reduce_and_anchor
 
 from conftest import is_tree_alignment, sym_diff_size
+from reference import sync_power_occurrences
 
 BASE = 0xFEEDBEE
 

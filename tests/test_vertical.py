@@ -2,8 +2,6 @@ from math import gcd
 
 import numpy as np
 
-from tedk._naive import (context_power_nodes, naive_lca, naive_ors,
-                         synced_context_powers)
 from tedk.generate import (alphabet, apply_random_edits, plant_horizontal,
                            plant_vertical, planted_pair, random_forest)
 from tedk.oracle import ted_threshold
@@ -11,6 +9,8 @@ from tedk.vertical import (ContextOcc, VertOcc, compute_contexts, compute_q,
                            vert_periods, vert_sync_reductions)
 
 from conftest import deep_chain, forest, query, validate
+from reference import (context_power_nodes, naive_lca, naive_ors,
+                       sync_power_occurrences, synced_context_powers)
 
 
 def chain(label, depth, interner):
@@ -296,7 +296,6 @@ def test_vert_reduction_preserves_distance(interner, rng):
 
 
 def test_vert_postconditions(interner, rng):
-    from tedk._naive import sync_power_occurrences
     from tedk.horizontal import min_balance_rotations, sync_reductions
     for t in range(12):
         k = int(rng.integers(1, 3))
