@@ -8,8 +8,8 @@ partial-matching reductions (partial), the height-bounded solver (shallow),
 and the sampling engine (engine).  The command line lives in cli.
 """
 
-from .alignment import (Alignment, AlignmentStats, common_matching_core,
-                        eval_alignment, greedy_bounded_align, is_greedy)
+from .alignment import (AlignmentStats, common_matching_core, eval_alignment,
+                        greedy_bounded_align, is_greedy)
 from .context import QueryContext
 from .engine import EngineConfig, EngineReport, mark_levels, run, ted_bounded
 from .errors import (CrossingMatchingError, LabelMismatchError,
@@ -27,7 +27,7 @@ from .shallow import shallow_ted
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alignment", "AlignmentStats", "common_matching_core", "eval_alignment",
+    "AlignmentStats", "common_matching_core", "eval_alignment",
     "greedy_bounded_align", "is_greedy",
     "EngineConfig", "EngineReport", "mark_levels", "run", "ted_bounded",
     "CrossingMatchingError", "LabelMismatchError", "MalformedAlignmentError",

@@ -2,14 +2,15 @@
 
 The strings are int64 code arrays, such as a forest's `codes` or its
 `relabeled_codes` under a refined labeling; plain strings are accepted too.
-An alignment is the monotone sequence of index pairs (x_t, y_t) from (0,0) to
-(|X|,|Y|) with unit steps.  The bounded search is the diagonal-band variant of
-the k-differences wavefront: for each cost level and each diagonal in
-[-w..w] it keeps the furthest reachable row, extended by exact longest common
-extensions.  Witnesses are reconstructed from the recorded predecessor choice
-(deletion preferred over insertion over substitution, so output is
-deterministic) and are always greedy: every edit sits at a post-slide
-mismatch.
+An alignment is a plain (m+1, 2) int64 array: the monotone sequence of index
+pairs (x_t, y_t) from (0,0) to (|X|,|Y|) with unit steps.  `eval_alignment`
+validates one that comes from outside.  The bounded search is the
+diagonal-band variant of the k-differences wavefront: for each cost level
+and each diagonal in [-w..w] it keeps the furthest reachable row, extended
+by exact longest common extensions.  Witnesses are reconstructed from the
+recorded predecessor choice (deletion preferred over insertion over
+substitution, so output is deterministic) and are always greedy: every edit
+sits at a post-slide mismatch.
 """
 
 from __future__ import annotations
@@ -30,45 +31,6 @@ def as_codes(seq) -> np.ndarray:
     return np.asarray(seq, dtype=np.int64)
 
 
-class Alignment:
-    """Monotone pair sequence; stored as an (m+1, 2) int64 array."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: np.ndarray):
-        self.pairs = np.asarray(pairs, dtype=np.int64)
-        if self.pairs.ndim != 2 or self.pairs.shape[1] != 2:
-            raise MalformedAlignmentError("pairs must be an (m+1, 2) array")
-
-    def check_valid(self, nx: int, ny: int) -> None:
-        p = self.pairs
-        if len(p) == 0 or p[0, 0] != 0 or p[0, 1] != 0:
-            raise MalformedAlignmentError("alignment must start at (0,0)")
-        if p[-1, 0] != nx or p[-1, 1] != ny:
-            raise MalformedAlignmentError("alignment must end at (|X|,|Y|)")
-        dx = np.diff(p[:, 0])
-        dy = np.diff(p[:, 1])
-        ok = ((dx >= 0) & (dy >= 0) & (dx <= 1) & (dy <= 1) & (dx + dy >= 1))
-        if not ok.all():
-            raise MalformedAlignmentError("steps must increment x, y, or both by 1")
-
-    def width(self) -> int:
-        if len(self.pairs) == 0:
-            return 0
-        return int(np.abs(self.pairs[:, 0] - self.pairs[:, 1]).max())
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Alignment):
-            return NotImplemented
-        return bool(np.array_equal(self.pairs, other.pairs))
-
-    def __repr__(self) -> str:
-        return f"Alignment(m={len(self.pairs) - 1})"
-
-
 @dataclass
 class AlignmentStats:
     cost: int
@@ -77,34 +39,43 @@ class AlignmentStats:
     breakpoints: np.ndarray  # the remaining elements
 
 
-def _match_mask(A: Alignment, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _match_mask(A: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """mask over elements t in [0..m): step t is a match."""
-    p = A.pairs
-    dx = np.diff(p[:, 0])
-    dy = np.diff(p[:, 1])
+    dx = np.diff(A[:, 0])
+    dy = np.diff(A[:, 1])
     diag = (dx == 1) & (dy == 1)
-    xs = p[:-1, 0]
-    ys = p[:-1, 1]
+    xs = A[:-1, 0]
+    ys = A[:-1, 1]
     eq = np.zeros(len(xs), dtype=bool)
     if diag.any():
         eq[diag] = X[xs[diag]] == Y[ys[diag]]
     return diag & eq
 
 
-def eval_alignment(A: Alignment, X, Y) -> AlignmentStats:
-    """Cost, width, matches and breakpoints of A on X, Y."""
+def eval_alignment(A: np.ndarray, X, Y) -> AlignmentStats:
+    """Cost, width, matches and breakpoints of the alignment A on X, Y;
+    MalformedAlignmentError unless A is an (m+1, 2) array of unit steps
+    from (0,0) to (|X|,|Y|)."""
     X, Y = as_codes(X), as_codes(Y)
-    A.check_valid(len(X), len(Y))
+    A = np.asarray(A, dtype=np.int64)
+    if A.ndim != 2 or A.shape[1] != 2 or len(A) == 0:
+        raise MalformedAlignmentError("pairs must be an (m+1, 2) array")
+    if A[0, 0] != 0 or A[0, 1] != 0:
+        raise MalformedAlignmentError("alignment must start at (0,0)")
+    if A[-1, 0] != len(X) or A[-1, 1] != len(Y):
+        raise MalformedAlignmentError("alignment must end at (|X|,|Y|)")
+    dx = np.diff(A[:, 0])
+    dy = np.diff(A[:, 1])
+    if not ((dx >= 0) & (dy >= 0) & (dx <= 1) & (dy <= 1) & (dx + dy >= 1)).all():
+        raise MalformedAlignmentError("steps must increment x, y, or both by 1")
     mask = _match_mask(A, X, Y)
-    m = len(A.pairs) - 1
-    cost = int(m - mask.sum())
     full_mask = np.concatenate([mask, [False]])  # the final element is a breakpoint
-    return AlignmentStats(cost=cost, width=A.width(),
-                          matches=A.pairs[:-1][mask],
-                          breakpoints=A.pairs[~full_mask])
+    return AlignmentStats(cost=int(len(mask) - mask.sum()),
+                          width=int(np.abs(A[:, 0] - A[:, 1]).max()),
+                          matches=A[:-1][mask], breakpoints=A[~full_mask])
 
 
-def is_greedy(A: Alignment, X, Y) -> bool:
+def is_greedy(A: np.ndarray, X, Y) -> bool:
     """True iff every interior breakpoint sits on unequal characters."""
     X, Y = as_codes(X), as_codes(Y)
     stats = eval_alignment(A, X, Y)
@@ -163,7 +134,7 @@ def _mismatch_run(X: np.ndarray, Y: np.ndarray, row: list, w: int,
     return t
 
 
-def greedy_bounded_align(X, Y, k: int, w: int) -> Alignment | None:
+def greedy_bounded_align(X, Y, k: int, w: int) -> np.ndarray | None:
     """A greedy witness of cost <= k and width <= w, or None if none exists.
 
     Diagonal j = y - x holds the furthest reachable x per cost level; edit
@@ -291,7 +262,7 @@ def greedy_bounded_align(X, Y, k: int, w: int) -> Alignment | None:
     xs = np.arange(int(lens.sum()), dtype=np.int64)
     xs += np.repeat(a - firsts, lens)
     ys = xs + np.repeat(jj, lens)
-    return Alignment(np.stack([xs, ys], axis=1))
+    return np.stack([xs, ys], axis=1)
 
 
 def common_matching_core(X, Y, k: int, w: int, e: int) -> np.ndarray:
@@ -314,4 +285,4 @@ def common_matching_core(X, Y, k: int, w: int, e: int) -> np.ndarray:
     # position of t inside its run of consecutive matches
     within = idx - run_start
     keep = mask & (within >= trim)
-    return A.pairs[:-1][keep]
+    return A[:-1][keep]

@@ -127,14 +127,14 @@ def lower_bound(F: LabeledForest, G: LabeledForest, k: int) -> int | float:
     A = greedy_bounded_align(F.codes, G.codes, 2 * k, 2 * k)
     if A is None:
         return INF
-    sed = len(A.pairs) - 1 - int(_match_mask(A, F.codes, G.codes).sum())
+    sed = len(A) - 1 - int(_match_mask(A, F.codes, G.codes).sum())
     return (sed + 1) // 2
 
 
 def _anchor_node_pairs(rp: ReducedPair) -> np.ndarray:
     """Node pairs whose both parentheses the anchor matches."""
     matched = _match_mask(rp.anchor, rp.seq_f, rp.seq_g)
-    return lift_position_matching(rp.f, rp.g, rp.anchor.pairs[:-1][matched])
+    return lift_position_matching(rp.f, rp.g, rp.anchor[:-1][matched])
 
 
 def run(F: LabeledForest, G: LabeledForest, cfg: EngineConfig,

@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import LabelMismatchError, ParseError, UnbalancedError
 
-VIRTUAL_ROOT = -1
 JSON_MAX_HEIGHT = 400  # the same bound everywhere; `json`'s own guard varies
 
 
@@ -210,7 +209,7 @@ class LabeledForest:
         return self._parent
 
     def _compute_parent(self) -> np.ndarray:
-        """Each node's ancestor one level up (VIRTUAL_ROOT = -1 for roots)."""
+        """Each node's ancestor one level up (-1 for roots)."""
         return last_at_level(self.depth, self.depth - 1,
                              np.arange(self.n, dtype=np.int64))
 
@@ -375,20 +374,21 @@ def parse_json_text(text: str, interner: LabelInterner) -> LabeledForest:
 
 
 def serialize_json(F: LabeledForest, interner: LabelInterner) -> str:
-    """JSON text of F; ValueError when F has more than JSON_MAX_HEIGHT
-    levels, the bound `parse_json_text` holds its input to."""
+    """JSON text of F, written in one pass over the parentheses as
+    `serialize_paren` writes them; ValueError when F has more than
+    JSON_MAX_HEIGHT levels, the bound `parse_json_text` holds its input to."""
     if F.height() > JSON_MAX_HEIGHT:
         raise ValueError(f"forest of height {F.height()} is too deep for JSON")
-    out: list = []
-    holders: dict[int, list] = {}
-    parent = F.parent.tolist()
-    for u, sym in enumerate(F.labels.tolist()):
-        node = {"label": interner.text(sym), "children": []}
-        p = parent[u]
-        if p == VIRTUAL_ROOT:
-            out.append(node)
-        else:
-            holders[p].append(node)
-        holders[u] = node["children"]
-    return json.dumps(out)
+    if F.n == 0:
+        return "[]"
+    uniq, inverse = np.unique(F.labels, return_inverse=True)
+    open_texts = np.array(['{"label": ' + json.dumps(interner.text(int(s)))
+                           + ', "children": [' for s in uniq], dtype=object)
+    # an opening follows the close (the last position is a close, so the
+    # clamped index reads no sibling there)
+    sibling = F.codes[np.minimum(F.c + 1, 2 * F.n - 1)] & 1 == 0
+    parts = np.empty(2 * F.n, dtype=object)
+    parts[F.c] = np.where(sibling, "]}, ", "]}")
+    parts[F.o] = open_texts[inverse]
+    return "[" + "".join(parts.tolist()) + "]"
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import Alignment, greedy_bounded_align
+from .alignment import greedy_bounded_align
 from .context import QueryContext
 from .forest import LabeledForest
 from .horizontal import sync_reductions
@@ -32,7 +32,7 @@ class ReducedPair:
     g: LabeledForest
     seq_f: np.ndarray
     seq_g: np.ndarray
-    anchor: Alignment | None
+    anchor: np.ndarray | None
 
 
 def reduce_and_anchor(F: LabeledForest, G: LabeledForest,

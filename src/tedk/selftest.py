@@ -169,9 +169,11 @@ def _check_greedy(rng, count: int) -> tuple[int, int]:
         want = banded_edit_cost(X, Y, w)
         if want is None or want > k:
             ok = A is None
+        elif A is None:
+            ok = False
         else:
-            ok = (A is not None and eval_alignment(A, X, Y).cost == want
-                  and A.width() <= w and is_greedy(A, X, Y))
+            st = eval_alignment(A, X, Y)
+            ok = st.cost == want and st.width <= w and is_greedy(A, X, Y)
         bad += 0 if ok else 1
     return bad, count
 

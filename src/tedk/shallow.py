@@ -15,7 +15,7 @@ import numpy as np
 
 from .alignment import common_matching_core
 from .context import QueryContext
-from .errors import ContractError, CrossingMatchingError, NoAlignmentError
+from .errors import ContractError, NoAlignmentError
 from .forest import LabeledForest
 from .horizontal import sync_reductions
 from .labeling import lookahead_refine
@@ -63,10 +63,12 @@ def shallow_ted(F: LabeledForest, G: LabeledForest, h: int,
     allowed_loss = 15 * (18 * k) * (2 * h * k) ** 2 * (2 * k)
     if len(M) < F1.n - allowed_loss:
         return INF
-    try:  # reduce_height rejects a crossing or label-mismatched matching
-        F2, G2 = partial_reduce(F1, G1, M, k)
-    except CrossingMatchingError:
-        return INF
+    # partial_reduce raises no CrossingMatchingError here: M lifts the
+    # matched positions of one monotone alignment, so it increases strictly
+    # on both sides, and each of its pairs holds equal look-ahead codes,
+    # whose classes refine the labels (a checked contract).  A raise is an
+    # internal fault, not distance > k.
+    F2, G2 = partial_reduce(F1, G1, M, k)
     bound = (k + 2) * (5 * (F1.n + G1.n - 2 * len(M)) + 4)
     if F2.n + G2.n > bound:
         raise ContractError(f"residual of {F2.n + G2.n} nodes exceeds the "

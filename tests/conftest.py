@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from tedk.alignment import eval_alignment
 from tedk.context import QueryContext
 from tedk.errors import CrossingMatchingError
-from tedk.forest import (VIRTUAL_ROOT, LabeledForest, LabelInterner,
-                         _pair_parens, parse_paren_text)
+from tedk.forest import (LabeledForest, LabelInterner, _pair_parens,
+                         parse_paren_text)
 from tedk.generate import (alphabet, apply_random_edits, plant_horizontal,
                            plant_vertical, random_forest)
 from tedk.oracle import INF, ted_exact
 from tedk.partial import gadget, reduce_height, validate_matching
+
+VIRTUAL_ROOT = -1  # the parent of a root in `LabeledForest.parent`
 
 
 @pytest.fixture
@@ -84,15 +87,14 @@ def validate(F):
 def is_tree_alignment(A, F, G) -> bool:
     """Check the per-node consistency conditions of a tree alignment."""
     X, Y = F.codes, G.codes
-    A.check_valid(len(X), len(Y))
-    p = A.pairs
-    dx = np.diff(p[:, 0])
-    dy = np.diff(p[:, 1])
+    eval_alignment(A, X, Y)
+    dx = np.diff(A[:, 0])
+    dy = np.diff(A[:, 1])
     diag = (dx == 1) & (dy == 1)
     x_to_y = np.full(len(X), -1, dtype=np.int64)
     y_to_x = np.full(len(Y), -1, dtype=np.int64)
-    x_to_y[p[:-1, 0][diag]] = p[:-1, 1][diag]
-    y_to_x[p[:-1, 1][diag]] = p[:-1, 0][diag]
+    x_to_y[A[:-1, 0][diag]] = A[:-1, 1][diag]
+    y_to_x[A[:-1, 1][diag]] = A[:-1, 0][diag]
 
     def side_ok(H_from, H_to, pos_map) -> bool:
         yo = pos_map[H_from.o]
@@ -113,8 +115,8 @@ def is_tree_alignment(A, F, G) -> bool:
 def sym_diff_size(A, B) -> int:
     """|A triangle B| over the element pair sets."""
     big = 1 << 32
-    a = A.pairs[:, 0] * big + A.pairs[:, 1]
-    b = B.pairs[:, 0] * big + B.pairs[:, 1]
+    a = A[:, 0] * big + A[:, 1]
+    b = B[:, 0] * big + B[:, 1]
     inter = len(np.intersect1d(a, b))
     return len(a) + len(b) - 2 * inter
 

@@ -10,9 +10,11 @@ copy.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
-from tedk.alignment import Alignment, as_codes
+from tedk.alignment import as_codes
 from tedk.forest import LabeledForest
 from tedk.selftest import all_tai_mappings, mapping_cost
 
@@ -64,6 +66,20 @@ def naive_positions(F: LabeledForest):
             depth.append(len(stack) - 1)
             o.append(pos)
     return o, c, depth
+
+
+def nested_json(F: LabeledForest, interner) -> str:
+    """JSON text of F by `json.dumps` on a nested dict tree built from
+    each node's parent."""
+    out: list = []
+    holders: dict[int, list] = {}
+    parent = F.parent.tolist()
+    for u, sym in enumerate(F.labels.tolist()):
+        node = {"label": interner.text(sym), "children": []}
+        p = parent[u]
+        (out if p < 0 else holders[p]).append(node)
+        holders[u] = node["children"]
+    return json.dumps(out)
 
 
 def naive_lca(F: LabeledForest, u: int, v: int) -> int | None:
@@ -231,7 +247,7 @@ def optimal_tree_alignments(F: LabeledForest, G: LabeledForest):
             if (x, y) != (2 * F.n, 2 * G.n):
                 cx, cy = x + 1, y + 1
                 walk.append((cx, cy))
-        out.append(Alignment(np.array(walk, dtype=np.int64)))
+        out.append(np.array(walk, dtype=np.int64))
     return best, out
 
 

@@ -199,6 +199,7 @@ def test_vertical_endpoint_contract(interner, monkeypatch):
 OPTIMIZED_CHECKS = """
 import numpy as np
 import tedk.labeling as labeling
+from tedk.alignment import eval_alignment
 from tedk.forest import LabeledForest, LabelInterner, parse_paren_text
 from tedk.context import QueryContext
 from tedk.labeling import JointLabeling
@@ -227,12 +228,14 @@ print("odd", raised(lambda: LabeledForest.from_codes([0, 0, 1])))
 print("depth", raised(lambda: LabeledForest.from_codes([1, 0])))
 print("label", raised(lambda: LabeledForest.from_codes([0, 3])))
 print("parse", raised(lambda: parse_paren_text("(a))", LabelInterner())))
+print("alignment", raised(lambda: eval_alignment(np.array([(0, 0), (1, 1)]),
+                                                 "ab", "ab")))
 """
 
 
 def test_contracts_survive_python_O():
-    # the refinement and pairing checks are plain if/raise: python -O, which
-    # strips assert statements, still runs them
+    # the refinement, pairing and alignment checks are plain if/raise:
+    # python -O, which strips assert statements, still runs them
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
                          env=env, capture_output=True, text=True, timeout=120)
@@ -240,4 +243,5 @@ def test_contracts_survive_python_O():
     assert out.stdout.split("\n") == [
         "debug False", "refines False", "lookahead ContractError",
         "compat ContractError", "odd UnbalancedError", "depth UnbalancedError",
-        "label LabelMismatchError", "parse UnbalancedError", ""]
+        "label LabelMismatchError", "parse UnbalancedError",
+        "alignment MalformedAlignmentError", ""]

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tedk.errors import LabelMismatchError, ParseError, UnbalancedError
-from tedk.forest import (JSON_MAX_HEIGHT, VIRTUAL_ROOT, LabeledForest,
-                         LabelInterner, _pair_parens, last_at_level,
-                         level_search, parse_json_text, parse_paren_text,
-                         serialize_json, serialize_paren)
+from tedk.forest import (JSON_MAX_HEIGHT, LabeledForest, LabelInterner,
+                         _pair_parens, last_at_level, level_search,
+                         parse_json_text, parse_paren_text, serialize_json,
+                         serialize_paren)
 from tedk.generate import alphabet, random_forest
 
-from conftest import deep_chain, forest, stack_walk, validate
-from reference import naive_positions
+from conftest import VIRTUAL_ROOT, deep_chain, forest, stack_walk, validate
+from reference import naive_positions, nested_json
 
 
 def test_parse_single_node(interner):
@@ -333,6 +333,21 @@ def test_json_round_trip(interner, rng):
     deeper = '[{"label": "a", "children": ' * (h + 1) + "[]" + "}]" * (h + 1)
     with pytest.raises(ParseError, match="too deep"):
         parse_json_text(deeper, interner)
+
+
+def test_serialize_json_matches_nested_dumps(interner, rng):
+    # the one-pass writer gives the bytes `json.dumps` gives on the nested
+    # dicts: empty, one-node and random forests, escaped labels, and a
+    # chain at the height bound
+    syms = np.concatenate([alphabet(interner, 3), [
+        interner.intern(t) for t in ('q"x', "b\\c", "\u00e9")]])
+    cases = [LabeledForest.from_codes(np.empty(0, dtype=np.int64)),
+             forest("(a)", interner), forest("(a)(b(c))(d)", interner),
+             forest("(a" * JSON_MAX_HEIGHT + ")" * JSON_MAX_HEIGHT, interner)]
+    cases += [random_forest(rng, int(rng.integers(1, 200)),
+                            int(rng.integers(1, 8)), syms) for _ in range(60)]
+    for F in cases:
+        assert serialize_json(F, interner) == nested_json(F, interner)
 
 
 def test_serialize_json_reads_labels_once(interner, rng, monkeypatch):

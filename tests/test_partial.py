@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from tedk.errors import CrossingMatchingError
-from tedk.forest import VIRTUAL_ROOT
 from tedk.generate import alphabet, apply_random_edits, random_forest
 from tedk.oracle import INF, ted_threshold
 from tedk.partial import (_marked_class, gadget, partial_reduce,
                           prune_redundant, reduce_height, validate_matching)
 from tedk.selftest import ted_brute_constrained
 
-from conftest import deep_chain, forest, stack_walk, ted_constrained
+from conftest import (VIRTUAL_ROOT, deep_chain, forest, stack_walk,
+                      ted_constrained)
 
 
 def random_matching(rng, F, G, tries=4):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import tedk.shallow
-from tedk.errors import ContractError
+from tedk.errors import ContractError, CrossingMatchingError
 from tedk.generate import alphabet, apply_random_edits, planted_pair, random_forest
 from tedk.context import QueryContext
 from tedk.oracle import INF, ted_threshold
@@ -83,12 +83,14 @@ def test_residual_size_contract(interner, rng, monkeypatch):
         shallow_ted(F, F, F.height(), QueryContext(2, BASE))
 
 
-def test_crossing_shared_matching_gives_inf(interner, monkeypatch):
-    # the partial reduction's own matching check rejects a crossing shared
-    # matching; shallow_ted reports that as distance > k
+def test_crossing_shared_matching_raises(interner, monkeypatch):
+    # a crossing shared matching cannot come from one monotone alignment:
+    # the partial reduction's own matching check raises, and shallow_ted
+    # passes the fault on instead of answering distance > k
     F = forest("(a)(a)", interner)
     crossing = np.array([[0, 2], [1, 3], [2, 0], [3, 1]], dtype=np.int64)
     monkeypatch.setattr(tedk.shallow, "common_matching_core",
                         lambda *args: crossing)
     assert len(tedk.shallow.lift_position_matching(F, F, crossing)) == 2
-    assert shallow_ted(F, F, 1, QueryContext(1, BASE)) == INF
+    with pytest.raises(CrossingMatchingError):
+        shallow_ted(F, F, 1, QueryContext(1, BASE))

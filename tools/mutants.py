@@ -110,6 +110,17 @@ MUTANTS = [
            "opens_before = np.cumsum(is_m) - is_m",
            "opens_before = np.cumsum(is_m)",
            ("tests/test_partial.py::test_marked_class_matches_parent_walk",)),
+    Mutant("core-trims-one-more", "src/tedk/alignment.py",
+           "keep = mask & (within >= trim)", "keep = mask & (within > trim)",
+           ("tests/test_alignment.py::test_common_matching_trivial_formula",
+            "tests/test_alignment.py::test_common_matching_two_fragments")),
+    Mutant("eval-skips-end-check", "src/tedk/alignment.py",
+           "if A[-1, 0] != len(X) or A[-1, 1] != len(Y):", "if False:",
+           ("tests/test_alignment.py::test_eval_examples",
+            "tests/test_contracts.py::test_contracts_survive_python_O")),
+    Mutant("greedy-insertion-wins-ties", "src/tedk/alignment.py",
+           "if c > s and 0 <= c <= limit:", "if c >= s and 0 <= c <= limit:",
+           ("tests/test_alignment.py::test_greedy_align_mismatch_runs_match_rowwise",)),
     Mutant("vert-partner-from-high-end", "src/tedk/vertical.py",
            "next(filter(None, map(partner, window)), None)",
            "next(filter(None, map(partner, reversed(window))), None)",
