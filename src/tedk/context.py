@@ -1,8 +1,9 @@
 """One query's state: its threshold, fingerprint base and per-string data.
 
 `engine.run` makes one `QueryContext` per query and hands it to every layer
-that reads a code string.  It owns k, the Karp-Rabin base with one table of
-its powers (`hashing.grow_powers`), the run report's phase timings, and one
+that reads a code string.  It owns k, the Karp-Rabin base with two tables,
+of its powers and of its inverse's powers (each grown by
+`hashing.grow_powers`), the run report's phase timings, and one
 record for each of the latest two code strings asked about: the string's
 filtered runs (`horizontal.filter_runs`), prefix table (`hashing.HashedSeq`)
 and look-ahead fingerprints per depth (`labeling.lookahead_refine`), each
@@ -29,15 +30,18 @@ from .indexes import Run
 
 
 class QueryContext:
-    """Threshold k, fingerprint base and powers, timings, the latest two
-    strings' records, and with audit=True a twin under a second base."""
+    """Threshold k, fingerprint base with its power and inverse-power
+    tables, timings, the latest two strings' records, and with audit=True a
+    twin under a second base."""
 
     def __init__(self, k: int, base: int, audit: bool = False):
         if k < 1:
             raise ValueError("threshold must be >= 1")
         self.k = k
         self.base = base % M61
+        self.inv = pow(self.base, M61 - 2, M61)
         self.pw = np.ones(1, dtype=np.uint64)
+        self.ipw = np.ones(1, dtype=np.uint64)
         self.timings: dict = {}
         self._records: list[dict] = []
         self.audit = None
@@ -49,6 +53,11 @@ class QueryContext:
         """base^0 .. base^(n-1), from the one growing power table."""
         self.pw = grow_powers(self.pw, self.base, n)
         return self.pw[:n]
+
+    def inverse_powers(self, n: int) -> np.ndarray:
+        """base^0 .. base^-(n-1), from the one growing inverse table."""
+        self.ipw = grow_powers(self.ipw, self.inv, n)
+        return self.ipw[:n]
 
     def derived(self, codes: np.ndarray, what, make):
         """Field `what` of the record of `codes`, made by `make` if absent."""

@@ -3,10 +3,12 @@
 One random base is drawn per query from the engine's seeded RNG and shared
 by every sequence that has to be comparable (both forests, refined
 labelings, context keys).  The query's context (`context.QueryContext`)
-holds the base, one table of its powers that `grow_powers` extends by
-doubling steps, and the prefix tables (`HashedSeq`) of its code strings.
-The inverse powers a prefix table needs come from the power table with one
-multiply, inv^j = base^(n-1-j) * inv^(n-1).
+holds the base, two tables that `grow_powers` extends by doubling steps
+(the powers of the base and of its inverse), and the prefix tables
+(`HashedSeq`) of its code strings.  A prefix table weighs each code by the
+power of the base that counts the codes after it, so it is one
+multiply-mod and one sum; a substring's fingerprint then takes one
+multiply by an inverse power.
 
 Tables and queries are vectorized with a 128-bit-safe uint64 multiply-mod
 that works in place on a few buffers; sums mod 2^61-1 add the 32-bit halves
@@ -30,6 +32,14 @@ _U61 = np.uint64(M61)
 def _reduce_once(x: np.ndarray) -> np.ndarray:
     """x - M61 where x >= M61, in place (x below 2*M61 is then reduced)."""
     return np.subtract(x, _U61, out=x, where=x >= _U61)
+
+
+def _fold(x: np.ndarray) -> np.ndarray:
+    """x mod 2^61-1 in place, for any uint64 x (2^61 = 1 mod 2^61-1)."""
+    hi = x >> np.uint64(61)
+    x &= _U61
+    x += hi
+    return _reduce_once(x)
 
 
 def mulmod_vec(a, b, out: np.ndarray | None = None) -> np.ndarray:
@@ -78,10 +88,8 @@ def sum_mod(terms: np.ndarray, add) -> np.ndarray:
     2^61, mod 2^61-1: the 32-bit halves are summed apart so that uint64 does
     not overflow, then folded: hi * 2^32 = (hi >> 29) + (hi mod 2^29) * 2^32
     mod 2^61-1."""
-    lo = add(terms & np.uint64(_MASK32))
-    np.remainder(lo, _U61, out=lo)
-    hi = add(terms >> np.uint64(32))
-    np.remainder(hi, _U61, out=hi)
+    lo = _fold(add(terms & np.uint64(_MASK32)))
+    hi = _fold(add(terms >> np.uint64(32)))
     out = hi >> np.uint64(29)
     hi &= np.uint64((1 << 29) - 1)
     hi <<= np.uint64(32)
@@ -112,30 +120,30 @@ def grow_powers(pw: np.ndarray, base: int, n: int) -> np.ndarray:
 class HashedSeq:
     """Prefix-hash table over one integer sequence; O(1) substring queries.
 
-    The table keeps the base and a view of the first n + 1 powers of the
-    query context `ctx`, not the context: a context and its tables form no
-    reference cycle, so they are freed as soon as the query drops it.
+    The table keeps the base and views of the first n + 1 powers and
+    inverse powers of the query context `ctx`, not the context: a context
+    and its tables form no reference cycle, so they are freed as soon as
+    the query drops it.
     """
 
     def __init__(self, codes: np.ndarray, ctx: QueryContext):
         self.base = ctx.base
         self.n = n = len(codes)
         self.pw = pw = ctx.powers(n + 1)
-        # H[i] = hash of prefix [0..i):  sum_{j<i} digit_j * base^(i-1-j)
-        # computed as cumsum(digit_j * inv^j) * base^(i-1), where
-        # inv^j = base^(n-1-j) * inv^(n-1)
-        H = np.zeros(n + 1, dtype=np.uint64)
+        self.ipw = ctx.inverse_powers(n + 1)
+        # P[i] = sum_{j<i} digit_j * base^(n-1-j), digit_j = code_j + 1
+        P = np.zeros(n + 1, dtype=np.uint64)
         if n:
             terms = np.asarray(codes, dtype=np.uint64) + np.uint64(1)
-            np.remainder(terms, _U61, out=terms)
+            _fold(terms)
             mulmod_vec(terms, pw[n - 1::-1], out=terms)
-            mulmod_vec(terms, np.uint64(pow(self.base, 1 - n, M61)), out=terms)
-            mulmod_vec(sum_mod(terms, np.cumsum), pw[:n], out=H[1:])
-        self.H = H
+            P[1:] = sum_mod(terms, np.cumsum)
+        self.P = P
 
     def substring_vec(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Fingerprints of positions [i..j) per pair; empty ranges hash to 0."""
-        sub = mulmod_vec(self.H[i], self.pw[j - i])
-        np.subtract(_U61, sub, out=sub)
-        sub += self.H[j]
-        return _reduce_once(sub)
+        """Fingerprints of positions [i..j) per pair, sum_{i<=t<j} digit_t *
+        base^(j-1-t) = (P[j] - P[i]) * base^-(n-j); empty ranges hash to 0."""
+        sub = np.subtract(_U61, self.P[i])
+        sub += self.P[j]
+        _reduce_once(sub)
+        return mulmod_vec(sub, self.ipw[self.n - j], out=sub)

@@ -1,16 +1,23 @@
 """Maximal runs of a code string.
 
-Runs are found by a per-period vectorized scan: for each period p the
-positions with S[i] == S[i+p] form stretches, every stretch of length >= p
-yields a maximal p-periodic interval, and deduplicating identical intervals
-while keeping the smallest detected period gives exactly the runs (for an
+Runs are found by a per-period scan: for each period p the positions with
+S[i] == S[i+p] form stretches, every stretch of length >= p yields a
+maximal p-periodic interval, and deduplicating identical intervals while
+keeping the smallest detected period gives exactly the runs (for an
 interval of exponent >= 2 the smallest period divides every other detected
-period, so it is found at its own scan step).  The reduction pipeline only
-ever needs periods up to 4k, where this is O(nk) on numpy arrays.
+period, so it is found at its own scan step).
+
+A stretch only counts when it is long enough for the exponent filter, so
+each scan step looks at aligned blocks of the equality mask instead of
+every stretch: a block test on a reshaped buffer finds the groups of
+all-equal blocks, and one `argmin` per group side extends a group to its
+stretch.  The reduction pipeline only ever needs periods up to 4k, where
+this is O(nk) in a constant number of array passes per period.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,18 +32,34 @@ class Run:
     p: int
 
 
-def _stretches(mask: np.ndarray):
-    """(start, length) pairs of maximal True stretches of a boolean array."""
-    if len(mask) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    diff = np.diff(mask.astype(np.int8))
-    starts = np.flatnonzero(diff == 1) + 1
-    ends = np.flatnonzero(diff == -1) + 1
-    if mask[0]:
-        starts = np.concatenate(([0], starts))
-    if mask[-1]:
-        ends = np.concatenate((ends, [len(mask)]))
-    return starts.astype(np.int64), (ends - starts).astype(np.int64)
+def _long_stretches(buf: np.ndarray, m: int, need: int):
+    """(start, end) arrays of the maximal True stretches of length >= need
+    in buf[:m], with need >= 1; `buf` has room for m + need // 2 entries,
+    and those past m are overwritten.
+
+    With b = (need + 1) // 2, such a stretch [a, e) holds the aligned block
+    that starts first at or after a: it starts before a + b and ends by
+    a + 2b - 1 <= a + need <= e.  So every kept stretch holds a whole
+    all-True block.  A group of consecutive all-True blocks lies in one
+    stretch, whose ends are found in the group's two neighbour blocks: each
+    holds a False, or it would be in the group.
+    """
+    b = (need + 1) // 2
+    nb = -(-m // b)
+    buf[m:nb * b] = False
+    blocks = buf[:nb * b].reshape(nb, b)
+    full = np.concatenate(([False], blocks.all(axis=1), [False]))
+    edges = np.flatnonzero(full[1:] != full[:-1])
+    first, stop = edges[0::2], edges[1::2]  # each group's blocks [first, stop)
+    starts = first * b
+    left = first > 0
+    before = blocks[first[left] - 1, ::-1]  # last False: first from the right
+    starts[left] -= np.argmin(before, axis=1)
+    ends = stop * b
+    right = stop < nb
+    ends[right] += np.argmin(blocks[stop[right]], axis=1)
+    keep = ends - starts >= need
+    return starts[keep], ends[keep]
 
 
 def compute_runs(S: np.ndarray, max_period: int | None = None,
@@ -46,23 +69,25 @@ def compute_runs(S: np.ndarray, max_period: int | None = None,
 
     The exponent filter is safe to apply per scan period: an interval whose
     true period q is smaller than the scanned p has the same maximal extent
-    at the scan step for q, where its full exponent is measured.
+    at the scan step for q, where its full exponent is measured.  At period
+    p a stretch of length ln gives exponent (ln + p) / p, so it is kept iff
+    ln >= ceil(min_exponent * p) - p, an exact integer threshold.
     """
     S = np.asarray(S)
     n = len(S)
     limit = n // 2 if max_period is None else min(max_period, n // 2)
     min_exponent = max(min_exponent, 2.0)
+    buf = np.empty(n + n // 2, dtype=bool)
     best: dict[tuple[int, int], int] = {}
     for p in range(1, limit + 1):
-        eq = S[:-p] == S[p:]
-        starts, lengths = _stretches(eq)
-        sel = lengths + p >= min_exponent * p
-        for a, ln in zip(starts[sel].tolist(), lengths[sel].tolist()):
-            key = (a, a + ln + p)
-            q = best.get(key)
-            if q is None or p < q:
-                best[key] = p
+        m = n - p
+        need = math.ceil(min_exponent * p) - p
+        if need > m:
+            break
+        np.equal(S[:-p], S[p:], out=buf[:m])
+        starts, ends = _long_stretches(buf, m, need)
+        for key in zip(starts.tolist(), (ends + p).tolist()):
+            best.setdefault(key, p)  # p ascends: the first is the smallest
     runs = [Run(i, j, p) for (i, j), p in best.items()]
     runs.sort()
     return runs
-

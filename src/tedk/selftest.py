@@ -7,7 +7,9 @@ The references are written straight from the definitions, with no machinery
 shared with the production paths, and are quadratic or worse on purpose:
 `naive_runs` checks every interval for a run, `banded_edit_cost` is the
 full banded string DP, and `ted_brute_constrained` enumerates every Tai
-mapping.  The test suites compare against the same three functions.
+mapping.  The test suites compare against the same three functions, and
+draw their strings at the edge of the engine's run filter from
+`planted_runs`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .engine import EngineConfig, ted_bounded
 from .forest import LabeledForest, LabelInterner
 from .generate import (alphabet, apply_random_edits, planted_pair,
                        random_forest)
-from .horizontal import min_balance_rotations, sync_reductions
+from .horizontal import filter_runs, min_balance_rotations, sync_reductions
 from .indexes import compute_runs
 from .oracle import ted_threshold
 from .partial import partial_reduce, validate_matching
@@ -61,6 +63,56 @@ def naive_runs(S) -> list[tuple[int, int, int]]:
                 continue
             out.append((i, j, p))
     return sorted(out)
+
+
+def primitive_word(rng, p: int) -> np.ndarray:
+    """A random word of length p over 0, 1, 2 that is no power of a shorter
+    word, so that its repetitions have smallest period p."""
+    while True:
+        word = rng.integers(0, 3, p)
+        if not any(np.array_equal(word, np.roll(word, d)) for d in range(1, p)):
+            return word
+
+
+def planted_runs(rng, k: int) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """A code string with runs at the edge of the engine's run filter
+    (period <= 4k, exponent >= 16k), and the runs that filter keeps.
+
+    Three runs of random periods p <= 4k have equality stretches of
+    need - 1, need and need + 1 positions in random order, where
+    need = (16k - 1) p is the shortest stretch the filter keeps.  The first
+    two are split by one mismatch; the pieces touch both ends of the string
+    and are parted by random filler between two symbols that occur once.
+    Filler shorter than 16 holds no run of exponent 16, and any other run
+    of period q inside a piece is shorter than p + q (Fine and Wilf), so
+    the planted runs are all that the filter keeps.
+    """
+    fresh = iter(range(3, 1 << 30))  # symbols that occur once
+    deltas = rng.permutation([-1, 0, 1]).tolist()
+    pieces, runs, at = [], [], 0
+
+    def plant(p, stretches):
+        nonlocal at
+        need = (16 * k - 1) * p
+        word = primitive_word(rng, p)
+        for t, delta in enumerate(stretches):
+            if t:
+                pieces.append([next(fresh)])  # the mismatch
+                at += 1
+            length = need + delta + p
+            pieces.append(np.resize(word, length))
+            if delta >= 0:
+                runs.append((at, at + length, p))
+            at += length
+
+    order = [deltas[:2], deltas[2:]]
+    for t in rng.permutation(2).tolist():
+        if pieces:
+            filler = rng.integers(0, 3, int(rng.integers(0, 16)))
+            pieces += [[next(fresh)], filler, [next(fresh)]]
+            at += len(filler) + 2
+        plant(int(rng.integers(1, 4 * k + 1)), order[t])
+    return np.concatenate(pieces).astype(np.int64), sorted(runs)
 
 
 def banded_edit_cost(X, Y, w: int) -> int | None:
@@ -154,7 +206,17 @@ def _check_runs(rng, count: int) -> tuple[int, int]:
         got = [(r.i, r.j, r.p) for r in compute_runs(S)]
         if sorted(got) != naive_runs(S) or len(got) >= max(1, n):
             bad += 1
-    return bad, count
+    # the engine's call, filtered to period <= 4k and exponent >= 16k
+    planted = count // 10
+    for t in range(planted):
+        k = 1 + t % 3
+        S, kept = planted_runs(rng, k)
+        got = [(r.i, r.j, r.p) for r in filter_runs(S, k)]
+        want = [(i, j, p) for i, j, p in naive_runs(S)
+                if p <= 4 * k and j - i >= 16 * k * p]
+        if got != want or got != kept:
+            bad += 1
+    return bad, count + planted
 
 
 def _check_greedy(rng, count: int) -> tuple[int, int]:

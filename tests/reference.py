@@ -16,10 +16,23 @@ import numpy as np
 
 from tedk.alignment import as_codes
 from tedk.forest import LabeledForest
+from tedk.hashing import M61
 from tedk.selftest import all_tai_mappings, mapping_cost
 
 
 # -- strings ------------------------------------------------------------------
+
+def prefix_table(codes, base: int) -> list[int]:
+    """P[i] = sum_{j<i} (codes[j] + 1) * base^(n-1-j) mod 2^61-1, for
+    i = 0..n, in Python ints."""
+    weights = [1]  # base^(n-1-j), from the last position back
+    for _ in range(len(codes) - 1):
+        weights.append(weights[-1] * base % M61)
+    P = [0]
+    for code, weight in zip(codes, reversed(weights)):
+        P.append((P[-1] + (int(code) + 1) * weight) % M61)
+    return P
+
 
 def sync_power_occurrences(X, Y, s: int, e: int, max_root: int):
     """All (x, y, q) with Q^e = X[x..x+qe) = Y[y..y+qe), |Q|=q<=max_root,

@@ -310,12 +310,12 @@ def test_sym_diff(rng):
     B = np.array([(0, 0), (1, 0), (2, 1), (3, 2), (4, 3), (5, 4), (5, 5)])
     a, b = pair_set(A), pair_set(B)
     assert sym_diff_size(A, B) == len(a ^ b)
-    # disjoint interiors sharing only the endpoints
+    # C holds every pair of A plus the two detour pairs (0, 1) and (5, 4)
     C = np.array([(0, 0), (0, 1), (1, 1), (2, 2), (3, 3), (4, 4),
                   (5, 4), (5, 5)])
     inter = pair_set(A) & pair_set(C)
-    assert inter == {(0, 0), (5, 5), (2, 2), (3, 3), (4, 4)} or True
-    assert sym_diff_size(A, C) == len(pair_set(A) ^ pair_set(C))
+    assert inter == {(i, i) for i in range(6)}
+    assert sym_diff_size(A, C) == len(pair_set(A) ^ pair_set(C)) == 2
 
 
 def test_common_matching_trivial_formula(rng):

@@ -3,14 +3,13 @@ import pytest
 
 from tedk.context import QueryContext
 from tedk.generate import alphabet, planted_pair, random_forest
-from tedk.hashing import HashedSeq
 from tedk.horizontal import (filter_runs, min_balance_rotations,
                              sync_occurrences, sync_reductions)
 from tedk.oracle import ted_threshold
 from tedk.selftest import naive_runs
 
 from conftest import forest, query
-from reference import sync_power_occurrences
+from reference import prefix_table, sync_power_occurrences
 
 
 def enc(text, interner):
@@ -65,11 +64,12 @@ def test_context_runs_and_tables_share_records(rng):
     S, T, U = (rng.integers(0, 3, 200) for _ in range(3))
     runs_s = ctx.runs(S)
     hs = ctx.table(S.copy())
-    assert ctx.table(T).H.tolist() == HashedSeq(T, ctx).H.tolist()
+    assert hs.P.tolist() == prefix_table(S, ctx.base)
+    assert ctx.table(T).P.tolist() == prefix_table(T, ctx.base)
     assert ctx.runs(S.copy()) is runs_s and ctx.table(S) is hs
     ctx.runs(U)  # S is now the oldest: dropped
     again = ctx.table(S)
-    assert again is not hs and again.H.tolist() == hs.H.tolist()
+    assert again is not hs and again.P.tolist() == prefix_table(S, ctx.base)
 
 
 def test_sigma_examples(interner):

@@ -5,11 +5,12 @@ from tedk.context import QueryContext
 from tedk.generate import alphabet, random_forest
 from tedk.hashing import M61, HashedSeq, mulmod_vec, sum_mod
 from tedk.forest import lca_depth
+from tedk.horizontal import filter_runs
 from tedk.indexes import compute_runs
-from tedk.selftest import naive_runs
+from tedk.selftest import naive_runs, planted_runs, primitive_word
 
 from conftest import forest
-from reference import naive_lca
+from reference import naive_lca, prefix_table
 
 
 def runs_set(S):
@@ -41,7 +42,6 @@ def test_runs_bounded_period(rng):
 
 def test_filtered_run_overlap_bound(rng):
     # follows the proof: for filtered runs sorted by start, j1 < i2 + 8k, j1 < j2
-    from tedk.horizontal import filter_runs
     k = 1
     for _ in range(40):
         S = rng.integers(0, 2, 400)
@@ -76,9 +76,10 @@ def test_lca_examples_and_oracle(interner, rng):
 
 
 def substring(hs: HashedSeq, i: int, j: int) -> int:
-    """Fingerprint of positions [i..j) in exact integers; the empty range
-    hashes to 0."""
-    return (int(hs.H[j]) - int(hs.H[i]) * int(hs.pw[j - i])) % M61
+    """Fingerprint of positions [i..j) in exact integers from the prefix
+    table, (P[j] - P[i]) * base^-(n-j); the empty range hashes to 0."""
+    unscale = pow(hs.base, -(hs.n - j), M61)
+    return (int(hs.P[j]) - int(hs.P[i])) * unscale % M61
 
 
 def concat_fp(base: int, fp_a: int, len_a: int, fp_b: int, len_b: int) -> int:
@@ -132,16 +133,18 @@ def test_power_fingerprint(rng):
 
 
 def test_prefix_and_power_tables_match_integers(rng):
-    # H[i+1] = H[i]*b + (code+1) and pw[i] = b^i, mod 2^61-1 in Python ints.
-    # One state per base serves a run of lengths that grow and shrink, so
-    # its power table is grown from every size a query can leave it at.
+    # P[i] = sum_{j<i} (code_j+1) * b^(n-1-j), pw[i] = b^i and ipw[i] = b^-i,
+    # mod 2^61-1 in Python ints.  One context per base serves a run of
+    # lengths that grow and shrink, so both its tables are grown from every
+    # size a query can leave them at.
     pows = [2 ** j + s for j in range(1, 12) for s in (-1, 0, 1)]
     for t in range(6):
         base = int(rng.integers(1 << 10, M61 - 2))
+        inv = pow(base, -1, M61)
         ctx = QueryContext(1, base)
         lengths = [0, 1, 2] + rng.permutation(pows).tolist()
         lengths += rng.integers(0, 3000, 10).tolist() + [0, 1]
-        ref_pw = [1]
+        ref_pw, ref_ipw = [1], [1]
         for n in lengths:
             codes = rng.integers(0, 1 << 40, n)
             hs = ctx.table(codes)
@@ -150,10 +153,22 @@ def test_prefix_and_power_tables_match_integers(rng):
                 H.append((H[-1] * base + code + 1) % M61)
             while len(ref_pw) < len(ctx.pw):
                 ref_pw.append(ref_pw[-1] * base % M61)
-            assert hs.H.tolist() == H
+            while len(ref_ipw) < len(ctx.ipw):
+                ref_ipw.append(ref_ipw[-1] * inv % M61)
+            assert hs.P.tolist() == prefix_table(codes, base)
             assert ctx.pw.tolist() == ref_pw[:len(ctx.pw)]
-            assert len(ctx.pw) >= n + 1
-            assert substring(hs, 0, n) == H[-1]
+            assert ctx.ipw.tolist() == ref_ipw[:len(ctx.ipw)]
+            assert len(ctx.pw) >= n + 1 and len(ctx.ipw) >= n + 1
+            assert hs.pw.tolist() == ref_pw[:n + 1]
+            assert hs.ipw.tolist() == ref_ipw[:n + 1]
+            # every prefix and random ranges, against the textbook Horner
+            # fingerprint H[j] - H[i] * b^(j-i)
+            assert [substring(hs, 0, j) for j in range(n + 1)] == H
+            i = rng.integers(0, n + 1, 50)
+            j = np.maximum(i, rng.integers(0, n + 1, 50))
+            want = [(H[b] - H[a] * ref_pw[b - a]) % M61
+                    for a, b in zip(i.tolist(), j.tolist())]
+            assert hs.substring_vec(i, j).tolist() == want
     # the multiply-mod, array x array and array x scalar, on edge operands
     edge = [0, 1, 2, M61 - 1, M61 - 2, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1,
             2 ** 60, 2 ** 61 - 2 ** 32]
@@ -172,3 +187,38 @@ def test_prefix_and_power_tables_match_integers(rng):
     terms = [2 ** 60 + 2 ** 32 - 1, 2 ** 60 - 1]
     got = sum_mod(np.array(terms, dtype=np.uint64), np.cumsum)
     assert got.tolist() == [terms[0], sum(terms) % M61]
+
+
+def engine_runs(S, k):
+    """The engine's call, compute_runs(S, 4k, 16k)."""
+    return [(r.i, r.j, r.p) for r in filter_runs(S, k)]
+
+
+def test_filtered_runs_at_the_filter_edge(rng):
+    # runs one short of, at and one past the filter's stretch length, runs
+    # touching either end, and two runs split by one mismatch: the engine's
+    # call keeps exactly the planted runs that pass, as the naive scan does
+    for k in (1, 2, 3):
+        for _ in range(6):
+            S, kept = planted_runs(rng, k)
+            want = [(i, j, p) for i, j, p in naive_runs(S)
+                    if p <= 4 * k and j - i >= 16 * k * p]
+            assert engine_runs(S, k) == want == kept
+
+
+def test_filtered_runs_at_every_block_offset(rng):
+    # a stretch of exactly `need` equal positions holds a whole aligned
+    # block of the scan wherever it starts; slide one run past every start
+    # modulo the block size, with one position to spare and one too few,
+    # behind symbols that occur once
+    for k in (1, 2, 3):
+        for p in range(1, 4 * k + 1):
+            word = primitive_word(rng, p)
+            need = (16 * k - 1) * p
+            for a in range(need // 2 + 2):
+                for delta in (-1, 0, 1):
+                    S = np.concatenate([np.arange(3, 3 + a),
+                                        np.resize(word, need + delta + p),
+                                        [3 + a]])
+                    want = [(a, a + need + delta + p, p)] if delta >= 0 else []
+                    assert engine_runs(S, k) == want

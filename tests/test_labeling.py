@@ -13,7 +13,7 @@ from tedk.labeling import (JointLabeling, _level_descendant_cuts,
 
 from conftest import deep_chain, forest, is_tree_alignment, stack_walk
 from reference import (naive_compat_classes, optimal_tree_alignments,
-                       trimmed_print)
+                       prefix_table, trimmed_print)
 from test_indexes import concat_fp, substring
 
 BASE = 0x1234567
@@ -131,11 +131,15 @@ def test_lookahead_fingerprints_recorded_per_depth(interner, rng,
 
 def test_audit_twin_fingerprints_under_its_own_base(rng):
     # the audit recomputes under an independent base: its twin has no twin
-    # of its own, and its prefix table of a string differs from the context's
+    # of its own, and its prefix table of a string is the one of its own
+    # base, which differs from the context's
     ctx = QueryContext(1, BASE, audit=True)
     assert ctx.audit.audit is None and ctx.audit.base != ctx.base
     codes = rng.integers(0, 5, 300)
-    assert ctx.table(codes).H[-1] != ctx.audit.table(codes).H[-1]
+    table, twin = ctx.table(codes), ctx.audit.table(codes)
+    assert table.P.tolist() == prefix_table(codes, BASE)
+    assert twin.P.tolist() == prefix_table(codes, ctx.audit.base)
+    assert table.P[-1] != twin.P[-1]
 
 
 def test_compat_refine_examples(interner, rng):

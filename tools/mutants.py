@@ -121,6 +121,21 @@ MUTANTS = [
     Mutant("greedy-insertion-wins-ties", "src/tedk/alignment.py",
            "if c > s and 0 <= c <= limit:", "if c >= s and 0 <= c <= limit:",
            ("tests/test_alignment.py::test_greedy_align_mismatch_runs_match_rowwise",)),
+    Mutant("run-blocks-too-wide", "src/tedk/indexes.py",
+           "b = (need + 1) // 2\n", "b = need // 2 + 1\n",
+           ("tests/test_indexes.py::test_filtered_runs_at_every_block_offset",)),
+    Mutant("run-right-end-from-group", "src/tedk/indexes.py",
+           "np.argmin(blocks[stop[right]], axis=1)",
+           "np.argmin(blocks[stop[right] - 1], axis=1)",
+           ("tests/test_indexes.py::test_filtered_runs_at_every_block_offset",
+            "tests/test_indexes.py::test_filtered_runs_at_the_filter_edge")),
+    Mutant("run-left-end-from-first-false", "src/tedk/indexes.py",
+           "blocks[first[left] - 1, ::-1]", "blocks[first[left] - 1]",
+           ("tests/test_indexes.py::test_filtered_runs_at_every_block_offset",
+            "tests/test_indexes.py::test_filtered_runs_at_the_filter_edge")),
+    Mutant("inverse-power-off-by-one", "src/tedk/hashing.py",
+           "self.ipw[self.n - j]", "self.ipw[self.n - j - 1]",
+           ("tests/test_indexes.py::test_prefix_and_power_tables_match_integers",)),
     Mutant("vert-partner-from-high-end", "src/tedk/vertical.py",
            "next(filter(None, map(partner, window)), None)",
            "next(filter(None, map(partner, reversed(window))), None)",
