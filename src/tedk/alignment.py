@@ -278,8 +278,6 @@ def common_matching_core(X, Y, k: int, w: int, e: int) -> np.ndarray:
         raise NoAlignmentError(f"no alignment with cost <= {k}, width <= {w}")
     trim = 7 * w * k * e
     mask = _match_mask(A, X, Y)
-    if not mask.any():
-        return np.empty((0, 2), dtype=np.int64)
     idx = np.arange(len(mask), dtype=np.int64)
     run_start = np.maximum.accumulate(np.where(~mask, idx + 1, 0))
     # position of t inside its run of consecutive matches

@@ -3,11 +3,11 @@
 `engine.run` makes one `QueryContext` per query and hands it to every layer
 that reads a code string.  It owns k, the Karp-Rabin base with two tables,
 of its powers and of its inverse's powers (each grown by
-`hashing.grow_powers`), the run report's phase timings, and one
-record for each of the latest two code strings asked about: the string's
-filtered runs (`horizontal.filter_runs`), prefix table (`hashing.HashedSeq`)
-and look-ahead fingerprints per depth (`labeling.lookahead_refine`), each
-made on first request.
+`hashing.grow_powers`), the run report's phase timings, and one record
+for each of the latest two code strings asked about: the string's filtered
+runs (`horizontal.filter_runs`, an int64 array of (i, j, p) rows), prefix
+table (`hashing.HashedSeq`) and look-ahead fingerprints per depth
+(`labeling.lookahead_refine`), each made on first request.
 
 The reuse rule, for every layer: a string equal to one of the latest two
 gets that string's record (`derived`).  Each pass asks for F's string, then
@@ -26,7 +26,6 @@ import numpy as np
 
 from .hashing import M61, HashedSeq, grow_powers
 from .horizontal import filter_runs
-from .indexes import Run
 
 
 class QueryContext:
@@ -71,8 +70,8 @@ class QueryContext:
             rec[what] = make()
         return rec[what]
 
-    def runs(self, codes: np.ndarray) -> list[Run]:
-        """`filter_runs(codes, k)`."""
+    def runs(self, codes: np.ndarray) -> np.ndarray:
+        """`filter_runs(codes, k)`: sorted (r, 3) int64 rows (i, j, p)."""
         return self.derived(codes, "runs", lambda: filter_runs(codes, self.k))
 
     def table(self, codes: np.ndarray) -> HashedSeq:

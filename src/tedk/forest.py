@@ -10,20 +10,19 @@ arrays directly: `codes` per position, `o`, `c` and `depth` per node,
 code array under another labeling.  Instances are immutable after
 construction.
 
-Level ancestors (the parent, the ancestor d levels up, the nearest marked
-ancestor) all come from one stable sort and one binary search,
-`last_at_level`, with no loop over depths.  The same sorted keys
-(`level_search`) give LCA depths by a binary search over levels
-(`lca_depth`), so no ancestor table is built.  Likewise every parenthesis
-pairing in the package (forest construction, text parsing, the rotation test
-of horizontal periods) goes through `_pair_parens`, one stable sort of the
-nesting levels, then one xor per pair to check its labels and one scatter
-by position to give each node its close.  Both sorts order small
-non-negative integers, so they sort them as the smallest unsigned type that
-holds them (`_stable_order`): numpy radix-sorts 8- and 16-bit keys in
-linear time, which covers every forest under 2^16 levels deep.  Parsing
-interns each distinct label once, in sorted order, and maps the tokens
-through one dict.
+Level ancestors (the ancestor d levels up, the nearest marked ancestor)
+all come from one stable sort and one binary search, `last_at_level`, with
+no loop over depths.  The same sorted keys (`level_search`) give LCA depths
+by a binary search over levels (`lca_depth`), so no ancestor table is
+built.  Likewise every parenthesis pairing in the package (forest
+construction, text parsing, the rotation test of horizontal periods) goes
+through `_pair_parens`, one stable sort of the nesting levels, then one xor
+per pair to check its labels and one scatter by position to give each node
+its close.  Both sorts order small non-negative integers, so they sort
+them as the smallest unsigned type that holds them (`_stable_order`): numpy
+radix-sorts 8- and 16-bit keys in linear time, which covers every forest
+under 2^16 levels deep.  Parsing interns each distinct label once, in
+sorted order, and maps the tokens through one dict.
 """
 
 from __future__ import annotations
@@ -170,8 +169,8 @@ def _pair_parens(codes: np.ndarray):
 class LabeledForest:
     """Ordered rooted forest with per-node labels, ids in pre-order."""
 
-    __slots__ = ("n", "codes", "o", "c", "depth", "_parent", "_node_at",
-                 "_height", "_subtree_end")
+    __slots__ = ("n", "codes", "o", "c", "depth", "_node_at", "_height",
+                 "_subtree_end")
 
     def __init__(self, codes: np.ndarray, _paired=None):
         self.codes = np.asarray(codes, dtype=np.int64)
@@ -179,7 +178,6 @@ class LabeledForest:
             _paired = _pair_parens(self.codes)
         self.o, self.c, self.depth = _paired
         self.n = len(self.o)
-        self._parent = None
         self._node_at = None
         self._height = None
         self._subtree_end = None
@@ -201,17 +199,6 @@ class LabeledForest:
     @property
     def labels(self) -> np.ndarray:
         return self.codes[self.o] >> 1
-
-    @property
-    def parent(self) -> np.ndarray:
-        if self._parent is None:
-            self._parent = self._compute_parent()
-        return self._parent
-
-    def _compute_parent(self) -> np.ndarray:
-        """Each node's ancestor one level up (-1 for roots)."""
-        return last_at_level(self.depth, self.depth - 1,
-                             np.arange(self.n, dtype=np.int64))
 
     @property
     def subtree_end(self) -> np.ndarray:
@@ -246,14 +233,6 @@ class LabeledForest:
         if self._height is None:
             self._height = int(self.depth.max()) + 1 if self.n else 0
         return self._height
-
-    def induced(self, keep: np.ndarray) -> "LabeledForest":
-        """Forest obtained by deleting every node not in `keep` (order kept)."""
-        keep = np.asarray(keep, dtype=np.int64)
-        mask = np.zeros(2 * self.n, dtype=bool)
-        mask[self.o[keep]] = True
-        mask[self.c[keep]] = True
-        return LabeledForest(self.codes[mask])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledForest):

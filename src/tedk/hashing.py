@@ -120,14 +120,12 @@ def grow_powers(pw: np.ndarray, base: int, n: int) -> np.ndarray:
 class HashedSeq:
     """Prefix-hash table over one integer sequence; O(1) substring queries.
 
-    The table keeps the base and views of the first n + 1 powers and
-    inverse powers of the query context `ctx`, not the context: a context
-    and its tables form no reference cycle, so they are freed as soon as
-    the query drops it.
+    The table keeps views of the first n + 1 powers and inverse powers of
+    the query context `ctx`, not the context: a context and its tables form
+    no reference cycle, so they are freed as soon as the query drops it.
     """
 
     def __init__(self, codes: np.ndarray, ctx: QueryContext):
-        self.base = ctx.base
         self.n = n = len(codes)
         self.pw = pw = ctx.powers(n + 1)
         self.ipw = ctx.inverse_powers(n + 1)

@@ -3,40 +3,31 @@
 A balanced small-period high-exponent run that occurs at nearby positions in
 both parenthesis sequences is a repeated block of sibling subtrees; cutting
 both occurrences down to 14k repetitions preserves every distance up to k.
-The detection pass merges the two filtered run lists by end position and
-checks period equality up to rotation plus rotatability into a balanced
-string.  `cut_sites`, shared with the vertical reduction, removes the
-surplus copies of every site from both code strings in one pass.  The run
-lists (`filter_runs`) come from the query context (`context.QueryContext`).
+The detection pass merges the two filtered run arrays (`filter_runs`, rows
+(i, j, p), from the query context `context.QueryContext`) by end position
+and checks period equality up to rotation plus rotatability into a balanced
+string.  Each hit is a cut site, a row (at_f, at_g, length, e) of an int64
+array, and `cut_sites`, shared with the vertical reduction, removes the
+surplus copies of every site from both code strings in one pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ContractError, ParseError
 from .forest import LabeledForest, _pair_parens
-from .indexes import Run, compute_runs
+from .indexes import compute_runs
 
 if TYPE_CHECKING:
     from .context import QueryContext
 
 
-@dataclass(frozen=True)
-class HSyncOcc:
-    """Synchronized horizontal occurrence: start (max of the two run starts),
-    period length, usable exponent (already reduced by 2k)."""
-
-    i: int
-    p: int
-    e: int
-
-
-def filter_runs(codes: np.ndarray, k: int) -> list[Run]:
-    """Runs with period <= 4k and exponent >= 16k, sorted by start."""
+def filter_runs(codes: np.ndarray, k: int) -> np.ndarray:
+    """Runs with period <= 4k and exponent >= 16k: `compute_runs`' sorted
+    (r, 3) int64 rows (i, j, p)."""
     return compute_runs(codes, max_period=4 * k, min_exponent=16 * k)
 
 
@@ -73,32 +64,39 @@ def _rotation_match(X: np.ndarray, Y: np.ndarray) -> bool:
 
 
 def sync_occurrences(F: LabeledForest, G: LabeledForest,
-                     ctx: QueryContext) -> list[HSyncOcc]:
-    """Merge-scan the filtered run lists for balanced synchronized periods."""
+                     ctx: QueryContext) -> np.ndarray:
+    """Merge-scan the filtered run arrays for balanced synchronized periods.
+
+    Returns an (s, 4) int64 array of cut sites (i, i, p, e - 2k): the later
+    of the two run starts i, the period p, and the number e of whole periods
+    in the two runs' overlap, less the 2k copies the reduction spares.
+    """
     k = ctx.k
     sf = F.codes
     sg = G.codes
-    rf = ctx.runs(sf)
-    rg = ctx.runs(sg)
-    out: list[HSyncOcc] = []
+    rf = ctx.runs(sf).tolist()
+    rg = ctx.runs(sg).tolist()
+    out = []
     lf = lg = 0
     while lf < len(rf) and lg < len(rg):
-        a, b = rf[lf], rg[lg]
-        overlap = min(a.j, b.j) - max(a.i, b.i)
-        e = overlap // a.p if overlap > 0 else -1
-        if (e >= 16 * k and a.p == b.p
-                and _rotation_match(sf[a.i:a.i + a.p], sg[b.i:b.i + b.p])
-                and min_balance_rotations(sf[a.i:a.i + a.p]) is not None):
-            out.append(HSyncOcc(max(a.i, b.i), a.p, e - 2 * k))
-        if a.j < b.j:
+        (ai, aj, p), (bi, bj, q) = rf[lf], rg[lg]
+        at = max(ai, bi)
+        e = (min(aj, bj) - at) // p  # <= 0 when the runs do not overlap
+        if (e >= 16 * k and p == q
+                and _rotation_match(sf[ai:ai + p], sg[bi:bi + p])
+                and min_balance_rotations(sf[ai:ai + p]) is not None):
+            out.append((at, at, p, e - 2 * k))
+        if aj < bj:
             lf += 1
         else:
             lg += 1
-    return out
+    return np.array(out, dtype=np.int64).reshape(-1, 4)
 
 
-def cut_sites(F: LabeledForest, G: LabeledForest, sites, k: int):
-    """Cut each (at_f, at_g, length, e) site down to 14k repetitions.
+def cut_sites(F: LabeledForest, G: LabeledForest, sites: np.ndarray,
+              k: int):
+    """Cut each site, an int64 row (at_f, at_g, length, e) of `sites`, down
+    to 14k repetitions.
 
     A site is a block of `length` codes repeated e times from position at_f
     of F's code string and at_g of G's; the first e - 14k copies go on both
@@ -110,7 +108,7 @@ def cut_sites(F: LabeledForest, G: LabeledForest, sites, k: int):
     parts_f: list[np.ndarray] = []
     parts_g: list[np.ndarray] = []
     i_f = i_g = 0
-    for at_f, at_g, length, e in sites:
+    for at_f, at_g, length, e in sites.tolist():
         if e < 14 * k:
             raise ContractError("reduction site below 14k repetitions")
         if at_f < i_f or at_g < i_g:
@@ -132,5 +130,4 @@ def sync_reductions(F: LabeledForest, G: LabeledForest, ctx: QueryContext):
     Returns (F', G') with ted_{<=k} unchanged and no balanced string Q of
     length <= 4k whose (18k)-th power has 2k-synchronized occurrences.
     """
-    return cut_sites(F, G, [(t.i, t.i, t.p, t.e)
-                            for t in sync_occurrences(F, G, ctx)], ctx.k)
+    return cut_sites(F, G, sync_occurrences(F, G, ctx), ctx.k)

@@ -1,11 +1,12 @@
-"""Maximal runs of a code string.
+"""Maximal runs of a code string, as an int64 array of (i, j, p) rows.
 
-Runs are found by a per-period scan: for each period p the positions with
-S[i] == S[i+p] form stretches, every stretch of length >= p yields a
-maximal p-periodic interval, and deduplicating identical intervals while
-keeping the smallest detected period gives exactly the runs (for an
-interval of exponent >= 2 the smallest period divides every other detected
-period, so it is found at its own scan step).
+A run is a maximal periodic substring S[i..j) with smallest period p and
+exponent (j - i) / p >= 2.  Runs are found by a per-period scan: for each
+period p the positions with S[i] == S[i+p] form stretches, every stretch of
+length >= p yields a maximal p-periodic interval, and deduplicating
+identical intervals while keeping the smallest detected period gives
+exactly the runs (for an interval of exponent >= 2 the smallest period
+divides every other detected period, so it is found at its own scan step).
 
 A stretch only counts when it is long enough for the exponent filter, so
 each scan step looks at aligned blocks of the equality mask instead of
@@ -18,18 +19,8 @@ this is O(nk) in a constant number of array passes per period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True, order=True)
-class Run:
-    """Maximal periodic substring S[i..j) with smallest period p."""
-
-    i: int
-    j: int
-    p: int
 
 
 def _long_stretches(buf: np.ndarray, m: int, need: int):
@@ -63,9 +54,10 @@ def _long_stretches(buf: np.ndarray, m: int, need: int):
 
 
 def compute_runs(S: np.ndarray, max_period: int | None = None,
-                 min_exponent: float = 2.0) -> list[Run]:
+                 min_exponent: float = 2.0) -> np.ndarray:
     """All runs of S, optionally restricted to period <= max_period and
-    exponent >= min_exponent.
+    exponent >= min_exponent: an (r, 3) int64 array of rows (i, j, p), the
+    run S[i..j) with smallest period p, sorted.
 
     The exponent filter is safe to apply per scan period: an interval whose
     true period q is smaller than the scanned p has the same maximal extent
@@ -88,6 +80,5 @@ def compute_runs(S: np.ndarray, max_period: int | None = None,
         starts, ends = _long_stretches(buf, m, need)
         for key in zip(starts.tolist(), (ends + p).tolist()):
             best.setdefault(key, p)  # p ascends: the first is the smallest
-    runs = [Run(i, j, p) for (i, j), p in best.items()]
-    runs.sort()
-    return runs
+    runs = sorted((i, j, p) for (i, j), p in best.items())
+    return np.array(runs, dtype=np.int64).reshape(-1, 3)

@@ -61,11 +61,14 @@ def _leaves(F: LabeledForest, nodes: np.ndarray) -> bool:
     return bool((F.c[nodes] == F.o[nodes] + 1).all())
 
 
-def _complement(n: int, drop: np.ndarray) -> np.ndarray:
-    """Sorted ids in [0, n) not in `drop` (a boolean mask, O(n))."""
-    keep = np.ones(n, dtype=bool)
-    keep[drop] = False
-    return np.flatnonzero(keep)
+def _without_leaves(F: LabeledForest, leaves: np.ndarray):
+    """(F less the given leaves, each old node's new id): clearing a leaf's
+    two positions deletes it, and a kept node's new id is its rank among the
+    kept openings."""
+    keep = np.ones(2 * F.n, dtype=bool)
+    keep[F.o[leaves]] = False
+    keep[F.c[leaves]] = False
+    return LabeledForest(F.codes[keep]), np.cumsum(keep[F.o]) - 1
 
 
 def _marked_class(F: LabeledForest, marked: np.ndarray) -> np.ndarray:
@@ -181,18 +184,10 @@ def prune_redundant(F: LabeledForest, G: LabeledForest, M):
     if not redundant.any():
         F2, G2, M2 = F, G, M
     else:
-        drop_f = M[redundant, 0]
-        drop_g = M[redundant, 1]
-        keep_f = _complement(F.n, drop_f)
-        keep_g = _complement(G.n, drop_g)
-        F2 = F.induced(keep_f)
-        G2 = G.induced(keep_g)
-        remap_f = np.full(F.n, -1, dtype=np.int64)
-        remap_f[keep_f] = np.arange(len(keep_f))
-        remap_g = np.full(G.n, -1, dtype=np.int64)
-        remap_g[keep_g] = np.arange(len(keep_g))
+        F2, new_f = _without_leaves(F, M[redundant, 0])
+        G2, new_g = _without_leaves(G, M[redundant, 1])
         kept = M[~redundant]
-        M2 = np.stack([remap_f[kept[:, 0]], remap_g[kept[:, 1]]], axis=1)
+        M2 = np.stack([new_f[kept[:, 0]], new_g[kept[:, 1]]], axis=1)
     if 5 * len(M2) > 2 * (F2.n + G2.n + 1):
         raise ContractError("pruned matching exceeds (2/5)(|F'| + |G'| + 1)")
     return F2, G2, M2

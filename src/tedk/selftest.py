@@ -45,8 +45,9 @@ def prefix_function(S) -> list[int]:
     return pi
 
 
-def naive_runs(S) -> list[tuple[int, int, int]]:
-    """All runs by checking the definition for every interval."""
+def naive_runs(S) -> list[list[int]]:
+    """All runs by checking the definition for every interval: sorted
+    [i, j, p] rows, as `compute_runs(S).tolist()` gives them."""
     S = as_codes(S).tolist()
     n = len(S)
     out = []
@@ -61,7 +62,7 @@ def naive_runs(S) -> list[tuple[int, int, int]]:
                 continue
             if j < n and S[j] == S[j - p]:
                 continue
-            out.append((i, j, p))
+            out.append([i, j, p])
     return sorted(out)
 
 
@@ -74,9 +75,10 @@ def primitive_word(rng, p: int) -> np.ndarray:
             return word
 
 
-def planted_runs(rng, k: int) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+def planted_runs(rng, k: int) -> tuple[np.ndarray, list[list[int]]]:
     """A code string with runs at the edge of the engine's run filter
-    (period <= 4k, exponent >= 16k), and the runs that filter keeps.
+    (period <= 4k, exponent >= 16k), and the [i, j, p] rows of the runs that
+    filter keeps.
 
     Three runs of random periods p <= 4k have equality stretches of
     need - 1, need and need + 1 positions in random order, where
@@ -102,7 +104,7 @@ def planted_runs(rng, k: int) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
             length = need + delta + p
             pieces.append(np.resize(word, length))
             if delta >= 0:
-                runs.append((at, at + length, p))
+                runs.append([at, at + length, p])
             at += length
 
     order = [deltas[:2], deltas[2:]]
@@ -203,16 +205,16 @@ def _check_runs(rng, count: int) -> tuple[int, int]:
     for _ in range(count):
         n = int(rng.integers(0, 120))
         S = rng.integers(0, 3, n)
-        got = [(r.i, r.j, r.p) for r in compute_runs(S)]
-        if sorted(got) != naive_runs(S) or len(got) >= max(1, n):
+        got = compute_runs(S).tolist()
+        if got != naive_runs(S) or len(got) >= max(1, n):
             bad += 1
     # the engine's call, filtered to period <= 4k and exponent >= 16k
     planted = count // 10
     for t in range(planted):
         k = 1 + t % 3
         S, kept = planted_runs(rng, k)
-        got = [(r.i, r.j, r.p) for r in filter_runs(S, k)]
-        want = [(i, j, p) for i, j, p in naive_runs(S)
+        got = filter_runs(S, k).tolist()
+        want = [[i, j, p] for i, j, p in naive_runs(S)
                 if p <= 4 * k and j - i >= 16 * k * p]
         if got != want or got != kept:
             bad += 1

@@ -8,19 +8,20 @@ context period from the depth deltas, clips the exponent by run lengths,
 the subtree size, and the divergence point (LCA of the two run endpoints),
 all in one vectorized pass over the nodes; the LCA depths come from a
 binary search over level ancestors (`forest.lca_depth`), with no LCA table.
-It then pairs occurrences across the forests: each F occurrence takes the
-outermost equal-context G occurrence among those whose opening and closing
-positions both lie within 2k of its own.  The candidates are read straight
-off G's parenthesis array, at the at most 4k+1 positions of the opening
-window (`LabeledForest.node_at`), so no index is built.  Reduction turns
-each pair into two sites, the left parts from the openings and the right
-parts up to the closings, and cuts them down to 14k layers on both sides at
-once with the horizontal reduction's `cut_sites`.
+The powers are int64 rows (u, q_l, q_r, e) (`compute_contexts`).  It then
+pairs occurrences across the forests into rows (u_f, u_g, q_l, q_r, e)
+(`vert_periods`): each F occurrence takes the outermost equal-context G
+occurrence among those whose opening and closing positions both lie within
+2k of its own.  The candidates are read straight off G's parenthesis array,
+at the at most 4k+1 positions of the opening window
+(`LabeledForest.node_at`), so no index is built.  Reduction turns each pair
+into two cut sites in one array step, the left parts from the openings and
+the right parts up to the closings, and cuts them down to 14k layers on
+both sides at once with the horizontal reduction's `cut_sites`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -31,27 +32,6 @@ from .horizontal import cut_sites
 
 if TYPE_CHECKING:
     from .context import QueryContext
-
-
-@dataclass(frozen=True)
-class ContextOcc:
-    """Maximal context power at node u: |C_L|=q_l, |C_R|=q_r, exponent e."""
-
-    u: int
-    q_l: int
-    q_r: int
-    e: int
-
-
-@dataclass(frozen=True)
-class VertOcc:
-    """Synchronized context power at nodes (u_f, u_g), common exponent e."""
-
-    u_f: int
-    u_g: int
-    q_l: int
-    q_r: int
-    e: int
 
 
 def compute_q(F: LabeledForest, ctx: QueryContext):
@@ -68,27 +48,29 @@ def compute_q(F: LabeledForest, ctx: QueryContext):
     end_arr = np.arange(m, dtype=np.int64)
     is_open = (codes & 1) == 0
     need = 16 * ctx.k
-    for r in ctx.runs(codes):
-        span = np.arange(r.i, r.j)
-        opens = span[is_open[r.i:r.j]]
-        good = opens[(r.j - opens) >= need * r.p]
+    for i, j, p in ctx.runs(codes).tolist():
+        span = np.arange(i, j)
+        opens = span[is_open[i:j]]
+        good = opens[(j - opens) >= need * p]
         if len(good):
             if (end_arr[good] != good).any():
                 raise ContractError("position anchored twice")
-            q_arr[good] = r.p
-            end_arr[good] = r.j
-        closes = span[~is_open[r.i:r.j]]
-        good = closes[(closes - (r.i - 1)) >= need * r.p]
+            q_arr[good] = p
+            end_arr[good] = j
+        closes = span[~is_open[i:j]]
+        good = closes[(closes - (i - 1)) >= need * p]
         if len(good):
             if (end_arr[good] != good).any():
                 raise ContractError("position anchored twice")
-            q_arr[good] = r.p
-            end_arr[good] = r.i - 1
+            q_arr[good] = p
+            end_arr[good] = i - 1
     return q_arr, end_arr
 
 
-def compute_contexts(F: LabeledForest, ctx: QueryContext) -> list[ContextOcc]:
-    """Maximal small context powers per node, in opening-position order.
+def compute_contexts(F: LabeledForest, ctx: QueryContext) -> np.ndarray:
+    """Maximal small context powers per node: an (x, 4) int64 array of rows
+    (u, q_l, q_r, e), the power (C_L, C_R)^e at node u with |C_L| = q_l and
+    |C_R| = q_r, in opening-position order.
 
     One vectorized pass over the nodes u whose opening and closing positions
     both anchor a run: the context's layer depth d is the lcm of the depth
@@ -113,7 +95,7 @@ def compute_contexts(F: LabeledForest, ctx: QueryContext) -> list[ContextOcc]:
     keep = ((d_l >= 1) & (d_r >= 1) & (cl_len <= 4 * k)
             & (cr_len <= 4 * k))
     if not keep.any():
-        return []
+        return np.empty((0, 4), dtype=np.int64)
     u, ou, cu, top, d, cl_len, cr_len = (
         x[keep] for x in (u, ou, cu, top, d, cl_len, cr_len))
     j_l, j_r = end_arr[ou], end_arr[cu]
@@ -126,9 +108,7 @@ def compute_contexts(F: LabeledForest, ctx: QueryContext) -> list[ContextOcc]:
                            (cu - j_r) // cr_len,
                            (cu - ou + 1) // (cl_len + cr_len),
                            (v_depth - top + 1) // d])
-    keep = e >= 16 * k
-    return [ContextOcc(*t) for t in zip(u[keep].tolist(), cl_len[keep].tolist(),
-                                        cr_len[keep].tolist(), e[keep].tolist())]
+    return np.stack([u, cl_len, cr_len, e], axis=1)[e >= 16 * k]
 
 
 def _context_key(codes: np.ndarray, o: int, c: int, q_l: int, q_r: int) -> bytes:
@@ -136,9 +116,12 @@ def _context_key(codes: np.ndarray, o: int, c: int, q_l: int, q_r: int) -> bytes
 
 
 def vert_periods(F: LabeledForest, G: LabeledForest,
-                 ctx: QueryContext) -> list[VertOcc]:
+                 ctx: QueryContext) -> np.ndarray:
     """Pair context powers of F with equal-context powers of G within the
-    2k-by-2k window, advancing past each hit's reduced span.
+    2k-by-2k window, advancing past each hit's reduced span: an (s, 5) int64
+    array of rows (u_f, u_g, q_l, q_r, e), the powers at F's node u_f and
+    G's node u_g of one context with |C_L| = q_l and |C_R| = q_r, and the
+    lesser of their exponents.
 
     The partner is read off G's parenthesis array: the first power, scanning
     the 4k+1 positions around F's opening from the low end, whose closing is
@@ -159,34 +142,40 @@ def vert_periods(F: LabeledForest, G: LabeledForest,
     """
     k = ctx.k
     cf = compute_contexts(F, ctx)
-    cg = {t.u: t for t in compute_contexts(G, ctx)}
-    if not cf or not cg:
-        return []
-    out: list[VertOcc] = []
+    cg = {v: (q_l, q_r, e)
+          for v, q_l, q_r, e in compute_contexts(G, ctx).tolist()}
+    if not cg:
+        return np.empty((0, 5), dtype=np.int64)
+    out = []
     i = -1
-    for t in cf:
-        ou, cu = int(F.o[t.u]), int(F.c[t.u])
+    for u, q_l, q_r, e_f in cf.tolist():
+        ou, cu = int(F.o[u]), int(F.c[u])
         if ou <= i:
             continue
-        key = _context_key(F.codes, ou, cu, t.q_l, t.q_r)
+        key = _context_key(F.codes, ou, cu, q_l, q_r)
 
-        def partner(p: int) -> ContextOcc | None:
-            """G's power opening at p, if it may pair with t."""
-            s = cg.get(int(G.node_at[p]))
-            if (s is None or G.o[s.u] != p or (s.q_l, s.q_r) != (t.q_l, t.q_r)
-                    or abs(G.c[s.u] - cu) > 2 * k):
+        def partner(p: int) -> tuple[int, int] | None:
+            """(v, e) of G's power at node v opening at p, if it may pair
+            with u's."""
+            v = int(G.node_at[p])
+            if v not in cg:
                 return None
-            return s if _context_key(G.codes, p, G.c[s.u], t.q_l,
-                                     t.q_r) == key else None
+            s_l, s_r, e_g = cg[v]
+            cv = int(G.c[v])
+            if (G.o[v] != p or (s_l, s_r) != (q_l, q_r) or abs(cv - cu) > 2 * k
+                    or _context_key(G.codes, p, cv, q_l, q_r) != key):
+                return None
+            return v, e_g
 
         window = range(max(0, ou - 2 * k), min(2 * G.n, ou + 2 * k + 1))
-        s = next(filter(None, map(partner, window)), None)
-        if s is None:
+        hit = next(filter(None, map(partner, window)), None)
+        if hit is None:
             continue
-        e = min(t.e, s.e)
-        out.append(VertOcc(t.u, s.u, t.q_l, t.q_r, e))
-        i = ou + (e - 8 * k) * t.q_l
-    return out
+        v, e_g = hit
+        e = min(e_f, e_g)
+        out.append((u, v, q_l, q_r, e))
+        i = ou + (e - 8 * k) * q_l
+    return np.array(out, dtype=np.int64).reshape(-1, 5)
 
 
 def vert_sync_reductions(F: LabeledForest, G: LabeledForest,
@@ -194,15 +183,15 @@ def vert_sync_reductions(F: LabeledForest, G: LabeledForest,
     """Cut every synchronized context power to 14k layers on both sides
     (k = ctx.k).
 
-    Each occurrence contributes two interval reductions: the outermost
-    left-part copies starting at the opening positions, and the outermost
-    right-part copies ending at the closing positions.
+    Each power (u_f, u_g, q_l, q_r, e) contributes two sites, the e left
+    parts from the openings, (F.o[u_f], G.o[u_g], q_l, e), and the e right
+    parts up to the closings, (F.c[u_f] - q_r * e + 1, G.c[u_g] - q_r * e +
+    1, q_r, e); `cut_sites` drops the first e - 14k copies of each.
     """
-    occs = vert_periods(F, G, ctx)
-    sites: list[tuple[int, int, int, int]] = []
-    for t in occs:
-        sites.append((int(F.o[t.u_f]), int(G.o[t.u_g]), t.q_l, t.e))
-        sites.append((int(F.c[t.u_f]) - t.q_r * t.e + 1,
-                      int(G.c[t.u_g]) - t.q_r * t.e + 1, t.q_r, t.e))
-    sites.sort()
-    return cut_sites(F, G, sites, ctx.k)
+    u_f, u_g, q_l, q_r, e = vert_periods(F, G, ctx).T
+    back = q_r * e - 1  # the e right parts end at the closing
+    sites = np.concatenate([
+        np.stack([F.o[u_f], G.o[u_g], q_l, e], axis=1),
+        np.stack([F.c[u_f] - back, G.c[u_g] - back, q_r, e], axis=1)])
+    # rows in lexicographic order, as `cut_sites` takes them
+    return cut_sites(F, G, sites[np.lexsort(sites.T[::-1])], ctx.k)

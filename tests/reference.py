@@ -81,12 +81,25 @@ def naive_positions(F: LabeledForest):
     return o, c, depth
 
 
+def parents(F: LabeledForest) -> np.ndarray:
+    """Each node's parent, -1 for a root, by one stack walk over the code
+    string."""
+    out, stack = [], []
+    for code in F.codes.tolist():
+        if code & 1:
+            stack.pop()
+        else:
+            out.append(stack[-1] if stack else -1)
+            stack.append(len(out) - 1)
+    return np.array(out, dtype=np.int64)
+
+
 def nested_json(F: LabeledForest, interner) -> str:
     """JSON text of F by `json.dumps` on a nested dict tree built from
     each node's parent."""
     out: list = []
     holders: dict[int, list] = {}
-    parent = F.parent.tolist()
+    parent = parents(F).tolist()
     for u, sym in enumerate(F.labels.tolist()):
         node = {"label": interner.text(sym), "children": []}
         p = parent[u]
@@ -96,16 +109,17 @@ def nested_json(F: LabeledForest, interner) -> str:
 
 
 def naive_lca(F: LabeledForest, u: int, v: int) -> int | None:
+    parent = parents(F).tolist()
     anc = set()
     x = u
     while x != -1:
         anc.add(x)
-        x = int(F.parent[x])
+        x = parent[x]
     x = v
     while x != -1:
         if x in anc:
             return x
-        x = int(F.parent[x])
+        x = parent[x]
     return None
 
 

@@ -22,10 +22,10 @@ import tedk.partial
 import tedk.vertical
 from tedk.context import QueryContext
 from tedk.errors import ContractError, FingerprintCollisionError
-from tedk.horizontal import HSyncOcc, sync_reductions
+from tedk.horizontal import sync_reductions
 from tedk.labeling import JointLabeling, compat_refine, lookahead_refine
 from tedk.partial import reduce_height
-from tedk.vertical import VertOcc, compute_contexts, vert_sync_reductions
+from tedk.vertical import compute_contexts, vert_sync_reductions
 
 from conftest import forest, query
 
@@ -80,10 +80,13 @@ def test_no_unused_names_in_package():
     # every function, class, method and module-level constant outside the
     # public API is reached from the package or the benchmark; helpers and
     # constants only tests need live in tests/.  Uses in `__init__.py` are
-    # re-exports, so they do not count; a method counts as reached only
-    # through an attribute access (a local variable of the same name does
-    # not reach it), and a constant only where it is read
+    # re-exports, so they do not count; a method or property counts as
+    # reached only through an attribute read in the package or a traced
+    # site of the benchmark (a local variable of the same name, or an
+    # attribute of another class in the benchmark, does not reach it), and
+    # a constant only where it is read
     names, reads, attrs = set(), set(), traced_attributes()
+    member_reads = traced_attributes()
     for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")):
         if path == SRC / "__init__.py":
             continue
@@ -96,6 +99,8 @@ def test_no_unused_names_in_package():
                 attrs.add(node.attr)
                 if isinstance(node.ctx, ast.Load):
                     reads.add(node.attr)
+                    if path.parent == SRC:
+                        member_reads.add(node.attr)
     unused = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -109,8 +114,9 @@ def test_no_unused_names_in_package():
                    and not (node.name.startswith("__")
                             and node.name.endswith("__"))
                    and node.name not in tedk.__all__
-                   and node.name not in attrs
-                   and (node.lineno in methods or node.name not in names)
+                   and (node.name not in member_reads
+                        if node.lineno in methods
+                        else node.name not in names | attrs)
                    and node.lineno not in overrides]
         unused += [f"{path.name}:{line} {name}"
                    for line, name in module_constants(tree)
@@ -165,7 +171,7 @@ def test_partial_leaf_contract(interner, monkeypatch):
 
 def test_horizontal_overlap_contract(interner, monkeypatch):
     F = forest("(a)" * 60, interner)
-    sites = [HSyncOcc(10, 2, 14), HSyncOcc(4, 2, 14)]
+    sites = np.array([[10, 10, 2, 14], [4, 4, 2, 14]])
     monkeypatch.setattr(tedk.horizontal, "sync_occurrences",
                         lambda F, G, ctx: sites)
     with pytest.raises(ContractError):
@@ -175,7 +181,7 @@ def test_horizontal_overlap_contract(interner, monkeypatch):
 def test_vertical_exponent_contract(interner, monkeypatch):
     F = forest("(a" * 30 + ")" * 30, interner)
     monkeypatch.setattr(tedk.vertical, "vert_periods",
-                        lambda F, G, ctx: [VertOcc(0, 0, 2, 2, 13)])
+                        lambda F, G, ctx: np.array([[0, 0, 2, 2, 13]]))
     with pytest.raises(ContractError):
         vert_sync_reductions(F, F, query(1))
 
@@ -190,7 +196,7 @@ def test_vertical_endpoint_contract(interner, monkeypatch):
         end[0] = -5
         return q, end
 
-    assert compute_contexts(F, query(1))
+    assert len(compute_contexts(F, query(1)))
     monkeypatch.setattr(tedk.vertical, "compute_q", backward)
     with pytest.raises(ContractError):
         compute_contexts(F, query(1))

@@ -385,16 +385,13 @@ def test_runs_built_once_per_distinct_string(interner, rng, monkeypatch):
     # every pass asks for F's string, then G's, and an equal string (G = F,
     # or a pass that cut nothing) gets the runs already found.  The context
     # and its runs die with the query (no reference cycle, gc is off)
-    class Runs(list):  # a list that a weak reference can point at
-        pass
-
     strings, results, contexts = [], [], []
     real_runs = tedk.horizontal.compute_runs
     real_context = tedk.engine.QueryContext
 
     def counted_runs(S, *args, **kwargs):
         strings.append(S.tobytes())
-        out = Runs(real_runs(S, *args, **kwargs))
+        out = real_runs(S, *args, **kwargs)
         results.append(weakref.ref(out))
         return out
 

@@ -12,8 +12,8 @@ from tedk.forest import (JSON_MAX_HEIGHT, LabeledForest, LabelInterner,
                          serialize_paren)
 from tedk.generate import alphabet, random_forest
 
-from conftest import VIRTUAL_ROOT, deep_chain, forest, stack_walk, validate
-from reference import naive_positions, nested_json
+from conftest import deep_chain, forest, stack_walk, validate
+from reference import naive_positions, nested_json, parents
 
 
 def test_parse_single_node(interner):
@@ -26,7 +26,7 @@ def test_parse_children_order(interner):
     F = forest("(a(b)(c))", interner)
     assert F.n == 3
     assert [interner.text(int(s)) for s in F.labels] == ["a", "b", "c"]
-    assert F.parent.tolist() == [-1, 0, 0]
+    assert parents(F).tolist() == [-1, 0, 0]
 
 
 def test_parse_unbalanced(interner):
@@ -524,32 +524,29 @@ def test_parse_interns_new_labels_in_sorted_order():
                                              "b")])
 
 
-def _walk_parents(F):
-    parent = np.full(F.n, VIRTUAL_ROOT, dtype=np.int64)
-    for u, anc, _ in stack_walk(F.codes):
-        if anc:
-            parent[u] = anc[-1]
-    return parent
+def _level_parents(F):
+    """Each node's ancestor one level up, by `last_at_level`."""
+    return last_at_level(F.depth, F.depth - 1, np.arange(F.n))
 
 
 def test_parent_matches_stack_walk(interner, rng):
     syms = alphabet(interner, 3)
-    assert LabeledForest.from_codes([]).parent.tolist() == []
+    assert _level_parents(LabeledForest.from_codes([])).tolist() == []
     for _ in range(60):
         F = random_forest(rng, int(rng.integers(1, 120)),
                           int(rng.integers(1, 25)), syms,
                           branch=float(rng.uniform(0.3, 0.95)))
-        assert np.array_equal(F.parent, _walk_parents(F))
+        assert np.array_equal(_level_parents(F), parents(F))
     F = deep_chain(rng, 20_200, syms)
     assert F.height() == 20_200
-    assert np.array_equal(F.parent, _walk_parents(F))
+    assert np.array_equal(_level_parents(F), parents(F))
 
 
 def test_children_and_roots(interner):
     F = forest("(a(b)(c))(d)", interner)
     assert np.flatnonzero(F.depth == 0).tolist() == [0, 3]
-    assert np.flatnonzero(F.parent == 0).tolist() == [1, 2]
-    assert np.flatnonzero(F.parent == 1).tolist() == []
+    assert np.flatnonzero(parents(F) == 0).tolist() == [1, 2]
+    assert np.flatnonzero(parents(F) == 1).tolist() == []
     assert F.subtree_end.tolist() == [3, 2, 3, 4]
 
 

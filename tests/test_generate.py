@@ -39,7 +39,8 @@ def test_plant_horizontal_creates_runs(interner):
     k = 2
     F = random_forest(rng, 20, 4, syms)
     F2 = plant_horizontal(rng, F, k, syms)
-    assert any(r.j - r.i >= 16 * k * r.p for r in filter_runs(F2.codes, k))
+    assert any(j - i >= 16 * k * p
+               for i, j, p in filter_runs(F2.codes, k).tolist())
 
 
 def test_plant_vertical_creates_contexts(interner):
@@ -48,7 +49,7 @@ def test_plant_vertical_creates_contexts(interner):
     k = 1
     F = random_forest(rng, 15, 3, syms)
     F2 = plant_vertical(rng, F, k, syms)
-    assert compute_contexts(F2, query(k))
+    assert len(compute_contexts(F2, query(k)))
 
 
 def test_edit_script_bounds_distance(interner):

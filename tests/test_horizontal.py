@@ -5,6 +5,7 @@ from tedk.context import QueryContext
 from tedk.generate import alphabet, planted_pair, random_forest
 from tedk.horizontal import (filter_runs, min_balance_rotations,
                              sync_occurrences, sync_reductions)
+from tedk.indexes import compute_runs
 from tedk.oracle import ted_threshold
 from tedk.selftest import naive_runs
 
@@ -24,18 +25,17 @@ def test_filter_runs_matches_naive(rng):
     k = 1
     for _ in range(30):
         S = rng.integers(0, 2, 200)
-        got = [(r.i, r.j, r.p) for r in filter_runs(S, k)]
-        want = [(i, j, p) for (i, j, p) in naive_runs(S)
+        got = filter_runs(S, k)
+        want = [[i, j, p] for i, j, p in naive_runs(S)
                 if p <= 4 * k and (j - i) >= 16 * k * p]
-        assert sorted(got) == sorted(want)
-        assert got == sorted(got)
+        assert got.dtype == np.int64 and got.tolist() == want
 
 
 def test_filter_runs_planted(interner):
     k = 1
     F = forest("(r" + "(c)" * 20 + ")", interner)
-    rs = filter_runs(F.codes, k)
-    assert len(rs) == 1 and rs[0].p == 2 and rs[0].j - rs[0].i == 40
+    [[i, j, p]] = filter_runs(F.codes, k).tolist()
+    assert p == 2 and j - i == 40
 
 
 def test_context_runs_by_content(rng):
@@ -47,12 +47,13 @@ def test_context_runs_by_content(rng):
                                rng.integers(0, 2, 100)])
                for block in ([0, 1, 1], [1, 0, 0], [0, 0, 1, 1]))
     runs_s = ctx.runs(S)
-    assert runs_s and runs_s == filter_runs(S, k)
-    assert ctx.runs(T) == filter_runs(T, k)
+    assert len(runs_s) and np.array_equal(runs_s, filter_runs(S, k))
+    assert np.array_equal(ctx.runs(T), filter_runs(T, k))
     assert ctx.runs(S.copy()) is runs_s and ctx.runs(T.copy()) is ctx.runs(T)
-    assert ctx.runs(U) == filter_runs(U, k)  # S is now the oldest: dropped
+    # S is now the oldest: dropped
+    assert np.array_equal(ctx.runs(U), filter_runs(U, k))
     again = ctx.runs(S)
-    assert again == runs_s and again is not runs_s
+    assert np.array_equal(again, runs_s) and again is not runs_s
     with pytest.raises(ValueError):
         QueryContext(0, base=1)
 
@@ -128,20 +129,18 @@ def test_sync_occurrences_identical_aperiodic(interner, rng):
     syms = alphabet(interner, 3)
     while True:
         F = random_forest(rng, 20, 4, syms)
-        if not filter_runs(F.codes, 1):
+        if not len(filter_runs(F.codes, 1)):
             break
-    assert sync_occurrences(F, F, query(1)) == []
+    assert sync_occurrences(F, F, query(1)).tolist() == []
 
 
 def test_sync_occurrences_planted(interner):
     k = 1
     F = forest("(r" + "(c)" * 20 + ")", interner)
     G = forest("(r" + "(c)" * 20 + ")", interner)
-    occs = sync_occurrences(F, G, query(k))
-    assert len(occs) == 1
-    occ = occs[0]
-    assert occ.p == 2 and occ.i == 1 and occ.e == 20 - 2 * k
-    assert occ.e >= 14 * k
+    [[at_f, at_g, p, e]] = sync_occurrences(F, G, query(k)).tolist()
+    assert p == 2 and at_f == at_g == 1 and e == 20 - 2 * k
+    assert e >= 14 * k
 
 
 def test_sync_occurrences_rejects_small_overlap(interner):
@@ -150,7 +149,41 @@ def test_sync_occurrences_rejects_small_overlap(interner):
     k = 1
     F = forest("(r" + "(c)" * 20 + ")" + "(x)" * 30, interner)
     G = forest("(x)" * 30 + "(r" + "(c)" * 20 + ")", interner)
-    assert sync_occurrences(F, G, query(k)) == []
+    assert sync_occurrences(F, G, query(k)).tolist() == []
+
+
+def test_sync_occurrences_site_at_later_start(interner):
+    # F's run of (c) blocks starts at 0 and G's at 2: the site starts at the
+    # later start in both strings, and e counts the whole periods of the
+    # overlap [2, 40), 19, less 2k
+    k = 1
+    F = forest("(c)" * 20 + "(x)", interner)
+    G = forest("(x)" + "(c)" * 20, interner)
+    assert sync_occurrences(F, G, query(k)).tolist() == [[2, 2, 2, 17]]
+    F2, G2 = sync_reductions(F, G, query(k))
+    assert F2 == forest("(c)" * 17 + "(x)", interner)
+    assert G2 == forest("(x)" + "(c)" * 17, interner)
+
+
+def test_empty_detections_keep_their_columns(interner):
+    # no run, or runs but no synchronized site: each detector still returns
+    # int64 rows of its width, and a pair with no site reduces to itself
+    k = 1
+    flat = forest("(a(b))(c)", interner)
+    F = forest("(r" + "(c)" * 20 + ")" + "(x)" * 30, interner)
+    G = forest("(x)" * 30 + "(r" + "(c)" * 20 + ")", interner)
+    ctx = query(k)
+    assert len(ctx.runs(F.codes)) and len(ctx.runs(G.codes))
+    for got, width in ((compute_runs(np.empty(0, dtype=np.int64)), 3),
+                       (compute_runs(flat.codes), 3),
+                       (filter_runs(flat.codes, k), 3),
+                       (ctx.runs(flat.codes), 3),
+                       (sync_occurrences(flat, flat, ctx), 4),
+                       (sync_occurrences(F, G, ctx), 4)):
+        assert got.dtype == np.int64 and got.shape == (0, width)
+    for A, B in ((flat, flat), (F, G)):
+        A2, B2 = sync_reductions(A, B, ctx)
+        assert A2 == A and B2 == B
 
 
 def test_sync_reductions_identity_when_clean(interner, rng):
@@ -158,7 +191,7 @@ def test_sync_reductions_identity_when_clean(interner, rng):
     F = random_forest(rng, 25, 4, syms)
     G = random_forest(rng, 25, 4, syms)
     F2, G2 = sync_reductions(F, G, query(1))
-    if not sync_occurrences(F, G, query(1)):
+    if not len(sync_occurrences(F, G, query(1))):
         assert F2 == F and G2 == G
 
 

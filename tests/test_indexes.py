@@ -14,13 +14,13 @@ from reference import naive_lca, prefix_table
 
 
 def runs_set(S):
-    return sorted((r.i, r.j, r.p) for r in compute_runs(as_codes(S)))
+    return compute_runs(as_codes(S)).tolist()
 
 
 def test_runs_examples():
-    assert runs_set("aaaa") == [(0, 4, 1)]
-    assert runs_set("abab") == [(0, 4, 2)]
-    assert runs_set("aabaabaa") == [(0, 2, 1), (0, 8, 3), (3, 5, 1), (6, 8, 1)]
+    assert runs_set("aaaa") == [[0, 4, 1]]
+    assert runs_set("abab") == [[0, 4, 2]]
+    assert runs_set("aabaabaa") == [[0, 2, 1], [0, 8, 3], [3, 5, 1], [6, 8, 1]]
 
 
 def test_runs_match_naive_and_count(rng):
@@ -35,9 +35,8 @@ def test_runs_match_naive_and_count(rng):
 def test_runs_bounded_period(rng):
     for _ in range(30):
         S = rng.integers(0, 2, 120)
-        full = [r for r in compute_runs(S) if r.p <= 3]
-        assert sorted((r.i, r.j, r.p) for r in full) == \
-            sorted((r.i, r.j, r.p) for r in compute_runs(S, max_period=3))
+        full = [[i, j, p] for i, j, p in compute_runs(S).tolist() if p <= 3]
+        assert full == compute_runs(S, max_period=3).tolist()
 
 
 def test_filtered_run_overlap_bound(rng):
@@ -45,15 +44,14 @@ def test_filtered_run_overlap_bound(rng):
     k = 1
     for _ in range(40):
         S = rng.integers(0, 2, 400)
-        rs = filter_runs(S, k)
-        loose = [r for r in compute_runs(as_codes(S), max_period=4 * k)
-                 if r.j - r.i >= 8 * k * r.p]
-        loose.sort(key=lambda r: r.i)
+        loose = [(i, j) for i, j, p in
+                 compute_runs(as_codes(S), max_period=4 * k).tolist()
+                 if j - i >= 8 * k * p]
         for a in range(len(loose)):
             for b in range(a + 1, len(loose)):
-                r1, r2 = loose[a], loose[b]
-                assert r1.j < r2.i + 8 * k
-                assert r1.j < r2.j
+                (i1, j1), (i2, j2) = loose[a], loose[b]
+                assert j1 < i2 + 8 * k
+                assert j1 < j2
 
 
 def test_lca_examples_and_oracle(interner, rng):
@@ -75,10 +73,11 @@ def test_lca_examples_and_oracle(interner, rng):
         assert lca_depth(F.depth, a, b, lo=lo).tolist() == want
 
 
-def substring(hs: HashedSeq, i: int, j: int) -> int:
+def substring(base: int, hs: HashedSeq, i: int, j: int) -> int:
     """Fingerprint of positions [i..j) in exact integers from the prefix
-    table, (P[j] - P[i]) * base^-(n-j); the empty range hashes to 0."""
-    unscale = pow(hs.base, -(hs.n - j), M61)
+    table made under `base`, (P[j] - P[i]) * base^-(n-j); the empty range
+    hashes to 0."""
+    unscale = pow(base, -(hs.n - j), M61)
     return (int(hs.P[j]) - int(hs.P[i])) * unscale % M61
 
 
@@ -90,7 +89,7 @@ def concat_fp(base: int, fp_a: int, len_a: int, fp_b: int, len_b: int) -> int:
 def test_substring_fingerprints(rng):
     S = rng.integers(0, 4, 500)
     hs = HashedSeq(S, QueryContext(1, 987654321))
-    assert substring(hs, 3, 3) == 0
+    assert substring(987654321, hs, 3, 3) == 0
     # equal text -> equal fingerprint; for random queries agree with compare
     i = rng.integers(0, 400, 100_000)
     ln = rng.integers(0, 100, 100_000)
@@ -110,14 +109,14 @@ def test_substring_fingerprints(rng):
     assert mism == 0
 
 
-def power_fp(hs: HashedSeq, i: int, j: int, reps: int) -> int:
+def power_fp(base: int, hs: HashedSeq, i: int, j: int, reps: int) -> int:
     """Fingerprint of the substring [i..j) concatenated `reps` times."""
-    out, out_len, piece, piece_len = 0, 0, substring(hs, i, j), j - i
+    out, out_len, piece, piece_len = 0, 0, substring(base, hs, i, j), j - i
     while reps:
         if reps & 1:
-            out = concat_fp(hs.base, out, out_len, piece, piece_len)
+            out = concat_fp(base, out, out_len, piece, piece_len)
             out_len += piece_len
-        piece = concat_fp(hs.base, piece, piece_len, piece, piece_len)
+        piece = concat_fp(base, piece, piece_len, piece, piece_len)
         piece_len *= 2
         reps >>= 1
     return out
@@ -129,7 +128,7 @@ def test_power_fingerprint(rng):
     hs = HashedSeq(S, ctx)
     tiled = np.tile(S[5:9], 7)
     hs2 = HashedSeq(np.concatenate([S[:5], tiled]), ctx)
-    assert power_fp(hs, 5, 9, 7) == substring(hs2, 5, 5 + 28)
+    assert power_fp(31337, hs, 5, 9, 7) == substring(31337, hs2, 5, 5 + 28)
 
 
 def test_prefix_and_power_tables_match_integers(rng):
@@ -163,7 +162,7 @@ def test_prefix_and_power_tables_match_integers(rng):
             assert hs.ipw.tolist() == ref_ipw[:n + 1]
             # every prefix and random ranges, against the textbook Horner
             # fingerprint H[j] - H[i] * b^(j-i)
-            assert [substring(hs, 0, j) for j in range(n + 1)] == H
+            assert [substring(base, hs, 0, j) for j in range(n + 1)] == H
             i = rng.integers(0, n + 1, 50)
             j = np.maximum(i, rng.integers(0, n + 1, 50))
             want = [(H[b] - H[a] * ref_pw[b - a]) % M61
@@ -191,7 +190,7 @@ def test_prefix_and_power_tables_match_integers(rng):
 
 def engine_runs(S, k):
     """The engine's call, compute_runs(S, 4k, 16k)."""
-    return [(r.i, r.j, r.p) for r in filter_runs(S, k)]
+    return filter_runs(S, k).tolist()
 
 
 def test_filtered_runs_at_the_filter_edge(rng):
@@ -201,7 +200,7 @@ def test_filtered_runs_at_the_filter_edge(rng):
     for k in (1, 2, 3):
         for _ in range(6):
             S, kept = planted_runs(rng, k)
-            want = [(i, j, p) for i, j, p in naive_runs(S)
+            want = [[i, j, p] for i, j, p in naive_runs(S)
                     if p <= 4 * k and j - i >= 16 * k * p]
             assert engine_runs(S, k) == want == kept
 
@@ -220,5 +219,5 @@ def test_filtered_runs_at_every_block_offset(rng):
                     S = np.concatenate([np.arange(3, 3 + a),
                                         np.resize(word, need + delta + p),
                                         [3 + a]])
-                    want = [(a, a + need + delta + p, p)] if delta >= 0 else []
+                    want = [[a, a + need + delta + p, p]] if delta >= 0 else []
                     assert engine_runs(S, k) == want

@@ -339,12 +339,14 @@ def three_path_fingerprints(F, codes, d, ctx):
         acc, acc_len = 0, 0
         at = int(o[v])
         for wnode in member[bounds[v]:bounds[v + 1]].tolist():
-            acc = concat_fp(hs.base, acc, acc_len,
-                            substring(hs, at, int(o[wnode])), int(o[wnode]) - at)
+            acc = concat_fp(ctx.base, acc, acc_len,
+                            substring(ctx.base, hs, at, int(o[wnode])),
+                            int(o[wnode]) - at)
             acc_len += int(o[wnode]) - at
             at = int(c[wnode]) + 1
-        acc = concat_fp(hs.base, acc, acc_len,
-                        substring(hs, at, int(c[v]) + 1), int(c[v]) + 1 - at)
+        acc = concat_fp(ctx.base, acc, acc_len,
+                        substring(ctx.base, hs, at, int(c[v]) + 1),
+                        int(c[v]) + 1 - at)
         fp[v] = acc
     return fp
 

@@ -10,6 +10,7 @@ from tedk.selftest import ted_brute_constrained
 
 from conftest import (VIRTUAL_ROOT, deep_chain, forest, stack_walk,
                       ted_constrained)
+from reference import parents
 
 
 def random_matching(rng, F, G, tries=4):
@@ -117,7 +118,7 @@ def test_gadget_examples(interner):
     F2, G2 = gadget(F, G, M, 2)
     assert F2.n == F.n + 3 and G2.n == G.n + 3
     assert F2.height() <= F.height() + 1
-    assert F2.parent.tolist() == G2.parent.tolist() == [-1, 0, 1, 1, 1]
+    assert parents(F2).tolist() == parents(G2).tolist() == [-1, 0, 1, 1, 1]
 
 
 def test_gadget_labels_fresh(interner):
@@ -201,8 +202,9 @@ def test_partial_reduce_height_contract(interner, rng):
             flags = np.zeros(H.n, dtype=bool)
             flags[members] = True
             best = np.zeros(H.n, dtype=np.int64)
+            parent = parents(H)
             for u in range(H.n - 1, -1, -1):
-                kids = np.flatnonzero(H.parent == u)
+                kids = np.flatnonzero(parent == u)
                 sub = max((int(best[c]) for c in kids), default=0)
                 best[u] = 0 if flags[u] else 1 + sub
             return int(best.max()) if H.n else 0
@@ -241,7 +243,7 @@ def _parent_walk_marked_class(F, marked):
     """Reference `_marked_class`: from each node, walk up `parent` to the
     first marked node."""
     index_of = {int(v): i for i, v in enumerate(marked)}
-    parent = F.parent.tolist()
+    parent = parents(F).tolist()
     cls = []
     for u in range(F.n):
         p = parent[u]
@@ -260,11 +262,12 @@ def test_marked_class_matches_parent_walk(interner, rng):
                           int(rng.integers(1, 12)), syms,
                           branch=float(rng.uniform(0.3, 0.95)))
         path = []
+        parent = parents(F).tolist()
         if F.n:
             u = int(rng.integers(F.n))
             while u != VIRTUAL_ROOT:
                 path.append(u)
-                u = int(F.parent[u])
+                u = parent[u]
         extra = rng.permutation(F.n)[:int(rng.integers(0, F.n + 1))].tolist()
         for marked in ([], rng.permutation(F.n).tolist(), path[::-1],
                        rng.permutation(path).tolist(),

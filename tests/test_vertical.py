@@ -2,11 +2,13 @@ from math import gcd
 
 import numpy as np
 
+import tedk.vertical
 from tedk.generate import (alphabet, apply_random_edits, plant_horizontal,
                            plant_vertical, planted_pair, random_forest)
+from tedk.horizontal import filter_runs
 from tedk.oracle import ted_threshold
-from tedk.vertical import (ContextOcc, VertOcc, compute_contexts, compute_q,
-                           vert_periods, vert_sync_reductions)
+from tedk.vertical import (compute_contexts, compute_q, vert_periods,
+                           vert_sync_reductions)
 
 from conftest import deep_chain, forest, query, validate
 from reference import (context_power_nodes, naive_lca, naive_ors,
@@ -23,9 +25,8 @@ def test_compute_q_aperiodic_defaults(interner, rng):
     F = random_forest(rng, 20, 4, syms)
     q, endp = compute_q(F, query(1))
     # an aperiodic forest keeps every entry at its default
-    if not any(r.j - r.i >= 16 * r.p for r in
-               __import__("tedk.horizontal", fromlist=["filter_runs"])
-               .filter_runs(F.codes, 1)):
+    if not any(j - i >= 16 * p
+               for i, j, p in filter_runs(F.codes, 1).tolist()):
         assert (q == 1).all() and (endp == np.arange(2 * F.n)).all()
 
 
@@ -75,20 +76,20 @@ def test_compute_q_naive_per_position(interner, rng):
 def test_compute_contexts_chain(interner):
     k = 1
     F = chain("a", 40, interner)
-    ctx = compute_contexts(F, query(k))
-    assert ctx[0].u == 0 and ctx[0].q_l == 1 and ctx[0].q_r == 1 and ctx[0].e == 40
+    rows = compute_contexts(F, query(k)).tolist()
+    assert rows[0] == [0, 1, 1, 40]
     # agreement with the definition-level detector at the threshold exponent
     naive = context_power_nodes(F, 1, 1, 16)
-    assert {c.u for c in ctx} == set(naive)
+    assert {u for u, q_l, q_r, e in rows} == set(naive)
 
 
 def test_compute_contexts_empty_for_flat(interner, rng):
     syms = alphabet(interner, 3)
     F = random_forest(rng, 30, 3, syms)
-    for c in compute_contexts(F, query(1)):
+    for u, q_l, q_r, e in compute_contexts(F, query(1)).tolist():
         # whatever is reported must be a genuine context power
-        assert c.e >= 16
-        assert c.u in context_power_nodes(F, c.q_l, c.q_r, c.e)
+        assert e >= 16
+        assert u in context_power_nodes(F, q_l, q_r, e)
 
 
 def test_compute_contexts_divergence_clip(interner):
@@ -99,9 +100,9 @@ def test_compute_contexts_divergence_clip(interner):
     right = "(a" * 28 + ")" * 28
     txt = "(a" * depth + left + right + ")" * depth
     F = forest(txt, interner)
-    ctx = {c.u: c for c in compute_contexts(F, query(k))}
-    assert 0 in ctx
-    got = ctx[0].e
+    exps = {u: e for u, q_l, q_r, e in compute_contexts(F, query(k)).tolist()}
+    assert 0 in exps
+    got = exps[0]
     # the definition-level maximal exponent at the root
     e = 16
     while context_power_nodes(F, 1, 1, e + 1).count(0):
@@ -140,7 +141,7 @@ def loop_contexts(F, k):
                 (cu - ou + 1) // (cl_len + cr_len),
                 (int(F.depth[v]) - int(F.depth[u]) + 1) // d)
         if e >= 16 * k:
-            out.append(ContextOcc(u, cl_len, cr_len, e))
+            out.append([u, cl_len, cr_len, e])
     return out
 
 
@@ -177,7 +178,7 @@ def test_compute_contexts_matches_loop(interner, rng):
     nonempty = 0
     for F, k in cases:
         want = loop_contexts(F, k)
-        assert compute_contexts(F, query(k)) == want
+        assert compute_contexts(F, query(k)).tolist() == want
         nonempty += bool(want)
     assert nonempty > 2000
 
@@ -186,12 +187,10 @@ def test_vert_periods_planted_and_suppression(interner):
     k = 1
     F = chain("a", 40, interner)
     G = chain("a", 40, interner)
-    occs = vert_periods(F, G, query(k))
-    assert len(occs) == 1
-    occ = occs[0]
-    assert occ.u_f == 0 and occ.u_g == 0 and occ.e == 40
-    # all nested inner occurrences are suppressed by the advance rule
-    assert all(o.u_f == 0 for o in occs)
+    # one row: all nested inner occurrences are suppressed by the advance
+    # rule
+    [[u_f, u_g, q_l, q_r, e]] = vert_periods(F, G, query(k)).tolist()
+    assert u_f == 0 and u_g == 0 and e == 40
 
 
 def test_vert_periods_requires_partner(interner, rng):
@@ -199,9 +198,9 @@ def test_vert_periods_requires_partner(interner, rng):
     k = 1
     F = chain("a", 40, interner)
     G = random_forest(rng, 30, 3, syms)
-    assert vert_periods(F, G, query(k)) == []
+    assert vert_periods(F, G, query(k)).tolist() == []
     # a power of the same shape at the same place, but another context
-    assert vert_periods(F, chain("b", 40, interner), query(k)) == []
+    assert vert_periods(F, chain("b", 40, interner), query(k)).tolist() == []
 
 
 def context(F, u, q_l, q_r):
@@ -217,27 +216,27 @@ def reference_pairs(F, G, k):
     the least-closing equal-context G power of the 2k-by-2k window over all
     of G's powers (`naive_ors`), lifted while the power opening q_l earlier
     is an equal-context power inside both windows.  Also counts the lifts."""
-    cg = compute_contexts(G, query(k))
+    cg = compute_contexts(G, query(k)).tolist()
     out, lifts, i = [], 0, -1
-    for t in compute_contexts(F, query(k)):
-        ou, cu = int(F.o[t.u]), int(F.c[t.u])
+    for u, q_l, q_r, e_f in compute_contexts(F, query(k)).tolist():
+        ou, cu = int(F.o[u]), int(F.c[u])
         if ou <= i:
             continue
-        same = [s for s in cg if (s.q_l, s.q_r) == (t.q_l, t.q_r)
-                and context(G, s.u, s.q_l, s.q_r)
-                == context(F, t.u, t.q_l, t.q_r)
-                and int(G.o[s.u]) >= ou - 2 * k
-                and abs(int(G.c[s.u]) - cu) <= 2 * k]
-        pick = naive_ors([(int(G.o[s.u]), int(G.c[s.u])) for s in same],
+        same = [(v, e_g) for v, s_l, s_r, e_g in cg
+                if (s_l, s_r) == (q_l, q_r)
+                and context(G, v, q_l, q_r) == context(F, u, q_l, q_r)
+                and int(G.o[v]) >= ou - 2 * k
+                and abs(int(G.c[v]) - cu) <= 2 * k]
+        pick = naive_ors([(int(G.o[v]), int(G.c[v])) for v, _ in same],
                          ou - 2 * k, ou + 2 * k, cu - 2 * k, cu + 2 * k)
         if pick is None:
             continue
-        s = same[pick]
-        while up := [w for w in same if G.o[w.u] == G.o[s.u] - t.q_l]:
-            s, lifts = up[0], lifts + 1
-        e = min(t.e, s.e)
-        out.append(VertOcc(t.u, s.u, t.q_l, t.q_r, e))
-        i = ou + (e - 8 * k) * t.q_l
+        v, e_g = same[pick]
+        while up := [(w, e_w) for w, e_w in same if G.o[w] == G.o[v] - q_l]:
+            (v, e_g), lifts = up[0], lifts + 1
+        e = min(e_f, e_g)
+        out.append([u, v, q_l, q_r, e])
+        i = ou + (e - 8 * k) * q_l
     return out, lifts
 
 
@@ -256,22 +255,69 @@ def test_vert_periods_partner_choice(interner, rng):
             F = plant_vertical(rng, F, k, syms)
         G = apply_random_edits(rng, F, int(rng.integers(0, 2 * k + 1)), syms)
         for A, B in ((F, G), (G, F)):
-            got = vert_periods(A, B, query(k))
+            got = vert_periods(A, B, query(k)).tolist()
             want, lifted = reference_pairs(A, B, k)
             assert got == want
-            e_f = {c.u: c.e for c in compute_contexts(A, query(k))}
-            e_g = {c.u: c.e for c in compute_contexts(B, query(k))}
-            for occ in got:
-                u, v = occ.u_f, occ.u_g
-                assert (context(A, u, occ.q_l, occ.q_r)
-                        == context(B, v, occ.q_l, occ.q_r))
+            e_f, e_g = ({u: e for u, q_l, q_r, e in
+                         compute_contexts(H, query(k)).tolist()}
+                        for H in (A, B))
+            for u, v, q_l, q_r, e in got:
+                assert context(A, u, q_l, q_r) == context(B, v, q_l, q_r)
                 assert abs(int(A.o[u]) - int(B.o[v])) <= 2 * k
                 assert abs(int(A.c[u]) - int(B.c[v])) <= 2 * k
-                assert occ.e == min(e_f[u], e_g[v])
+                assert e == min(e_f[u], e_g[v])
             occs += len(got)
             multi += len(got) > 1
             lifts += lifted
     assert occs > 700 and multi > 200 and lifts > 800
+
+
+def test_empty_detections_keep_their_columns(interner):
+    # each detector returns int64 rows of its width when it finds nothing,
+    # and a pair with no synchronized power reduces to itself
+    k = 1
+    flat = forest("(a(b))(c)", interner)
+    # node 1 anchors runs at both its parentheses, but its two sub-chains
+    # diverge right below it, which clips its exponent to 1
+    forked = forest("(a" * 17 + ")" * 15 + "(a" * 15 + ")" * 17, interner)
+    _, endp = compute_q(forked, query(k))
+    assert endp[forked.o[1]] != forked.o[1] and endp[forked.c[1]] != forked.c[1]
+    for H in (flat, forked):
+        got = compute_contexts(H, query(k))
+        assert got.dtype == np.int64 and got.shape == (0, 4)
+    tower = chain("a", 40, interner)
+    other = chain("b", 40, interner)
+    # G without a power, and G with powers of another context only
+    for F, G in ((tower, flat), (tower, other), (flat, tower)):
+        got = vert_periods(F, G, query(k))
+        assert got.dtype == np.int64 and got.shape == (0, 5)
+        F2, G2 = vert_sync_reductions(F, G, query(k))
+        assert F2 == F and G2 == G
+
+
+def test_vert_sites_of_a_chain_pair(interner, monkeypatch):
+    # layers (a(x) ... ): |C_L| = 3, |C_R| = 1, 40 of them, the tower
+    # opening 2 positions later in G; each pair gives its left parts from
+    # the openings and its right parts up to the closings
+    k = 1
+    F = forest("(a(x)" * 40 + ")" * 40, interner)
+    G = forest("(y)" + "(a(x)" * 40 + ")" * 40, interner)
+    assert vert_periods(F, G, query(k)).tolist() == [[0, 1, 3, 1, 40]]
+    u_f, u_g, q_l, q_r, e = 0, 1, 3, 1, 40
+    seen = []
+    real = tedk.vertical.cut_sites
+
+    def recorded(F, G, sites, k):
+        seen.append(sites.tolist())
+        return real(F, G, sites, k)
+
+    monkeypatch.setattr(tedk.vertical, "cut_sites", recorded)
+    F2, G2 = vert_sync_reductions(F, G, query(k))
+    assert seen == [[[F.o[u_f], G.o[u_g], q_l, e],
+                     [F.c[u_f] - q_r * e + 1, G.c[u_g] - q_r * e + 1, q_r, e]]]
+    assert seen == [[[0, 2, 3, 40], [120, 122, 1, 40]]]
+    assert F2 == forest("(a(x)" * 14 + ")" * 14, interner)
+    assert G2 == forest("(y)" + "(a(x)" * 14 + ")" * 14, interner)
 
 
 def test_vert_reduction_chain(interner):
@@ -317,10 +363,10 @@ def test_nonprimitive_layer_structure(interner):
     depth = 40
     txt = "".join("(a" if t % 2 == 0 else "(b" for t in range(depth)) + ")" * depth
     F = forest(txt, interner)
-    ctx = compute_contexts(F, query(k))
-    assert ctx, "alternating chain must be detected"
-    top = ctx[0]
-    assert top.q_l == 2 and top.q_r == 2 and top.e == 20
+    rows = compute_contexts(F, query(k)).tolist()
+    assert rows, "alternating chain must be detected"
+    u, q_l, q_r, e = rows[0]
+    assert q_l == 2 and q_r == 2 and e == 20
     G = forest(txt, interner)
     F2, G2 = vert_sync_reductions(F, G, query(k))
     assert ted_threshold(F2, G2, k) == 0

@@ -133,6 +133,18 @@ MUTANTS = [
            "blocks[first[left] - 1, ::-1]", "blocks[first[left] - 1]",
            ("tests/test_indexes.py::test_filtered_runs_at_every_block_offset",
             "tests/test_indexes.py::test_filtered_runs_at_the_filter_edge")),
+    Mutant("runs-keep-largest-period", "src/tedk/indexes.py",
+           "best.setdefault(key, p)", "best[key] = p",
+           ("tests/test_indexes.py::test_runs_match_naive_and_count",
+            "tests/test_indexes.py::test_runs_examples")),
+    Mutant("horizontal-site-at-min-start", "src/tedk/horizontal.py",
+           "at = max(ai, bi)", "at = min(ai, bi)",
+           ("tests/test_horizontal.py::test_sync_reductions_preserve_distance",
+            "tests/test_horizontal.py::test_sync_occurrences_site_at_later_start")),
+    Mutant("vert-right-site-off-by-one", "src/tedk/vertical.py",
+           "q_r * e - 1", "q_r * e",
+           ("tests/test_vertical.py::test_vert_reduction_preserves_distance",
+            "tests/test_vertical.py::test_vert_sites_of_a_chain_pair")),
     Mutant("inverse-power-off-by-one", "src/tedk/hashing.py",
            "self.ipw[self.n - j]", "self.ipw[self.n - j - 1]",
            ("tests/test_indexes.py::test_prefix_and_power_tables_match_integers",)),
