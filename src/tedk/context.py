@@ -1,29 +1,36 @@
 """One query's state: its threshold, fingerprint base and per-string data.
 
 `engine.run` makes one `QueryContext` per query and hands it to every layer
-that reads a code string.  It owns k, the Karp-Rabin base with two tables,
-of its powers and of its inverse's powers (each grown by
-`hashing.grow_powers`), the run report's phase timings, and one record
-for each of the latest two code strings asked about: the string's filtered
-runs (`horizontal.filter_runs`, an int64 array of (i, j, p) rows), prefix
-table (`hashing.HashedSeq`) and look-ahead fingerprints per depth
-(`labeling.lookahead_refine`), each made on first request.
+that reads a code string or builds a forest.  It owns k, the Karp-Rabin
+base with two tables, of its powers and of its inverse's powers (each grown
+by `hashing.grow_powers`), the run report's phase timings, and one record
+for each of the latest two code strings asked about: the string's forest
+(`LabeledForest.from_codes`), filtered runs (`horizontal.filter_runs`, an
+int64 array of (i, j, p) rows), vertical context powers
+(`vertical.compute_contexts`), prefix table (`hashing.HashedSeq`) and
+look-ahead fingerprints per depth (`labeling.lookahead_refine`), each made
+on first request.
 
 The reuse rule, for every layer: a string equal to one of the latest two
 gets that string's record (`derived`).  Each pass asks for F's string, then
 G's, so two records catch G's string equal to F's and a string an earlier
-pass left unchanged.  Equal strings are equal forests, so a forest's
-fingerprints, which depend on its string alone, are reused the same way.
-Strings are compared by content with a kept reference to the earlier array,
-so nothing is copied and a string passed in must not change afterwards.
-Nothing is cached at module level: the records die with the context.  With
-audit on, the context carries a twin under a second base.
+pass left unchanged.  Equal strings are equal forests, so a forest, and all
+a forest's data that depend on its string and k alone, are reused the same
+way: a rewrite (a cut, height flattening, pruning, the gadget) whose output
+string equals a kept one gets the kept forest instead of pairing its
+parentheses again.  `timings` counts the forests asked for as
+`forests_built` and `forests_reused`.  Strings are compared by content with
+a kept reference to the earlier array, so nothing is copied and a string
+passed in must not change afterwards.  Nothing is cached at module level:
+the records die with the context.  With audit on, the context carries a
+twin under a second base.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .forest import LabeledForest
 from .hashing import M61, HashedSeq, grow_powers
 from .horizontal import filter_runs
 
@@ -41,7 +48,7 @@ class QueryContext:
         self.inv = pow(self.base, M61 - 2, M61)
         self.pw = np.ones(1, dtype=np.uint64)
         self.ipw = np.ones(1, dtype=np.uint64)
-        self.timings: dict = {}
+        self.timings: dict = {"forests_built": 0, "forests_reused": 0}
         self._records: list[dict] = []
         self.audit = None
         if audit:
@@ -58,17 +65,33 @@ class QueryContext:
         self.ipw = grow_powers(self.ipw, self.inv, n)
         return self.ipw[:n]
 
-    def derived(self, codes: np.ndarray, what, make):
-        """Field `what` of the record of `codes`, made by `make` if absent."""
+    def _record(self, codes: np.ndarray) -> dict:
+        """The record of `codes`; a new one, which replaces the older of the
+        two kept, when no kept string equals it."""
         for rec in self._records:
             if np.array_equal(rec["codes"], codes):
-                break
-        else:
-            rec = {"codes": codes}
-            self._records = self._records[-1:] + [rec]
+                return rec
+        rec = {"codes": codes}
+        self._records = self._records[-1:] + [rec]
+        return rec
+
+    def derived(self, codes: np.ndarray, what, make):
+        """Field `what` of the record of `codes`, made by `make` if absent."""
+        rec = self._record(codes)
         if what not in rec:
             rec[what] = make()
         return rec[what]
+
+    def forest(self, codes: np.ndarray) -> LabeledForest:
+        """The forest of `codes`, built by `LabeledForest.from_codes` (which
+        raises on a malformed string) unless an equal string's record holds
+        it already; counted in `timings` as built or reused."""
+        rec = self._record(codes)
+        built = "forest" not in rec
+        if built:
+            rec["forest"] = LabeledForest.from_codes(codes)
+        self.timings["forests_built" if built else "forests_reused"] += 1
+        return rec["forest"]
 
     def runs(self, codes: np.ndarray) -> np.ndarray:
         """`filter_runs(codes, k)`: sorted (r, 3) int64 rows (i, j, p)."""

@@ -188,7 +188,7 @@ def run(F: LabeledForest, G: LabeledForest, cfg: EngineConfig,
         covered_g[M[:, 1]] = True
         if not (covered_f[marked_f].all() and covered_g[marked_g].all()):
             continue  # a marked node is left uncovered
-        Fi, Gi = partial_reduce(rp.f, rp.g, M, k)
+        Fi, Gi = partial_reduce(rp.f, rp.g, M, ctx)
         height = max(Fi.height(), Gi.height())
         if height > h + 1:
             raise ContractError(f"partial reduction left height {height} "

@@ -190,7 +190,8 @@ class LabeledForest:
 
         The single trusted constructor: raises UnbalancedError on depth
         errors, LabelMismatchError when a closing label disagrees with its
-        opening partner.
+        opening partner.  Inside a query every rewrite reaches it through
+        `context.QueryContext.forest`, once per distinct code string.
         """
         return LabeledForest(np.asarray(codes, dtype=np.int64))
 

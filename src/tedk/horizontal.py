@@ -8,7 +8,8 @@ The detection pass merges the two filtered run arrays (`filter_runs`, rows
 and checks period equality up to rotation plus rotatability into a balanced
 string.  Each hit is a cut site, a row (at_f, at_g, length, e) of an int64
 array, and `cut_sites`, shared with the vertical reduction, removes the
-surplus copies of every site from both code strings in one pass.
+surplus copies of every site from both code strings in one pass and takes
+both output forests from the query context.
 """
 
 from __future__ import annotations
@@ -94,15 +95,17 @@ def sync_occurrences(F: LabeledForest, G: LabeledForest,
 
 
 def cut_sites(F: LabeledForest, G: LabeledForest, sites: np.ndarray,
-              k: int):
+              ctx: QueryContext):
     """Cut each site, an int64 row (at_f, at_g, length, e) of `sites`, down
-    to 14k repetitions.
+    to 14k repetitions (k = ctx.k).
 
     A site is a block of `length` codes repeated e times from position at_f
     of F's code string and at_g of G's; the first e - 14k copies go on both
-    sides.  Sites come sorted and must not overlap.  Both outputs are rebuilt
-    through `LabeledForest.from_codes`, also when there is no site.
+    sides.  Sites come sorted and must not overlap.  The outputs come from
+    the query context (`QueryContext.forest`): a string left uncut, or G's
+    equal to F's, gets the forest already built for it.
     """
+    k = ctx.k
     sf = F.codes
     sg = G.codes
     parts_f: list[np.ndarray] = []
@@ -119,8 +122,8 @@ def cut_sites(F: LabeledForest, G: LabeledForest, sites: np.ndarray,
         i_g = at_g + length * (e - 14 * k)
     parts_f.append(sf[i_f:])
     parts_g.append(sg[i_g:])
-    return (LabeledForest.from_codes(np.concatenate(parts_f)),
-            LabeledForest.from_codes(np.concatenate(parts_g)))
+    return (ctx.forest(np.concatenate(parts_f)),
+            ctx.forest(np.concatenate(parts_g)))
 
 
 def sync_reductions(F: LabeledForest, G: LabeledForest, ctx: QueryContext):
@@ -130,4 +133,4 @@ def sync_reductions(F: LabeledForest, G: LabeledForest, ctx: QueryContext):
     Returns (F', G') with ted_{<=k} unchanged and no balanced string Q of
     length <= 4k whose (18k)-th power has 2k-synchronized occurrences.
     """
-    return cut_sites(F, G, sync_occurrences(F, G, ctx), ctx.k)
+    return cut_sites(F, G, sync_occurrences(F, G, ctx), ctx)

@@ -7,7 +7,11 @@ matched node becomes a leaf of a decomposed piece, single-node separator
 trees keep pieces aligned), pruning of redundant matched leaf pairs (a pair
 whose immediate left siblings are also matched is implied), and a uniqueness
 gadget (k+1 fresh-labeled children force any cost-<=k alignment to match the
-pair).  All constructions are vectorized over the parenthesis sequences.
+pair).  All constructions are vectorized over the parenthesis sequences,
+and each takes its output forests from the query context
+(`context.QueryContext.forest`): an output string equal to one the context
+holds (both outputs, when F's and G's strings are equal) gets that forest,
+so each distinct string is paired once.
 
 Fresh labels need only differ from the labels of the two forests at hand, so
 each construction numbers its own from one past the largest of those
@@ -18,10 +22,15 @@ above each other, since each one's input holds the labels of the one before.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .errors import ContractError, CrossingMatchingError
 from .forest import LabeledForest, _stable_order, last_at_level
+
+if TYPE_CHECKING:
+    from .context import QueryContext
 
 
 def as_matching(M) -> np.ndarray:
@@ -61,14 +70,15 @@ def _leaves(F: LabeledForest, nodes: np.ndarray) -> bool:
     return bool((F.c[nodes] == F.o[nodes] + 1).all())
 
 
-def _without_leaves(F: LabeledForest, leaves: np.ndarray):
+def _without_leaves(F: LabeledForest, leaves: np.ndarray,
+                    ctx: QueryContext):
     """(F less the given leaves, each old node's new id): clearing a leaf's
     two positions deletes it, and a kept node's new id is its rank among the
     kept openings."""
     keep = np.ones(2 * F.n, dtype=bool)
     keep[F.o[leaves]] = False
     keep[F.c[leaves]] = False
-    return LabeledForest(F.codes[keep]), np.cumsum(keep[F.o]) - 1
+    return ctx.forest(F.codes[keep]), np.cumsum(keep[F.o]) - 1
 
 
 def _marked_class(F: LabeledForest, marked: np.ndarray) -> np.ndarray:
@@ -132,7 +142,7 @@ def _assemble_with_separators(F: LabeledForest, cls: np.ndarray, m: int,
     return out, new_id, sep_ids
 
 
-def reduce_height(F: LabeledForest, G: LabeledForest, M):
+def reduce_height(F: LabeledForest, G: LabeledForest, M, ctx: QueryContext):
     """Flatten matched nodes into leaves of decomposed pieces.
 
     Returns (F', G', M') with |F'| = |F| + |M|, |M'| = 2|M|, matched nodes
@@ -150,8 +160,8 @@ def reduce_height(F: LabeledForest, G: LabeledForest, M):
     cls_g = _marked_class(G, M[:, 1])
     codes_f, newf, seps_f = _assemble_with_separators(F, cls_f, m, so, sc)
     codes_g, newg, seps_g = _assemble_with_separators(G, cls_g, m, so, sc)
-    F2 = LabeledForest.from_codes(codes_f)
-    G2 = LabeledForest.from_codes(codes_g)
+    F2 = ctx.forest(codes_f)
+    G2 = ctx.forest(codes_g)
     M2 = np.concatenate([
         np.stack([newf[M[:, 0]], newg[M[:, 1]]], axis=1),
         np.stack([seps_f, seps_g], axis=1),
@@ -163,7 +173,8 @@ def reduce_height(F: LabeledForest, G: LabeledForest, M):
     return F2, G2, M2
 
 
-def prune_redundant(F: LabeledForest, G: LabeledForest, M):
+def prune_redundant(F: LabeledForest, G: LabeledForest, M,
+                    ctx: QueryContext):
     """Drop matched leaf pairs whose immediate left siblings are also matched.
 
     The surviving matching satisfies |M'| <= (2/5)(|F'| + |G'| + 1).
@@ -184,8 +195,8 @@ def prune_redundant(F: LabeledForest, G: LabeledForest, M):
     if not redundant.any():
         F2, G2, M2 = F, G, M
     else:
-        F2, new_f = _without_leaves(F, M[redundant, 0])
-        G2, new_g = _without_leaves(G, M[redundant, 1])
+        F2, new_f = _without_leaves(F, M[redundant, 0], ctx)
+        G2, new_g = _without_leaves(G, M[redundant, 1], ctx)
         kept = M[~redundant]
         M2 = np.stack([new_f[kept[:, 0]], new_g[kept[:, 1]]], axis=1)
     if 5 * len(M2) > 2 * (F2.n + G2.n + 1):
@@ -193,15 +204,16 @@ def prune_redundant(F: LabeledForest, G: LabeledForest, M):
     return F2, G2, M2
 
 
-def gadget(F: LabeledForest, G: LabeledForest, M, k: int):
-    """Attach k+1 uniquely labeled children to each matched leaf pair."""
+def gadget(F: LabeledForest, G: LabeledForest, M, ctx: QueryContext):
+    """Attach k+1 uniquely labeled children to each matched leaf pair
+    (k = ctx.k)."""
     M = as_matching(M)
     m = len(M)
     if m == 0:
         return F, G
     if not (_leaves(F, M[:, 0]) and _leaves(G, M[:, 1])):
         raise ValueError("gadget needs a leaves-only matching")
-    slots = k + 1
+    slots = ctx.k + 1
     base = _fresh_base(F, G)
     syms = base + np.arange(m * slots, dtype=np.int64).reshape(m, slots)
     block = np.empty((m, 2 * slots), dtype=np.int64)
@@ -210,7 +222,7 @@ def gadget(F: LabeledForest, G: LabeledForest, M, k: int):
 
     def attach(H: LabeledForest, nodes: np.ndarray) -> LabeledForest:
         # each pair's block goes right before its leaf's close
-        return LabeledForest.from_codes(np.insert(
+        return ctx.forest(np.insert(
             H.codes, np.repeat(H.c[nodes], 2 * slots), block.ravel()))
 
     F2 = attach(F, M[:, 0])
@@ -222,8 +234,10 @@ def gadget(F: LabeledForest, G: LabeledForest, M, k: int):
     return F2, G2
 
 
-def partial_reduce(F: LabeledForest, G: LabeledForest, M, k: int):
-    """Chain reduce_height -> prune_redundant -> gadget."""
-    F1, G1, M1 = reduce_height(F, G, M)
-    F2, G2, M2 = prune_redundant(F1, G1, M1)
-    return gadget(F2, G2, M2, k)
+def partial_reduce(F: LabeledForest, G: LabeledForest, M,
+                   ctx: QueryContext):
+    """Chain reduce_height -> prune_redundant -> gadget, for the threshold
+    k = ctx.k and with the forests of the query context `ctx`."""
+    F1, G1, M1 = reduce_height(F, G, M, ctx)
+    F2, G2, M2 = prune_redundant(F1, G1, M1, ctx)
+    return gadget(F2, G2, M2, ctx)

@@ -290,7 +290,7 @@ def _check_partial(rng, count: int, interner) -> tuple[int, int]:
                         continue
         M = np.array(pairs, dtype=np.int64).reshape(-1, 2)
         k = int(rng.integers(1, 4))
-        F2, G2 = partial_reduce(F, G, M, k)
+        F2, G2 = partial_reduce(F, G, M, QueryContext(k, base=0x5E1F))
         got = ted_threshold(F2, G2, k)
         want = ted_brute_constrained(F, G, M)
         want = want if want <= k else float("inf")

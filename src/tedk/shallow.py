@@ -68,7 +68,7 @@ def shallow_ted(F: LabeledForest, G: LabeledForest, h: int,
     # on both sides, and each of its pairs holds equal look-ahead codes,
     # whose classes refine the labels (a checked contract).  A raise is an
     # internal fault, not distance > k.
-    F2, G2 = partial_reduce(F1, G1, M, k)
+    F2, G2 = partial_reduce(F1, G1, M, ctx)
     bound = (k + 2) * (5 * (F1.n + G1.n - 2 * len(M)) + 4)
     if F2.n + G2.n > bound:
         raise ContractError(f"residual of {F2.n + G2.n} nodes exceeds the "

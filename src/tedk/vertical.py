@@ -8,7 +8,8 @@ context period from the depth deltas, clips the exponent by run lengths,
 the subtree size, and the divergence point (LCA of the two run endpoints),
 all in one vectorized pass over the nodes; the LCA depths come from a
 binary search over level ancestors (`forest.lca_depth`), with no LCA table.
-The powers are int64 rows (u, q_l, q_r, e) (`compute_contexts`).  It then
+The powers are int64 rows (u, q_l, q_r, e) (`compute_contexts`), found once
+per distinct string and kept in the query context's record.  It then
 pairs occurrences across the forests into rows (u_f, u_g, q_l, q_r, e)
 (`vert_periods`): each F occurrence takes the outermost equal-context G
 occurrence among those whose opening and closing positions both lie within
@@ -141,9 +142,9 @@ def vert_periods(F: LabeledForest, G: LabeledForest,
     context, and an exponent at least s's.
     """
     k = ctx.k
-    cf = compute_contexts(F, ctx)
-    cg = {v: (q_l, q_r, e)
-          for v, q_l, q_r, e in compute_contexts(G, ctx).tolist()}
+    cf = ctx.derived(F.codes, "contexts", lambda: compute_contexts(F, ctx))
+    cg = ctx.derived(G.codes, "contexts", lambda: compute_contexts(G, ctx))
+    cg = {v: (q_l, q_r, e) for v, q_l, q_r, e in cg.tolist()}
     if not cg:
         return np.empty((0, 5), dtype=np.int64)
     out = []
@@ -194,4 +195,4 @@ def vert_sync_reductions(F: LabeledForest, G: LabeledForest,
         np.stack([F.o[u_f], G.o[u_g], q_l, e], axis=1),
         np.stack([F.c[u_f] - back, G.c[u_g] - back, q_r, e], axis=1)])
     # rows in lexicographic order, as `cut_sites` takes them
-    return cut_sites(F, G, sites[np.lexsort(sites.T[::-1])], ctx.k)
+    return cut_sites(F, G, sites[np.lexsort(sites.T[::-1])], ctx)

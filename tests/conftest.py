@@ -130,9 +130,8 @@ def ted_constrained(F, G, M):
         return INF
     if len(M) == 0:
         return ted_exact(F, G)
-    F1, G1, M1 = reduce_height(F, G, M)
-    k_free = F1.n + G1.n
-    F2, G2 = gadget(F1, G1, M1, k_free)
+    F1, G1, M1 = reduce_height(F, G, M, query(1))
+    F2, G2 = gadget(F1, G1, M1, query(F1.n + G1.n))
     return ted_exact(F2, G2)
 
 

@@ -217,13 +217,14 @@ def test_criterion_6_partial_matching_contracts():
                 break
         M = np.array(pairs, dtype=np.int64).reshape(-1, 2)
         k = int(rng.integers(1, 5))
-        F1, G1, M1 = reduce_height(F, G, M)
-        F2, G2, M2 = prune_redundant(F1, G1, M1)
+        ctx = query(k)
+        F1, G1, M1 = reduce_height(F, G, M, ctx)
+        F2, G2, M2 = prune_redundant(F1, G1, M1, ctx)
         bad_bound += 5 * len(M2) > 2 * (F2.n + G2.n + 1)
-        F3, G3 = gadget(F2, G2, M2, k)
+        F3, G3 = gadget(F2, G2, M2, ctx)
         bad_gadget += (F3.n != F2.n + (k + 1) * len(M2)
                        or G3.n != G2.n + (k + 1) * len(M2))
-        got = ted_threshold(*partial_reduce(F, G, M, k), k)
+        got = ted_threshold(*partial_reduce(F, G, M, ctx), k)
         want = ted_constrained(F, G, M)
         bad_equal += got != (want if want <= k else INF)
         cases += 1

@@ -233,12 +233,16 @@ def test_k_below_range_exits_3(tmp_path, capsys):
         assert "--k must be" in err and "Traceback" not in err
 
 
-def test_log_env_smoke(tmp_path, capsys, monkeypatch):
+def test_log_env_smoke(tmp_path, capsys, caplog, monkeypatch):
+    # the INFO line carries the report's timings, forest counts included
     monkeypatch.setenv("TEDK_LOG", "INFO")
     a = tmp_path / "a.paren"
     a.write_text("(a(b))\n")
+    caplog.set_level(logging.INFO, logger="tedk")
     code, out, _ = run_cli(capsys, "compute", str(a), str(a), "--k", "1")
     assert code == 0 and out.split("\t")[0] == "0"
+    assert "'forests_built': 1," in caplog.text
+    assert "'forests_reused': " in caplog.text
 
 
 def test_compute_reports_rounds_run_and_bound(tmp_path, capsys, caplog,

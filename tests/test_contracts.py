@@ -166,7 +166,7 @@ def test_partial_leaf_contract(interner, monkeypatch):
     monkeypatch.setattr(tedk.partial, "_marked_class",
                         lambda H, marked: np.zeros(H.n, dtype=np.int64))
     with pytest.raises(ContractError):
-        reduce_height(F, F, [[0, 0]])
+        reduce_height(F, F, [[0, 0]], query(1))
 
 
 def test_horizontal_overlap_contract(interner, monkeypatch):
@@ -233,6 +233,9 @@ print("compat", raised(lambda: labeling.compat_refine(F, F, lab, 2)))
 print("odd", raised(lambda: LabeledForest.from_codes([0, 0, 1])))
 print("depth", raised(lambda: LabeledForest.from_codes([1, 0])))
 print("label", raised(lambda: LabeledForest.from_codes([0, 3])))
+ctx = QueryContext(1, 0x1234567)
+for codes in ([0, 0, 1], [1, 0], [0, 3]):
+    print("context", raised(lambda: ctx.forest(np.array(codes))))
 print("parse", raised(lambda: parse_paren_text("(a))", LabelInterner())))
 print("alignment", raised(lambda: eval_alignment(np.array([(0, 0), (1, 1)]),
                                                  "ab", "ab")))
@@ -241,7 +244,8 @@ print("alignment", raised(lambda: eval_alignment(np.array([(0, 0), (1, 1)]),
 
 def test_contracts_survive_python_O():
     # the refinement, pairing and alignment checks are plain if/raise:
-    # python -O, which strips assert statements, still runs them
+    # python -O, which strips assert statements, still runs them, also on
+    # the query context's path to `from_codes`
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
                          env=env, capture_output=True, text=True, timeout=120)
@@ -249,5 +253,7 @@ def test_contracts_survive_python_O():
     assert out.stdout.split("\n") == [
         "debug False", "refines False", "lookahead ContractError",
         "compat ContractError", "odd UnbalancedError", "depth UnbalancedError",
-        "label LabelMismatchError", "parse UnbalancedError",
+        "label LabelMismatchError", "context UnbalancedError",
+        "context UnbalancedError", "context LabelMismatchError",
+        "parse UnbalancedError",
         "alignment MalformedAlignmentError", ""]

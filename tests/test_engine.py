@@ -425,6 +425,63 @@ def test_runs_built_once_per_distinct_string(interner, rng, monkeypatch):
         gc.enable()
 
 
+def test_forests_built_once_per_kept_string(interner, rng, monkeypatch):
+    # every forest a query builds comes from the context: no string whose
+    # forest one of the latest two records holds is paired again, each
+    # forest asked for is counted once as built or reused, and the context
+    # dies with its forests when the query returns (gc is off)
+    contexts, built, asked = [], [], []
+    real_context = tedk.engine.QueryContext
+    real_build = LabeledForest.from_codes
+    real_forest = QueryContext.forest
+
+    def tracked_context(*args, **kwargs):
+        ctx = real_context(*args, **kwargs)
+        contexts.append(weakref.ref(ctx))
+        return ctx
+
+    def counted_build(codes):
+        kept = [rec["codes"] for rec in contexts[-1]()._records
+                if "forest" in rec]
+        assert not any(np.array_equal(S, codes) for S in kept)
+        out = real_build(codes)
+        built.append(weakref.ref(out.o))  # forests take no weak reference
+        return out
+
+    def counted_forest(ctx, codes):
+        asked.append(len(codes))
+        return real_forest(ctx, codes)
+
+    syms = alphabet(interner, 4)
+    F = random_forest(rng, 400, 8, syms)
+    P, _, _ = planted_pair(rng, 300, 2, 3, interner, kind="mixed", edits=0)
+    pairs = [(A, LabeledForest.from_codes(A.codes.copy())) for A in (F, P)]
+    configs = (EngineConfig(k=2, seed=3), EngineConfig(k=2, seed=3, audit=True),
+               EngineConfig(k=1, seed=3, rounds=2, height_cap=3))
+    monkeypatch.setattr(tedk.engine, "QueryContext", tracked_context)
+    monkeypatch.setattr(LabeledForest, "from_codes",
+                        staticmethod(counted_build))
+    monkeypatch.setattr(QueryContext, "forest", counted_forest)
+    gc.disable()
+    try:
+        for A, twin in pairs:
+            for cfg in configs:
+                contexts.clear()
+                built.clear()
+                asked.clear()
+                rep = run(A, twin, cfg, interner)
+                assert rep.value == 0
+                t = rep.timings
+                assert t["forests_built"] == len(built) >= 1
+                assert t["forests_built"] + t["forests_reused"] == len(asked)
+                # G's string equals F's at every step
+                assert t["forests_reused"] >= t["forests_built"]
+                assert len(contexts) == 1 and contexts[0]() is None
+                assert all(ref() is None for ref in built)
+    finally:
+        gc.enable()
+
+
 def test_lookahead_fingerprints_equal_strings_once(interner, rng,
                                                    monkeypatch):
     # G equal to F takes F's fingerprints: one pass per base (the audit

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tedk.errors import LabelMismatchError, ParseError, UnbalancedError
 from tedk.forest import (JSON_MAX_HEIGHT, LabeledForest, LabelInterner,
@@ -12,7 +12,7 @@ from tedk.forest import (JSON_MAX_HEIGHT, LabeledForest, LabelInterner,
                          serialize_paren)
 from tedk.generate import alphabet, random_forest
 
-from conftest import deep_chain, forest, stack_walk, validate
+from conftest import deep_chain, forest, query, stack_walk, validate
 from reference import naive_positions, nested_json, parents
 
 
@@ -492,6 +492,69 @@ def _forest_codes(draw):
 @given(_forest_codes(), st.integers(0, 2**32 - 1))
 def test_pairing_and_level_search_match_int64_sort(codes, seed):
     _check_pairing_and_levels(codes, np.random.default_rng(seed))
+
+
+def _same_as_paired(H, codes) -> bool:
+    """True iff forest H has the code string `codes` and its pairing."""
+    codes = np.asarray(codes, dtype=np.int64)
+    return (np.array_equal(H.codes, codes)
+            and all(np.array_equal(got, want) for got, want
+                    in zip((H.o, H.c, H.depth), _pair_parens(codes))))
+
+
+def test_context_forest_by_content(interner, rng):
+    # the query context pairs each string once while it is among the
+    # latest two, and an equal string (another array) gets that forest; the
+    # strings share one length, so only their content tells them apart
+    syms = alphabet(interner, 3)
+    A, B, C = (random_forest(rng, 40, 6, syms).codes for _ in range(3))
+    assert len(A) == len(B) == len(C) and len({A.tobytes(), B.tobytes(),
+                                               C.tobytes()}) == 3
+    ctx = query(1)
+    fa, fb = ctx.forest(A), ctx.forest(B)
+    assert ctx.forest(A.copy()) is fa and fb is not fa
+    assert _same_as_paired(fa, A) and _same_as_paired(fb, B)
+    assert ctx.timings == {"forests_built": 2, "forests_reused": 1}
+    # C drops A, the older of the two kept: A is paired again, not stale
+    fc, again = ctx.forest(C), ctx.forest(A)
+    assert again is not fa and fc is not fb
+    assert _same_as_paired(fc, C) and _same_as_paired(again, A)
+    assert ctx.forest(C) is fc
+    assert ctx.timings == {"forests_built": 4, "forests_reused": 2}
+
+
+@st.composite
+def _near_forest_codes(draw):
+    """A balanced code string (`_forest_codes`), or one with a code dropped
+    or with its side or label bit flipped."""
+    codes = draw(_forest_codes())
+    how = draw(st.sampled_from(["keep", "drop", "side", "label"]))
+    if codes and how != "keep":
+        at = draw(st.integers(0, len(codes) - 1))
+        if how == "drop":
+            del codes[at]
+        else:
+            codes[at] ^= 1 if how == "side" else 2
+    return codes
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_near_forest_codes(), min_size=1, max_size=4))
+@example([[0, 1], [2, 3], [0, 1]])  # one length, two contents
+@example([[0, 1], [0, 3], [0, 1]])  # the second string is malformed
+def test_context_forest_matches_from_codes(strings):
+    # each string, in order, gets the forest `from_codes` builds for it, or
+    # the same error with the same message
+    ctx = query(1)
+    for codes in strings:
+        codes = np.array(codes, dtype=np.int64)
+        want = _raised(codes)
+        try:
+            H = ctx.forest(codes)
+        except ParseError as exc:
+            assert (type(exc), str(exc)) == want
+            continue
+        assert want is None and _same_as_paired(H, codes)
 
 
 def test_pairing_and_level_search_across_key_types(rng):

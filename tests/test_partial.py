@@ -8,7 +8,7 @@ from tedk.partial import (_marked_class, gadget, partial_reduce,
                           prune_redundant, reduce_height, validate_matching)
 from tedk.selftest import ted_brute_constrained
 
-from conftest import (VIRTUAL_ROOT, deep_chain, forest, stack_walk,
+from conftest import (VIRTUAL_ROOT, deep_chain, forest, query, stack_walk,
                       ted_constrained)
 from reference import parents
 
@@ -35,14 +35,15 @@ def test_reduce_height_empty_matching(interner, rng):
     syms = alphabet(interner, 2)
     F = random_forest(rng, 10, 4, syms)
     G = random_forest(rng, 9, 4, syms)
-    F2, G2, M2 = reduce_height(F, G, np.empty((0, 2), dtype=np.int64))
+    F2, G2, M2 = reduce_height(F, G, np.empty((0, 2), dtype=np.int64),
+                               query(1))
     assert F2 == F and G2 == G and len(M2) == 0
 
 
 def test_reduce_height_single_pair_sizes(interner):
     F = forest("(a(b)(c))", interner)
     G = forest("(a(b)(x))", interner)
-    F2, G2, M2 = reduce_height(F, G, [(0, 0)])
+    F2, G2, M2 = reduce_height(F, G, [(0, 0)], query(1))
     assert F2.n == F.n + 1 and G2.n == G.n + 1 and len(M2) == 2
     # every matched node is a leaf
     assert (F2.c[M2[:, 0]] == F2.o[M2[:, 0]] + 1).all()
@@ -52,7 +53,7 @@ def test_reduce_height_crossing_raises(interner):
     F = forest("(a)(b)", interner)
     G = forest("(b)(a)", interner)
     with pytest.raises(CrossingMatchingError):
-        reduce_height(F, G, [(0, 1), (1, 0)])
+        reduce_height(F, G, [(0, 1), (1, 0)], query(1))
 
 
 def test_reduce_height_preserves_constrained_distance(interner, rng):
@@ -66,7 +67,7 @@ def test_reduce_height_preserves_constrained_distance(interner, rng):
         M = random_matching(rng, F, G, tries=2)
         if len(M) == 0:
             continue
-        F2, G2, M2 = reduce_height(F, G, M)
+        F2, G2, M2 = reduce_height(F, G, M, query(1))
         assert F2.n == F.n + len(M) and G2.n == G.n + len(M)
         assert len(M2) == 2 * len(M)
         assert ted_brute_constrained(F2, G2, M2) == ted_brute_constrained(F, G, M)
@@ -78,12 +79,12 @@ def test_prune_redundant_examples(interner):
     F = forest("(r(c)(c)(c)(c)(c))", interner)
     G = forest("(r(c)(c)(c)(c)(c))", interner)
     M = np.array([(u, u) for u in range(1, 6)], dtype=np.int64)
-    F2, G2, M2 = prune_redundant(F, G, M)
+    F2, G2, M2 = prune_redundant(F, G, M, query(1))
     assert len(M2) == 1 and F2.n == F.n - 4 and G2.n == G.n - 4
     # no adjacent matched siblings: identity
     F = forest("(r(c)(d)(c))", interner)
     M = np.array([(1, 1), (3, 3)], dtype=np.int64)
-    F2, G2, M2 = prune_redundant(F, F, M)
+    F2, G2, M2 = prune_redundant(F, F, M, query(1))
     assert F2 == F and len(M2) == 2
 
 
@@ -98,8 +99,9 @@ def test_prune_redundant_bound_and_distance(interner, rng):
         M = random_matching(rng, F, G)
         if len(M) == 0:
             continue
-        F1, G1, M1 = reduce_height(F, G, M)
-        F2, G2, M2 = prune_redundant(F1, G1, M1)
+        ctx = query(1)
+        F1, G1, M1 = reduce_height(F, G, M, ctx)
+        F2, G2, M2 = prune_redundant(F1, G1, M1, ctx)
         assert 5 * len(M2) <= 2 * (F2.n + G2.n + 1)
         assert ted_brute_constrained(F2, G2, M2) == \
             ted_brute_constrained(F1, G1, M1)
@@ -110,12 +112,12 @@ def test_gadget_examples(interner):
     F = forest("(a(b))", interner)
     G = forest("(a(b))", interner)
     # no pairs: identity
-    F2, G2 = gadget(F, G, np.empty((0, 2), dtype=np.int64), 2)
+    F2, G2 = gadget(F, G, np.empty((0, 2), dtype=np.int64), query(2))
     assert F2 == F and G2 == G
     # k=2, |M|=1 on leaf pair: sizes grow by k+1 = 3, and the new nodes
     # are children of the matched leaf b
     M = np.array([(1, 1)], dtype=np.int64)
-    F2, G2 = gadget(F, G, M, 2)
+    F2, G2 = gadget(F, G, M, query(2))
     assert F2.n == F.n + 3 and G2.n == G.n + 3
     assert F2.height() <= F.height() + 1
     assert parents(F2).tolist() == parents(G2).tolist() == [-1, 0, 1, 1, 1]
@@ -130,11 +132,12 @@ def test_gadget_labels_fresh(interner):
     top = int(G.labels.max())
     assert top > F.labels.max()
     M = np.array([(1, 1)], dtype=np.int64)
-    F2, G2 = gadget(F, G, M, 1)
+    ctx = query(1)
+    F2, G2 = gadget(F, G, M, ctx)
     new_f = set(F2.labels.tolist()) - set(F.labels.tolist())
     new_g = set(G2.labels.tolist()) - set(G.labels.tolist())
     assert new_f == new_g == {top + 1, top + 2}
-    F3, G3, _ = reduce_height(F2, G2, M)
+    F3, G3, _ = reduce_height(F2, G2, M, ctx)
     assert set(F3.labels.tolist()) - set(F2.labels.tolist()) == {top + 3}
     assert interner.intern("fresh") == top + 1
 
@@ -150,9 +153,10 @@ def test_gadget_preserves_threshold(interner, rng):
         M = random_matching(rng, F, G, tries=2)
         if len(M) == 0:
             continue
-        F1, G1, M1 = reduce_height(F, G, M)
         k = int(rng.integers(1, 4))
-        F2, G2 = gadget(F1, G1, M1, k)
+        ctx = query(k)
+        F1, G1, M1 = reduce_height(F, G, M, ctx)
+        F2, G2 = gadget(F1, G1, M1, ctx)
         want = ted_brute_constrained(F1, G1, M1)
         want = want if want <= k else INF
         assert ted_threshold(F2, G2, k) == want
@@ -163,7 +167,8 @@ def test_partial_reduce_empty_matching_equals_plain(interner, rng):
     syms = alphabet(interner, 2)
     F = random_forest(rng, 8, 3, syms)
     G = random_forest(rng, 8, 3, syms)
-    F2, G2 = partial_reduce(F, G, np.empty((0, 2), dtype=np.int64), 1)
+    F2, G2 = partial_reduce(F, G, np.empty((0, 2), dtype=np.int64),
+                            query(1))
     assert ted_threshold(F2, G2, 1) == ted_threshold(F, G, 1)
 
 
@@ -177,7 +182,7 @@ def test_partial_reduce_matches_constrained_oracle(interner, rng):
             continue
         M = random_matching(rng, F, G)
         k = int(rng.integers(1, 5))
-        F2, G2 = partial_reduce(F, G, M, k)
+        F2, G2 = partial_reduce(F, G, M, query(k))
         want = ted_constrained(F, G, M)
         want = want if want <= k else INF
         assert ted_threshold(F2, G2, k) == want
@@ -196,7 +201,7 @@ def test_partial_reduce_height_contract(interner, rng):
         M = random_matching(rng, F, G)
         if len(M) == 0:
             continue
-        F2, G2 = partial_reduce(F, G, M, 1)
+        F2, G2 = partial_reduce(F, G, M, query(1))
 
         def longest_free_path(H, members):
             flags = np.zeros(H.n, dtype=bool)

@@ -307,9 +307,9 @@ def test_vert_sites_of_a_chain_pair(interner, monkeypatch):
     seen = []
     real = tedk.vertical.cut_sites
 
-    def recorded(F, G, sites, k):
+    def recorded(F, G, sites, ctx):
         seen.append(sites.tolist())
-        return real(F, G, sites, k)
+        return real(F, G, sites, ctx)
 
     monkeypatch.setattr(tedk.vertical, "cut_sites", recorded)
     F2, G2 = vert_sync_reductions(F, G, query(k))

@@ -69,6 +69,13 @@ MUTANTS = [
            'if len(rec["codes"]) == len(codes):',
            ("tests/test_horizontal.py::test_context_runs_by_content",
             "tests/test_horizontal.py::test_context_runs_and_tables_share_records")),
+    Mutant("forest-record-by-length", "src/tedk/context.py",
+           'if np.array_equal(rec["codes"], codes):',
+           'if rec["codes"].shape == codes.shape:',
+           ("tests/test_forest.py::test_context_forest_by_content",)),
+    Mutant("forest-record-stale", "src/tedk/context.py",
+           'return rec["forest"]', 'return self._records[0]["forest"]',
+           ("tests/test_forest.py::test_context_forest_by_content",)),
     Mutant("context-audit-shares-base", "src/tedk/context.py",
            "max((base * base + 0x9E3779B97F4A7C15) % M61, 1 << 10)", "base",
            ("tests/test_labeling.py::test_audit_twin_fingerprints_under_its_own_base",)),
