@@ -3,12 +3,12 @@
 One random base is drawn per query from the engine's seeded RNG and shared
 by every sequence that has to be comparable (both forests, refined
 labelings, context keys).  The query's context (`context.QueryContext`)
-holds the base, two tables that `grow_powers` extends by doubling steps
-(the powers of the base and of its inverse), and the prefix tables
-(`HashedSeq`) of its code strings.  A prefix table weighs each code by the
-power of the base that counts the codes after it, so it is one
-multiply-mod and one sum; a substring's fingerprint then takes one
-multiply by an inverse power.
+holds the base, two tables (the powers of the base and of its inverse),
+which `grow_powers` extends to exactly the length asked for with one
+multiply-mod call per row of up to 8,192 new entries, and the prefix
+tables (`HashedSeq`) of its code strings.  A prefix table weighs each code by the power of the base that
+counts the codes after it, so it is one multiply-mod and one sum; a
+substring's fingerprint then takes one multiply by an inverse power.
 
 Tables and queries are vectorized with a 128-bit-safe uint64 multiply-mod
 that works in place on a few buffers; sums mod 2^61-1 add the 32-bit halves
@@ -17,6 +17,7 @@ of their terms separately, then fold them.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -27,11 +28,17 @@ if TYPE_CHECKING:
 M61 = (1 << 61) - 1
 _MASK32 = (1 << 32) - 1
 _U61 = np.uint64(M61)
+_ROW = 1 << 13  # entries per multiply-mod call when a power table grows
 
 
-def _reduce_once(x: np.ndarray) -> np.ndarray:
-    """x - M61 where x >= M61, in place (x below 2*M61 is then reduced)."""
-    return np.subtract(x, _U61, out=x, where=x >= _U61)
+def _reduce_once(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """x - M61 where x >= M61, in place (x below 2*M61 is then reduced).
+
+    Below M61, x - M61 wraps past x, so the smaller of the two is the
+    reduced value: two plain passes, with `t` (if given) as scratch, where
+    a masked subtract is several times slower.
+    """
+    return np.minimum(x, np.subtract(x, _U61, out=t), out=x)
 
 
 def _fold(x: np.ndarray) -> np.ndarray:
@@ -39,13 +46,16 @@ def _fold(x: np.ndarray) -> np.ndarray:
     hi = x >> np.uint64(61)
     x &= _U61
     x += hi
-    return _reduce_once(x)
+    return _reduce_once(x, hi)
 
 
 def mulmod_vec(a, b, out: np.ndarray | None = None) -> np.ndarray:
     """(a * b) mod 2^61-1 for uint64 operands with values < 2^61.
 
-    One operand may be a scalar; `out` may be one of the operands.
+    The operands broadcast, so a column times a row fills a table, and one
+    of them may be a scalar; `out` may be one of the operands.  Besides the
+    operands' 32-bit halves, two temporaries of the output's shape hold the
+    partial products.
     """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
@@ -58,25 +68,24 @@ def mulmod_vec(a, b, out: np.ndarray | None = None) -> np.ndarray:
     mid = a_hi * b_lo
     t = a_lo * b_hi
     mid += t  # < 2^62
-    a_hi *= b_hi  # < 2^58
-    a_hi <<= np.uint64(3)  # the 2^64 term, times 8
-    a_lo *= b_lo  # < 2^64, needs its own fold
-    acc = a_hi
+    if out is None:
+        out = a_hi if a_hi.shape == mid.shape else np.empty_like(mid)
+    np.multiply(a_hi, b_hi, out=out)  # < 2^58
+    out <<= np.uint64(3)  # the 2^64 term, times 8
     np.right_shift(mid, np.uint64(29), out=t)  # * 2^61 == * 1
-    acc += t
+    out += t
     mid &= np.uint64((1 << 29) - 1)
     mid <<= np.uint64(32)
-    acc += mid
-    np.right_shift(a_lo, np.uint64(61), out=t)
-    acc += t
-    a_lo &= _U61
-    acc += a_lo  # < 2^63
-    for dst in (acc, out if out is not None else acc):
-        np.right_shift(acc, np.uint64(61), out=t)
-        np.bitwise_and(acc, _U61, out=dst)
-        dst += t
-        acc = dst
-    return _reduce_once(acc)
+    out += mid
+    np.multiply(a_lo, b_lo, out=mid)  # < 2^64, needs its own fold
+    np.right_shift(mid, np.uint64(61), out=t)
+    out += t
+    mid &= _U61
+    out += mid  # < 2^63
+    np.right_shift(out, np.uint64(61), out=t)
+    out &= _U61
+    out += t
+    return _reduce_once(out, t)
 
 
 def random_base(rng: np.random.Generator) -> int:
@@ -94,26 +103,45 @@ def sum_mod(terms: np.ndarray, add) -> np.ndarray:
     hi &= np.uint64((1 << 29) - 1)
     hi <<= np.uint64(32)
     out += hi
-    _reduce_once(out)
+    _reduce_once(out, hi)
     out += lo
-    return _reduce_once(out)
+    return _reduce_once(out, lo)
+
+
+def _geometric(first: int, ratio: int, m: int) -> np.ndarray:
+    """first * ratio^i mod 2^61-1 for i < m, as uint64."""
+    out = [first]
+    for _ in range(m - 1):
+        out.append(out[-1] * ratio % M61)
+    return np.array(out, dtype=np.uint64)
 
 
 def grow_powers(pw: np.ndarray, base: int, n: int) -> np.ndarray:
-    """A power table base^0 .. base^(m-1) with m >= n: `pw` itself when it
-    is long enough, else a new table at least twice as long that starts
-    with `pw`; each doubling step multiplies the filled prefix by
-    base^size."""
+    """A power table base^0 .. base^(n-1): `pw` itself when it is long
+    enough, else a new table of exactly n entries that starts with `pw`.
+
+    The r missing entries are rows of w = min(r, _ROW) entries.  One
+    multiply-mod call makes the first row, base^len(pw) .. on, as a column
+    of the powers of base^c from base^len(pw) on times a row of the first
+    c powers, with c about the square root of w; each later row is the
+    first times base^(its offset from the first), one call per row.  So a
+    growth by at most _ROW entries takes one call, and the temporaries
+    stay w entries long: one call over a whole large table streams
+    several table-sized temporaries through memory and is slower.
+    """
     size = len(pw)
     if size >= n:
         return pw
-    out = np.empty(max(n, 2 * size), dtype=np.uint64)
+    out = np.empty(n, dtype=np.uint64)
     out[:size] = pw
-    while size < len(out):
-        m = min(size, len(out) - size)
-        mulmod_vec(out[:m], np.uint64(pow(base, size, M61)),
-                   out=out[size:size + m])
-        size += m
+    width = min(n - size, _ROW)
+    c = math.isqrt(width - 1) + 1
+    heads = _geometric(pow(base, size, M61), pow(base, c, M61), -(-width // c))
+    first = mulmod_vec(heads[:, None], _geometric(1, base, c)).ravel()[:width]
+    out[size:size + width] = first
+    for at in range(size + width, n, width):
+        m = min(width, n - at)
+        mulmod_vec(first[:m], pow(base, at - size, M61), out=out[at:at + m])
     return out
 
 

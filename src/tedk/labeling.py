@@ -10,9 +10,14 @@ nodes at once by one sort and one binary search (`forest.last_at_level`),
 and one vectorized pass hashes every remaining fragment, read off the
 context's prefix table of the forest's code string, and combines each
 node's fragments.  The fingerprints go into the string's record in the
-context, keyed by depth: equal code strings are equal forests, so when G's
-string equals F's, or a later look-ahead at the same depth meets a string
-already hashed, it gets the recorded array and nothing is hashed twice.
+context, keyed by the effective depth min(d, height): every depth at or
+past a forest's height cuts nothing and gives the full-print fingerprints.
+Equal code strings are equal forests, so when G's string equals F's, or a
+later look-ahead at the same effective depth meets a string already hashed,
+it gets the recorded array and nothing is hashed twice.  The context also
+keeps the last fingerprint pair ranked into classes (`QueryContext.joint`):
+a look-ahead that meets the same two arrays (by identity) returns that
+labeling, whose arrays are read-only, and still runs its contract checks.
 Compatibility refinement merges nodes reachable through chains of
 cross-forest pairs whose parenthesis positions lie within a window w.
 
@@ -115,16 +120,19 @@ def _subtree_fingerprints(F: LabeledForest, d: int,
 
 
 def _dense_joint(fp_f: np.ndarray, fp_g: np.ndarray) -> JointLabeling:
-    """Dense class ids of the fingerprints, ranked by value; G's array may
-    be F's own (equal code strings), which then ranks only once."""
+    """Dense class ids of the fingerprints, ranked by value, in read-only
+    arrays; G's array may be F's own (equal code strings), which then ranks
+    only once and shares F's class array."""
     if fp_g is fp_f:
         _, inverse = np.unique(fp_f, return_inverse=True)
-        inverse = inverse.astype(np.int64)
-        return JointLabeling(inverse, inverse.copy())
-    both = np.concatenate([fp_f, fp_g])
-    _, inverse = np.unique(both, return_inverse=True)
-    return JointLabeling(inverse[:len(fp_f)].astype(np.int64),
-                         inverse[len(fp_f):].astype(np.int64))
+        f = g = inverse.astype(np.int64)
+    else:
+        _, inverse = np.unique(np.concatenate([fp_f, fp_g]),
+                               return_inverse=True)
+        f = inverse[:len(fp_f)].astype(np.int64)
+        g = inverse[len(fp_f):].astype(np.int64)
+    f.flags.writeable = g.flags.writeable = False
+    return JointLabeling(f, g)
 
 
 def lookahead_refine(F: LabeledForest, G: LabeledForest, d: int,
@@ -134,7 +142,10 @@ def lookahead_refine(F: LabeledForest, G: LabeledForest, d: int,
     collision).
 
     d must be >= 1; the one base of the query context `ctx` makes classes
-    comparable across both forests.  When `ctx` carries an audit twin, an
+    comparable across both forests.  The fingerprints come from the
+    strings' records at the effective depth min(d, height), and the same
+    pair of fingerprint arrays as the last call's gives back that call's
+    labeling (read-only arrays).  When `ctx` carries an audit twin, an
     independent second fingerprint recomputes the partition and any
     discrepancy raises FingerprintCollisionError.
     """
@@ -142,10 +153,16 @@ def lookahead_refine(F: LabeledForest, G: LabeledForest, d: int,
         raise ValueError("look-ahead depth must be >= 1")
 
     def classes(state: QueryContext) -> JointLabeling:
-        fp = [state.derived(H.codes, ("fp", d),
-                            lambda H=H: _subtree_fingerprints(H, d, state))
-              for H in (F, G)]
-        return _dense_joint(*fp)
+        # depths at or past a forest's height cut nothing: one key for all
+        fp_f, fp_g = (
+            state.derived(H.codes, ("fp", min(d, H.height())),
+                          lambda H=H: _subtree_fingerprints(H, d, state),
+                          "fingerprints")
+            for H in (F, G))
+        memo = state.joint
+        if memo is None or memo[0] is not fp_f or memo[1] is not fp_g:
+            memo = state.joint = (fp_f, fp_g, _dense_joint(fp_f, fp_g))
+        return memo[2]
 
     out = classes(ctx)
     if ctx.audit is not None:

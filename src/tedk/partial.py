@@ -11,7 +11,9 @@ pair).  All constructions are vectorized over the parenthesis sequences,
 and each takes its output forests from the query context
 (`context.QueryContext.forest`): an output string equal to one the context
 holds (both outputs, when F's and G's strings are equal) gets that forest,
-so each distinct string is paired once.
+so each distinct string is paired once.  When G is F and M is the
+diagonal, each construction computes F's side once and G's output is F's
+(`_one_side`); the output contracts still check both.
 
 Fresh labels need only differ from the labels of the two forests at hand, so
 each construction numbers its own from one past the largest of those
@@ -79,6 +81,12 @@ def _without_leaves(F: LabeledForest, leaves: np.ndarray,
     keep[F.o[leaves]] = False
     keep[F.c[leaves]] = False
     return ctx.forest(F.codes[keep]), np.cumsum(keep[F.o]) - 1
+
+
+def _one_side(F: LabeledForest, G: LabeledForest, M: np.ndarray) -> bool:
+    """True when G is F and M pairs each node with itself: G's side of a
+    construction is then F's, and is computed once."""
+    return G is F and np.array_equal(M[:, 0], M[:, 1])
 
 
 def _marked_class(F: LabeledForest, marked: np.ndarray) -> np.ndarray:
@@ -156,10 +164,13 @@ def reduce_height(F: LabeledForest, G: LabeledForest, M, ctx: QueryContext):
     M = M[order]
     sep = _fresh_base(F, G)
     so, sc = sep << 1, (sep << 1) | 1
-    cls_f = _marked_class(F, M[:, 0])
-    cls_g = _marked_class(G, M[:, 1])
-    codes_f, newf, seps_f = _assemble_with_separators(F, cls_f, m, so, sc)
-    codes_g, newg, seps_g = _assemble_with_separators(G, cls_g, m, so, sc)
+    codes_f, newf, seps_f = _assemble_with_separators(
+        F, _marked_class(F, M[:, 0]), m, so, sc)
+    if _one_side(F, G, M):
+        codes_g, newg, seps_g = codes_f, newf, seps_f
+    else:
+        codes_g, newg, seps_g = _assemble_with_separators(
+            G, _marked_class(G, M[:, 1]), m, so, sc)
     F2 = ctx.forest(codes_f)
     G2 = ctx.forest(codes_g)
     M2 = np.concatenate([
@@ -196,7 +207,8 @@ def prune_redundant(F: LabeledForest, G: LabeledForest, M,
         F2, G2, M2 = F, G, M
     else:
         F2, new_f = _without_leaves(F, M[redundant, 0], ctx)
-        G2, new_g = _without_leaves(G, M[redundant, 1], ctx)
+        G2, new_g = ((F2, new_f) if _one_side(F, G, M)
+                     else _without_leaves(G, M[redundant, 1], ctx))
         kept = M[~redundant]
         M2 = np.stack([new_f[kept[:, 0]], new_g[kept[:, 1]]], axis=1)
     if 5 * len(M2) > 2 * (F2.n + G2.n + 1):
@@ -226,7 +238,7 @@ def gadget(F: LabeledForest, G: LabeledForest, M, ctx: QueryContext):
             H.codes, np.repeat(H.c[nodes], 2 * slots), block.ravel()))
 
     F2 = attach(F, M[:, 0])
-    G2 = attach(G, M[:, 1])
+    G2 = F2 if _one_side(F, G, M) else attach(G, M[:, 1])
     if F2.n != F.n + slots * m or G2.n != G.n + slots * m:
         raise ContractError("gadget must add k+1 children per pair")
     if F2.height() > F.height() + 1 or G2.height() > G.height() + 1:

@@ -234,7 +234,8 @@ def test_k_below_range_exits_3(tmp_path, capsys):
 
 
 def test_log_env_smoke(tmp_path, capsys, caplog, monkeypatch):
-    # the INFO line carries the report's timings, forest counts included
+    # the INFO line carries the report's timings, forest and fingerprint
+    # counts included
     monkeypatch.setenv("TEDK_LOG", "INFO")
     a = tmp_path / "a.paren"
     a.write_text("(a(b))\n")
@@ -243,6 +244,8 @@ def test_log_env_smoke(tmp_path, capsys, caplog, monkeypatch):
     assert code == 0 and out.split("\t")[0] == "0"
     assert "'forests_built': 1," in caplog.text
     assert "'forests_reused': " in caplog.text
+    assert "'fingerprints_built': 1," in caplog.text
+    assert "'fingerprints_reused': " in caplog.text
 
 
 def test_compute_reports_rounds_run_and_bound(tmp_path, capsys, caplog,

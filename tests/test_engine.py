@@ -512,6 +512,43 @@ def test_lookahead_fingerprints_equal_strings_once(interner, rng,
             assert out.f.tolist() == out.g.tolist() == dense[:F.n].tolist()
 
 
+def test_engine_hashes_each_string_once(interner, rng, monkeypatch):
+    # a height-12 pair two edits apart at k = 2: the anchor's depth-8k
+    # look-ahead and the shallow solver's depth-hb one cut nothing past the
+    # height, so one run hashes each distinct string once and ranks one
+    # fingerprint pair, per base; the report counts the fingerprints
+    hashed, ranked = [], []
+    real_fp = tedk.labeling._subtree_fingerprints
+    real_joint = tedk.labeling._dense_joint
+
+    def counted_fp(H, d, ctx):
+        hashed.append((ctx.base, H.codes.tobytes()))
+        return real_fp(H, d, ctx)
+
+    def counted_joint(fp_f, fp_g):
+        ranked.append(1)
+        return real_joint(fp_f, fp_g)
+
+    monkeypatch.setattr(tedk.labeling, "_subtree_fingerprints", counted_fp)
+    monkeypatch.setattr(tedk.labeling, "_dense_joint", counted_joint)
+    syms = alphabet(interner, 4)
+    F = random_forest(rng, 1500, 12, syms)
+    G = apply_random_edits(rng, F, 2, syms)
+    assert max(F.height(), G.height()) == 12
+    want = ted_threshold(F, G, 2)
+    assert want <= 2
+    for audit in (False, True):
+        hashed.clear()
+        ranked.clear()
+        rep = run(F, G, EngineConfig(k=2, seed=5, audit=audit))
+        assert rep.value == want and rep.rounds == 0
+        bases = 1 + audit
+        assert len(hashed) == len(set(hashed)) == 2 * bases
+        assert len(ranked) == bases
+        assert rep.timings["fingerprints_built"] == 2
+        assert rep.timings["fingerprints_reused"] == 2
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(forest_pairs(most=12), st.integers(1, 3))
 def test_engine_fuzz_against_oracle(pair, cap):

@@ -514,13 +514,15 @@ def test_context_forest_by_content(interner, rng):
     fa, fb = ctx.forest(A), ctx.forest(B)
     assert ctx.forest(A.copy()) is fa and fb is not fa
     assert _same_as_paired(fa, A) and _same_as_paired(fb, B)
-    assert ctx.timings == {"forests_built": 2, "forests_reused": 1}
+    assert ctx.timings == {"forests_built": 2, "forests_reused": 1,
+                           "fingerprints_built": 0, "fingerprints_reused": 0}
     # C drops A, the older of the two kept: A is paired again, not stale
     fc, again = ctx.forest(C), ctx.forest(A)
     assert again is not fa and fc is not fb
     assert _same_as_paired(fc, C) and _same_as_paired(again, A)
     assert ctx.forest(C) is fc
-    assert ctx.timings == {"forests_built": 4, "forests_reused": 2}
+    assert ctx.timings == {"forests_built": 4, "forests_reused": 2,
+                           "fingerprints_built": 0, "fingerprints_reused": 0}
 
 
 @st.composite

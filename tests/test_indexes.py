@@ -3,7 +3,8 @@ import numpy as np
 from tedk.alignment import as_codes
 from tedk.context import QueryContext
 from tedk.generate import alphabet, random_forest
-from tedk.hashing import M61, HashedSeq, mulmod_vec, sum_mod
+from tedk.hashing import (_ROW, M61, HashedSeq, grow_powers, mulmod_vec,
+                          sum_mod)
 from tedk.forest import lca_depth
 from tedk.horizontal import filter_runs
 from tedk.indexes import compute_runs
@@ -186,6 +187,40 @@ def test_prefix_and_power_tables_match_integers(rng):
     terms = [2 ** 60 + 2 ** 32 - 1, 2 ** 60 - 1]
     got = sum_mod(np.array(terms, dtype=np.uint64), np.cumsum)
     assert got.tolist() == [terms[0], sum(terms) % M61]
+
+
+def test_grow_powers_across_block_edges(rng):
+    # the r new entries are rows of min(r, _ROW), the first an outer
+    # product of c = ceil(sqrt(width)) columns: growth from short and long
+    # tables to lengths at and around every square, every row count and
+    # the row width equals the powers by repeated multiplication, has
+    # exactly the length asked for, and leaves the table it grew from (and
+    # views of it) unchanged
+    base = int(rng.integers(1 << 10, M61 - 2))
+    growth = {1, 2, 3}
+    for q in range(1, 13):
+        for edge in (q * q, q * (q + 1)):
+            growth |= {edge - 1, edge, edge + 1}
+    for rows in (1, 2, 3):
+        growth |= {rows * _ROW - 1, rows * _ROW, rows * _ROW + 1}
+    want = [1]
+    while len(want) < 300 + max(growth):
+        want.append(want[-1] * base % M61)
+    for start in (1, 7, 300):
+        pw = np.array(want[:start], dtype=np.uint64)
+        view = pw[start // 2:]
+        assert grow_powers(pw, base, start) is pw
+        for r in sorted(growth - {0}):
+            out = grow_powers(pw, base, start + r)
+            assert len(out) == start + r
+            assert out.tolist() == want[:start + r]
+            assert view.tolist() == want[start // 2:start]
+        assert grow_powers(pw, base, start - 1) is pw
+    # a column times a row broadcasts to their outer product
+    col = rng.integers(0, M61, 9, dtype=np.uint64)
+    row = rng.integers(0, M61, 13, dtype=np.uint64)
+    assert mulmod_vec(col[:, None], row).tolist() == [
+        [x * y % M61 for y in row.tolist()] for x in col.tolist()]
 
 
 def engine_runs(S, k):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tedk.labeling
 from tedk.alignment import eval_alignment, is_greedy
@@ -11,7 +13,8 @@ from tedk.labeling import (JointLabeling, _level_descendant_cuts,
                            _subtree_fingerprints, compat_refine,
                            lookahead_refine, refines)
 
-from conftest import deep_chain, forest, is_tree_alignment, stack_walk
+from conftest import (deep_chain, forest, forest_pairs, is_tree_alignment,
+                      stack_walk)
 from reference import (naive_compat_classes, optimal_tree_alignments,
                        prefix_table, trimmed_print)
 from test_indexes import concat_fp, substring
@@ -127,6 +130,78 @@ def test_lookahead_fingerprints_recorded_per_depth(interner, rng,
     assert calls == [1, 1, 2, 2, 3, 3]
     assert len(np.unique(lookahead_refine(F, G, 3, ctx).f)) > \
         len(np.unique(lookahead_refine(F, G, 1, ctx).f))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(forest_pairs(most=20), st.integers(0, 3))
+@example(pair=(LabeledForest.from_codes([0, 2, 4, 5, 3, 1]),
+               LabeledForest.from_codes([0, 2, 6, 7, 3, 1])), extra=1)
+def test_lookahead_past_height_equals_at_height(pair, extra):
+    # every depth at or past the height cuts nothing: it gives the classes
+    # of depth = height, and one context hashes each string once and ranks
+    # the fingerprint pair once for all of them
+    F, G = pair
+    h = max(1, F.height(), G.height())
+    ctx = QueryContext(1, BASE)
+    at_h = lookahead_refine(F, G, h, ctx)
+    want = lookahead_refine(F, G, h, QueryContext(1, BASE))
+    for d in (h + extra, h + extra + 5, h):
+        out = lookahead_refine(F, G, d, ctx)
+        assert out is at_h
+        assert out.f.tolist() == want.f.tolist()
+        assert out.g.tolist() == want.g.tolist()
+        fresh = lookahead_refine(F, G, d, QueryContext(1, BASE))
+        assert fresh.f.tolist() == want.f.tolist()
+        assert fresh.g.tolist() == want.g.tolist()
+    hashed = 1 if np.array_equal(F.codes, G.codes) else 2
+    assert ctx.timings["fingerprints_built"] == hashed
+    assert ctx.timings["fingerprints_reused"] == 8 - hashed
+
+
+def test_lookahead_keys_effective_depth_per_forest(interner, rng):
+    # G relabels one of F's deepest nodes: only depths that reach it tell
+    # the two roots apart.  One context, asked for depths on both sides of
+    # the height in a mixed order, answers each as a fresh context does.
+    syms = alphabet(interner, 3)
+    for _ in range(8):
+        F = random_forest(rng, int(rng.integers(20, 80)),
+                          int(rng.integers(2, 7)), syms, branch=0.8)
+        h = F.height()
+        assert h >= 2
+        deepest = int(np.flatnonzero(F.depth == h - 1)[0])
+        labels = F.labels.copy()
+        labels[deepest] = int(syms[0] if labels[deepest] != syms[0]
+                              else syms[1])
+        G = LabeledForest.from_codes(F.relabeled_codes(labels))
+        ctx = QueryContext(1, BASE)
+        for d in (h + 2, h, h - 1, h + 1, h - 1, h):
+            got = lookahead_refine(F, G, d, ctx)
+            want = lookahead_refine(F, G, d, QueryContext(1, BASE))
+            assert got.f.tolist() == want.f.tolist()
+            assert got.g.tolist() == want.g.tolist()
+            root = int(np.flatnonzero(F.depth[:deepest + 1] == 0)[-1])
+            assert (got.f[root] == got.g[root]) == (d < h)
+
+
+def test_lookahead_ranks_a_fingerprint_pair_once(interner, rng):
+    # the same two fingerprint arrays give back the labeling ranked last,
+    # read-only; another pair of the same sizes is ranked anew
+    syms = alphabet(interner, 3)
+    F = random_forest(rng, 50, 5, syms)
+    G = apply_random_edits(rng, F, 2, syms)
+    F2 = random_forest(rng, F.n, 5, syms)
+    G2 = random_forest(rng, G.n, 5, syms)
+    ctx = QueryContext(1, BASE, audit=True)
+    first = lookahead_refine(F, G, 2, ctx)
+    assert lookahead_refine(F, G, 2, ctx) is first
+    for A, B in ((F2, G2), (F, G), (F2, G2)):
+        got = lookahead_refine(A, B, 2, ctx)
+        want = lookahead_refine(A, B, 2, QueryContext(1, BASE))
+        assert got.f.tolist() == want.f.tolist()
+        assert got.g.tolist() == want.g.tolist()
+    for side in (first.f, first.g, got.f, got.g):
+        with pytest.raises(ValueError):
+            side[0] = side[0] + 1
 
 
 def test_audit_twin_fingerprints_under_its_own_base(rng):

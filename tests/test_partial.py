@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import tedk.partial
 from tedk.errors import CrossingMatchingError
+from tedk.forest import LabeledForest
 from tedk.generate import alphabet, apply_random_edits, random_forest
 from tedk.oracle import INF, ted_threshold
 from tedk.partial import (_marked_class, gadget, partial_reduce,
@@ -219,6 +221,48 @@ def test_partial_reduce_height_contract(interner, rng):
         if G2.height() > 2:
             assert longest_free_path(G, M[:, 1]) >= G2.height() - 2
         done += 1
+
+
+def test_one_forest_on_the_diagonal_computes_one_side(interner, rng,
+                                                      monkeypatch):
+    # F holds two copies of a tree.  On (F, F) with the diagonal M, each
+    # construction computes F's side once and G's output is F's; a shifted
+    # M, which maps the first copy into the second, computes both sides.
+    # Every step equals the two-sided path on (F, a copy of F).
+    calls = []
+    real = tedk.partial._assemble_with_separators
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(tedk.partial, "_assemble_with_separators", counted)
+    syms = alphabet(interner, 2)
+    for _ in range(12):
+        T = random_forest(rng, int(rng.integers(2, 30)), 5, syms)
+        F = LabeledForest.from_codes(np.concatenate([T.codes, T.codes]))
+        copy = LabeledForest.from_codes(F.codes.copy())
+        nodes = np.sort(rng.choice(F.n, int(rng.integers(1, F.n + 1)),
+                                   replace=False))
+        first = np.flatnonzero(rng.random(T.n) < 0.6)
+        first = first if len(first) else np.array([0])
+        for M, one in ((np.stack([nodes, nodes], axis=1), True),
+                       (np.stack([first, first + T.n], axis=1), False)):
+            calls.clear()
+            ctx = query(2)
+            twin = reduce_height(F, F, M, ctx)
+            assert len(calls) == (1 if one else 2)
+            sides = reduce_height(F, copy, M, query(2))
+            for step in (prune_redundant, gadget, None):
+                assert [H.codes.tolist() for H in twin[:2]] == \
+                    [H.codes.tolist() for H in sides[:2]]
+                if step is None:
+                    break
+                assert twin[2].tolist() == sides[2].tolist()
+                twin = step(*twin, ctx)
+                sides = step(*sides, query(2))
+                if one:
+                    assert twin[1] is twin[0]
 
 
 def _walk_marked_class(F, marked):

@@ -74,7 +74,10 @@ MUTANTS = [
            'if rec["codes"].shape == codes.shape:',
            ("tests/test_forest.py::test_context_forest_by_content",)),
     Mutant("forest-record-stale", "src/tedk/context.py",
-           'return rec["forest"]', 'return self._records[0]["forest"]',
+           'return rec[what]', 'return self._records[0][what]',
+           ("tests/test_forest.py::test_context_forest_by_content",)),
+    Mutant("context-records-by-identity-only", "src/tedk/context.py",
+           'if np.array_equal(rec["codes"], codes):', 'if False:',
            ("tests/test_forest.py::test_context_forest_by_content",)),
     Mutant("context-audit-shares-base", "src/tedk/context.py",
            "max((base * base + 0x9E3779B97F4A7C15) % M61, 1 << 10)", "base",
@@ -82,6 +85,10 @@ MUTANTS = [
     Mutant("prune-diff-of-1", "src/tedk/partial.py",
            "(np.diff(F.o[M[order, 0]]) == 2)", "(np.diff(F.o[M[order, 0]]) == 1)",
            ("tests/test_partial.py::test_prune_redundant_examples",)),
+    Mutant("twin-side-without-diagonal-check", "src/tedk/partial.py",
+           "return G is F and np.array_equal(M[:, 0], M[:, 1])",
+           "return G is F",
+           ("tests/test_partial.py::test_one_forest_on_the_diagonal_computes_one_side",)),
     Mutant("gadget-blocks-before-open", "src/tedk/partial.py",
            "np.repeat(H.c[nodes], 2 * slots)", "np.repeat(H.o[nodes], 2 * slots)",
            ("tests/test_partial.py::test_gadget_examples",)),
@@ -90,8 +97,16 @@ MUTANTS = [
            "return int(max(F.labels.max(), G.labels.max()))",
            ("tests/test_partial.py::test_gadget_labels_fresh",)),
     Mutant("fingerprints-keyed-without-depth", "src/tedk/labeling.py",
-           'state.derived(H.codes, ("fp", d),', 'state.derived(H.codes, "fp",',
+           'state.derived(H.codes, ("fp", min(d, H.height())),',
+           'state.derived(H.codes, "fp",',
            ("tests/test_labeling.py::test_lookahead_fingerprints_recorded_per_depth",)),
+    Mutant("fp-key-caps-below-height", "src/tedk/labeling.py",
+           '("fp", min(d, H.height()))', '("fp", min(d, H.height() - 1))',
+           ("tests/test_labeling.py::test_lookahead_keys_effective_depth_per_forest",)),
+    Mutant("joint-memo-by-shape", "src/tedk/labeling.py",
+           "memo[0] is not fp_f or memo[1] is not fp_g",
+           "memo[0].shape != fp_f.shape or memo[1].shape != fp_g.shape",
+           ("tests/test_labeling.py::test_lookahead_ranks_a_fingerprint_pair_once",)),
     Mutant("lookahead-refines-f-labels-twice", "src/tedk/labeling.py",
            "refines(out, JointLabeling(F.labels, G.labels))",
            "refines(out, JointLabeling(F.labels, F.labels))",
@@ -152,6 +167,9 @@ MUTANTS = [
            "q_r * e - 1", "q_r * e",
            ("tests/test_vertical.py::test_vert_reduction_preserves_distance",
             "tests/test_vertical.py::test_vert_sites_of_a_chain_pair")),
+    Mutant("powers-fill-off-by-one", "src/tedk/hashing.py",
+           "pow(base, at - size, M61)", "pow(base, at - size - 1, M61)",
+           ("tests/test_indexes.py::test_grow_powers_across_block_edges",)),
     Mutant("inverse-power-off-by-one", "src/tedk/hashing.py",
            "self.ipw[self.n - j]", "self.ipw[self.n - j - 1]",
            ("tests/test_indexes.py::test_prefix_and_power_tables_match_integers",)),
