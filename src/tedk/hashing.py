@@ -6,13 +6,20 @@ labelings, context keys).  The query's context (`context.QueryContext`)
 holds the base, two tables (the powers of the base and of its inverse),
 which `grow_powers` extends to exactly the length asked for with one
 multiply-mod call per row of up to 8,192 new entries, and the prefix
-tables (`HashedSeq`) of its code strings.  A prefix table weighs each code by the power of the base that
-counts the codes after it, so it is one multiply-mod and one sum; a
-substring's fingerprint then takes one multiply by an inverse power.
+tables (`HashedSeq`) of its code strings.  A prefix table weighs each code
+by the power of the base that counts the codes after it, so it is one
+multiply-mod and one sum; a substring's fingerprint then takes one multiply
+by an inverse power.
 
 Tables and queries are vectorized with a 128-bit-safe uint64 multiply-mod
 that works in place on a few buffers; sums mod 2^61-1 add the 32-bit halves
-of their terms separately, then fold them.
+of their terms separately, then fold them.  Every pass over a long array
+goes in blocks of _ROW = 8,192 entries, so its temporaries stay 64 KiB long
+and are reused from the heap instead of page-faulting in fresh mappings:
+the multiply-mod over its flattened output, the prefix table one block of
+codes at a time (digits, fold, weighing and the block's prefix sums, plus
+the prefix carried over from the block before), and substring queries one
+block of pairs at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ if TYPE_CHECKING:
 M61 = (1 << 61) - 1
 _MASK32 = (1 << 32) - 1
 _U61 = np.uint64(M61)
-_ROW = 1 << 13  # entries per multiply-mod call when a power table grows
+_ROW = 1 << 13  # entries per block of a pass: 64 KiB of uint64
 
 
 def _reduce_once(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
@@ -49,16 +56,11 @@ def _fold(x: np.ndarray) -> np.ndarray:
     return _reduce_once(x, hi)
 
 
-def mulmod_vec(a, b, out: np.ndarray | None = None) -> np.ndarray:
-    """(a * b) mod 2^61-1 for uint64 operands with values < 2^61.
-
-    The operands broadcast, so a column times a row fills a table, and one
-    of them may be a scalar; `out` may be one of the operands.  Besides the
-    operands' 32-bit halves, two temporaries of the output's shape hold the
-    partial products.
-    """
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
+def _mulmod_block(a: np.ndarray, b: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """(a * b) mod 2^61-1 into `out`, which may be one of the operands:
+    besides the operands' 32-bit halves, two temporaries of the output's
+    shape hold the partial products."""
     # a*b = a_hi*b_hi*2^64 + (a_hi*b_lo + a_lo*b_hi)*2^32 + a_lo*b_lo
     # with 2^61 = 1 (mod M61): 2^64 = 8, 2^32 folded via a 29/32 split.
     a_hi = a >> np.uint64(32)
@@ -68,8 +70,6 @@ def mulmod_vec(a, b, out: np.ndarray | None = None) -> np.ndarray:
     mid = a_hi * b_lo
     t = a_lo * b_hi
     mid += t  # < 2^62
-    if out is None:
-        out = a_hi if a_hi.shape == mid.shape else np.empty_like(mid)
     np.multiply(a_hi, b_hi, out=out)  # < 2^58
     out <<= np.uint64(3)  # the 2^64 term, times 8
     np.right_shift(mid, np.uint64(29), out=t)  # * 2^61 == * 1
@@ -86,6 +86,33 @@ def mulmod_vec(a, b, out: np.ndarray | None = None) -> np.ndarray:
     out &= _U61
     out += t
     return _reduce_once(out, t)
+
+
+def mulmod_vec(a, b, out: np.ndarray | None = None) -> np.ndarray:
+    """(a * b) mod 2^61-1 for uint64 operands with values < 2^61.
+
+    The operands broadcast, so a column times a row fills a table, and one
+    of them may be a scalar; `out` (contiguous) may be one of the operands.
+    The flattened output is computed in blocks of _ROW entries, so every
+    temporary stays 64 KiB long however long the operands are.
+    """
+    a = np.asarray(a, dtype=np.uint64)
+    b = np.asarray(b, dtype=np.uint64)
+    shape = np.broadcast(a, b).shape
+    if out is None:
+        out = np.empty(shape, dtype=np.uint64)
+    flat = np.reshape(out, -1, copy=False)
+    # a scalar stays a scalar; an array operand is broadcast to the
+    # output's shape (only if its own differs), flattened and read block by
+    # block
+    a, b = (x if x.ndim == 0 or x.shape == shape
+            else np.broadcast_to(x, shape) for x in (a, b))
+    a, b = (x if x.ndim == 0 else x.reshape(-1) for x in (a, b))
+    for at in range(0, len(flat), _ROW):
+        _mulmod_block(a if a.ndim == 0 else a[at:at + _ROW],
+                      b if b.ndim == 0 else b[at:at + _ROW],
+                      flat[at:at + _ROW])
+    return out
 
 
 def random_base(rng: np.random.Generator) -> int:
@@ -157,19 +184,33 @@ class HashedSeq:
         self.n = n = len(codes)
         self.pw = pw = ctx.powers(n + 1)
         self.ipw = ctx.inverse_powers(n + 1)
-        # P[i] = sum_{j<i} digit_j * base^(n-1-j), digit_j = code_j + 1
+        # P[i] = sum_{j<i} digit_j * base^(n-1-j), digit_j = code_j + 1,
+        # one block of _ROW codes at a time: the block's digits, folded and
+        # weighed by their powers, summed from the prefix carried over
+        codes = np.asarray(codes)
         P = np.zeros(n + 1, dtype=np.uint64)
-        if n:
-            terms = np.asarray(codes, dtype=np.uint64) + np.uint64(1)
+        for at in range(0, n, _ROW):
+            end = min(at + _ROW, n)
+            terms = codes[at:end].astype(np.uint64)
+            terms += np.uint64(1)
             _fold(terms)
-            mulmod_vec(terms, pw[n - 1::-1], out=terms)
-            P[1:] = sum_mod(terms, np.cumsum)
+            mulmod_vec(terms, pw[n - end:n - at][::-1], out=terms)
+            block = P[at + 1:end + 1]
+            block[:] = sum_mod(terms, np.cumsum)
+            block += P[at]  # the prefix carried into the block
+            _reduce_once(block)
         self.P = P
 
     def substring_vec(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Fingerprints of positions [i..j) per pair, sum_{i<=t<j} digit_t *
-        base^(j-1-t) = (P[j] - P[i]) * base^-(n-j); empty ranges hash to 0."""
-        sub = np.subtract(_U61, self.P[i])
-        sub += self.P[j]
-        _reduce_once(sub)
-        return mulmod_vec(sub, self.ipw[self.n - j], out=sub)
+        base^(j-1-t) = (P[j] - P[i]) * base^-(n-j); empty ranges hash to 0.
+        The pairs go in blocks of _ROW."""
+        out = np.empty(len(i), dtype=np.uint64)
+        for at in range(0, len(out), _ROW):
+            jb = j[at:at + _ROW]
+            sub = np.subtract(_U61, self.P[i[at:at + _ROW]],
+                              out=out[at:at + _ROW])
+            sub += self.P[jb]
+            _reduce_once(sub)
+            mulmod_vec(sub, self.ipw[self.n - jb], out=sub)
+        return out

@@ -14,16 +14,22 @@ context, keyed by the effective depth min(d, height): every depth at or
 past a forest's height cuts nothing and gives the full-print fingerprints.
 Equal code strings are equal forests, so when G's string equals F's, or a
 later look-ahead at the same effective depth meets a string already hashed,
-it gets the recorded array and nothing is hashed twice.  The context also
-keeps the last fingerprint pair ranked into classes (`QueryContext.joint`):
-a look-ahead that meets the same two arrays (by identity) returns that
-labeling, whose arrays are read-only, and still runs its contract checks.
+it gets the recorded array and nothing is hashed twice.  Fingerprints are
+ranked into dense class ids by a stable order of their values (two sorts
+of packed keys), a running count of value changes along it and one
+scatter back.  The context also keeps the last fingerprint pair ranked
+into classes (`QueryContext.joint`): a look-ahead that meets the same two
+arrays (by identity) returns that labeling, whose arrays are read-only,
+and still runs its contract checks.
 Compatibility refinement merges nodes reachable through chains of
 cross-forest pairs whose parenthesis positions lie within a window w.
+When G is F and G's classes are F's own array, compatibility is symmetric
+and reflexive, so it computes F's side alone and shares it with G.
 
 Each refinement checks that its output refines its input (`refines`, one
-linear pass over a table indexed by fine class) with an explicit
-`ContractError`, so the check also runs under ``python -O``.
+linear pass over a table indexed by fine class, which skips G's side when
+both its arrays are F's) with an explicit `ContractError`, so the check
+also runs under ``python -O``.
 """
 
 from __future__ import annotations
@@ -53,18 +59,23 @@ def refines(fine: JointLabeling, coarse: JointLabeling) -> bool:
 
     The fine classes must be non-negative integers, as every refinement's
     dense class ids are.  One O(n + max class) pass over a table indexed by
-    fine class: each node writes its coarse class there, and the partition
-    refines exactly when every node then reads its own coarse class back.
+    fine class: each node of F, then of G, writes its coarse class there,
+    and the partition refines exactly when every node then reads its own
+    coarse class back.  G's side is skipped when both its arrays are F's.
     """
-    fv = np.concatenate([fine.f, fine.g])
-    cv = np.concatenate([coarse.f, coarse.g])
-    if len(fv) == 0:
+    sides = [(fine.f, coarse.f)]
+    if not (fine.g is fine.f and coarse.g is coarse.f):
+        sides.append((fine.g, coarse.g))
+    sides = [(fv, cv) for fv, cv in sides if len(fv)]
+    if not sides:
         return True
-    if fv.min() < 0:
+    if min(fv.min() for fv, _ in sides) < 0:
         raise ValueError("fine classes must be non-negative")
-    seen = np.empty(int(fv.max()) + 1, dtype=cv.dtype)
-    seen[fv] = cv
-    return bool((seen[fv] == cv).all())
+    seen = np.empty(max(int(fv.max()) for fv, _ in sides) + 1,
+                    dtype=np.result_type(coarse.f, coarse.g))
+    for fv, cv in sides:
+        seen[fv] = cv
+    return all(bool((seen[fv] == cv).all()) for fv, cv in sides)
 
 
 def _level_descendant_cuts(F: LabeledForest, d: int):
@@ -120,17 +131,40 @@ def _subtree_fingerprints(F: LabeledForest, d: int,
 
 
 def _dense_joint(fp_f: np.ndarray, fp_g: np.ndarray) -> JointLabeling:
-    """Dense class ids of the fingerprints, ranked by value, in read-only
-    arrays; G's array may be F's own (equal code strings), which then ranks
-    only once and shares F's class array."""
-    if fp_g is fp_f:
-        _, inverse = np.unique(fp_f, return_inverse=True)
-        f = g = inverse.astype(np.int64)
-    else:
-        _, inverse = np.unique(np.concatenate([fp_f, fp_g]),
-                               return_inverse=True)
-        f = inverse[:len(fp_f)].astype(np.int64)
-        g = inverse[len(fp_f):].astype(np.int64)
+    """Dense class ids of the fingerprints, ranked by value (the inverse of
+    `np.unique`), in read-only arrays.  G's array may be F's own (equal
+    code strings), which then ranks only once and shares F's class array.
+
+    The order by value is a radix sort of two digits, each pass one
+    `np.sort` of packed keys, which is several times faster than an
+    argsort on fingerprints with many repeats: a key holds one digit above
+    the bits of a position, so the keys are distinct and the order of
+    equal digits is kept.  The low 64 - bits bits go first, then the high
+    bits.  A running count of the value changes along that order,
+    scattered back, gives the ids.
+    """
+    fp = fp_f if fp_g is fp_f else np.concatenate([fp_f, fp_g])
+    n = len(fp)
+    bits = max(n - 1, 1).bit_length()
+    shift, mask = np.uint64(bits), np.uint64((1 << bits) - 1)
+    pos = np.arange(n, dtype=np.uint64)
+    key = fp << shift
+    key |= pos
+    key.sort()
+    order = (key & mask).view(np.int64)
+    np.right_shift(fp[order], np.uint64(64 - bits), out=key)
+    key <<= shift
+    key |= pos
+    key.sort()
+    key &= mask
+    order = order[key.view(np.int64)]
+    ordered = fp[order]
+    rank = np.zeros(n, dtype=np.int64)
+    np.not_equal(ordered[1:], ordered[:-1], out=rank[1:])
+    ids = np.empty_like(rank)
+    ids[order] = np.cumsum(rank, out=rank)
+    f = ids[:len(fp_f)]
+    g = f if fp_g is fp_f else ids[len(fp_f):]
     f.flags.writeable = g.flags.writeable = False
     return JointLabeling(f, g)
 
@@ -170,7 +204,8 @@ def lookahead_refine(F: LabeledForest, G: LabeledForest, d: int,
         if not (refines(out, out2) and refines(out2, out)):
             raise FingerprintCollisionError(
                 "fingerprint collision detected in look-ahead classes")
-    if not refines(out, JointLabeling(F.labels, G.labels)):
+    labels = F.labels  # G's too when G is F: one side to check
+    if not refines(out, JointLabeling(labels, labels if G is F else G.labels)):
         raise ContractError(
             "look-ahead classes do not refine the forests' labels")
     return out
@@ -191,21 +226,29 @@ def compat_refine(F: LabeledForest, G: LabeledForest, lab: JointLabeling,
     and the closing positions are gathered only where the classes agree.
     A node with no compatible partner is a component of its own, so the
     graph holds only the cross-forest edges.
+
+    When G is F and G's classes are F's own array, compatibility is
+    symmetric and every node is compatible with its twin, so each component
+    holds a node's two copies together: the components are those of the
+    graph on F's n nodes alone, with the edges of offsets 1 to w, and both
+    sides get the one component array.
     """
+    one_side = G is F and lab.g is lab.f
     nf, ng = F.n, G.n
-    total = nf + ng
+    total = nf if one_side else nf + ng
     if total == 0:
         return JointLabeling(lab.f.copy(), lab.g.copy())
     size = 2 * max(nf, ng) + 2 * w
     cls_at = np.full(size, -1, dtype=np.int64)
     close_at = np.empty(size, dtype=np.int64)
     node_at = np.empty(size, dtype=np.int64)
-    cls_at[G.o + w] = lab.g
-    close_at[G.o + w] = G.c
-    node_at[G.o + w] = np.arange(nf, total, dtype=np.int64)
+    at = G.o + w
+    cls_at[at] = lab.g
+    close_at[at] = G.c
+    node_at[at] = np.arange(total - ng, total, dtype=np.int64)
     rows = [np.empty(0, dtype=np.int64)]
     cols = [np.empty(0, dtype=np.int64)]
-    for off in range(-w, w + 1):
+    for off in range(1 if one_side else -w, w + 1):
         at = F.o + (off + w)
         u = np.flatnonzero(cls_at[at] == lab.f)
         at = at[u]
@@ -218,7 +261,10 @@ def compat_refine(F: LabeledForest, G: LabeledForest, lab: JointLabeling,
                        shape=(total, total))
     _, comp = connected_components(graph, directed=False)
     comp = comp.astype(np.int64)
-    out = JointLabeling(comp[:nf], comp[nf:])
+    if one_side:
+        out = JointLabeling(comp, comp)
+    else:
+        out = JointLabeling(comp[:nf], comp[nf:])
     if not refines(out, lab):
         raise ContractError("compatibility classes do not refine the input labeling")
     return out

@@ -131,16 +131,22 @@ def test_labeling_refines_contract(interner, monkeypatch):
     F = forest("(a(b)(c))", interner)
     G = forest("(c(b)(a))", interner)
     lookahead_refine(F, G, 1, QueryContext(1, 0x1234567))
-    lab = JointLabeling(F.labels, F.labels)
+    labels = F.labels
+    lab = JointLabeling(labels, labels)
     merged = np.zeros(F.n, dtype=np.int64)
     monkeypatch.setattr(tedk.labeling, "_dense_joint",
                         lambda fp_f, fp_g: JointLabeling(merged, merged))
     with pytest.raises(ContractError):
         lookahead_refine(F, G, 2, QueryContext(1, 0x1234567))
+    # one component over the graph's nodes: F's alone on the one-sided
+    # path (G is F with F's label array on both sides), both forests' on
+    # the two-sided one
     monkeypatch.setattr(tedk.labeling, "connected_components",
-                        lambda graph, directed: (1, np.zeros(2 * F.n)))
+                        lambda graph, directed: (1, np.zeros(graph.shape[0])))
     with pytest.raises(ContractError):
         compat_refine(F, F, lab, 2)
+    with pytest.raises(ContractError):
+        compat_refine(F, G, JointLabeling(F.labels, G.labels), 2)
 
 
 def test_lookahead_audit_contract(interner, monkeypatch):
@@ -218,7 +224,8 @@ def raised(call):
     return "nothing"
 
 F = parse_paren_text("(a(b)(c))", LabelInterner())
-lab = JointLabeling(F.labels, F.labels)
+labels = F.labels
+lab = JointLabeling(labels, labels)
 merged = np.zeros(F.n, dtype=np.int64)
 print("debug", __debug__)
 print("refines", labeling.refines(JointLabeling(np.array([0, 0]), merged[:0]),
@@ -228,8 +235,12 @@ labeling._dense_joint = lambda fp_f, fp_g: JointLabeling(merged, merged)
 print("lookahead", raised(lambda: labeling.lookahead_refine(
     F, F, 2, QueryContext(1, 0x1234567))))
 labeling._dense_joint = real
-labeling.connected_components = lambda graph, directed: (1, np.zeros(2 * F.n))
+G = parse_paren_text("(c(b)(a))", LabelInterner())
+labeling.connected_components = (
+    lambda graph, directed: (1, np.zeros(graph.shape[0])))
 print("compat", raised(lambda: labeling.compat_refine(F, F, lab, 2)))
+print("compat", raised(lambda: labeling.compat_refine(
+    F, G, JointLabeling(F.labels, G.labels), 2)))
 print("odd", raised(lambda: LabeledForest.from_codes([0, 0, 1])))
 print("depth", raised(lambda: LabeledForest.from_codes([1, 0])))
 print("label", raised(lambda: LabeledForest.from_codes([0, 3])))
@@ -252,8 +263,8 @@ def test_contracts_survive_python_O():
     assert out.returncode == 0, out.stderr
     assert out.stdout.split("\n") == [
         "debug False", "refines False", "lookahead ContractError",
-        "compat ContractError", "odd UnbalancedError", "depth UnbalancedError",
-        "label LabelMismatchError", "context UnbalancedError",
+        "compat ContractError", "compat ContractError", "odd UnbalancedError",
+        "depth UnbalancedError", "label LabelMismatchError", "context UnbalancedError",
         "context UnbalancedError", "context LabelMismatchError",
         "parse UnbalancedError",
         "alignment MalformedAlignmentError", ""]

@@ -223,6 +223,60 @@ def test_grow_powers_across_block_edges(rng):
         [x * y % M61 for y in row.tolist()] for x in col.tolist()]
 
 
+def test_prefix_blocks_match_integers(rng):
+    # the prefix table is summed in blocks of _ROW codes, each from the
+    # prefix carried over, and substrings are hashed in blocks of _ROW
+    # pairs: lengths around one and three blocks, every prefix, and ranges
+    # that start or end at a block edge or cross one
+    base = int(rng.integers(1 << 10, M61 - 2))
+    for n in (0, 1, _ROW - 1, _ROW, _ROW + 1, 3 * _ROW + 5):
+        codes = rng.integers(0, 1 << 40, n)
+        hs = HashedSeq(codes, QueryContext(1, base))
+        want = prefix_table(codes, base)
+        assert hs.P.tolist() == want
+        H = [0]
+        for code in codes.tolist():
+            H.append((H[-1] * base + code + 1) % M61)
+        edges = list(range(0, n + 1, _ROW)) + [n]
+        near = sorted({min(max(e + d, 0), n) for e in edges
+                       for d in (-2, -1, 0, 1, 2)})
+        i = np.array(near + rng.integers(0, n + 1, 3 * _ROW).tolist())
+        j = np.array(rng.permutation(near).tolist()
+                     + rng.integers(0, n + 1, 3 * _ROW).tolist())
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        pw = [1]
+        while len(pw) <= n:
+            pw.append(pw[-1] * base % M61)
+        assert hs.substring_vec(i, j).tolist() == [
+            (H[b] - H[a] * pw[b - a]) % M61
+            for a, b in zip(i.tolist(), j.tolist())]
+
+
+def test_blocked_mulmod_matches_integers(rng):
+    # outputs longer than one block: array x array, a scalar on either
+    # side, and `out` that is one of the operands, block for block
+    n = 2 * _ROW + 3
+    a = rng.integers(0, M61, n, dtype=np.uint64)
+    b = rng.integers(0, M61, n, dtype=np.uint64)
+    a[:4] = [0, 1, M61 - 1, 2 ** 32]
+    want = [x * y % M61 for x, y in zip(a.tolist(), b.tolist())]
+    assert mulmod_vec(a, b).tolist() == want
+    y = int(rng.integers(0, M61))
+    scaled = [x * y % M61 for x in a.tolist()]
+    assert mulmod_vec(a, np.uint64(y)).tolist() == scaled
+    assert mulmod_vec(np.uint64(y), a).tolist() == scaled
+    for left in (True, False):
+        x, other = a.copy(), b.copy()
+        mulmod_vec(x, other, out=x) if left else mulmod_vec(other, x, out=x)
+        assert x.tolist() == want and other.tolist() == b.tolist()
+    x = a.copy()
+    mulmod_vec(x, np.uint64(y), out=x)
+    assert x.tolist() == scaled
+    # a reversed view as an operand, as the prefix table passes its powers
+    assert mulmod_vec(a[::-1], b).tolist() == [
+        x * y % M61 for x, y in zip(a[::-1].tolist(), b.tolist())]
+
+
 def engine_runs(S, k):
     """The engine's call, compute_runs(S, 4k, 16k)."""
     return filter_runs(S, k).tolist()

@@ -9,9 +9,9 @@ from tedk.context import QueryContext
 from tedk.forest import LabeledForest
 from tedk.generate import alphabet, apply_random_edits, random_forest
 from tedk.hashing import M61, HashedSeq, mulmod_vec
-from tedk.labeling import (JointLabeling, _level_descendant_cuts,
-                           _subtree_fingerprints, compat_refine,
-                           lookahead_refine, refines)
+from tedk.labeling import (JointLabeling, _dense_joint,
+                           _level_descendant_cuts, _subtree_fingerprints,
+                           compat_refine, lookahead_refine, refines)
 
 from conftest import (deep_chain, forest, forest_pairs, is_tree_alignment,
                       stack_walk)
@@ -227,6 +227,40 @@ def test_compat_refine_examples(interner, rng):
     assert len(np.unique(out.f)) == F.n
 
 
+def test_compat_one_side_equals_two_sides(interner, rng):
+    # G is F with F's own class array: the components on F alone, one
+    # array for both sides, equal to the two-sided closure against a copy
+    # of F.  Runs of equal leaves and of equal small trees make offsets
+    # other than 0 join nodes.  With another class array for G, the
+    # closure is two-sided again.
+    syms = alphabet(interner, 3)
+    periodic = forest("(a)" * 6 + "(b(a))" * 4 + "(c(a)(b))" * 3, interner)
+    for _ in range(12):
+        F = LabeledForest.from_codes(np.concatenate([
+            random_forest(rng, int(rng.integers(0, 30)), 4, syms).codes,
+            periodic.codes,
+            random_forest(rng, int(rng.integers(0, 30)), 4, syms).codes]))
+        twin = LabeledForest.from_codes(F.codes.copy())
+        labels = F.labels
+        for w in (0, 1, 2, 5):
+            one = compat_refine(F, F, JointLabeling(labels, labels), w)
+            two = compat_refine(F, twin, JointLabeling(F.labels, twin.labels),
+                                w)
+            assert one.f is one.g
+            assert one.f.tolist() == two.f.tolist() == two.g.tolist()
+            joined = F.n - len(np.unique(one.f))
+            if w == 0:
+                assert joined == 0
+            elif w >= 2:
+                assert joined > 0
+            classes = rng.integers(0, 2, (2, F.n))
+            lab = JointLabeling(classes[0], classes[1])
+            got = compat_refine(F, F, lab, w)
+            want = compat_refine(F, twin, lab, w)
+            assert got.f.tolist() == want.f.tolist()
+            assert got.g.tolist() == want.g.tolist()
+
+
 def test_compat_refine_matches_naive_closure(interner, rng):
     # sizes that differ, an empty side, and windows from 0 to past twice the
     # longer string; labels are the forests' own or random classes
@@ -308,6 +342,68 @@ def test_refines_matches_sort_reference(rng):
     with pytest.raises(ValueError):
         refines(JointLabeling(np.array([0, -1]), np.empty(0, dtype=np.int64)),
                 JointLabeling(np.array([0, 0]), np.empty(0, dtype=np.int64)))
+
+
+def test_refines_with_shared_arrays(rng):
+    # a side whose fine and coarse arrays are both F's is read once; a
+    # side that shares only one of them is read, and a violation on G's
+    # side alone is found
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        classes = int(rng.integers(1, 6))
+        fine_f = rng.integers(0, classes, n)
+        coarse_f = (rng.integers(0, 3, classes) * 5)[fine_f]
+        coarse_g = coarse_f.copy()
+        if rng.random() < 0.5:
+            coarse_g[rng.integers(0, n)] += 1
+        fine_g = fine_f.copy()
+        for fine, coarse in (((fine_f, fine_f), (coarse_f, coarse_f)),
+                             ((fine_f, fine_f), (coarse_f, coarse_g)),
+                             ((fine_f, fine_g), (coarse_f, coarse_g)),
+                             ((fine_f, fine_g), (coarse_f, coarse_f)),
+                             ((fine_f[:0], fine_g), (coarse_f[:0], coarse_g))):
+            fine, coarse = JointLabeling(*fine), JointLabeling(*coarse)
+            assert refines(fine, coarse) == refines_by_sort(fine, coarse)
+    # only G's coarse class breaks the partition
+    cls, coarse = np.array([0, 0, 1]), np.array([4, 4, 7])
+    fine = JointLabeling(cls, cls)
+    assert refines(fine, JointLabeling(coarse, coarse.copy()))
+    assert not refines(fine, JointLabeling(coarse, np.array([4, 5, 7])))
+
+
+def test_dense_joint_ranks_like_unique(interner, rng):
+    # the class ids are the inverse of np.unique over both forests'
+    # fingerprints, also on shared and on empty arrays
+    syms = alphabet(interner, 2)
+    for _ in range(30):
+        F = random_forest(rng, int(rng.integers(0, 60)), 5, syms)
+        G = apply_random_edits(rng, F, int(rng.integers(0, 3)), syms)
+        ctx = QueryContext(1, BASE)
+        fp_f = _subtree_fingerprints(F, int(rng.integers(1, 4)), ctx)
+        fp_g = _subtree_fingerprints(G, int(rng.integers(1, 4)), ctx)
+        for a, b in ((fp_f, fp_g), (fp_f, fp_f), (fp_g, fp_f[:0])):
+            got = _dense_joint(a, b)
+            inverse = np.unique(np.concatenate([a, b]),
+                                return_inverse=True)[1]
+            assert got.f.tolist() == inverse[:len(a)].tolist()
+            assert got.g.tolist() == inverse[len(a):].tolist()
+            assert (got.g is got.f) == (b is a)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), max_size=40),
+       st.lists(st.integers(0, 2 ** 64 - 1), max_size=40))
+@example(f=[], g=[])
+@example(f=[7] * 5, g=[7] * 3)
+@example(f=[5, 3, 9], g=[2 ** 64 - 1, 0])
+def test_dense_joint_matches_unique_inverse(f, g):
+    fp_f = np.array(f, dtype=np.uint64)
+    fp_g = np.array(g, dtype=np.uint64)
+    got = _dense_joint(fp_f, fp_g)
+    inverse = np.unique(np.concatenate([fp_f, fp_g]), return_inverse=True)[1]
+    assert got.f.tolist() == inverse[:len(f)].tolist()
+    assert got.g.tolist() == inverse[len(f):].tolist()
+    assert got.f.dtype == got.g.dtype == np.int64
 
 
 def test_lookahead_cost_bound(interner, rng):

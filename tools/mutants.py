@@ -108,8 +108,7 @@ MUTANTS = [
            "memo[0].shape != fp_f.shape or memo[1].shape != fp_g.shape",
            ("tests/test_labeling.py::test_lookahead_ranks_a_fingerprint_pair_once",)),
     Mutant("lookahead-refines-f-labels-twice", "src/tedk/labeling.py",
-           "refines(out, JointLabeling(F.labels, G.labels))",
-           "refines(out, JointLabeling(F.labels, F.labels))",
+           "labels if G is F else G.labels", "labels",
            ("tests/test_contracts.py::test_labeling_refines_contract",)),
     Mutant("dp-equal-exit-off", "src/tedk/oracle.py",
            "if dd == 0 and equal(fi, fe, gi):", "if False:",
@@ -171,8 +170,24 @@ MUTANTS = [
            "pow(base, at - size, M61)", "pow(base, at - size - 1, M61)",
            ("tests/test_indexes.py::test_grow_powers_across_block_edges",)),
     Mutant("inverse-power-off-by-one", "src/tedk/hashing.py",
-           "self.ipw[self.n - j]", "self.ipw[self.n - j - 1]",
+           "self.ipw[self.n - jb]", "self.ipw[self.n - jb - 1]",
            ("tests/test_indexes.py::test_prefix_and_power_tables_match_integers",)),
+    Mutant("prefix-block-drops-carry", "src/tedk/hashing.py",
+           "block += P[at]", "block += 0",
+           ("tests/test_indexes.py::test_prefix_blocks_match_integers",)),
+    Mutant("compat-one-side-without-label-identity", "src/tedk/labeling.py",
+           "one_side = G is F and lab.g is lab.f", "one_side = G is F",
+           ("tests/test_labeling.py::test_compat_one_side_equals_two_sides",)),
+    Mutant("dense-rank-off-by-one", "src/tedk/labeling.py",
+           "out=rank[1:])", "out=rank[:-1])",
+           ("tests/test_labeling.py::test_dense_joint_ranks_like_unique",)),
+    Mutant("dense-rank-skips-high-digit", "src/tedk/labeling.py",
+           "order = order[key.view(np.int64)]", "order = order + 0",
+           ("tests/test_labeling.py::test_dense_joint_ranks_like_unique",)),
+    Mutant("refines-skips-g-side-when-only-fine-shared", "src/tedk/labeling.py",
+           "if not (fine.g is fine.f and coarse.g is coarse.f):",
+           "if fine.g is not fine.f:",
+           ("tests/test_labeling.py::test_refines_with_shared_arrays",)),
     Mutant("vert-partner-from-high-end", "src/tedk/vertical.py",
            "next(filter(None, map(partner, window)), None)",
            "next(filter(None, map(partner, reversed(window))), None)",
