@@ -2,7 +2,8 @@
 
 compute prints one machine-parseable line `<distance|INF>\t<k>\t<seed>\t<rounds>`,
 where <rounds> counts the level-sampling rounds run, 0 when none ran; at
-TEDK_LOG=INFO its log line also gives the lower bound that ended them.
+TEDK_LOG=INFO its log line also gives the lower bound that ended them and
+the time spent reading and parsing the two files (parse_ms).
 oracle prints the same line with seed and rounds 0.  Both exit 0 on success,
 2 on parse errors and unreadable inputs, 3 on bad flags; compute --audit
 recomputes the look-ahead classes under a second fingerprint base and exits
@@ -73,16 +74,19 @@ def _load(path: str, fmt: str, interner: LabelInterner) -> LabeledForest:
     return parse_paren_text(text, interner)
 
 
-def _load_pair(args) -> tuple[LabeledForest, LabeledForest] | int:
-    """fileF and fileG parsed with one fresh interner, or EXIT_PARSE after a
-    parse error line when either cannot be read or parsed."""
+def _load_pair(args) -> tuple[LabeledForest, LabeledForest, float] | int:
+    """fileF and fileG parsed with one fresh interner, and the milliseconds
+    the two reads and parses took; or EXIT_PARSE after a parse error line
+    when either cannot be read or parsed."""
     interner = LabelInterner()
+    t0 = time.perf_counter()
     try:
-        return (_load(args.fileF, args.format, interner),
-                _load(args.fileG, args.format, interner))
+        F = _load(args.fileF, args.format, interner)
+        G = _load(args.fileG, args.format, interner)
     except (ParseError, OSError) as exc:
         sys.stderr.write(f"tedk: parse error: {exc}\n")
         return EXIT_PARSE
+    return F, G, 1e3 * (time.perf_counter() - t0)
 
 
 def _fmt_value(v) -> str:
@@ -166,7 +170,7 @@ def _cmd_compute(args, exact_only: bool) -> int:
     loaded = _load_pair(args)
     if isinstance(loaded, int):
         return loaded
-    F, G = loaded
+    F, G, parse_ms = loaded
     rounds_run = 0
     if exact_only or args.k == 0:
         value = ted_threshold(F, G, args.k)
@@ -179,9 +183,9 @@ def _cmd_compute(args, exact_only: bool) -> int:
             sys.stderr.write(f"tedk: audit failed: {exc}\n")
             return EXIT_FAILED
         value, rounds_run = rep.value, rep.rounds
-        log.info("n=%d k=%d rounds=%d kept=%d bound=%s timings=%s",
-                 F.n + G.n, args.k, rep.rounds, rep.kept,
-                 _fmt_value(rep.bound),
+        log.info("n=%d k=%d parse_ms=%.1f rounds=%d kept=%d bound=%s "
+                 "timings=%s", F.n + G.n, args.k, parse_ms, rep.rounds,
+                 rep.kept, _fmt_value(rep.bound),
                  {p: round(v, 1) for p, v in rep.timings.items()})
         if args.verify:
             want = ted_threshold(F, G, args.k)
@@ -244,7 +248,7 @@ def _cmd_bench(args) -> int:
     loaded = _load_pair(args)
     if isinstance(loaded, int):
         return loaded
-    F, G = loaded
+    F, G, _ = loaded
     cfg = EngineConfig(k=args.k, seed=args.seed, rounds=args.rounds)
     t0 = time.perf_counter()
     rep = engine_run(F, G, cfg)

@@ -21,8 +21,13 @@ per pair to check its labels and one scatter by position to give each node
 its close.  Both sorts order small non-negative integers, so they sort
 them as the smallest unsigned type that holds them (`_stable_order`): numpy
 radix-sorts 8- and 16-bit keys in linear time, which covers every forest
-under 2^16 levels deep.  Parsing interns each distinct label once, in
-sorted order, and maps the tokens through one dict.
+under 2^16 levels deep.  Parsing reads the text as one byte array: a
+256-entry table classes each byte (open, close, whitespace, label byte,
+other), the token starts come from masks, and the labels are ranked in
+groups by byte length, each by one `np.unique` over one key per label: a
+zero-padded big-endian uint64 for all labels of up to 8 bytes, a
+fixed-width bytes string for each longer length.  Each distinct label is
+interned once, in sorted text order.
 """
 
 from __future__ import annotations
@@ -258,6 +263,58 @@ def check_label(text: str) -> None:
         raise ParseError(f"bad label token {text!r}")
 
 
+# byte classes of paren text, one table lookup per byte: the whitespace
+# class is what `str.split` splits on in ASCII, and a word is a run of label
+# or other bytes (every byte of a non-ASCII character is an other byte)
+_OPEN, _CLOSE, _SPACE, _LABEL, _OTHER = range(5)
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[list(b"(")] = _OPEN
+_BYTE_CLASS[list(b")")] = _CLOSE
+_BYTE_CLASS[list(b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f")] = _SPACE
+_BYTE_CLASS[list(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+                 b"0123456789_")] = _LABEL
+
+
+def _windows(data: np.ndarray, dtype) -> np.ndarray:
+    """A read-only view of `data` whose element i is the `dtype` value held
+    by the bytes from i on, for every i that leaves room for one."""
+    dtype = np.dtype(dtype)
+    return np.ndarray(len(data) - dtype.itemsize + 1, dtype=dtype,
+                      buffer=data, strides=(1,))
+
+
+def _rank_labels(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """Distinct label texts, group by group, and each label's index into
+    them; the labels are at `starts`, and `data` runs on for at least 7
+    bytes past the last one.
+
+    The labels of at most 8 bytes are one group: each is the big-endian
+    uint64 at its start with the bytes past its end cleared, so numeric
+    order is text order (no label holds a zero byte).  Each longer length
+    is a group of fixed-width bytes strings, so no label is padded.  One
+    `np.unique` ranks a group.
+    """
+    short = np.flatnonzero(lengths <= 8)
+    shift = (64 - 8 * lengths[short]).astype(np.uint64)
+    keys = _windows(data, ">u8")[starts[short]].astype(np.uint64)
+    groups = [(short, keys >> shift << shift)]
+    long = np.flatnonzero(lengths > 8)
+    order = long[_stable_order(lengths[long])]
+    for idx in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        if len(idx):
+            width = int(lengths[idx[0]])
+            groups.append((idx, _windows(data, f"S{width}")[starts[idx]]))
+    texts: list[str] = []
+    local = np.empty(len(starts), dtype=np.int64)
+    for idx, keys in groups:
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        if uniq.dtype == np.uint64:
+            uniq = uniq.astype(">u8").view("S8")  # the cleared bytes drop off
+        local[idx] = len(texts) + inverse
+        texts += [t.decode("ascii") for t in uniq.tolist()]
+    return texts, local
+
+
 def parse_paren_text(text: str, interner: LabelInterner) -> LabeledForest:
     """Parse ``Forest := Tree*``, ``Tree := "(" label Forest ")"``.
 
@@ -266,36 +323,61 @@ def parse_paren_text(text: str, interner: LabelInterner) -> LabeledForest:
     token grammar (`ParseError`), a dangling "(" at the end
     (`UnbalancedError`), label tokens (`ParseError`), nesting
     (`UnbalancedError`).
+
+    The text is read as one byte array.  Non-ASCII text first has its
+    Unicode whitespace folded to spaces; its other characters are word
+    bytes and fail the label check.  Each byte gets its class from one
+    256-entry table (`_BYTE_CLASS`); the tokens start at every parenthesis
+    and at every word byte that does not follow a word byte.  The labels are
+    ranked in groups by byte length (`_rank_labels`), and the new texts are
+    interned in sorted text order across all groups.
     """
-    toks = text.replace("(", " ( ").replace(")", " ) ").split()
-    m = len(toks)
+    if not text.isascii():
+        text = " ".join(text.split())
+    # the spaces after the text keep every label's 8-byte window inside it
+    data = np.frombuffer((text + " " * 7).encode("utf-8", "surrogatepass"),
+                         dtype=np.uint8)
+    cls = _BYTE_CLASS.take(data)
+    word = cls >= _LABEL
+    first = word.copy()  # of a word
+    first[1:] &= ~word[:-1]
+    starts = np.flatnonzero(first | (cls <= _CLOSE))
+    m = len(starts)
     if m == 0:
         return LabeledForest.from_codes(np.empty(0, dtype=np.int64))
-    # distinct labels in sorted order (the order they are interned in), and
-    # one dict lookup per token: labels by rank, "(" as -2, ")" as -1
-    uniq = sorted(set(toks) - {"(", ")"})
-    rank = {t: r for r, t in enumerate(uniq)}
-    rank["("], rank[")"] = -2, -1
-    tok = np.fromiter(map(rank.__getitem__, toks), dtype=np.int64, count=m)
-    is_open = tok == -2
-    is_close = tok == -1
-    is_label = tok >= 0
+    last = word.copy()
+    last[:-1] &= ~word[1:]
+    ends = np.flatnonzero(last) + 1  # one past each word, in order
+    tok = cls[starts]
+    is_open = tok == _OPEN
+    is_label = tok >= _LABEL
+
+    def token(t: int) -> str:
+        s = int(starts[t])
+        e = int(ends[np.count_nonzero(is_label[:t])]) if is_label[t] else s + 1
+        return data[s:e].tobytes().decode("utf-8", "surrogatepass")
+
     # every "(" must be followed by a label token, and labels appear only there
     after_open = np.zeros(m, dtype=bool)
     after_open[1:] = is_open[:-1]
     if not np.array_equal(is_label, after_open):
         bad = int(np.flatnonzero(is_label != after_open)[0])
-        raise ParseError(f"unexpected token {toks[bad]!r} at position {bad}")
+        raise ParseError(f"unexpected token {token(bad)!r} at position {bad}")
     if is_open[-1]:
         raise UnbalancedError("dangling '(' at end of input")
-    for t in uniq:
-        check_label(t)
-    lut = np.fromiter(map(interner.intern, uniq), dtype=np.int64,
-                      count=len(uniq))
-    syms = lut[tok[is_label]]
+    labels = np.flatnonzero(is_label)
+    label_at = starts[labels]
+    bad = np.flatnonzero(cls == _OTHER)
+    if len(bad):  # the first bad label in sorted order names the error
+        at = np.unique(np.searchsorted(label_at, bad, side="right") - 1)
+        check_label(min(token(int(t)) for t in labels[at]))
+    texts, local = _rank_labels(data, label_at, ends - label_at)
+    order = sorted(range(len(texts)), key=texts.__getitem__)
+    lut = np.empty(len(texts), dtype=np.int64)
+    lut[order] = [interner.intern(texts[i]) for i in order]
     # pair on the sides alone (every label 0), then give each node its label
-    shape = LabeledForest(is_close[~is_label].astype(np.int64))
-    return LabeledForest(shape.relabeled_codes(syms),
+    shape = LabeledForest((tok[~is_label] == _CLOSE).astype(np.int64))
+    return LabeledForest(shape.relabeled_codes(lut[local]),
                          (shape.o, shape.c, shape.depth))
 
 

@@ -1,5 +1,6 @@
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -234,14 +235,15 @@ def test_k_below_range_exits_3(tmp_path, capsys):
 
 
 def test_log_env_smoke(tmp_path, capsys, caplog, monkeypatch):
-    # the INFO line carries the report's timings, forest and fingerprint
-    # counts included
+    # the INFO line carries the parse time and the report's timings, forest
+    # and fingerprint counts included
     monkeypatch.setenv("TEDK_LOG", "INFO")
     a = tmp_path / "a.paren"
     a.write_text("(a(b))\n")
     caplog.set_level(logging.INFO, logger="tedk")
     code, out, _ = run_cli(capsys, "compute", str(a), str(a), "--k", "1")
     assert code == 0 and out.split("\t")[0] == "0"
+    assert re.search(r" k=1 parse_ms=\d+\.\d rounds=", caplog.text)
     assert "'forests_built': 1," in caplog.text
     assert "'forests_reused': " in caplog.text
     assert "'fingerprints_built': 1," in caplog.text

@@ -34,8 +34,37 @@ def test_parse_unbalanced(interner):
         forest("(a))", interner)
     with pytest.raises(UnbalancedError):
         forest("(a", interner)
-    with pytest.raises(ParseError):
+    # the position counts tokens, not bytes
+    with pytest.raises(ParseError,
+                       match=r"^unexpected token 'x' at position 5$"):
         forest("(a(b) x)", interner)
+
+
+def test_parse_malformed_text_raises_parse_errors(interner):
+    # Unicode whitespace separates tokens, and a NUL byte, a non-ASCII
+    # letter or a lone surrogate in a label is a bad label; none of them
+    # ends in a UnicodeEncodeError
+    cases = {
+        "(a\u00a0b)": ParseError,
+        "(a\u2003(b)\u2003c)": ParseError,
+        "(a\x1cb)": ParseError,
+        "(a\x00)": ParseError,
+        "(\x00)": ParseError,
+        "(\ud800)": ParseError,
+        "(a(\ud800))": ParseError,
+        "(a \ud800)": ParseError,
+        "(a\u00e9)": ParseError,
+        "(a\u00a0": UnbalancedError,
+        "(a(b)\u2003": UnbalancedError,
+        "(a))\x1c": UnbalancedError,
+        "\ud800": ParseError,
+    }
+    for text, error in cases.items():
+        with pytest.raises(ParseError) as exc:
+            forest(text, interner)
+        assert type(exc.value) is error, text
+    F = forest("\u2003(a\u00a0(b)\x1c(c\u3000))\u00a0", interner)
+    assert serialize_paren(F, interner) == "(a(b)(c))"
 
 
 TOKEN = re.compile(r"[()]|[^\s()]+")
@@ -78,8 +107,13 @@ def stack_parse(text):
 
 def random_token_text(rng, interner, syms):
     """Paren text from random tokens, or a random forest with up to three
-    token edits (delete, insert, swap); labels include invalid ones."""
-    pool = ["(", ")", "(", ")", "a", "b", "x_1", "Z9", "a-b", "\u00e9", "$x"]
+    token edits (delete, insert, swap); labels include invalid ones, and
+    valid ones of 1, 8, 9 and 16 bytes that share prefixes.  Unicode
+    whitespace tokens separate the tokens around them."""
+    pool = ["(", ")", "(", ")", "a", "b", "x_1", "Z9", "a-b", "\u00e9", "$x",
+            "\u00a0", "\u2003", "\x1c", "a\x00", "\ud800", "abcdefgh",
+            "abcdefgi", "abcdefghi", "abcdefgha", "abcdefghijklmnop",
+            "abcdefghijklmnoq", "abcdefgh_jklmnop"]
     if rng.random() < 0.4:
         toks = [pool[i] for i in rng.integers(len(pool),
                                                size=int(rng.integers(0, 12)))]
@@ -587,6 +621,29 @@ def test_parse_interns_new_labels_in_sorted_order():
     assert (F.labels.tolist()
             == [interner.intern(t) for t in ("z", "b", "m", "B", "a_2", "a",
                                              "b")])
+
+
+def test_parse_interns_across_label_lengths_in_sorted_order(rng):
+    # labels of 1 to 20 bytes, sharing prefixes, some interned beforehand:
+    # those keep their symbols, and the new ones get the next symbols in
+    # sorted text order across all lengths ("aa" before "b", a 9-byte label
+    # before a 2-byte one)
+    chars = np.array(list("ab_Z9"))
+    for _ in range(200):
+        pool = ["aa", "b", "abcdefghi", "ac"]
+        pool += ["".join(rng.choice(chars, int(rng.integers(1, 21))).tolist())
+                 for _ in range(int(rng.integers(0, 12)))]
+        picks = rng.choice(len(pool), int(rng.integers(1, 30)))
+        labels = [pool[i] for i in picks]
+        interner = LabelInterner()
+        known = list(dict.fromkeys(pool[i] for i in rng.choice(
+            len(pool), int(rng.integers(0, 4)))))
+        for t in known:
+            interner.intern(t)
+        F = parse_paren_text("".join(f"({t})" for t in labels), interner)
+        want = known + sorted(set(labels) - set(known))
+        assert [interner.text(s) for s in range(len(want))] == want
+        assert F.labels.tolist() == [interner.intern(t) for t in labels]
 
 
 def _level_parents(F):

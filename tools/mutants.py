@@ -188,6 +188,17 @@ MUTANTS = [
            "if not (fine.g is fine.f and coarse.g is coarse.f):",
            "if fine.g is not fine.f:",
            ("tests/test_labeling.py::test_refines_with_shared_arrays",)),
+    Mutant("parse-keeps-unicode-whitespace", "src/tedk/forest.py",
+           'text = " ".join(text.split())', "text = text",
+           ("tests/test_forest.py::test_parse_matches_stack_parser",)),
+    Mutant("parse-packs-label-short", "src/tedk/forest.py",
+           "shift = (64 - 8 * lengths[short])",
+           "shift = (72 - 8 * lengths[short])",
+           ("tests/test_forest.py::test_parse_matches_stack_parser",)),
+    Mutant("parse-interns-group-by-group", "src/tedk/forest.py",
+           "order = sorted(range(len(texts)), key=texts.__getitem__)",
+           "order = range(len(texts))",
+           ("tests/test_forest.py::test_parse_interns_across_label_lengths_in_sorted_order",)),
     Mutant("vert-partner-from-high-end", "src/tedk/vertical.py",
            "next(filter(None, map(partner, window)), None)",
            "next(filter(None, map(partner, reversed(window))), None)",
