@@ -22,7 +22,13 @@ into classes (`QueryContext.joint`): a look-ahead that meets the same two
 arrays (by identity) returns that labeling, whose arrays are read-only,
 and still runs its contract checks.
 Compatibility refinement merges nodes reachable through chains of
-cross-forest pairs whose parenthesis positions lie within a window w.
+cross-forest pairs whose parenthesis positions lie within a window w.  Its
+connected components come from `_components`: rounds of hooking each root
+under its least neighbouring root and pointer jumping, after Shiloach and
+Vishkin, which end within 2 floor(log2 n) rounds on n nodes.  A root with
+no smaller neighbour either takes the hook of a root of its own or hooks
+in the next round, so every two rounds at least halve the roots of each
+component.
 When G is F and G's classes are F's own array, compatibility is symmetric
 and reflexive, so it computes F's side alone and shares it with G.
 
@@ -37,8 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .context import QueryContext
 from .errors import ContractError, FingerprintCollisionError
@@ -211,6 +215,65 @@ def lookahead_refine(F: LabeledForest, G: LabeledForest, d: int,
     return out
 
 
+def _components(r: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
+    """Component id of each of the nodes 0..n-1 of the undirected graph
+    with the edges (r[i], c[i]), each joining two distinct nodes; the ids
+    are 0, 1, ... in the order of each component's least node.
+
+    Hooking and pointer jumping in rounds, after Shiloach and Vishkin
+    (J. Algorithms 1982).  `parent` is a forest with parent[v] <= v, whose
+    roots are each their tree's least node, and at the start of a round
+    every edge joins two roots.  A round hooks each root under the least
+    root it shares an edge with, when that one is smaller
+    (`np.minimum.at`), and jumps the hooked roots to their new roots
+    (`_jump`); the edges then map to those roots, and the ones inside a
+    tree are dropped.  The other nodes are jumped to their roots once, at
+    the end.  A jump halves every path to a root, so `_jump` settles
+    within log2(n) + 1 steps.
+
+    At most 2 floor(log2 n) rounds run.  In a component with m roots, call
+    a root with no smaller neighbour a minimum: no two minima are
+    neighbours, every other root hooks, and only the minima stay roots.  A
+    minimum that no root hooks under has all its neighbours hooked under
+    roots smaller than itself, so it hooks in the next round.  Each other
+    minimum takes the hook of at least one root that is not a minimum, a
+    different one for each, so there are at most m/2 of them, and only they
+    can still be roots after two rounds.  The m roots of a component thus
+    fall to at most floor(m/2) in every two rounds; a component has at most
+    n nodes, so after 2 floor(log2 n) rounds each has one root and no edge
+    is left.  An edge left past that bound raises ContractError.
+    """
+    parent = np.arange(n, dtype=np.int64)
+    for _ in range(2 * (n.bit_length() - 1)):
+        if not len(r):
+            break
+        hooked = np.maximum(r, c)
+        np.minimum.at(parent, hooked, np.minimum(r, c))
+        _jump(parent, hooked)
+        r, c = parent[r], parent[c]
+        cross = r != c
+        r, c = r[cross], c[cross]
+    if len(r):
+        raise ContractError("connectivity rounds exceed 2 floor(log2 n)")
+    nodes = np.arange(n)
+    _jump(parent, nodes)
+    roots = np.flatnonzero(parent == nodes)
+    ids = np.empty(n, dtype=np.int64)
+    ids[roots] = np.arange(len(roots))
+    return ids[parent]
+
+
+def _jump(parent: np.ndarray, nodes: np.ndarray) -> None:
+    """parent[v] = its tree's root for each v in `nodes`, in place, by
+    jumps parent[v] = parent[parent[v]] on the nodes not yet there."""
+    while len(nodes):
+        up = parent[nodes]
+        top = parent[up]
+        moving = top != up
+        nodes = nodes[moving]
+        parent[nodes] = top[moving]
+
+
 def compat_refine(F: LabeledForest, G: LabeledForest, lab: JointLabeling,
                   w: int) -> JointLabeling:
     """Connected components of the transitive closure of w-compatibility.
@@ -225,7 +288,13 @@ def compat_refine(F: LabeledForest, G: LabeledForest, lab: JointLabeling,
     from -w to w is then one gather at F's opening positions shifted by it,
     and the closing positions are gathered only where the classes agree.
     A node with no compatible partner is a component of its own, so the
-    graph holds only the cross-forest edges.
+    graph holds only the cross-forest edges.  Its components come from
+    `_components`, numbered by least node (F's nodes first, then G's), in
+    at most 2 floor(log2 n) rounds of hooking and pointer jumping on n
+    nodes: a root with no smaller neighbour either takes the hook of a
+    root of its own or hooks in the next round, so every two rounds at
+    least halve the roots of each component (the full argument is in
+    `_components`).
 
     When G is F and G's classes are F's own array, compatibility is
     symmetric and every node is compatible with its twin, so each component
@@ -255,12 +324,7 @@ def compat_refine(F: LabeledForest, G: LabeledForest, lab: JointLabeling,
         near = np.abs(F.c[u] - close_at[at]) <= w
         rows.append(u[near])
         cols.append(node_at[at[near]])
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    graph = coo_matrix((np.ones(len(r), dtype=np.int8), (r, c)),
-                       shape=(total, total))
-    _, comp = connected_components(graph, directed=False)
-    comp = comp.astype(np.int64)
+    comp = _components(np.concatenate(rows), np.concatenate(cols), total)
     if one_side:
         out = JointLabeling(comp, comp)
     else:

@@ -250,6 +250,56 @@ def ted_brute(F: LabeledForest, G: LabeledForest) -> int:
     return min(mapping_cost(F, G, p) for p in all_tai_mappings(F, G))
 
 
+def ted_zhang_shasha(F: LabeledForest, G: LabeledForest) -> int:
+    """Unit-cost tree edit distance by Zhang and Shasha's keyroot algorithm
+    (SIAM J. Comput. 1989), each forest under a virtual root of its own
+    label -1, which matches the other's at no cost.
+
+    Nodes are numbered 1..n in post-order, `left[i]` is the number of i's
+    leftmost leaf, and a keyroot is the last node with its leftmost leaf.
+    Each pair of keyroots (i, j) fills a forest-distance table over the
+    post-order prefixes left[i]-1..i and left[j]-1..j; an entry whose two
+    forests are whole trees is also their tree distance, which the tables
+    of later keyroots read.
+    """
+    def post_order(H):
+        # a node's leftmost leaf is the next node to close after it opens
+        lab, left, opened = [None], [None], []
+        for code in H.codes.tolist():
+            if code & 1:
+                lab.append(code >> 1)
+                left.append(opened.pop())
+            else:
+                opened.append(len(lab))
+        lab.append(-1)  # the virtual root, whose leftmost leaf is node 1
+        left.append(1)
+        keys = {leaf: i for i, leaf in enumerate(left) if i}
+        return lab, left, sorted(keys.values())
+
+    la, lf, keys_f = post_order(F)
+    lb, lg, keys_g = post_order(G)
+    n, m = len(la) - 1, len(lb) - 1
+    tree = [[0] * (m + 1) for _ in range(n + 1)]
+    fd = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in keys_f:
+        for j in keys_g:
+            i0, j0 = lf[i] - 1, lg[j] - 1
+            fd[i0][j0] = 0
+            for a in range(i0 + 1, i + 1):
+                fd[a][j0] = fd[a - 1][j0] + 1
+            for b in range(j0 + 1, j + 1):
+                fd[i0][b] = fd[i0][b - 1] + 1
+            for a in range(i0 + 1, i + 1):
+                for b in range(j0 + 1, j + 1):
+                    step = min(fd[a - 1][b], fd[a][b - 1]) + 1
+                    if lf[a] == lf[i] and lg[b] == lg[j]:
+                        fd[a][b] = min(step, fd[a - 1][b - 1] + (la[a] != lb[b]))
+                        tree[a][b] = fd[a][b]
+                    else:
+                        fd[a][b] = min(step, fd[lf[a] - 1][lg[b] - 1] + tree[a][b])
+    return tree[n][m]
+
+
 def optimal_tree_alignments(F: LabeledForest, G: LabeledForest):
     """One canonical alignment per optimal Tai mapping (deletions first)."""
     best = ted_brute(F, G)
@@ -278,11 +328,11 @@ def optimal_tree_alignments(F: LabeledForest, G: LabeledForest):
     return best, out
 
 
-def naive_compat_classes(F: LabeledForest, G: LabeledForest, lab_f, lab_g,
-                         w: int):
-    """Union-find closure over every w-compatible cross pair."""
-    nf, ng = F.n, G.n
-    parent = list(range(nf + ng))
+def union_find_components(n: int, edges) -> list[int]:
+    """Component id of each node 0..n-1 of the undirected graph with the
+    given (a, b) edges, by union-find; the ids are 0, 1, ... in the order
+    of each component's least node."""
+    parent = list(range(n))
 
     def find(a):
         while parent[a] != a:
@@ -290,15 +340,21 @@ def naive_compat_classes(F: LabeledForest, G: LabeledForest, lab_f, lab_g,
             a = parent[a]
         return a
 
-    def union(a, b):
+    for a, b in edges:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
+    first: dict[int, int] = {}
+    return [first.setdefault(find(t), len(first)) for t in range(n)]
 
-    for u in range(nf):
-        for v in range(ng):
-            if (lab_f[u] == lab_g[v]
-                    and abs(int(F.o[u]) - int(G.o[v])) <= w
-                    and abs(int(F.c[u]) - int(G.c[v])) <= w):
-                union(u, nf + v)
-    return [find(t) for t in range(nf + ng)]
+
+def naive_compat_classes(F: LabeledForest, G: LabeledForest, lab_f, lab_g,
+                         w: int) -> list[int]:
+    """Union-find closure over every w-compatible cross pair: the class of
+    each node of F, then of G, numbered by each class's first node."""
+    nf, ng = F.n, G.n
+    edges = [(u, nf + v) for u in range(nf) for v in range(ng)
+             if (lab_f[u] == lab_g[v]
+                 and abs(int(F.o[u]) - int(G.o[v])) <= w
+                 and abs(int(F.c[u]) - int(G.c[v])) <= w)]
+    return union_find_components(nf + ng, edges)

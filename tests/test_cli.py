@@ -131,11 +131,14 @@ def test_selftest_needs_only_the_package(tmp_path):
 
 
 def test_query_path_does_not_load_selftest(tmp_path):
-    # the references live in tedk.selftest, which only `tedk selftest` loads
+    # the references live in tedk.selftest, which only `tedk selftest`
+    # loads; the package needs numpy alone, so no scipy module loads either
     out = run_python(["-c", "import sys, tedk, tedk.engine, tedk.cli; "
-                      "print('tedk.selftest' in sys.modules)"], tmp_path)
+                      "print('tedk.selftest' in sys.modules, "
+                      "any(m.split('.')[0] == 'scipy' for m in sys.modules))"],
+                     tmp_path)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "False\n"
+    assert out.stdout == "False False\n"
 
 
 def test_compute_deterministic_output(tmp_path, capsys):

@@ -141,8 +141,8 @@ def test_labeling_refines_contract(interner, monkeypatch):
     # one component over the graph's nodes: F's alone on the one-sided
     # path (G is F with F's label array on both sides), both forests' on
     # the two-sided one
-    monkeypatch.setattr(tedk.labeling, "connected_components",
-                        lambda graph, directed: (1, np.zeros(graph.shape[0])))
+    monkeypatch.setattr(tedk.labeling, "_components",
+                        lambda r, c, n: np.zeros(n, dtype=np.int64))
     with pytest.raises(ContractError):
         compat_refine(F, F, lab, 2)
     with pytest.raises(ContractError):
@@ -236,8 +236,11 @@ print("lookahead", raised(lambda: labeling.lookahead_refine(
     F, F, 2, QueryContext(1, 0x1234567))))
 labeling._dense_joint = real
 G = parse_paren_text("(c(b)(a))", LabelInterner())
-labeling.connected_components = (
-    lambda graph, directed: (1, np.zeros(graph.shape[0])))
+# a loop on a one-node graph: the round bound allows no round, and the
+# edge is left over
+print("rounds", raised(lambda: labeling._components(
+    np.array([0]), np.array([0]), 1)))
+labeling._components = lambda r, c, n: np.zeros(n, dtype=np.int64)
 print("compat", raised(lambda: labeling.compat_refine(F, F, lab, 2)))
 print("compat", raised(lambda: labeling.compat_refine(
     F, G, JointLabeling(F.labels, G.labels), 2)))
@@ -263,7 +266,7 @@ def test_contracts_survive_python_O():
     assert out.returncode == 0, out.stderr
     assert out.stdout.split("\n") == [
         "debug False", "refines False", "lookahead ContractError",
-        "compat ContractError", "compat ContractError", "odd UnbalancedError",
+        "rounds ContractError", "compat ContractError", "compat ContractError", "odd UnbalancedError",
         "depth UnbalancedError", "label LabelMismatchError", "context UnbalancedError",
         "context UnbalancedError", "context LabelMismatchError",
         "parse UnbalancedError",

@@ -9,14 +9,14 @@ from tedk.context import QueryContext
 from tedk.forest import LabeledForest
 from tedk.generate import alphabet, apply_random_edits, random_forest
 from tedk.hashing import M61, HashedSeq, mulmod_vec
-from tedk.labeling import (JointLabeling, _dense_joint,
+from tedk.labeling import (JointLabeling, _components, _dense_joint,
                            _level_descendant_cuts, _subtree_fingerprints,
                            compat_refine, lookahead_refine, refines)
 
 from conftest import (deep_chain, forest, forest_pairs, is_tree_alignment,
                       stack_walk)
 from reference import (naive_compat_classes, optimal_tree_alignments,
-                       prefix_table, trimmed_print)
+                       prefix_table, trimmed_print, union_find_components)
 from test_indexes import concat_fp, substring
 
 BASE = 0x1234567
@@ -282,11 +282,86 @@ def test_compat_refine_matches_naive_closure(interner, rng):
         else:
             w = int(rng.choice([0, 1, 2, 4]))
         out = compat_refine(F, G, lab, w)
-        naive = naive_compat_classes(F, G, lab.f.tolist(), lab.g.tolist(), w)
         # the same partition, its classes numbered by their first node
-        first = {}
-        want = [first.setdefault(root, len(first)) for root in naive]
+        want = naive_compat_classes(F, G, lab.f.tolist(), lab.g.tolist(), w)
         assert np.concatenate([out.f, out.g]).tolist() == want
+
+
+def components_check(r, c, n):
+    """`_components` against union-find: the same ids, which are dense,
+    non-negative and numbered by each component's least node."""
+    r = np.asarray(r, dtype=np.int64)
+    c = np.asarray(c, dtype=np.int64)
+    ids = _components(r, c, n)
+    assert ids.dtype == np.int64 and ids.shape == (n,)
+    want = union_find_components(n, zip(r.tolist(), c.tolist()))
+    assert ids.tolist() == want
+    values, first = np.unique(ids, return_index=True)
+    assert values.tolist() == list(range(len(values)))
+    assert (np.diff(first) > 0).all()
+    return ids
+
+
+def path_edges(nodes, rng):
+    """The edges of the path through `nodes` in turn, shuffled in order and
+    each with a random direction."""
+    a, b = nodes[:-1], nodes[1:]
+    flip = rng.random(len(a)) < 0.5
+    order = rng.permutation(len(a))
+    return np.where(flip, b, a)[order], np.where(flip, a, b)[order]
+
+
+@pytest.mark.parametrize("order", ["sorted", "reversed", "zigzag", "random"])
+def test_components_of_long_paths(order):
+    # 65,536 nodes on one path: in id order, in reverse, alternating the
+    # lowest and highest ids left, and at random; plus the same path split
+    # in two at its middle, whose halves are numbered by their least nodes
+    n = 1 << 16
+    rng = np.random.default_rng(7)
+    nodes = {"sorted": np.arange(n),
+             "reversed": np.arange(n)[::-1],
+             "zigzag": np.stack([np.arange(n // 2),
+                                 np.arange(n - 1, n // 2 - 1, -1)],
+                                axis=1).ravel(),
+             "random": rng.permutation(n)}[order]
+    r, c = path_edges(nodes, rng)
+    assert not components_check(r, c, n).any()
+    half = n // 2
+    r, c = (np.concatenate(pair) for pair in zip(
+        path_edges(nodes[:half], rng), path_edges(nodes[half:], rng)))
+    assert len(set(components_check(r, c, n).tolist())) == 2
+
+
+def test_components_of_a_star_with_the_largest_centre():
+    # every leaf is a least root with no smaller neighbour: the centre hooks
+    # under leaf 0 in the first round and the other leaves in the second
+    n = 5000
+    leaves = np.arange(n - 1)
+    assert not components_check(np.full(n - 1, n - 1), leaves, n).any()
+    assert not components_check(leaves[::-1], np.full(n - 1, n - 1), n).any()
+    # two stars, centres at the top: the even leaves below n - 2 on one,
+    # the odd ones on the other
+    odd, even = leaves[1:-1:2], leaves[0:-1:2]
+    ids = components_check(np.concatenate([odd, even]),
+                           np.repeat([n - 1, n - 2], [len(odd), len(even)]),
+                           n)
+    assert ids[n - 1] == ids[1] == 1 and ids[n - 2] == ids[0] == 0
+
+
+def test_components_of_random_bipartite_graphs():
+    # two sides as in compat_refine, edges only across, from empty to dense,
+    # with repeated edges, isolated nodes and many components
+    rng = np.random.default_rng(11)
+    for t in range(300):
+        nf, ng = (int(x) for x in rng.integers(0, 60, 2))
+        m = int(rng.integers(0, 2 * (nf + ng) + 1)) if nf and ng else 0
+        r = rng.integers(0, max(nf, 1), m)
+        c = nf + rng.integers(0, max(ng, 1), m)
+        if t % 2:
+            r, c = c, r
+        components_check(r, c, nf + ng)
+    assert components_check([], [], 0).tolist() == []
+    assert components_check([], [], 3).tolist() == [0, 1, 2]
 
 
 def test_refinement_direction(interner, rng):

@@ -9,7 +9,7 @@ from tedk.oracle import INF, _ted_dp, ted_exact, ted_threshold
 from tedk.selftest import ted_brute_constrained
 
 from conftest import forest, forest_pairs, is_tree_alignment, ted_constrained
-from reference import optimal_tree_alignments, ted_brute
+from reference import optimal_tree_alignments, ted_brute, ted_zhang_shasha
 
 
 def test_exact_examples(interner):
@@ -213,3 +213,40 @@ def test_dp_states_follow_the_edit(interner, rng):
     twice = {key: 2 * value for key, value in stats.items()}
     assert ted_threshold(F, G, 2, stats) == 1 and stats == twice
     assert ted_threshold(F, F, 2, stats) == 0 and stats == twice
+
+
+def test_dp_matches_zhang_shasha(interner):
+    # 60 seeded pairs against an exact algorithm that shares nothing with
+    # the DP: unrelated forests, edited copies, wide sibling lists, and a
+    # shared prefix and suffix around a small edit, where the equal-forest
+    # exit and the size-difference-1 rule fire
+    rng = np.random.default_rng(26)
+    syms = alphabet(interner, 3)
+    pairs = []
+    for _ in range(15):
+        F, G = (random_forest(rng, int(rng.integers(0, 31)),
+                              int(rng.integers(1, 8)), syms) for _ in range(2))
+        pairs.append((F, G))
+    for _ in range(25):
+        wide = len(pairs) % 5 < 2  # height 1 or 2: long root and child lists
+        F = random_forest(rng, int(rng.integers(12, 41)),
+                          int(rng.integers(1, 3)) if wide
+                          else int(rng.integers(3, 8)), syms)
+        pairs.append((F, apply_random_edits(rng, F, int(rng.integers(1, 5)),
+                                            syms)))
+    for _ in range(20):
+        P, S = (random_forest(rng, int(rng.integers(5, 21)),
+                              int(rng.integers(1, 6)), syms) for _ in range(2))
+        mid = random_forest(rng, int(rng.integers(1, 9)), 3, syms)
+        edited = apply_random_edits(rng, mid, int(rng.integers(1, 3)), syms)
+        pairs.append(tuple(LabeledForest.from_codes(np.concatenate(
+            [P.codes, m.codes, S.codes])) for m in (mid, edited)))
+    stats = {}
+    for F, G in pairs:
+        d = ted_zhang_shasha(F, G)
+        assert ted_exact(F, G) == d
+        for k in (1, 2, 3, 5):
+            assert ted_threshold(F, G, k, stats) == (d if d <= k else INF)
+    assert sum(abs(F.n - G.n) == 1 for F, G in pairs[40:]) >= 3
+    assert sum(F.n > 11 for F, _ in pairs) >= 40
+    assert stats["dp_tables"] > 0

@@ -121,6 +121,10 @@ MUTANTS = [
            "return count[e] == count[a]", "return count[e - 1] == count[a]",
            ("tests/test_oracle.py::test_dp_matches_unpruned_recurrence",
             "tests/test_oracle.py::test_dp_matches_brute")),
+    Mutant("dp-right-sibling-state-off-by-one", "src/tedk/oracle.py",
+           "right = (fend, fe, gend, ge)",
+           "right = (fend, fe, min(gend + 1, ge), ge)",
+           ("tests/test_oracle.py::test_dp_matches_zhang_shasha",)),
     Mutant("pairing-test-ignores-negative-xor", "src/tedk/forest.py",
            "codes[po] ^ codes[pc] != 1", "codes[po] ^ codes[pc] > 1",
            ("tests/test_forest.py::test_pair_parens_errors_match_reference",)),
@@ -178,6 +182,15 @@ MUTANTS = [
     Mutant("compat-one-side-without-label-identity", "src/tedk/labeling.py",
            "one_side = G is F and lab.g is lab.f", "one_side = G is F",
            ("tests/test_labeling.py::test_compat_one_side_equals_two_sides",)),
+    Mutant("components-jump-once", "src/tedk/labeling.py",
+           "    while len(nodes):\n", "    if len(nodes):\n",
+           ("tests/test_labeling.py::test_components_of_long_paths",)),
+    Mutant("components-hook-smaller-under-larger", "src/tedk/labeling.py",
+           "hooked = np.maximum(r, c)\n"
+           "        np.minimum.at(parent, hooked, np.minimum(r, c))",
+           "hooked = np.minimum(r, c)\n"
+           "        np.maximum.at(parent, hooked, np.maximum(r, c))",
+           ("tests/test_labeling.py::test_components_of_random_bipartite_graphs",)),
     Mutant("dense-rank-off-by-one", "src/tedk/labeling.py",
            "out=rank[1:])", "out=rank[:-1])",
            ("tests/test_labeling.py::test_dense_joint_ranks_like_unique",)),
