@@ -4,7 +4,9 @@ compute prints one machine-parseable line `<distance|INF>\t<k>\t<seed>\t<rounds>
 where <rounds> counts the level-sampling rounds run, 0 when none ran; at
 TEDK_LOG=INFO its log line also gives the lower bound that ended them and
 the time spent reading and parsing the two files (parse_ms).
-oracle prints the same line with seed and rounds 0.  Both exit 0 on success,
+oracle prints the same line with seed and rounds 0.  Each exact DP run
+(oracle, compute --k 0 and compute --verify) logs one more INFO line with
+n, k, parse_ms and the DP's work counts.  Both exit 0 on success,
 2 on parse errors and unreadable inputs, 3 on bad flags; compute --audit
 recomputes the look-ahead classes under a second fingerprint base and exits
 1 when the two disagree.  gen exits 2 when it cannot write --out or --out2,
@@ -32,7 +34,7 @@ from .forest import (LabeledForest, LabelInterner, parse_json_text,
                      parse_paren_text, serialize_json, serialize_paren)
 from .generate import (alphabet, apply_random_edits, plant_horizontal,
                        plant_vertical, random_forest)
-from .oracle import INF, ted_threshold
+from .oracle import DP_COUNTS, INF, ted_threshold
 
 log = logging.getLogger("tedk")
 
@@ -164,6 +166,17 @@ def _k_below(k: int, least: int) -> bool:
     return True
 
 
+def _oracle(F: LabeledForest, G: LabeledForest, k: int,
+            parse_ms: float) -> int | float:
+    """`ted_threshold`, with one INFO line holding the DP's work counts
+    (0 when an exit before the DP answers)."""
+    stats: dict = {}
+    value = ted_threshold(F, G, k, stats)
+    log.info("oracle n=%d k=%d parse_ms=%.1f %s", F.n + G.n, k, parse_ms,
+             " ".join(f"{key}={stats.get(key, 0)}" for key in DP_COUNTS))
+    return value
+
+
 def _cmd_compute(args, exact_only: bool) -> int:
     if _k_below(args.k, 0):
         return EXIT_USAGE
@@ -173,7 +186,7 @@ def _cmd_compute(args, exact_only: bool) -> int:
     F, G, parse_ms = loaded
     rounds_run = 0
     if exact_only or args.k == 0:
-        value = ted_threshold(F, G, args.k)
+        value = _oracle(F, G, args.k, parse_ms)
     else:
         cfg = EngineConfig(k=args.k, seed=args.seed, rounds=args.rounds,
                            audit=args.audit)
@@ -188,7 +201,7 @@ def _cmd_compute(args, exact_only: bool) -> int:
                  rep.kept, _fmt_value(rep.bound),
                  {p: round(v, 1) for p, v in rep.timings.items()})
         if args.verify:
-            want = ted_threshold(F, G, args.k)
+            want = _oracle(F, G, args.k, parse_ms)
             if value != want:
                 sys.stderr.write(
                     f"tedk: verify failed: engine={_fmt_value(value)} "

@@ -253,6 +253,31 @@ def test_log_env_smoke(tmp_path, capsys, caplog, monkeypatch):
     assert "'fingerprints_reused': " in caplog.text
 
 
+def test_oracle_log_line(tmp_path, capsys, caplog, monkeypatch):
+    # every exact DP run logs one INFO line with n, k, the parse time and
+    # the DP's work counts; standard output and the exit code are as
+    # without the log
+    monkeypatch.setenv("TEDK_LOG", "INFO")
+    a, b = tmp_path / "a.paren", tmp_path / "b.paren"
+    a.write_text("(a(b)(c))\n")
+    b.write_text("(a(b)(d))\n")
+    caplog.set_level(logging.INFO, logger="tedk")
+    line = (r"oracle n=6 k={} parse_ms=\d+\.\d dp_states=(\d+) "
+            r"dp_tables=\d+ dp_prefix_tables=\d+ dp_jumps=\d+$")
+    for argv, k, want in ((("oracle",), 1, "1\t1\t0\t0\n"),
+                          (("compute",), 0, "INF\t0\t0\t0\n"),
+                          (("compute", "--verify"), 2, "1\t2\t0\t0\n")):
+        caplog.clear()
+        code, out, _ = run_cli(capsys, *argv, str(a), str(b), "--k", str(k))
+        assert code == 0 and out == want
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("oracle ")]
+        assert len(lines) == 1
+        match = re.match(line.format(k), lines[0])
+        # at k = 0 the label bound (1) answers before the DP runs
+        assert match and (int(match[1]) > 0) == (k > 0)
+
+
 def test_compute_reports_rounds_run_and_bound(tmp_path, capsys, caplog,
                                               rng):
     # a deep chain takes the sampling path; its first round meets the lower

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import tedk.oracle
 from tedk.alignment import eval_alignment
 from tedk.forest import LabeledForest
 from tedk.generate import alphabet, apply_random_edits, random_forest
 from tedk.oracle import INF, _ted_dp, ted_exact, ted_threshold
 from tedk.selftest import ted_brute_constrained
 
-from conftest import forest, forest_pairs, is_tree_alignment, ted_constrained
+from conftest import (deep_chain, forest, forest_pairs, is_tree_alignment,
+                      ted_constrained)
 from reference import optimal_tree_alignments, ted_brute, ted_zhang_shasha
 
 
@@ -250,3 +252,136 @@ def test_dp_matches_zhang_shasha(interner):
     assert sum(abs(F.n - G.n) == 1 for F, G in pairs[40:]) >= 3
     assert sum(F.n > 11 for F, _ in pairs) >= 40
     assert stats["dp_tables"] > 0
+
+
+def _edit(F: LabeledForest, u: int, kind: str, lab: int) -> LabeledForest:
+    """F with node u relabeled to `lab`, deleted (its children take its
+    place), or wrapped in a new node labeled `lab` ("insert")."""
+    codes = F.codes.tolist()
+    o, c = int(F.o[u]), int(F.c[u])
+    if kind == "relabel":
+        codes[o], codes[c] = lab << 1, (lab << 1) | 1
+    elif kind == "delete":
+        del codes[c], codes[o]
+    else:
+        codes.insert(c + 1, (lab << 1) | 1)
+        codes.insert(o, lab << 1)
+    return LabeledForest.from_codes(np.array(codes, dtype=np.int64))
+
+
+def _spine(F: LabeledForest) -> np.ndarray:
+    """The nodes whose subtrees end last: a chain's nodes, root first."""
+    return np.flatnonzero(F.subtree_end == F.n)
+
+
+def test_dp_jump_matches_zhang_shasha_on_chains(interner, rng):
+    # 42 seeded chains 20-300 levels deep, each edited once at a chosen
+    # depth, against an exact algorithm that shares nothing with the DP;
+    # every DP run descends by jumps
+    syms = alphabet(interner, 2)
+    stats = {}
+    runs = 0
+    for t in range(42):
+        F = deep_chain(rng, int(rng.integers(20, 301)), syms,
+                       leaf_every=int(rng.integers(40, 68)))
+        u = int(rng.choice(_spine(F)))
+        lab = int(syms[0] if F.labels[u] == syms[1] else syms[1])
+        G = _edit(F, u, ("relabel", "insert", "delete")[t % 3], lab)
+        if t % 2:
+            F, G = G, F
+        d = ted_zhang_shasha(F, G)
+        assert d == 1
+        assert ted_exact(F, G) == d
+        for k in (1, 2, 3):
+            assert ted_threshold(F, G, k, stats) == d
+            runs += 1
+    assert stats["dp_jumps"] >= runs
+
+
+def test_dp_jump_stops_part_way_on_one_side(interner, rng):
+    # G gains a leaf as the last child of a chain node a, so G's rightmost
+    # path leaves the chain below a while F's follows it down, and a relabel
+    # further down (or none) lies where the common prefix ends: the descent
+    # stops at a's chain child on one side only
+    syms = alphabet(interner, 2)
+    for t in range(24):
+        F = deep_chain(rng, int(rng.integers(40, 201)), syms,
+                       leaf_every=int(rng.integers(10, 68)))
+        spine = _spine(F)
+        # a at depth >= 16, so both rightmost paths are long enough to jump
+        at = int(rng.integers(16, len(spine) - 20))
+        a, below = int(spine[at]), int(spine[at + int(rng.integers(1, 20))])
+        leaf = int(syms[t % 2])
+        codes = F.codes.tolist()
+        codes[int(F.c[a]):int(F.c[a])] = [leaf << 1, (leaf << 1) | 1]
+        G = LabeledForest.from_codes(np.array(codes, dtype=np.int64))
+        if t % 3:
+            lab = int(syms[0] if G.labels[below] == syms[1] else syms[1])
+            G = _edit(G, below, "relabel", lab)
+        if t % 2:
+            F, G = G, F
+        d = ted_zhang_shasha(F, G)
+        assert d == (2 if t % 3 else 1)
+        stats = {}
+        assert [_ted_dp(F, G, cap, stats) for cap in range(1, 5)] \
+            == [min(d, cap) for cap in range(1, 5)]
+        # cap 1 cuts the root state: the sizes differ by the leaf
+        assert stats["dp_jumps"] >= 3
+
+
+def test_dp_jump_matches_unpruned_on_deep_pairs(interner, rng, monkeypatch):
+    # 200 seeded chains 16-60 deep (`deep_chain` hangs a leaf every 14-19
+    # levels for leaf_every >= 14, none below) with a small forest hung at
+    # a random node, under random edits, against the plain recurrence at
+    # caps 1-4: once as shipped and once with a jump at every state whose
+    # ranges are single trees with equal root labels
+    jumps = {}
+    for t in range(200):
+        syms = alphabet(interner, 1 + t % 3)
+        F = deep_chain(rng, int(rng.integers(16, 61)), syms,
+                       leaf_every=int(rng.integers(1, 20)))
+        hung = random_forest(rng, int(rng.integers(1, 6)), 2, syms)
+        at = int(F.o[rng.integers(F.n)]) + 1
+        F = LabeledForest.from_codes(np.concatenate(
+            [F.codes[:at], hung.codes, F.codes[at:]]))
+        G = apply_random_edits(rng, F, int(rng.integers(1, 4)), syms)
+        want = [_ted_dp_unpruned(F, G, cap) for cap in range(1, 5)]
+        for gate in (1, tedk.oracle._JUMP_PATH):
+            monkeypatch.setattr(tedk.oracle, "_JUMP_PATH", gate)
+            stats = jumps.setdefault(gate, {})
+            assert [_ted_dp(F, G, cap, stats) for cap in range(1, 5)] == want
+    assert all(stats["dp_jumps"] > 200 for stats in jumps.values())
+
+
+def test_dp_jump_counts_on_a_deep_chain(interner, rng):
+    # one edit near the bottom of a 3,000-deep chain: the DP jumps to it
+    # instead of walking 3,000 levels
+    syms = alphabet(interner, 2)
+    F = deep_chain(rng, 3000, syms)
+    spine = _spine(F)
+    u = int(spine[-10])
+    lab = int(syms[0] if F.labels[u] == syms[1] else syms[1])
+    for kind in ("relabel", "insert", "delete"):
+        G = _edit(F, u, kind, lab)
+        for k in (1, 3):
+            stats = {}
+            assert ted_threshold(F, G, k, stats) == 1
+            assert stats["dp_states"] <= 200 and stats["dp_jumps"] >= 1
+    # a node inserted near the root puts G's copy of the chain below it one
+    # level deeper, so the walk down to a relabel near the bottom jumps at
+    # depth offset 1.  Each chain node first holds a 2-node path, so the
+    # match of F's chain against G's shifted by one level differs in size
+    # by 3 and is cut at once at k = 2
+    labs = syms[rng.integers(2, size=3000)].tolist()
+    codes = []
+    for a, b, c in zip(labs, *syms[rng.integers(2, size=(2, 3000))].tolist()):
+        codes += [a << 1, b << 1, c << 1, (c << 1) | 1, (b << 1) | 1]
+    codes += [(a << 1) | 1 for a in reversed(labs)]
+    F = LabeledForest.from_codes(np.array(codes, dtype=np.int64))
+    spine = _spine(F)
+    u = int(spine[-10])
+    lab = int(syms[0] if F.labels[u] == syms[1] else syms[1])
+    G = _edit(_edit(F, u, "relabel", lab), int(spine[5]), "insert", lab)
+    stats = {}
+    assert ted_threshold(F, G, 2, stats) == 2
+    assert stats["dp_states"] <= 200 and stats["dp_jumps"] >= 2

@@ -125,6 +125,16 @@ MUTANTS = [
            "right = (fend, fe, gend, ge)",
            "right = (fend, fe, min(gend + 1, ge), ge)",
            ("tests/test_oracle.py::test_dp_matches_zhang_shasha",)),
+    Mutant("dp-jump-skips-g-end-check", "src/tedk/oracle.py",
+           "if atf[cf - mid] < p and atg[cg - mid] < pd:",
+           "if atf[cf - mid] < p:",
+           ("tests/test_oracle.py::test_dp_jump_matches_unpruned_on_deep_pairs",)),
+    Mutant("dp-jump-lands-on-p", "src/tedk/oracle.py",
+           "        return x\n", "        return p\n",
+           ("tests/test_oracle.py::test_dp_jump_matches_unpruned_on_deep_pairs",)),
+    Mutant("dp-jump-ignores-depth-offset", "src/tedk/oracle.py",
+           "key = (d, int(G.depth[gi] - F.depth[fi]))", "key = (d, 0)",
+           ("tests/test_oracle.py::test_dp_jump_counts_on_a_deep_chain",)),
     Mutant("pairing-test-ignores-negative-xor", "src/tedk/forest.py",
            "codes[po] ^ codes[pc] != 1", "codes[po] ^ codes[pc] > 1",
            ("tests/test_forest.py::test_pair_parens_errors_match_reference",)),
