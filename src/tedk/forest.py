@@ -10,24 +10,24 @@ arrays directly: `codes` per position, `o`, `c` and `depth` per node,
 code array under another labeling.  Instances are immutable after
 construction.
 
-Level ancestors (the ancestor d levels up, the nearest marked ancestor)
-all come from one stable sort and one binary search, `last_at_level`, with
-no loop over depths.  The same sorted keys (`level_search`) give LCA depths
-by a binary search over levels (`lca_depth`), so no ancestor table is
-built.  Likewise every parenthesis pairing in the package (forest
-construction, text parsing, the rotation test of horizontal periods) goes
-through `_pair_parens`, one stable sort of the nesting levels, then one xor
-per pair to check its labels and one scatter by position to give each node
-its close.  Both sorts order small non-negative integers, so they sort
-them as the smallest unsigned type that holds them (`_stable_order`): numpy
-radix-sorts 8- and 16-bit keys in linear time, which covers every forest
-under 2^16 levels deep.  Parsing reads the text as one byte array: a
-256-entry table classes each byte (open, close, whitespace, label byte,
-other), the token starts come from masks, and the labels are ranked in
-groups by byte length, each by one `np.unique` over one key per label: a
-zero-padded big-endian uint64 for all labels of up to 8 bytes, a
-fixed-width bytes string for each longer length.  Each distinct label is
-interned once, in sorted text order.
+Level ancestors (the ancestor d levels up, the nearest marked ancestor) all
+come from one stable sort and one binary search, `last_at_level`, with no
+loop over depths.  The same sorted keys (`level_search`) give LCA depths by
+a binary search over levels (`lca_depth`), so no ancestor table is built.
+Likewise every parenthesis pairing goes through `_pair_parens`, one stable
+sort of the nesting levels and one scatter by position to give each node its
+close; the checked constructor `LabeledForest(codes)` then tests the labels,
+one xor per node.  The parsers skip that test: they write each close from
+its open's label (`_node_codes`).  Both sorts order small non-negative
+integers, so they sort them as the smallest unsigned type that holds them
+(`_stable_order`): numpy radix-sorts 8- and 16-bit keys in linear time,
+which covers every forest under 2^16 levels deep.  Parsing reads the text as
+one byte array: a 256-entry table classes each byte (open, close,
+whitespace, label byte, other), the token starts come from masks, and the
+labels are ranked in groups by byte length, each by one `np.unique` over one
+key per label: a zero-padded big-endian uint64 for all labels of up to 8
+bytes, a fixed-width bytes string for each longer length.  Each distinct
+label is interned once, in sorted text order.
 """
 
 from __future__ import annotations
@@ -136,69 +136,74 @@ def lca_depth(depth: np.ndarray, a, b, lo=-1) -> np.ndarray:
 
 
 def _pair_parens(codes: np.ndarray):
-    """Validate balance/labels and return (o, c, depth) per pre-order node.
+    """Check the balance and return (o, c, depth) per pre-order node; only
+    the side bits are read, so the labels are the caller's to check.
 
-    Vectorized: positions sorted stably by nesting level alternate
-    open/close within each level, giving the matching in one stable sort
-    (`_stable_order`, a linear radix sort while the height is below 2^16).
-    Once the depths are balanced the sides alternate, since a level's next
-    open needs the close that ends its last one, so one xor checks each
-    pair: an open and a close agree in the label iff their codes differ in
-    the side bit alone.  The partners are scattered by position, so each
-    node's close is read at its open.
+    Positions sorted stably by nesting level alternate open/close within
+    each level, since a level's next open needs the close that ends its last
+    one: one stable sort (`_stable_order`, a linear radix sort while the
+    height is below 2^16) gives the matching, and the partners are scattered
+    by position, so each node's close is read at its open.
     """
     m = len(codes)
     if m % 2 != 0:
         raise UnbalancedError("odd number of parentheses")
-    if m == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e.copy(), e.copy()
     sides = (codes & 1).astype(np.int8)
     E = np.cumsum(1 - 2 * sides, dtype=np.int64)
-    if E[-1] != 0 or E.min() < 0:
+    if m and (E[-1] != 0 or E.min() < 0):
         raise UnbalancedError("mismatched parenthesis depth")
     order = _stable_order(E + sides)  # open: level after push; close: before pop
-    po = order[0::2]
-    pc = order[1::2]
-    bad = np.flatnonzero(codes[po] ^ codes[pc] != 1)
-    if len(bad):
-        b = int(bad[0])
-        raise LabelMismatchError(
-            f"label of close at {int(pc[b])} differs from open at {int(po[b])}")
     at = np.empty(m, dtype=np.int64)
-    at[po] = pc
+    at[order[0::2]] = order[1::2]
     o = np.flatnonzero(sides == 0)
     return o, at[o], E[o] - 1
 
 
+def _node_codes(o: np.ndarray, c: np.ndarray, labels) -> np.ndarray:
+    """The code array with node u's parentheses at o[u] and c[u], both
+    labeled labels[u]."""
+    labels = np.asarray(labels, dtype=np.int64)
+    codes = np.empty(2 * len(o), dtype=np.int64)
+    codes[o] = labels << 1
+    codes[c] = (labels << 1) | 1
+    return codes
+
+
 class LabeledForest:
-    """Ordered rooted forest with per-node labels, ids in pre-order."""
+    """Ordered rooted forest with per-node labels, ids in pre-order.
+
+    `LabeledForest(codes)`, the checked entry, runs `_pair_parens`, then one
+    xor per node (an open and its close agree in the label iff their codes
+    differ in the side bit alone) and names the mismatch of least depth,
+    then least position.  `LabeledForest(codes, (o, c, depth))` trusts a
+    caller that paired `codes` and wrote each close from its open's label.
+    """
 
     __slots__ = ("n", "codes", "o", "c", "depth", "_node_at", "_height",
                  "_subtree_end")
 
     def __init__(self, codes: np.ndarray, _paired=None):
         self.codes = np.asarray(codes, dtype=np.int64)
-        if _paired is None:
-            _paired = _pair_parens(self.codes)
-        self.o, self.c, self.depth = _paired
+        self.o, self.c, self.depth = _paired or _pair_parens(self.codes)
         self.n = len(self.o)
         self._node_at = None
         self._height = None
         self._subtree_end = None
+        if _paired is None:
+            bad = np.flatnonzero(self.codes[self.o] ^ self.codes[self.c] != 1)
+            if len(bad):
+                b = bad[np.argmin(self.depth[bad])]
+                raise LabelMismatchError(f"label of close at {self.c[b]} "
+                                         f"differs from open at {self.o[b]}")
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def from_codes(codes) -> "LabeledForest":
-        """Build and re-validate a forest from raw character codes.
-
-        The single trusted constructor: raises UnbalancedError on depth
-        errors, LabelMismatchError when a closing label disagrees with its
-        opening partner.  Inside a query every rewrite reaches it through
-        `context.QueryContext.forest`, once per distinct code string.
-        """
-        return LabeledForest(np.asarray(codes, dtype=np.int64))
+        """The checked entry on any int sequence (UnbalancedError,
+        LabelMismatchError).  Inside a query every rewrite reaches it
+        through `context.QueryContext.forest`, once per distinct string."""
+        return LabeledForest(codes)
 
     # -- derived indexes ----------------------------------------------------
 
@@ -227,11 +232,7 @@ class LabeledForest:
 
     def relabeled_codes(self, labeling: np.ndarray) -> np.ndarray:
         """The code array of this forest with node u labeled labeling[u]."""
-        labeling = np.asarray(labeling, dtype=np.int64)
-        codes = np.empty(2 * self.n, dtype=np.int64)
-        codes[self.o] = labeling << 1
-        codes[self.c] = (labeling << 1) | 1
-        return codes
+        return _node_codes(self.o, self.c, labeling)
 
     # -- queries ------------------------------------------------------------
 
@@ -343,8 +344,6 @@ def parse_paren_text(text: str, interner: LabelInterner) -> LabeledForest:
     first[1:] &= ~word[:-1]
     starts = np.flatnonzero(first | (cls <= _CLOSE))
     m = len(starts)
-    if m == 0:
-        return LabeledForest.from_codes(np.empty(0, dtype=np.int64))
     last = word.copy()
     last[:-1] &= ~word[1:]
     ends = np.flatnonzero(last) + 1  # one past each word, in order
@@ -363,7 +362,7 @@ def parse_paren_text(text: str, interner: LabelInterner) -> LabeledForest:
     if not np.array_equal(is_label, after_open):
         bad = int(np.flatnonzero(is_label != after_open)[0])
         raise ParseError(f"unexpected token {token(bad)!r} at position {bad}")
-    if is_open[-1]:
+    if m and is_open[-1]:
         raise UnbalancedError("dangling '(' at end of input")
     labels = np.flatnonzero(is_label)
     label_at = starts[labels]
@@ -375,15 +374,12 @@ def parse_paren_text(text: str, interner: LabelInterner) -> LabeledForest:
     order = sorted(range(len(texts)), key=texts.__getitem__)
     lut = np.empty(len(texts), dtype=np.int64)
     lut[order] = [interner.intern(texts[i]) for i in order]
-    # pair on the sides alone (every label 0), then give each node its label
-    shape = LabeledForest((tok[~is_label] == _CLOSE).astype(np.int64))
-    return LabeledForest(shape.relabeled_codes(lut[local]),
-                         (shape.o, shape.c, shape.depth))
+    # pair on the sides alone, then give each node its label
+    o, c, depth = _pair_parens((tok[~is_label] == _CLOSE).astype(np.int8))
+    return LabeledForest(_node_codes(o, c, lut[local]), (o, c, depth))
 
 
 def serialize_paren(F: LabeledForest, interner: LabelInterner) -> str:
-    if F.n == 0:
-        return ""
     uniq, inverse = np.unique(F.labels, return_inverse=True)
     open_texts = np.array(["(" + interner.text(int(s)) for s in uniq],
                           dtype=object)
@@ -406,13 +402,14 @@ def parse_json_text(text: str, interner: LabelInterner) -> LabeledForest:
         raise ParseError("JSON nesting too deep") from None
     if not isinstance(data, list):
         raise ParseError("top level must be an array of trees")
-    codes: list[int] = []
+    sides: list[bool] = []
+    labels: list[int] = []  # per node, in pre-order
     checked: set[str] = set()
     stack = [(t, False) for t in reversed(data)]
     while stack:
         node, closing = stack.pop()
+        sides.append(closing)
         if closing:
-            codes.append(node)
             continue
         if not isinstance(node, dict) or "label" not in node:
             raise ParseError("tree objects need a 'label' field")
@@ -422,14 +419,14 @@ def parse_json_text(text: str, interner: LabelInterner) -> LabeledForest:
         if text not in checked:
             check_label(text)
             checked.add(text)
-        sym = interner.intern(text)
-        codes.append(sym << 1)
-        stack.append(((sym << 1) | 1, True))
+        labels.append(interner.intern(text))
+        stack.append((None, True))
         children = node.get("children", [])
         if not isinstance(children, list):
             raise ParseError("'children' must be an array")
         stack.extend((ch, False) for ch in reversed(children))
-    F = LabeledForest.from_codes(np.asarray(codes, dtype=np.int64))
+    o, c, depth = _pair_parens(np.array(sides, dtype=np.int8))
+    F = LabeledForest(_node_codes(o, c, labels), (o, c, depth))
     if F.height() > JSON_MAX_HEIGHT:
         raise ParseError("JSON nesting too deep")
     return F
@@ -441,8 +438,6 @@ def serialize_json(F: LabeledForest, interner: LabelInterner) -> str:
     JSON_MAX_HEIGHT levels, the bound `parse_json_text` holds its input to."""
     if F.height() > JSON_MAX_HEIGHT:
         raise ValueError(f"forest of height {F.height()} is too deep for JSON")
-    if F.n == 0:
-        return "[]"
     uniq, inverse = np.unique(F.labels, return_inverse=True)
     open_texts = np.array(['{"label": ' + json.dumps(interner.text(int(s)))
                            + ', "children": [' for s in uniq], dtype=object)

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ContractError, ParseError
-from .forest import LabeledForest, _pair_parens
+from .forest import LabeledForest
 from .indexes import compute_runs
 
 if TYPE_CHECKING:
@@ -39,14 +39,14 @@ def min_balance_rotations(codes: np.ndarray) -> int | None:
     Rotating just past the first minimum of the prefix balance (0 when it
     never drops below 0) is the smallest rotation whose balance stays >= 0:
     an earlier cut leaves that minimum's unmatched close in front.  Every
-    such rotation pairs the same parentheses, so `_pair_parens` on this one
-    decides.
+    such rotation pairs the same parentheses, so the checked constructor
+    `LabeledForest` on this one decides: it pairs, then tests the labels.
     """
     codes = np.asarray(codes, dtype=np.int64)
     E = np.cumsum(1 - 2 * (codes & 1))
     r = int(np.argmin(E)) + 1 if len(E) and E.min() < 0 else 0
     try:
-        _pair_parens(np.concatenate([codes[r:], codes[:r]]))
+        LabeledForest(np.concatenate([codes[r:], codes[:r]]))
     except ParseError:
         return None
     return r

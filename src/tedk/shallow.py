@@ -31,10 +31,7 @@ def lift_position_matching(F: LabeledForest, G: LabeledForest,
         to_y[pairs[:, 0]] = pairs[:, 1]
     yo = to_y[F.o]
     yc = to_y[F.c]
-    ok = (yo >= 0) & (yc >= 0)
-    if not ok.any():
-        return np.empty((0, 2), dtype=np.int64)
-    u = np.flatnonzero(ok)
+    u = np.flatnonzero((yo >= 0) & (yc >= 0))
     v = G.node_at[yo[u]]
     good = (G.o[v] == yo[u]) & (G.c[v] == yc[u])
     return np.stack([u[good], v[good]], axis=1)
@@ -44,7 +41,14 @@ def shallow_ted(F: LabeledForest, G: LabeledForest, h: int,
                 ctx: QueryContext) -> int | float:
     """ted_{<=k}(F, G) for forests of height at most h, for the threshold
     k = ctx.k and under the fingerprint base of the query context `ctx`.
-    The kernel DP's work counts are added to `ctx.timings`."""
+    The kernel DP's work counts are added to `ctx.timings`.
+
+    The shared matching M misses at most 15·e·kk^2·w nodes of F1 (kk = 2hk,
+    w = 2k, e = 18k), else ContractError.  A missed node has a parenthesis
+    the witness leaves unmatched (at most kk), one in a trimmed fragment
+    prefix (at most (kk + 1)·7·w·kk·e) or a breakpoint in its span (at most
+    kk·h, F1 being h high): the sum is within the bound as kk >= h + 1.
+    """
     k = ctx.k
     if h < 1:
         raise ValueError("need h >= 1")
@@ -60,9 +64,10 @@ def shallow_ted(F: LabeledForest, G: LabeledForest, h: int,
     except NoAlignmentError:
         return INF
     M = lift_position_matching(F1, G1, shared)
-    allowed_loss = 15 * (18 * k) * (2 * h * k) ** 2 * (2 * k)
+    allowed_loss = 15 * e * kk * kk * w
     if len(M) < F1.n - allowed_loss:
-        return INF
+        raise ContractError(f"shared matching of {len(M)} pairs misses more "
+                            f"than {allowed_loss} of {F1.n} nodes")
     # partial_reduce raises no CrossingMatchingError here: M lifts the
     # matched positions of one monotone alignment, so it increases strictly
     # on both sides, and each of its pairs holds equal look-ahead codes,

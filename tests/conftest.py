@@ -73,11 +73,14 @@ def deep_chain(rng, depth, syms, leaf_every=67):
 
 
 def validate(F):
-    """Re-check F's structural invariants against its codes."""
+    """Re-check F's structural invariants against its codes: the pairing,
+    then each node's close label against its open label."""
     o, c, depth = _pair_parens(F.codes)
     if not (np.array_equal(o, F.o) and np.array_equal(c, F.c)
             and np.array_equal(depth, F.depth)):
         raise ValueError("inconsistent cached position arrays")
+    if not np.array_equal(F.codes[o] >> 1, F.codes[c] >> 1):
+        raise ValueError("a close's label differs from its open's")
 
 
 def is_tree_alignment(A, F, G) -> bool:

@@ -19,12 +19,15 @@ import tedk
 import tedk.horizontal
 import tedk.labeling
 import tedk.partial
+import tedk.shallow
 import tedk.vertical
 from tedk.context import QueryContext
 from tedk.errors import ContractError, FingerprintCollisionError
+from tedk.forest import LabeledForest
 from tedk.horizontal import sync_reductions
 from tedk.labeling import JointLabeling, compat_refine, lookahead_refine
 from tedk.partial import reduce_height
+from tedk.shallow import shallow_ted
 from tedk.vertical import compute_contexts, vert_sync_reductions
 
 from conftest import forest, query
@@ -206,6 +209,20 @@ def test_vertical_endpoint_contract(interner, monkeypatch):
     monkeypatch.setattr(tedk.vertical, "compute_q", backward)
     with pytest.raises(ContractError):
         compute_contexts(F, query(1))
+
+
+def test_shallow_loss_contract(interner, rng, monkeypatch):
+    # a shared core that misses more nodes of F1 than the witness accounts
+    # for is an internal fault, not distance > k: at h = k = 1 the allowed
+    # loss is 15 * 18 * 2**2 * 2 = 2,160 of 3,000 distinct leaves
+    syms = rng.permutation([interner.intern(f"x{i}") for i in range(3000)])
+    codes = np.stack([syms << 1, (syms << 1) | 1], axis=1).ravel()
+    F, G = LabeledForest.from_codes(codes), LabeledForest.from_codes(codes)
+    assert shallow_ted(F, G, 1, query(1)) == 0
+    monkeypatch.setattr(tedk.shallow, "common_matching_core",
+                        lambda X, Y, k, w, e: np.empty((0, 2), dtype=np.int64))
+    with pytest.raises(ContractError, match="misses more than 2160 of 3000"):
+        shallow_ted(F, G, 1, query(1))
 
 
 OPTIMIZED_CHECKS = """

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import tedk.forest as forest_module
 from tedk.errors import LabelMismatchError, ParseError, UnbalancedError
 from tedk.forest import (JSON_MAX_HEIGHT, LabeledForest, LabelInterner,
                          _pair_parens, last_at_level, level_search,
@@ -166,10 +167,10 @@ def test_parse_matches_stack_parser(rng):
 
 
 def _pairing_error(codes):
-    """Reference validation: the (error type, message) that `_pair_parens`
-    raises on `codes`, or None.  A depth walk, then a stack walk whose pairs
-    are compared by nesting level, in position order within a level: the
-    order of the stable sort."""
+    """Reference validation: the (error type, message) that the checked
+    constructor `LabeledForest.from_codes` raises on `codes`, or None.  A
+    depth walk, then a stack walk whose pairs are compared by nesting level,
+    in position order within a level."""
     codes = [int(x) for x in codes]
     if len(codes) % 2:
         return UnbalancedError, "odd number of parentheses"
@@ -194,12 +195,20 @@ def _pairing_error(codes):
     return None
 
 
-def _raised(codes):
+def _raised(codes, build=LabeledForest.from_codes):
     try:
-        _pair_parens(np.asarray(codes, dtype=np.int64))
+        build(codes)
     except (UnbalancedError, LabelMismatchError) as exc:
         return type(exc), str(exc)
     return None
+
+
+def _check_pairing_errors(codes):
+    """`_pair_parens` raises the constructor's UnbalancedError and nothing
+    else: the labels are the constructor's to check."""
+    got = _raised(codes)
+    pairing = _raised(np.asarray(codes, dtype=np.int64), _pair_parens)
+    assert pairing == (got if got and got[0] is UnbalancedError else None)
 
 
 def test_pair_parens_errors_match_reference(rng):
@@ -210,6 +219,7 @@ def test_pair_parens_errors_match_reference(rng):
         "non-zero final depth": [a, b, b | 1, a],
         "mismatch on the deepest level": [a, b, c, d | 1, b | 1, a | 1],
         "mismatches on two levels": [a, b, c, d | 1, a | 1, a | 1],
+        "deeper mismatch first in pre-order": [a, b, c | 1, a | 1, b, c | 1],
         "negative labels": [a, -2, 1, a | 1],
     }
     want = {
@@ -221,11 +231,14 @@ def test_pair_parens_errors_match_reference(rng):
             LabelMismatchError, "label of close at 3 differs from open at 2"),
         "mismatches on two levels": (
             LabelMismatchError, "label of close at 4 differs from open at 1"),
+        "deeper mismatch first in pre-order": (
+            LabelMismatchError, "label of close at 5 differs from open at 4"),
         "negative labels": (
             LabelMismatchError, "label of close at 2 differs from open at 1"),
     }
     for name, codes in cases.items():
         assert _raised(codes) == _pairing_error(codes) == want[name], name
+        _check_pairing_errors(codes)
     # random strings near balance, labels from -2 to 2, with side and label
     # flips
     seen = set()
@@ -249,6 +262,7 @@ def test_pair_parens_errors_match_reference(rng):
                     codes[at] ^= int(rng.choice([1, 2, 4]))
         got = _raised(codes)
         assert got == _pairing_error(codes), codes
+        _check_pairing_errors(codes)
         seen.add(got[0] if got else None)
     assert seen == {None, UnbalancedError, LabelMismatchError}
 
@@ -367,6 +381,46 @@ def test_json_round_trip(interner, rng):
     deeper = '[{"label": "a", "children": ' * (h + 1) + "[]" + "}]" * (h + 1)
     with pytest.raises(ParseError, match="too deep"):
         parse_json_text(deeper, interner)
+
+
+def test_parsers_pair_once_and_build_one_forest(rng, monkeypatch):
+    # each parser pairs its parentheses once and builds its one forest
+    # through the trusted entry, and that forest is the one the text was
+    # written from: labels of up to 17 bytes, Unicode whitespace between
+    # the paren-text tokens, and the empty forest
+    calls = {"pair": 0, "trusted": 0, "checked": 0}
+    real_pair, real_init = forest_module._pair_parens, LabeledForest.__init__
+
+    def pair(codes):
+        calls["pair"] += 1
+        return real_pair(codes)
+
+    def init(self, codes, _paired=None):
+        calls["trusted" if _paired is not None else "checked"] += 1
+        real_init(self, codes, _paired)
+
+    monkeypatch.setattr(forest_module, "_pair_parens", pair)
+    monkeypatch.setattr(LabeledForest, "__init__", init)
+    gen = LabelInterner()
+    syms = np.array([gen.intern(t) for t in (
+        "a", "Z_9", "abcdefgh", "abcdefghi", "abcdefghijklmnopq")])
+    seps = np.array(["", " ", "\u2003", "\u00a0\n", "\u3000\x1c"])
+    for n in [0] + rng.integers(1, 40, 30).tolist():
+        F = random_forest(rng, n, 5, syms)
+        toks = TOKEN.findall(serialize_paren(F, gen))
+        text = "".join(rng.choice(seps, len(toks)) + np.array(toks, dtype=str))
+        for parse, source in ((parse_paren_text, text),
+                              (parse_json_text, serialize_json(F, gen))):
+            it = LabelInterner()
+            calls.update(pair=0, trusted=0, checked=0)
+            H = parse(source, it)
+            assert calls == {"pair": 1, "trusted": 1, "checked": 0}, source
+            validate(H)
+            assert [it.text(s) for s in (H.codes >> 1).tolist()] == [
+                gen.text(s) for s in (F.codes >> 1).tolist()]
+            assert all(np.array_equal(x, y) for x, y in
+                       zip((H.codes & 1, H.o, H.c, H.depth),
+                           (F.codes & 1, F.o, F.c, F.depth)))
 
 
 def test_serialize_json_matches_nested_dumps(interner, rng):
@@ -676,6 +730,12 @@ def test_validate_ok(interner, rng):
     syms = alphabet(interner, 2)
     F = random_forest(rng, 30, 4, syms)
     validate(F)
+    # the trusted entry takes its pairing as given; validate re-checks the
+    # labels of each node's two parentheses
+    codes = F.codes.copy()
+    codes[F.c[int(rng.integers(F.n))]] ^= 2
+    with pytest.raises(ValueError):
+        validate(LabeledForest(codes, (F.o, F.c, F.depth)))
 
 
 def test_interner_injective():

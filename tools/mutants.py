@@ -3,18 +3,19 @@ kill it.
 
 Usage, from the repository root:
 
-    python tools/mutants.py
+    python tools/mutants.py [NAME ...]
 
-Every mutant in MUTANTS runs.  Each replaces one exact snippet of one file
-with its replacement, in a temporary copy of `src/`, `tests/` and
-`pyproject.toml`, and runs its tests there with pytest.  A mutant is killed
-when those tests fail.  Before any mutant runs, the union of their tests
-must pass on the unmutated copy.  One line per mutant is printed:
-`killed`, `survived`, or `equivalent` for a survivor whose entry gives the
-reason no test can kill it.  The exit code is 0 when every mutant is
-killed or a known equivalent, 1 when another survives or a snippet no
-longer occurs exactly once (the entry is stale), and 2 when the unmutated
-tests fail.
+Every mutant in MUTANTS runs, or with NAME arguments only the named ones.
+Each replaces one exact snippet of one file with its replacement, in a
+temporary copy of `src/`, `tests/` and `pyproject.toml`, and runs its tests
+there with pytest.  A mutant is killed when those tests fail.  Before any
+mutant runs, the union of the running mutants' tests must pass on the
+unmutated copy.  One line per mutant is printed: `killed`, `survived`, or
+`equivalent` for a survivor whose entry gives the reason no test can kill
+it.  The exit code is 0 when every mutant is killed or a known equivalent,
+1 when another survives or a snippet no longer occurs exactly once (the
+entry is stale), and 2 when the unmutated tests fail or a NAME is unknown
+(the valid names are listed).
 
 The script needs no package beyond pytest and is not part of the test suite.
 """
@@ -136,8 +137,17 @@ MUTANTS = [
            "key = (d, int(G.depth[gi] - F.depth[fi]))", "key = (d, 0)",
            ("tests/test_oracle.py::test_dp_jump_counts_on_a_deep_chain",)),
     Mutant("pairing-test-ignores-negative-xor", "src/tedk/forest.py",
-           "codes[po] ^ codes[pc] != 1", "codes[po] ^ codes[pc] > 1",
+           "self.codes[self.o] ^ self.codes[self.c] != 1",
+           "self.codes[self.o] ^ self.codes[self.c] > 1",
            ("tests/test_forest.py::test_pair_parens_errors_match_reference",)),
+    Mutant("label-mismatch-first-in-pre-order", "src/tedk/forest.py",
+           "b = bad[np.argmin(self.depth[bad])]", "b = bad[0]",
+           ("tests/test_forest.py::test_pair_parens_errors_match_reference",)),
+    Mutant("shallow-loss-returns-inf", "src/tedk/shallow.py",
+           'raise ContractError(f"shared matching of {len(M)} pairs misses more "\n'
+           '                            f"than {allowed_loss} of {F1.n} nodes")',
+           "return INF",
+           ("tests/test_contracts.py::test_shallow_loss_contract",)),
     Mutant("compat-gather-unpadded", "src/tedk/labeling.py",
            "at = F.o + (off + w)", "at = F.o + (off)",
            ("tests/test_labeling.py::test_compat_refine_matches_naive_closure",)),
@@ -261,15 +271,22 @@ def run_mutant(m: Mutant) -> str:
     return "equivalent" if m.equivalent else "survived"
 
 
-def main() -> int:
-    tests = sorted({t for m in MUTANTS for t in m.tests})
+def main(names: list[str]) -> int:
+    valid = [m.name for m in MUTANTS]
+    unknown = [name for name in names if name not in valid]
+    if unknown:
+        print(f"unknown mutant: {', '.join(unknown)}; valid names:",
+              *valid, sep="\n  ", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    tests = sorted({t for m in chosen for t in m.tests})
     with tempfile.TemporaryDirectory(prefix="tedk-mutant-") as tmp:
         _copy_tree(Path(tmp))
         if not _pytest(Path(tmp), tests):
             print("the mutants' tests fail on the unmutated code")
             return 2
     bad = 0
-    for m in MUTANTS:
+    for m in chosen:
         outcome = run_mutant(m)
         bad += outcome in ("survived", "stale")
         reason = f"  ({m.equivalent})" if outcome == "equivalent" else ""
@@ -278,4 +295,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
