@@ -114,26 +114,6 @@ def _lce(X: np.ndarray, Y: np.ndarray, Xm: memoryview, Ym: memoryview,
     return n
 
 
-def _mismatch_run(X: np.ndarray, Y: np.ndarray, row: list, w: int,
-                  most: int) -> int:
-    """Largest t <= most such that X[x + s] != Y[x + j + s] for every step
-    s in 1..t and every diagonal j in [-w..w], where x = row[j + w]."""
-    t = 0
-    chunk = 16
-    while t < most:
-        step = min(chunk, most - t)
-        ok = np.ones(step, dtype=bool)
-        for j in range(-w, w + 1):
-            x = row[j + w] + t + 1
-            ok &= X[x:x + step] != Y[x + j:x + j + step]
-        bad = np.flatnonzero(~ok)
-        if len(bad):
-            return t + int(bad[0])
-        t += step
-        chunk *= 2
-    return t
-
-
 def greedy_bounded_align(X, Y, k: int, w: int) -> np.ndarray | None:
     """A greedy witness of cost <= k and width <= w, or None if none exists.
 
@@ -142,15 +122,6 @@ def greedy_bounded_align(X, Y, k: int, w: int) -> np.ndarray | None:
     clamped, and a free "stay" candidate keeps each column monotone, so the
     traceback can follow exact furthest values.  Deterministic: on ties the
     predecessor preference is deletion, then insertion, then substitution.
-
-    Away from the sequence ends, the next cost level is the current one
-    advanced by the same relative choices, so its values depend only on the
-    current values up to a common shift.  When a level is its predecessor
-    shifted by +1 and slid nowhere, the following levels are it shifted by
-    +1, +2, ... with the same choices for as long as every diagonal keeps
-    meeting a mismatch; such a run of levels is filled in directly.  Long
-    runs of mismatches (a relabeled ancestor chain) then cost little per
-    level.
     """
     X, Y = as_codes(X), as_codes(Y)
     if w < 0 or k < w:
@@ -160,16 +131,11 @@ def greedy_bounded_align(X, Y, k: int, w: int) -> np.ndarray | None:
     if abs(delta) > w:
         return None
     Xm, Ym = memoryview(X), memoryview(Y)
-    k_eff = min(k, nx + ny)
     width = 2 * w + 1
-    end = min(nx, ny - w)  # least sequence limit over the band
     reach: list[list[int]] = []   # furthest x per diagonal, NEG if unreachable
     starts: list[list[int]] = []  # pre-slide x of the recorded predecessor
     ops: list[list[int]] = []     # 0 stay/seed, 1 del, 2 ins, 3 sub
-    shift: list[int] = []         # level i's values are reach[i] + shift[i]
-    found = -1
-    i = 0
-    while i <= k_eff:
+    for i in range(min(k, nx + ny) + 1):
         row = [_NEG] * width
         row_s = [_NEG] * width
         row_op = [0] * width
@@ -202,49 +168,21 @@ def greedy_bounded_align(X, Y, k: int, w: int) -> np.ndarray | None:
         reach.append(row)
         starts.append(row_s)
         ops.append(row_op)
-        shift.append(0)
         if row[delta + w] >= nx:
-            found = i
             break
-        if (i and row == row_s and min(prev) >= 0
-                and all(x - p == 1 for x, p in zip(row, prev))):
-            run = _mismatch_run(X, Y, row, w,
-                                min(k_eff - i, end - max(row) - 1))
-            if run:
-                # levels i+1 .. i+run-1 share this row's lists with a
-                # shift; the last one is built, as the next level reads it
-                reach.extend([row] * (run - 1))
-                starts.extend([row] * (run - 1))
-                ops.extend([row_op] * run)
-                shift.extend(range(1, run))
-                last = [x + run for x in row]
-                reach.append(last)
-                starts.append(last)
-                shift.append(0)
-                i += run
-        i += 1
-    if found < 0:
+    else:
         return None
 
     # traceback along exact furthest values (invariant: x == reach[i][j]).
     # Each visited cell contributes the diagonal segment [s..x]; the edit
     # step between consecutive cells is exactly the one-unit gap between
     # segment endpoints, so concatenating the segments yields the alignment.
-    # A substitution inside a run of shifted levels leads to the same
-    # choice on the level below, so the path goes straight down the diagonal
-    # to the level the run was built from, as one segment.
     descs: list[tuple[int, int, int]] = []  # (s, x, j), collected backwards
-    i, j, x = found, delta, nx
+    i, j, x = len(reach) - 1, delta, nx
     while True:
-        while i > 0 and reach[i - 1][j + w] + shift[i - 1] >= x:
+        while i > 0 and reach[i - 1][j + w] >= x:
             i -= 1
-        if shift[i] and ops[i][j + w] == 3:
-            i -= shift[i]
-            s = reach[i][j + w] + 1
-            descs.append((s, x, j))
-            x = s - 1
-            continue
-        s = starts[i][j + w] + shift[i]
+        s = starts[i][j + w]
         descs.append((s, x, j))
         x = s
         if i == 0:
@@ -268,15 +206,29 @@ def greedy_bounded_align(X, Y, k: int, w: int) -> np.ndarray | None:
 def common_matching_core(X, Y, k: int, w: int, e: int) -> np.ndarray:
     """Match pairs shared by every greedy (cost<=k, width<=w) alignment.
 
-    Builds one witness and drops the first 7*w*k*e matches of each maximal
-    perfectly matched fragment.  Raises NoAlignmentError when no alignment
-    fits the budget.  Caller guarantees the periodicity precondition.
+    Builds one witness and drops the first trim = 7*w*k*e matches of each
+    maximal perfectly matched fragment.  Raises NoAlignmentError when the
+    lengths differ by more than w, or when the witness search finds no
+    alignment within the budget.  Caller guarantees the periodicity
+    precondition.
+
+    A fragment of consecutive matches holds at most min(|X|, |Y|) of them,
+    and a match is kept only after trim earlier ones in its fragment.  So
+    when min(|X|, |Y|) <= trim, every alignment's core is empty: the empty
+    core is returned without building a witness, and whether the cost
+    budget admits an alignment at all is left to the caller.
     """
     X, Y = as_codes(X), as_codes(Y)
+    if w < 0 or k < w:
+        raise ValueError("need 0 <= w <= k")
+    if abs(len(X) - len(Y)) > w:
+        raise NoAlignmentError(f"no alignment with width <= {w}")
+    trim = 7 * w * k * e
+    if min(len(X), len(Y)) <= trim:
+        return np.empty((0, 2), dtype=np.int64)
     A = greedy_bounded_align(X, Y, k, w)
     if A is None:
         raise NoAlignmentError(f"no alignment with cost <= {k}, width <= {w}")
-    trim = 7 * w * k * e
     mask = _match_mask(A, X, Y)
     idx = np.arange(len(mask), dtype=np.int64)
     run_start = np.maximum.accumulate(np.where(~mask, idx + 1, 0))

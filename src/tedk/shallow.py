@@ -48,6 +48,15 @@ def shallow_ted(F: LabeledForest, G: LabeledForest, h: int,
     the witness leaves unmatched (at most kk), one in a trimmed fragment
     prefix (at most (kk + 1)·7·w·kk·e) or a breakpoint in its span (at most
     kk·h, F1 being h high): the sum is within the bound as kk >= h + 1.
+    When the core is empty because the sequences are too short for a match
+    to outlive the trim = 7·w·kk·e, no witness is built; then the width exit
+    gives 2·F1.n <= min(2·F1.n, 2·G1.n) + w <= trim + w, so F1.n <= (trim +
+    w)/2 <= 15·e·kk^2·w as well.
+
+    INF is returned before the DP when the core raises NoAlignmentError:
+    the sequence lengths differ by more than w, or a witness is built and
+    none fits the budget.  Below the trim scale no witness is built, and the
+    exact DP answers INF itself.
     """
     k = ctx.k
     if h < 1:

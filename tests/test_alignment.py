@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tedk.alignment
 from tedk.alignment import (as_codes, common_matching_core, eval_alignment,
                             greedy_bounded_align, is_greedy)
 from tedk.errors import MalformedAlignmentError, NoAlignmentError
@@ -160,7 +161,7 @@ _NEG = -(1 << 60)
 
 def _greedy_align_rowwise(X, Y, k, w):
     """greedy_bounded_align computed one cost level and one diagonal at a
-    time, with a plain LCE loop: the reference for its mismatch-run path."""
+    time, with a plain LCE loop: the reference for the whole aligner."""
     X, Y = as_codes(X).tolist(), as_codes(Y).tolist()
     nx, ny = len(X), len(Y)
     delta = ny - nx
@@ -333,6 +334,40 @@ def test_common_matching_two_fragments(rng):
     assert M.tolist() == want
     with pytest.raises(NoAlignmentError):
         common_matching_core("aaa", "bbb", 1, 0, 1)
+
+
+def test_common_matching_exits_before_the_size_test():
+    # the arguments are checked, and lengths further apart than w refused,
+    # even where the trim (14 and 42 here) covers both strings
+    with pytest.raises(ValueError):
+        common_matching_core("ab", "ab", 1, 2, 1)
+    with pytest.raises(NoAlignmentError):
+        common_matching_core("abcd", "a", 3, 2, 1)
+
+
+def test_common_matching_builds_a_witness_only_above_the_trim(rng, monkeypatch):
+    # the skip never changes a value, so count the witness searches: one
+    # runs exactly when min(|X|, |Y|) > trim, and below that the core is
+    # empty
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return greedy_bounded_align(*args)
+
+    monkeypatch.setattr(tedk.alignment, "greedy_bounded_align", counted)
+    for k, w, e in ((1, 1, 1), (2, 1, 3), (3, 2, 1)):
+        trim = 7 * w * k * e
+        for n in (trim - 1, trim, trim + 1):
+            for d in range(-w, w + 1):
+                X = rng.integers(0, 3, n)
+                Y = np.concatenate([X, rng.integers(0, 3, w)])[:n + d]
+                before = len(calls)
+                M = common_matching_core(X, Y, k, w, e)
+                built = len(calls) - before
+                assert built == (min(len(X), len(Y)) > trim), (k, w, e, n, d)
+                if not built:
+                    assert M.shape == (0, 2) and M.dtype == np.int64
 
 
 def test_common_matching_contained_in_every_greedy_witness(rng):

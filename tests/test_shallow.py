@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import tedk.shallow
+from tedk.alignment import greedy_bounded_align
 from tedk.errors import ContractError, CrossingMatchingError
 from tedk.generate import alphabet, apply_random_edits, planted_pair, random_forest
 from tedk.context import QueryContext
+from tedk.forest import LabeledForest
 from tedk.oracle import INF, ted_threshold
 from tedk.shallow import shallow_ted
 
@@ -69,6 +71,39 @@ def test_no_false_infinity(interner, rng):
         h = max(F.height(), G.height(), 1)
         if shallow_ted(F, G, h, QueryContext(k, BASE + t)) == INF:
             assert ted_threshold(F, G, k) == INF
+
+
+def test_lengths_past_the_width_answer_inf(interner, rng):
+    # 3,000 distinct leaves against one at h = k = 1: the sequences differ
+    # in length by far more than w = 2, and the core's width exit answers
+    # INF.  The trim of 504 covers the one-leaf side, so without that exit
+    # the core would be empty and its 3,000 missed nodes would break the
+    # allowed loss of 2,160
+    syms = rng.permutation([interner.intern(f"x{i}") for i in range(3000)])
+    codes = np.stack([syms << 1, (syms << 1) | 1], axis=1).ravel()
+    F = LabeledForest.from_codes(codes)
+    G = LabeledForest.from_codes(codes[:2])
+    assert shallow_ted(F, G, 1, QueryContext(1, BASE)) == INF
+
+
+def test_no_witness_below_the_trim_reaches_the_dp(interner, monkeypatch):
+    # no alignment of cost <= kk = 2 exists (the labels refine into the
+    # look-ahead labels, so those mismatch too), but the 8 positions are
+    # below the trim of 504: the core is empty without a witness search and
+    # the exact DP, not an early exit, answers INF
+    F = forest("(a)(b)(c)(d)", interner)
+    G = forest("(e)(f)(g)(h)", interner)
+    assert greedy_bounded_align(F.codes, G.codes, 2, 2) is None
+    solved = []
+
+    def counted(*args, **kwargs):
+        solved.append(args)
+        return ted_threshold(*args, **kwargs)
+
+    monkeypatch.setattr(tedk.shallow, "ted_threshold", counted)
+    assert shallow_ted(F, G, 1, QueryContext(1, BASE)) == \
+        ted_threshold(F, G, 1) == INF
+    assert len(solved) == 1
 
 
 def test_residual_size_contract(interner, rng, monkeypatch):

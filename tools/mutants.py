@@ -159,6 +159,17 @@ MUTANTS = [
            "keep = mask & (within >= trim)", "keep = mask & (within > trim)",
            ("tests/test_alignment.py::test_common_matching_trivial_formula",
             "tests/test_alignment.py::test_common_matching_two_fragments")),
+    Mutant("core-builds-no-witness", "src/tedk/alignment.py",
+           "if min(len(X), len(Y)) <= trim:", "if True:",
+           ("tests/test_alignment.py::test_common_matching_two_fragments",)),
+    Mutant("core-skips-width-exit", "src/tedk/alignment.py",
+           "    if abs(len(X) - len(Y)) > w:\n"
+           '        raise NoAlignmentError(f"no alignment with width <= {w}")\n',
+           "",
+           ("tests/test_shallow.py::test_lengths_past_the_width_answer_inf",)),
+    Mutant("core-size-test-strict", "src/tedk/alignment.py",
+           "if min(len(X), len(Y)) <= trim:", "if min(len(X), len(Y)) < trim:",
+           ("tests/test_alignment.py::test_common_matching_builds_a_witness_only_above_the_trim",)),
     Mutant("eval-skips-end-check", "src/tedk/alignment.py",
            "if A[-1, 0] != len(X) or A[-1, 1] != len(Y):", "if False:",
            ("tests/test_alignment.py::test_eval_examples",
