@@ -1,25 +1,24 @@
 """Karp-Rabin fingerprints modulo the Mersenne prime 2^61 - 1.
 
 One random base is drawn per query from the engine's seeded RNG and shared
-by every sequence that has to be comparable (both forests, refined
-labelings, context keys).  The query's context (`context.QueryContext`)
-holds the base, two tables (the powers of the base and of its inverse),
-which `grow_powers` extends to exactly the length asked for with one
-multiply-mod call per row of up to 8,192 new entries, and the prefix
-tables (`HashedSeq`) of its code strings.  A prefix table weighs each code
-by the power of the base that counts the codes after it, so it is one
-multiply-mod and one sum; a substring's fingerprint then takes one multiply
-by an inverse power.
+by every sequence that has to be comparable: the code strings of both
+forests.  The query's context (`context.QueryContext`) holds the base, two
+tables (the powers of the base and of its inverse), which `grow_powers`
+extends to exactly the length asked for with one multiply-mod call, and
+the prefix tables (`HashedSeq`) of its code strings.  A prefix table
+weighs each code by the power of the base that counts the codes after it,
+so it is one multiply-mod and one sum; a substring's fingerprint then
+takes one subtraction and one multiply by an inverse power.
 
 Tables and queries are vectorized with a 128-bit-safe uint64 multiply-mod
 that works in place on a few buffers; sums mod 2^61-1 add the 32-bit halves
-of their terms separately, then fold them.  Every pass over a long array
-goes in blocks of _ROW = 8,192 entries, so its temporaries stay 64 KiB long
-and are reused from the heap instead of page-faulting in fresh mappings:
-the multiply-mod over its flattened output, the prefix table one block of
-codes at a time (digits, fold, weighing and the block's prefix sums, plus
-the prefix carried over from the block before), and substring queries one
-block of pairs at a time.
+of their terms separately, then fold them.  The multiply-mod is the one
+routine that works in blocks: it computes its flattened output _ROW =
+8,192 entries at a time, so its up to six temporaries (the operands'
+halves and two partial products) stay 64 KiB long and are reused from the
+heap; over a whole long array they would be served by fresh mappings that
+page-fault on first touch, several times slower.  Every other pass runs
+over the whole array at once.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ if TYPE_CHECKING:
 M61 = (1 << 61) - 1
 _MASK32 = (1 << 32) - 1
 _U61 = np.uint64(M61)
-_ROW = 1 << 13  # entries per block of a pass: 64 KiB of uint64
+_ROW = 1 << 13  # entries per block of the multiply-mod: 64 KiB of uint64
 
 
 def _reduce_once(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
@@ -147,70 +146,52 @@ def grow_powers(pw: np.ndarray, base: int, n: int) -> np.ndarray:
     """A power table base^0 .. base^(n-1): `pw` itself when it is long
     enough, else a new table of exactly n entries that starts with `pw`.
 
-    The r missing entries are rows of w = min(r, _ROW) entries.  One
-    multiply-mod call makes the first row, base^len(pw) .. on, as a column
-    of the powers of base^c from base^len(pw) on times a row of the first
-    c powers, with c about the square root of w; each later row is the
-    first times base^(its offset from the first), one call per row.  So a
-    growth by at most _ROW entries takes one call, and the temporaries
-    stay w entries long: one call over a whole large table streams
-    several table-sized temporaries through memory and is slower.
+    The r missing entries, base^len(pw) on, are one multiply-mod call: a
+    column of the powers of base^c from base^len(pw) on, times a row of
+    the first c powers, with c = ceil(sqrt(r)), of which the first r
+    entries are kept.
     """
     size = len(pw)
     if size >= n:
         return pw
+    r = n - size
+    c = math.isqrt(r - 1) + 1
+    heads = _geometric(pow(base, size, M61), pow(base, c, M61), -(-r // c))
     out = np.empty(n, dtype=np.uint64)
     out[:size] = pw
-    width = min(n - size, _ROW)
-    c = math.isqrt(width - 1) + 1
-    heads = _geometric(pow(base, size, M61), pow(base, c, M61), -(-width // c))
-    first = mulmod_vec(heads[:, None], _geometric(1, base, c)).ravel()[:width]
-    out[size:size + width] = first
-    for at in range(size + width, n, width):
-        m = min(width, n - at)
-        mulmod_vec(first[:m], pow(base, at - size, M61), out=out[at:at + m])
+    out[size:] = mulmod_vec(heads[:, None], _geometric(1, base, c)).ravel()[:r]
     return out
 
 
 class HashedSeq:
     """Prefix-hash table over one integer sequence; O(1) substring queries.
 
-    The table keeps views of the first n + 1 powers and inverse powers of
-    the query context `ctx`, not the context: a context and its tables form
-    no reference cycle, so they are freed as soon as the query drops it.
+    P[i] = sum_{j<i} digit_j * base^(n-1-j), with digit_j = code_j + 1: the
+    digits of all codes, folded, weighed by the reversed power table in one
+    multiply-mod and summed by one modular cumsum.  The table keeps views
+    of the first n + 1 powers and inverse powers of the query context
+    `ctx`, not the context: a context and its tables form no reference
+    cycle, so they are freed as soon as the query drops it.
     """
 
     def __init__(self, codes: np.ndarray, ctx: QueryContext):
         self.n = n = len(codes)
         self.pw = pw = ctx.powers(n + 1)
         self.ipw = ctx.inverse_powers(n + 1)
-        # P[i] = sum_{j<i} digit_j * base^(n-1-j), digit_j = code_j + 1,
-        # one block of _ROW codes at a time: the block's digits, folded and
-        # weighed by their powers, summed from the prefix carried over
-        codes = np.asarray(codes)
-        P = np.zeros(n + 1, dtype=np.uint64)
-        for at in range(0, n, _ROW):
-            end = min(at + _ROW, n)
-            terms = codes[at:end].astype(np.uint64)
-            terms += np.uint64(1)
-            _fold(terms)
-            mulmod_vec(terms, pw[n - end:n - at][::-1], out=terms)
-            block = P[at + 1:end + 1]
-            block[:] = sum_mod(terms, np.cumsum)
-            block += P[at]  # the prefix carried into the block
-            _reduce_once(block)
-        self.P = P
+        terms = np.asarray(codes).astype(np.uint64)
+        terms += np.uint64(1)
+        _fold(terms)
+        mulmod_vec(terms, pw[:n][::-1], out=terms)
+        self.P = np.zeros(n + 1, dtype=np.uint64)
+        self.P[1:] = sum_mod(terms, np.cumsum)
 
     def substring_vec(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Fingerprints of positions [i..j) per pair, sum_{i<=t<j} digit_t *
         base^(j-1-t) = (P[j] - P[i]) * base^-(n-j); empty ranges hash to 0.
-        The pairs go in blocks of _ROW."""
-        out = np.empty(len(i), dtype=np.uint64)
-        for at in range(0, len(out), _ROW):
-            jb = j[at:at + _ROW]
-            sub = np.subtract(_U61, self.P[i[at:at + _ROW]],
-                              out=out[at:at + _ROW])
-            sub += self.P[jb]
-            _reduce_once(sub)
-            mulmod_vec(sub, self.ipw[self.n - jb], out=sub)
-        return out
+        One subtraction pass over all pairs, then one multiply-mod by
+        their inverse powers."""
+        sub = self.P[i]
+        np.subtract(_U61, sub, out=sub)
+        sub += self.P[j]
+        _reduce_once(sub)
+        return mulmod_vec(sub, self.ipw[self.n - j], out=sub)

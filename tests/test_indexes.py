@@ -190,12 +190,13 @@ def test_prefix_and_power_tables_match_integers(rng):
 
 
 def test_grow_powers_across_block_edges(rng):
-    # the r new entries are rows of min(r, _ROW), the first an outer
-    # product of c = ceil(sqrt(width)) columns: growth from short and long
-    # tables to lengths at and around every square, every row count and
-    # the row width equals the powers by repeated multiplication, has
-    # exactly the length asked for, and leaves the table it grew from (and
-    # views of it) unchanged
+    # the r new entries are one outer product of a column of heads by a
+    # row of c = ceil(sqrt(r)) powers, cut to r; growths around _ROW and
+    # its multiples cross mulmod_vec's block edges.  Growth from short and
+    # long tables to lengths at and around every square and those edges
+    # equals the powers by repeated multiplication, has exactly the length
+    # asked for, and leaves the table it grew from (and views of it)
+    # unchanged
     base = int(rng.integers(1 << 10, M61 - 2))
     growth = {1, 2, 3}
     for q in range(1, 13):
@@ -224,10 +225,10 @@ def test_grow_powers_across_block_edges(rng):
 
 
 def test_prefix_blocks_match_integers(rng):
-    # the prefix table is summed in blocks of _ROW codes, each from the
-    # prefix carried over, and substrings are hashed in blocks of _ROW
-    # pairs: lengths around one and three blocks, every prefix, and ranges
-    # that start or end at a block edge or cross one
+    # the prefix table and substring hashes are whole-array passes whose
+    # multiply-mods run in blocks of _ROW: lengths around one and three of
+    # mulmod_vec's blocks, every prefix, and ranges that start or end at a
+    # block edge or cross one
     base = int(rng.integers(1 << 10, M61 - 2))
     for n in (0, 1, _ROW - 1, _ROW, _ROW + 1, 3 * _ROW + 5):
         codes = rng.integers(0, 1 << 40, n)

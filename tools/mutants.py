@@ -159,6 +159,9 @@ MUTANTS = [
            "keep = mask & (within >= trim)", "keep = mask & (within > trim)",
            ("tests/test_alignment.py::test_common_matching_trivial_formula",
             "tests/test_alignment.py::test_common_matching_two_fragments")),
+    Mutant("core-keeps-untrimmed", "src/tedk/alignment.py",
+           "keep = mask & (within >= trim)", "keep = mask",
+           ("tests/test_alignment.py::test_common_matching_contained_in_every_greedy_witness",)),
     Mutant("core-builds-no-witness", "src/tedk/alignment.py",
            "if min(len(X), len(Y)) <= trim:", "if True:",
            ("tests/test_alignment.py::test_common_matching_two_fragments",)),
@@ -201,15 +204,15 @@ MUTANTS = [
            "q_r * e - 1", "q_r * e",
            ("tests/test_vertical.py::test_vert_reduction_preserves_distance",
             "tests/test_vertical.py::test_vert_sites_of_a_chain_pair")),
-    Mutant("powers-fill-off-by-one", "src/tedk/hashing.py",
-           "pow(base, at - size, M61)", "pow(base, at - size - 1, M61)",
+    Mutant("powers-head-off-by-one", "src/tedk/hashing.py",
+           "pow(base, size, M61)", "pow(base, size + 1, M61)",
            ("tests/test_indexes.py::test_grow_powers_across_block_edges",)),
     Mutant("inverse-power-off-by-one", "src/tedk/hashing.py",
-           "self.ipw[self.n - jb]", "self.ipw[self.n - jb - 1]",
+           "self.ipw[self.n - j]", "self.ipw[self.n - j - 1]",
            ("tests/test_indexes.py::test_prefix_and_power_tables_match_integers",)),
-    Mutant("prefix-block-drops-carry", "src/tedk/hashing.py",
-           "block += P[at]", "block += 0",
-           ("tests/test_indexes.py::test_prefix_blocks_match_integers",)),
+    Mutant("prefix-powers-shifted", "src/tedk/hashing.py",
+           "pw[:n][::-1]", "pw[1:n + 1][::-1]",
+           ("tests/test_indexes.py::test_prefix_and_power_tables_match_integers",)),
     Mutant("compat-one-side-without-label-identity", "src/tedk/labeling.py",
            "one_side = G is F and lab.g is lab.f", "one_side = G is F",
            ("tests/test_labeling.py::test_compat_one_side_equals_two_sides",)),
