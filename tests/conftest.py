@@ -133,9 +133,21 @@ def ted_constrained(F, G, M):
         return INF
     if len(M) == 0:
         return ted_exact(F, G)
-    F1, G1, M1 = reduce_height(F, G, M, query(1))
-    F2, G2 = gadget(F1, G1, M1, query(F1.n + G1.n))
-    return ted_exact(F2, G2)
+    codes_f, codes_g, P = reduce_height(F, G, M)
+    k = (len(codes_f) + len(codes_g)) // 2
+    return ted_exact(*map(LabeledForest.from_codes,
+                          gadget(codes_f, codes_g, P, k)))
+
+
+def as_forests(codes_f, codes_g, P):
+    """(F, G, M) for two rewritten strings and the opening positions P of
+    their matched pairs: each position must open a node, whose pre-order id
+    is its rank among the opens."""
+    F, G = LabeledForest.from_codes(codes_f), LabeledForest.from_codes(codes_g)
+    M = np.stack([np.searchsorted(F.o, P[:, 0]),
+                  np.searchsorted(G.o, P[:, 1])], axis=1)
+    assert (F.o[M[:, 0]] == P[:, 0]).all() and (G.o[M[:, 1]] == P[:, 1]).all()
+    return F, G, M
 
 
 @st.composite

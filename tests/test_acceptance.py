@@ -217,14 +217,13 @@ def test_criterion_6_partial_matching_contracts():
                 break
         M = np.array(pairs, dtype=np.int64).reshape(-1, 2)
         k = int(rng.integers(1, 5))
-        ctx = query(k)
-        F1, G1, M1 = reduce_height(F, G, M, ctx)
-        F2, G2, M2 = prune_redundant(F1, G1, M1, ctx)
-        bad_bound += 5 * len(M2) > 2 * (F2.n + G2.n + 1)
-        F3, G3 = gadget(F2, G2, M2, ctx)
-        bad_gadget += (F3.n != F2.n + (k + 1) * len(M2)
-                       or G3.n != G2.n + (k + 1) * len(M2))
-        got = ted_threshold(*partial_reduce(F, G, M, ctx), k)
+        # sizes in nodes, from the lengths of the rewritten code strings
+        f2, g2, P2 = prune_redundant(*reduce_height(F, G, M))
+        bad_bound += 5 * len(P2) > 2 * (len(f2) // 2 + len(g2) // 2 + 1)
+        f3, g3 = gadget(f2, g2, P2, k)
+        bad_gadget += (len(f3) // 2 != len(f2) // 2 + (k + 1) * len(P2)
+                       or len(g3) // 2 != len(g2) // 2 + (k + 1) * len(P2))
+        got = ted_threshold(*partial_reduce(F, G, M, query(k)), k)
         want = ted_constrained(F, G, M)
         bad_equal += got != (want if want <= k else INF)
         cases += 1

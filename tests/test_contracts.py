@@ -128,6 +128,28 @@ def test_no_unused_names_in_package():
     assert unused == []
 
 
+def test_no_unread_parameters_in_package():
+    # every parameter of a function, method or lambda in the package is
+    # read in its body, nested functions included; the one exception is
+    # `engine.run`'s `interner`, which the benchmark's worker still passes
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda)):
+                continue
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args
+                      + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            reads = {node.id for stmt in body for node in ast.walk(stmt)
+                     if isinstance(node, ast.Name)
+                     and isinstance(node.ctx, ast.Load)}
+            name = f"{path.stem}.{getattr(fn, 'name', '<lambda>')}"
+            unread += [(name, p, fn.lineno) for p in params if p not in reads]
+    assert [u[:2] for u in unread] == [("engine.run", "interner")], unread
+
+
 def test_labeling_refines_contract(interner, monkeypatch):
     # the look-ahead checks each forest's classes against its own labels:
     # G's are F's reversed, so neither forest's labels stand in for both
@@ -175,7 +197,7 @@ def test_partial_leaf_contract(interner, monkeypatch):
     monkeypatch.setattr(tedk.partial, "_marked_class",
                         lambda H, marked: np.zeros(H.n, dtype=np.int64))
     with pytest.raises(ContractError):
-        reduce_height(F, F, [[0, 0]], query(1))
+        reduce_height(F, F, [[0, 0]])
 
 
 def test_horizontal_overlap_contract(interner, monkeypatch):

@@ -10,8 +10,8 @@ from tedk.partial import (_marked_class, gadget, partial_reduce,
                           prune_redundant, reduce_height, validate_matching)
 from tedk.selftest import ted_brute_constrained
 
-from conftest import (VIRTUAL_ROOT, deep_chain, forest, query, stack_walk,
-                      ted_constrained)
+from conftest import (VIRTUAL_ROOT, as_forests, deep_chain, forest, query,
+                      stack_walk, ted_constrained)
 from reference import parents
 
 
@@ -37,15 +37,15 @@ def test_reduce_height_empty_matching(interner, rng):
     syms = alphabet(interner, 2)
     F = random_forest(rng, 10, 4, syms)
     G = random_forest(rng, 9, 4, syms)
-    F2, G2, M2 = reduce_height(F, G, np.empty((0, 2), dtype=np.int64),
-                               query(1))
-    assert F2 == F and G2 == G and len(M2) == 0
+    codes_f, codes_g, P = reduce_height(F, G, np.empty((0, 2), dtype=np.int64))
+    assert codes_f is F.codes and codes_g is G.codes and len(P) == 0
 
 
 def test_reduce_height_single_pair_sizes(interner):
     F = forest("(a(b)(c))", interner)
     G = forest("(a(b)(x))", interner)
-    F2, G2, M2 = reduce_height(F, G, [(0, 0)], query(1))
+    codes_f, codes_g, P = reduce_height(F, G, [(0, 0)])
+    F2, G2, M2 = as_forests(codes_f, codes_g, P)
     assert F2.n == F.n + 1 and G2.n == G.n + 1 and len(M2) == 2
     # every matched node is a leaf
     assert (F2.c[M2[:, 0]] == F2.o[M2[:, 0]] + 1).all()
@@ -55,7 +55,7 @@ def test_reduce_height_crossing_raises(interner):
     F = forest("(a)(b)", interner)
     G = forest("(b)(a)", interner)
     with pytest.raises(CrossingMatchingError):
-        reduce_height(F, G, [(0, 1), (1, 0)], query(1))
+        reduce_height(F, G, [(0, 1), (1, 0)])
 
 
 def test_reduce_height_preserves_constrained_distance(interner, rng):
@@ -69,7 +69,7 @@ def test_reduce_height_preserves_constrained_distance(interner, rng):
         M = random_matching(rng, F, G, tries=2)
         if len(M) == 0:
             continue
-        F2, G2, M2 = reduce_height(F, G, M, query(1))
+        F2, G2, M2 = as_forests(*reduce_height(F, G, M))
         assert F2.n == F.n + len(M) and G2.n == G.n + len(M)
         assert len(M2) == 2 * len(M)
         assert ted_brute_constrained(F2, G2, M2) == ted_brute_constrained(F, G, M)
@@ -80,14 +80,15 @@ def test_prune_redundant_examples(interner):
     # five matched children of twin roots: pairs 2..5 pruned
     F = forest("(r(c)(c)(c)(c)(c))", interner)
     G = forest("(r(c)(c)(c)(c)(c))", interner)
-    M = np.array([(u, u) for u in range(1, 6)], dtype=np.int64)
-    F2, G2, M2 = prune_redundant(F, G, M, query(1))
-    assert len(M2) == 1 and F2.n == F.n - 4 and G2.n == G.n - 4
+    P = np.array([(p, p) for p in F.o[1:]], dtype=np.int64)
+    codes_f, codes_g, P2 = prune_redundant(F.codes, G.codes, P)
+    assert P2.tolist() == [[1, 1]]
+    assert len(codes_f) == len(codes_g) == 2 * (F.n - 4)
     # no adjacent matched siblings: identity
     F = forest("(r(c)(d)(c))", interner)
-    M = np.array([(1, 1), (3, 3)], dtype=np.int64)
-    F2, G2, M2 = prune_redundant(F, F, M, query(1))
-    assert F2 == F and len(M2) == 2
+    P = np.array([(1, 1), (5, 5)], dtype=np.int64)
+    codes_f, codes_g, P2 = prune_redundant(F.codes, F.codes, P)
+    assert codes_f is codes_g is F.codes and P2.tolist() == P.tolist()
 
 
 def test_prune_redundant_bound_and_distance(interner, rng):
@@ -101,10 +102,13 @@ def test_prune_redundant_bound_and_distance(interner, rng):
         M = random_matching(rng, F, G)
         if len(M) == 0:
             continue
-        ctx = query(1)
-        F1, G1, M1 = reduce_height(F, G, M, ctx)
-        F2, G2, M2 = prune_redundant(F1, G1, M1, ctx)
+        codes_f, codes_g, P = reduce_height(F, G, M)
+        F1, G1, M1 = as_forests(codes_f, codes_g, P)
+        F2, G2, M2 = as_forests(*prune_redundant(codes_f, codes_g, P))
         assert 5 * len(M2) <= 2 * (F2.n + G2.n + 1)
+        # the kept pairs are leaves
+        assert (F2.c[M2[:, 0]] == F2.o[M2[:, 0]] + 1).all()
+        assert (G2.c[M2[:, 1]] == G2.o[M2[:, 1]] + 1).all()
         assert ted_brute_constrained(F2, G2, M2) == \
             ted_brute_constrained(F1, G1, M1)
         done += 1
@@ -114,12 +118,13 @@ def test_gadget_examples(interner):
     F = forest("(a(b))", interner)
     G = forest("(a(b))", interner)
     # no pairs: identity
-    F2, G2 = gadget(F, G, np.empty((0, 2), dtype=np.int64), query(2))
-    assert F2 == F and G2 == G
+    none = np.empty((0, 2), dtype=np.int64)
+    codes_f, codes_g = gadget(F.codes, G.codes, none, 2)
+    assert codes_f is F.codes and codes_g is G.codes
     # k=2, |M|=1 on leaf pair: sizes grow by k+1 = 3, and the new nodes
-    # are children of the matched leaf b
-    M = np.array([(1, 1)], dtype=np.int64)
-    F2, G2 = gadget(F, G, M, query(2))
+    # are children of the matched leaf b, which opens at position 1
+    P = np.array([(1, 1)], dtype=np.int64)
+    F2, G2 = map(LabeledForest.from_codes, gadget(F.codes, G.codes, P, 2))
     assert F2.n == F.n + 3 and G2.n == G.n + 3
     assert F2.height() <= F.height() + 1
     assert parents(F2).tolist() == parents(G2).tolist() == [-1, 0, 1, 1, 1]
@@ -133,14 +138,13 @@ def test_gadget_labels_fresh(interner):
     G = forest("(b(b)(z))", interner)
     top = int(G.labels.max())
     assert top > F.labels.max()
-    M = np.array([(1, 1)], dtype=np.int64)
-    ctx = query(1)
-    F2, G2 = gadget(F, G, M, ctx)
+    M = np.array([(1, 1)], dtype=np.int64)  # b opens at position 1 too
+    F2, G2 = map(LabeledForest.from_codes, gadget(F.codes, G.codes, M, 1))
     new_f = set(F2.labels.tolist()) - set(F.labels.tolist())
     new_g = set(G2.labels.tolist()) - set(G.labels.tolist())
     assert new_f == new_g == {top + 1, top + 2}
-    F3, G3, _ = reduce_height(F2, G2, M, ctx)
-    assert set(F3.labels.tolist()) - set(F2.labels.tolist()) == {top + 3}
+    codes_f, _, _ = reduce_height(F2, G2, M)
+    assert set((codes_f >> 1).tolist()) - set(F2.labels.tolist()) == {top + 3}
     assert interner.intern("fresh") == top + 1
 
 
@@ -156,12 +160,81 @@ def test_gadget_preserves_threshold(interner, rng):
         if len(M) == 0:
             continue
         k = int(rng.integers(1, 4))
-        ctx = query(k)
-        F1, G1, M1 = reduce_height(F, G, M, ctx)
-        F2, G2 = gadget(F1, G1, M1, ctx)
-        want = ted_brute_constrained(F1, G1, M1)
+        codes_f, codes_g, P = reduce_height(F, G, M)
+        F2, G2 = map(LabeledForest.from_codes, gadget(codes_f, codes_g, P, k))
+        want = ted_brute_constrained(*as_forests(codes_f, codes_g, P))
         want = want if want <= k else INF
         assert ted_threshold(F2, G2, k) == want
+        done += 1
+
+
+def test_matching_entries_must_be_integers(interner, rng):
+    # a float pair is refused, not rounded to the pair it would cast to;
+    # an empty matching may come in any dtype
+    syms = alphabet(interner, 2)
+    F = random_forest(rng, 10, 4, syms)
+    for M in ([[0.7, 0]], np.array([[0.0, 0.0]]), [[True, True]]):
+        with pytest.raises(ValueError, match="integers"):
+            validate_matching(F, F, M)
+        with pytest.raises(ValueError, match="integers"):
+            partial_reduce(F, F, M, query(1))
+    M = validate_matching(F, F, np.array([[0, 0]], dtype=np.int32))
+    assert M.dtype == np.int64
+    assert validate_matching(F, F, []).shape == (0, 2)
+
+
+def test_leaf_test_reads_the_label(interner, rng):
+    # a matched position must open a leaf: an open followed at once by the
+    # close of its own label.  A close of another label there, an inner
+    # node's open, or a close, is refused by pruning and by the gadget.
+    syms = alphabet(interner, 3)
+    done = 0
+    while done < 20:
+        F = random_forest(rng, int(rng.integers(2, 30)), 5, syms)
+        leaves = np.flatnonzero(F.c == F.o + 1)
+        inner = np.flatnonzero(F.c != F.o + 1)
+        if len(inner) == 0:
+            continue
+        p = int(F.o[rng.choice(leaves)])
+        P = np.array([[p, p]])
+        assert gadget(F.codes, F.codes, P, 1)[0].size > F.codes.size
+        relabeled = F.codes.copy()
+        relabeled[p + 1] += 2 * int(rng.integers(1, 3))  # another close
+        bad = [(relabeled, P), (F.codes, P + 1),
+               (F.codes, np.full((1, 2), F.o[rng.choice(inner)]))]
+        for codes, Q in bad:
+            with pytest.raises(ValueError, match="leaves-only"):
+                prune_redundant(codes, codes, Q)
+            with pytest.raises(ValueError, match="leaves-only"):
+                gadget(codes, codes, Q, 1)
+        done += 1
+
+
+def test_partial_reduce_pairs_each_output_once(interner, rng):
+    # the three rewrites build no forest: partial_reduce pairs its output
+    # strings through the context, two on a two-sided matching, one when G
+    # is F and M is the diagonal, and none on an empty M, which returns the
+    # inputs themselves
+    syms = alphabet(interner, 2)
+    done = 0
+    while done < 20:
+        F = random_forest(rng, int(rng.integers(2, 40)), 5, syms)
+        G = apply_random_edits(rng, F, 2, syms)
+        M = random_matching(rng, F, G)
+        if len(M) == 0:
+            continue
+        ctx = query(2)
+        F2, G2 = partial_reduce(F, G, M, ctx)
+        assert not np.array_equal(F2.codes, G2.codes)
+        assert ctx.timings["forests_built"] == 2
+        nodes = np.flatnonzero(rng.random(F.n) < 0.5)
+        ctx = query(2)
+        F2, G2 = partial_reduce(F, F, np.stack([nodes, nodes], axis=1), ctx)
+        assert G2 is F2
+        assert ctx.timings["forests_built"] == (1 if len(nodes) else 0)
+        ctx = query(2)
+        F2, G2 = partial_reduce(F, G, np.empty((0, 2), dtype=np.int64), ctx)
+        assert F2 is F and G2 is G and ctx.timings["forests_built"] == 0
         done += 1
 
 
@@ -249,18 +322,17 @@ def test_one_forest_on_the_diagonal_computes_one_side(interner, rng,
         for M, one in ((np.stack([nodes, nodes], axis=1), True),
                        (np.stack([first, first + T.n], axis=1), False)):
             calls.clear()
-            ctx = query(2)
-            twin = reduce_height(F, F, M, ctx)
+            twin = reduce_height(F, F, M)
             assert len(calls) == (1 if one else 2)
-            sides = reduce_height(F, copy, M, query(2))
-            for step in (prune_redundant, gadget, None):
-                assert [H.codes.tolist() for H in twin[:2]] == \
-                    [H.codes.tolist() for H in sides[:2]]
+            sides = reduce_height(F, copy, M)
+            for step in (prune_redundant, lambda *a: gadget(*a, 2), None):
+                assert [S.tolist() for S in twin[:2]] == \
+                    [S.tolist() for S in sides[:2]]
                 if step is None:
                     break
                 assert twin[2].tolist() == sides[2].tolist()
-                twin = step(*twin, ctx)
-                sides = step(*sides, query(2))
+                twin = step(*twin)
+                sides = step(*sides)
                 if one:
                     assert twin[1] is twin[0]
 

@@ -84,18 +84,24 @@ MUTANTS = [
            "max((base * base + 0x9E3779B97F4A7C15) % M61, 1 << 10)", "base",
            ("tests/test_labeling.py::test_audit_twin_fingerprints_under_its_own_base",)),
     Mutant("prune-diff-of-1", "src/tedk/partial.py",
-           "(np.diff(F.o[M[order, 0]]) == 2)", "(np.diff(F.o[M[order, 0]]) == 1)",
+           "(np.diff(P[order, 0]) == 2)", "(np.diff(P[order, 0]) == 1)",
            ("tests/test_partial.py::test_prune_redundant_examples",)),
+    Mutant("prune-remap-off-by-one", "src/tedk/partial.py",
+           "np.cumsum(keep) - 1", "np.cumsum(keep)",
+           ("tests/test_partial.py::test_prune_redundant_bound_and_distance",)),
+    Mutant("leaf-test-ignores-label", "src/tedk/partial.py",
+           "(codes[at + 1] == codes[at] + 1)", "((codes[at + 1] & 1) == 1)",
+           ("tests/test_partial.py::test_leaf_test_reads_the_label",)),
     Mutant("twin-side-without-diagonal-check", "src/tedk/partial.py",
-           "return G is F and np.array_equal(M[:, 0], M[:, 1])",
-           "return G is F",
+           "return codes_g is codes_f and np.array_equal(P[:, 0], P[:, 1])",
+           "return codes_g is codes_f",
            ("tests/test_partial.py::test_one_forest_on_the_diagonal_computes_one_side",)),
     Mutant("gadget-blocks-before-open", "src/tedk/partial.py",
-           "np.repeat(H.c[nodes], 2 * slots)", "np.repeat(H.o[nodes], 2 * slots)",
+           "np.repeat(at + 1, 2 * slots)", "np.repeat(at, 2 * slots)",
            ("tests/test_partial.py::test_gadget_examples",)),
     Mutant("fresh-labels-at-max-label", "src/tedk/partial.py",
-           "return 1 + int(max(F.labels.max(), G.labels.max()))",
-           "return int(max(F.labels.max(), G.labels.max()))",
+           "return 1 + (int(max(codes_f.max(), codes_g.max())) >> 1)",
+           "return int(max(codes_f.max(), codes_g.max())) >> 1",
            ("tests/test_partial.py::test_gadget_labels_fresh",)),
     Mutant("fingerprints-keyed-without-depth", "src/tedk/labeling.py",
            'state.derived(H.codes, ("fp", min(d, H.height())),',
